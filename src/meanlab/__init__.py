@@ -24,8 +24,9 @@ from .maxent import (FiniteDistribution, FiniteObservable,
                      InfeasibleTargetError, MaxEntProblem, MaxEntSolution,
                      RedundantObservableError, entropy, expected_value,
                      maxent_solve)
-from .measures import (Atom, AtomicComb, DensityMeasure, EmpiricalMeasure,
-                       Measure, MeasureError, QuadratureError,
+from .measures import (Affine, Atom, AtomicComb, DensityMeasure,
+                       EmpiricalMeasure, IntegerPowerComb, Measure,
+                       MeasureError, QuadratureError,
                        QuadraturePolicy, cauchy, comb_ex1, comb_ex2, comb_ex4,
                        comb_ex5, finite_comb, gaussian, integer_power_comb,
                        make_measure, measure_from_document, normalize_comb,

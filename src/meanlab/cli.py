@@ -61,8 +61,14 @@ def _atomic_write(path: Path, text: str):
     os.replace(tmp, path)
 
 
+def _json_text(payload: dict, **kw) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError instead of writing a
+    token that JSON parsers reject."""
+    return json.dumps(payload, sort_keys=True, allow_nan=False, **kw)
+
+
 def _write_json(path: Path, payload: dict):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, _json_text(payload, indent=2) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -438,34 +444,36 @@ def run(argv: Optional[list[str]] = None) -> int:
             args.c_grid = _parse_grid(args.c_grid)
         results, warnings, csvs, undetermined = _HANDLERS[args.subcommand](
             doc, args, schedule, policy)
+        report = {
+            "tool": {"name": "meanlab", "version": __version__},
+            "subcommand": args.subcommand,
+            "config": {
+                "input": str(args.input),
+                "schedule": args.schedule,
+                "c_grid": list(args.c_grid) if args.c_grid else None,
+                "tol": list(args.tol),
+                "document": doc,
+            },
+            "seed": args.seed,
+            "results": results,
+            "warnings": warnings,
+            "wall_time_s": time.perf_counter() - started,
+        }
+        report_text = _json_text(report, indent=2) + "\n"
+        stdout_line = _json_text({"results": results, "warnings": warnings})
     except (SchemaError, MeasureError, InfeasibleTargetError,
-            RedundantObservableError, ValueError, OSError,
+            RedundantObservableError, ValueError, ArithmeticError, OSError,
             json.JSONDecodeError) as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)},
                  "subcommand": args.subcommand}
         _write_json(out_dir / f"{args.subcommand}_error.json", error)
-        print(json.dumps(error, sort_keys=True))
+        print(_json_text(error))
         return 1
 
-    report = {
-        "tool": {"name": "meanlab", "version": __version__},
-        "subcommand": args.subcommand,
-        "config": {
-            "input": str(args.input),
-            "schedule": args.schedule,
-            "c_grid": list(args.c_grid) if args.c_grid else None,
-            "tol": list(args.tol),
-            "document": doc,
-        },
-        "seed": args.seed,
-        "results": results,
-        "warnings": warnings,
-        "wall_time_s": time.perf_counter() - started,
-    }
-    _write_json(out_dir / f"{args.subcommand}_report.json", report)
+    _atomic_write(out_dir / f"{args.subcommand}_report.json", report_text)
     for name, (header, rows) in csvs.items():
         _write_csv(out_dir / name, header, rows)
-    print(json.dumps({"results": results, "warnings": warnings}, sort_keys=True))
+    print(stdout_line)
     return exit_code_for(undetermined)
 
 

@@ -30,12 +30,13 @@ before taking the damping to zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import Measure, MeasureError, window_first_moment, window_mass
+from .measures import Measure, MeasureError, window_first_moment
 
 __all__ = [
     "TruncationSchedule",
@@ -60,6 +61,8 @@ __all__ = [
 ]
 
 DEFAULT_C_GRID = (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 # Verdict kinds
 CONVERGED = "converged"
@@ -90,6 +93,13 @@ class TruncationSchedule:
             raise ValueError(f"schedule needs ratio > 1, got {self.ratio}")
         if self.count < 1:
             raise ValueError(f"schedule needs count >= 1, got {self.count}")
+        # Checked in log space: computing the horizon itself would overflow.
+        growth = (self.count - 1) * math.log(self.ratio)
+        if not (math.isfinite(self.m0) and growth < _LOG_MAX
+                and math.log(self.m0) + growth < _LOG_MAX):
+            raise ValueError(
+                f"schedule horizon m0 * ratio^(count - 1) is not finite "
+                f"(m0={self.m0}, ratio={self.ratio}, count={self.count})")
 
     def radii(self) -> np.ndarray:
         return self.m0 * self.ratio ** np.arange(self.count, dtype=float)
@@ -106,8 +116,10 @@ class VerdictPolicy:
     With W = ``window`` and tol = conv_scale * max(1, |median of last W|):
 
     * converged: spread of the last W values <= tol;
-    * diverges up: the minima of the last three W-blocks strictly increase
-      and the final value exceeds ``div_threshold`` (mirrored downward);
+    * diverges up: the minima of the last three W-blocks rise by more than
+      tol at each step and the final value exceeds ``div_threshold``
+      (mirrored downward), so minima equal up to rounding never count as
+      rising;
     * oscillates unbounded above: the maxima of the last three W-blocks grow
       as in divergence while the minima stay in a band bounded by
       ``div_threshold`` (mirrored below);
@@ -177,51 +189,53 @@ class LimitVerdict:
         return self.kind in (OSC_BOUNDED, OSC_UNBOUNDED_ABOVE, OSC_UNBOUNDED_BELOW)
 
 
-def _probe_radii(measure: Measure, center: float, base: np.ndarray,
-                 policy: VerdictPolicy) -> np.ndarray:
-    """Midpoints between consecutive atom-crossing radii |z - c|.
+# Atoms beyond this count get no probes; dense combs rely on closed forms.
+_PROBE_ATOM_CAP = 50_000
 
+
+def _atom_locations(measure: Measure, max_abs: float) -> np.ndarray:
+    """Atom locations within max_abs; empty for continuous measures and for
+    combs with more than _PROBE_ATOM_CAP atoms there."""
+    if not measure.is_atomic:
+        return np.empty(0)
+    try:
+        return measure.atom_locations(max_abs, max_atoms=_PROBE_ATOM_CAP)
+    except MeasureError:
+        return np.empty(0)
+
+
+def _scan_radii(locations: np.ndarray, center: float, base: np.ndarray,
+                policy: VerdictPolicy, probe: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The base radii plus probe radii, sorted and nudged off the atoms.
+
+    Probes are the midpoints between consecutive atom-crossing radii
+    |z - c| inside the base range (thinned evenly to ``policy.max_probes``).
     The partial mean at center c is a pure jump function of M for atomic
     measures, constant between crossings; sampling each gap exposes every
-    value the series takes inside the horizon.
+    value the series takes inside the horizon.  A radius whose window
+    boundary c +- M lands exactly on an atom is nudged outward, by an
+    absolute jitter widened to stay above float granularity at large M.
+    Returns (radii, is_probe).
     """
-    if not measure.is_atomic:
-        return np.empty(0)
-    try:
-        atoms = measure.atoms_within(base[-1] + abs(center) + 1.0, max_atoms=50_000)
-    except MeasureError:
-        return np.empty(0)  # dense comb: rely on closed forms over the base grid
-    radii = sorted({abs(a.location - center) for a in atoms
-                    if base[0] <= abs(a.location - center) <= base[-1]})
-    if len(radii) < 2:
-        return np.empty(0)
-    mids = 0.5 * (np.asarray(radii[:-1]) + np.asarray(radii[1:]))
-    if len(mids) > policy.max_probes:
-        idx = np.linspace(0, len(mids) - 1, policy.max_probes).round().astype(int)
-        mids = mids[np.unique(idx)]
-    return mids
-
-
-def _dejitter(measure: Measure, center: float, radii: np.ndarray,
-              jitter: float) -> np.ndarray:
-    """Nudge radii whose window boundary lands exactly on an atom."""
-    if not measure.is_atomic:
-        return radii
-    try:
-        atoms = measure.atoms_within(radii[-1] + abs(center) + 1.0, max_atoms=50_000)
-    except MeasureError:
-        return radii
-    locations = {a.location for a in atoms}
-    out = radii.copy()
-    for i, M in enumerate(out):
-        # absolute jitter, widened to stay above float granularity at large M
-        eps = max(jitter, 16 * np.spacing(M))
-        for _ in range(8):
-            if (center - out[i]) in locations or (center + out[i]) in locations:
-                out[i] += eps
-            else:
-                break
-    return out
+    probes = np.empty(0)
+    if probe:
+        crossings = np.abs(locations - center)
+        crossings = np.unique(crossings[(base[0] <= crossings) & (crossings <= base[-1])])
+        probes = 0.5 * (crossings[:-1] + crossings[1:])
+        if len(probes) > policy.max_probes:
+            idx = np.linspace(0, len(probes) - 1, policy.max_probes).round().astype(int)
+            probes = probes[np.unique(idx)]
+    radii = np.concatenate([base, probes])
+    is_probe = np.concatenate([np.zeros(len(base), bool), np.ones(len(probes), bool)])
+    order = np.argsort(radii, kind="stable")
+    radii, is_probe = radii[order], is_probe[order]
+    eps = np.maximum(policy.jitter, 16 * np.spacing(radii))
+    for _ in range(8):
+        on_atom = np.isin(center - radii, locations) | np.isin(center + radii, locations)
+        if not on_atom.any():
+            break
+        radii = np.where(on_atom, radii + eps, radii)
+    return radii, is_probe
 
 
 def limit_scan(measure: Measure, center: float,
@@ -230,18 +244,9 @@ def limit_scan(measure: Measure, center: float,
                probe_atoms: bool = True) -> PartialMeanSeries:
     """Partial means over [c - M, c + M] for every M in the (augmented) schedule."""
     base = schedule.radii()
-    probes = _probe_radii(measure, center, base, policy) if probe_atoms else np.empty(0)
-    radii = np.concatenate([base, probes])
-    is_probe = np.concatenate([np.zeros(len(base), bool), np.ones(len(probes), bool)])
-    order = np.argsort(radii, kind="stable")
-    radii, is_probe = radii[order], is_probe[order]
-    radii = _dejitter(measure, center, radii, policy.jitter)
-
-    values = np.empty(len(radii))
-    masses = np.empty(len(radii))
-    for i, M in enumerate(radii):
-        values[i] = window_first_moment(measure, center - M, center + M)
-        masses[i] = window_mass(measure, center - M, center + M)
+    locations = _atom_locations(measure, base[-1] + abs(center) + 1.0)
+    radii, is_probe = _scan_radii(locations, center, base, policy, probe_atoms)
+    masses, values = measure.window_stats(center - radii, center + radii)
     return PartialMeanSeries(center=float(center), radii=radii, values=values,
                              masses=masses, is_probe=is_probe,
                              horizon=schedule.horizon)
@@ -277,20 +282,24 @@ def _classify_values(values: np.ndarray, policy: VerdictPolicy,
     final = float(values[-1])
     tail3 = values[-3 * W:]
 
-    if mins[0] < mins[1] < mins[2] and final > policy.div_threshold:
+    def rising(x):  # every block-to-block step clears the tolerance
+        return x[1] - x[0] > tol and x[2] - x[1] > tol
+
+    neg_mins, neg_maxs = [-m for m in mins], [-m for m in maxs]
+    if rising(mins) and final > policy.div_threshold:
         return LimitVerdict(DIVERGES_PLUS, liminf_est=mins[2], spread=spread,
                             conv_tol=tol, window=W, horizon=horizon)
-    if maxs[0] > maxs[1] > maxs[2] and final < -policy.div_threshold:
+    if rising(neg_maxs) and final < -policy.div_threshold:
         return LimitVerdict(DIVERGES_MINUS, limsup_est=maxs[2], spread=spread,
                             conv_tol=tol, window=W, horizon=horizon)
 
     spread_persists = all(b.max() - b.min() > tol for b in blocks)
     lo3, hi3 = float(tail3.min()), float(tail3.max())
-    if (spread_persists and maxs[0] < maxs[1] < maxs[2]
+    if (spread_persists and rising(maxs)
             and maxs[2] > policy.div_threshold and abs(lo3) <= policy.div_threshold):
         return LimitVerdict(OSC_UNBOUNDED_ABOVE, liminf_est=lo3, spread=spread,
                             conv_tol=tol, window=W, horizon=horizon)
-    if (spread_persists and mins[0] > mins[1] > mins[2]
+    if (spread_persists and rising(neg_mins)
             and mins[2] < -policy.div_threshold and abs(hi3) <= policy.div_threshold):
         return LimitVerdict(OSC_UNBOUNDED_BELOW, limsup_est=hi3, spread=spread,
                             conv_tol=tol, window=W, horizon=horizon)
@@ -447,7 +456,7 @@ def tail_mass_curve(measure: Measure, n_schedule: Optional[Sequence[float]] = No
                     dtype=float)
     if len(ns) < 2 or np.any(np.diff(ns) <= 0):
         raise ValueError("tail schedule must be increasing with >= 2 points")
-    vals = np.array([n * measure.tail_probability(n) for n in ns])
+    vals = ns * measure.tail_probability(ns)
     w = min(policy.window, len(vals))
     tends = bool(np.max(vals[-w:]) <= policy.tail_tol)
     return TailMassCurve(ns=ns, values=vals, tends_to_zero=tends,
@@ -492,25 +501,14 @@ class MeanLadder:
 
 def _one_sided_series(measure: Measure, side: str, schedule: TruncationSchedule,
                       policy: VerdictPolicy) -> np.ndarray:
+    """Moments over [0, M] (side "plus") or [-M, 0] (side "minus")."""
     base = schedule.radii()
-    probes = np.empty(0)
-    if measure.is_atomic:
-        try:
-            atoms = measure.atoms_within(base[-1] + 1.0, max_atoms=50_000)
-            sign = 1.0 if side == "plus" else -1.0
-            rad = sorted({abs(a.location) for a in atoms
-                          if sign * a.location > 0 and base[0] <= abs(a.location) <= base[-1]})
-            if len(rad) >= 2:
-                probes = 0.5 * (np.asarray(rad[:-1]) + np.asarray(rad[1:]))
-                if len(probes) > policy.max_probes:
-                    idx = np.linspace(0, len(probes) - 1, policy.max_probes).round().astype(int)
-                    probes = probes[np.unique(idx)]
-        except MeasureError:
-            pass
-    radii = np.sort(np.concatenate([base, probes]))
-    if side == "plus":
-        return np.array([window_first_moment(measure, 0.0, M) for M in radii])
-    return np.array([window_first_moment(measure, -M, 0.0) for M in radii])
+    sign = 1.0 if side == "plus" else -1.0
+    locations = _atom_locations(measure, base[-1] + 1.0)
+    radii, _ = _scan_radii(locations[sign * locations > 0], 0.0, base, policy)
+    zero = np.zeros_like(radii)
+    lo, hi = (zero, radii) if side == "plus" else (-radii, zero)
+    return measure.window_stats(lo, hi)[1]
 
 
 def mean_ladder(measure: Measure,
@@ -571,8 +569,12 @@ class WindowMultiplier:
                          quad_tol: float = 1e-10) -> float:
         if not lam > 0:
             raise ValueError(f"damping rate must be positive, got {lam}")
-        half = 1.0 / lam
-        return window_first_moment(measure, self.c - half, self.c + half)
+        return float(self.regularized_means(measure, np.array([lam]))[0])
+
+    def regularized_means(self, measure: Measure, lams: np.ndarray) -> np.ndarray:
+        """All windows of the damping schedule in one window_stats call."""
+        half = 1.0 / np.asarray(lams, dtype=float)
+        return measure.window_stats(self.c - half, self.c + half)[1]
 
     def default_lambdas(self, schedule: TruncationSchedule) -> np.ndarray:
         return 1.0 / schedule.radii()
@@ -641,6 +643,9 @@ class ExpTiltMultiplier:
                 total += val
         return total
 
+    def regularized_means(self, measure: Measure, lams: np.ndarray) -> np.ndarray:
+        return np.array([self.regularized_mean(measure, lam) for lam in lams])
+
     def default_lambdas(self, schedule: TruncationSchedule) -> np.ndarray:
         return np.geomspace(1e-2, 1e-4, 25)
 
@@ -671,7 +676,7 @@ def multiplier_mean(measure: Measure, family,
             else family.default_lambdas(schedule))
     if len(lams) < 2 or np.any(np.diff(lams) >= 0) or lams[-1] <= 0:
         raise ValueError("lambda schedule must be positive and strictly decreasing")
-    values = np.array([family.regularized_mean(measure, lam) for lam in lams])
+    values = family.regularized_means(measure, lams)
     verdict = _classify_values(values, family.default_policy(policy),
                                horizon=float(1.0 / lams[-1]))
     return MultiplierSeries(family_kind=family.kind, c=family.c, lambdas=lams,

@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .measures import (AtomicComb, EmpiricalMeasure, Measure, MeasureError,
-                       Negated, Scaled, Shifted)
+from .measures import Affine, AtomicComb, EmpiricalMeasure, Measure, MeasureError
 
 __all__ = [
     "Sampler",
@@ -43,12 +42,8 @@ _COMB_CUTOFF_TOL = 1e-12
 def _draw_recursive(measure: Measure, u: np.ndarray,
                     comb_table: Optional[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     """Map uniforms in (0, 1) through the measure's inverse transform."""
-    if isinstance(measure, Shifted):
-        return _draw_recursive(measure.inner, u, comb_table) + measure.a
-    if isinstance(measure, Scaled):
-        return measure.s * _draw_recursive(measure.inner, u, comb_table)
-    if isinstance(measure, Negated):
-        return -_draw_recursive(measure.inner, u, comb_table)
+    if isinstance(measure, Affine):
+        return measure.s * _draw_recursive(measure.inner, u, comb_table) + measure.a
     family = getattr(measure, "family", "")
     if family == "gaussian":
         return measure.mu + measure.sigma * special.ndtri(u)
@@ -70,7 +65,7 @@ def _comb_table(measure: Measure) -> tuple[Optional[tuple[np.ndarray, np.ndarray
 
     Returns (table, bias) where bias bounds the truncated tail mass."""
     inner = measure
-    while isinstance(inner, (Shifted, Scaled, Negated)):
+    while isinstance(inner, Affine):
         inner = inner.inner
     if not isinstance(inner, AtomicComb):
         return None, 0.0

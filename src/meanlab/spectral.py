@@ -26,7 +26,8 @@ import numpy as np
 from scipy import special
 
 from .genmean import MeanLadder, TruncationSchedule, VerdictPolicy, mean_ladder
-from .measures import Atom, AtomicComb, comb_ex2, finite_comb, integer_power_comb
+from .measures import (Atom, AtomicComb, comb_ex2, finite_comb, integer_power_comb,
+                       window_first_moment)
 
 __all__ = [
     "HermitianObservable",
@@ -300,8 +301,8 @@ def bridge_analyze(bridge: DiagonalBridge,
     comb = bridge.comb
     horizon = min(schedule.horizon, 1e6)
     sums = {
-        "pos_abs_moment": comb.first_moment(0.0, horizon),
-        "neg_abs_moment": -comb.first_moment(-horizon, 0.0),
+        "pos_abs_moment": window_first_moment(comb, 0.0, horizon),
+        "neg_abs_moment": -window_first_moment(comb, -horizon, 0.0),
     }
     ladder = mean_ladder(comb, schedule, policy)
     return BridgeReport(bridge=bridge, ladder=ladder, partial_sums=sums)

@@ -217,3 +217,49 @@ def test_console_entry_point_runs(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout.splitlines()[-1])
     assert payload["results"]["entropy"] == pytest.approx(2.0, abs=1e-10)
+
+
+def _assert_error_contract(out, subcommand, error_type):
+    error = json.loads((out / f"{subcommand}_error.json").read_text())
+    assert error["error"]["type"] == error_type
+    assert not (out / f"{subcommand}_report.json").exists()
+
+
+def test_nonfinite_measure_parameter_exits_1_with_error_json(tmp_path):
+    # json.dumps writes the NaN token, which json.load accepts on input
+    doc = _write(tmp_path, "m.json",
+                 {"measure": {"family": "shift", "a": float("nan"),
+                              "inner": {"family": "cauchy"}}})
+    out = tmp_path / "out"
+    assert _run(["classify", "--input", doc, "--out", str(out)]) == 1
+    _assert_error_contract(out, "classify", "MeasureError")
+
+
+def test_overflowing_schedule_exits_1_with_error_json(tmp_path):
+    doc = _write(tmp_path, "m.json", {"measure": {"family": "cauchy"}})
+    out = tmp_path / "out"
+    assert _run(["classify", "--input", doc, "--out", str(out),
+                 "--schedule", "1.1,1.5,2000"]) == 1
+    _assert_error_contract(out, "classify", "SchemaError")
+
+
+def test_arithmetic_error_exits_1_with_error_json(tmp_path, monkeypatch):
+    def overflowing_handler(doc, args, schedule, policy):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", overflowing_handler)
+    doc = _write(tmp_path, "m.json", {"measure": {"family": "cauchy"}})
+    out = tmp_path / "out"
+    assert _run(["classify", "--input", doc, "--out", str(out)]) == 1
+    _assert_error_contract(out, "classify", "OverflowError")
+
+
+def test_nonfinite_result_is_refused_not_written(tmp_path, monkeypatch):
+    def nan_handler(doc, args, schedule, policy):
+        return {"value": float("nan")}, [], {}, False
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", nan_handler)
+    doc = _write(tmp_path, "m.json", {"measure": {"family": "cauchy"}})
+    out = tmp_path / "out"
+    assert _run(["classify", "--input", doc, "--out", str(out)]) == 1
+    _assert_error_contract(out, "classify", "ValueError")

@@ -335,3 +335,24 @@ def test_exp_tilt_on_wrapped_density():
     wser = ml.multiplier_mean(shifted, ml.WindowMultiplier(2.0))
     assert wser.verdict.kind == "converged"
     assert wser.verdict.value == pytest.approx(2.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("build,case,threshold", [
+    (lambda: ml.comb_ex4().shift(4.0), "IV", 3.0),
+    (lambda: ml.comb_ex5().shift(4.0), "I", None),
+    (lambda: ml.comb_ex4().negate().shift(-4.0), "V", -3.0),
+])
+def test_taxonomy_of_combs_shifted_toward_the_diverging_side(build, case, threshold):
+    # Block minima equal up to rounding must not read as rising or falling:
+    # each block-to-block step has to clear the tolerance.
+    report = ml.classify_taxonomy(build())
+    assert report.case == case
+    assert report.c_threshold == threshold
+
+
+def test_schedule_rejects_a_nonfinite_horizon():
+    for kw in ({"m0": 1.1, "ratio": 1.5, "count": 2000},
+               {"m0": math.inf}, {"m0": 0.5, "ratio": 2.0, "count": 1026}):
+        with pytest.raises(ValueError):
+            ml.TruncationSchedule(**kw)
+    assert math.isfinite(ml.TruncationSchedule(m0=1.0, ratio=2.0, count=1000).horizon)

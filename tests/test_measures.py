@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import meanlab as ml
-from meanlab.measures import MASS_TOL, Shifted
+from meanlab.measures import MASS_TOL, Affine
 
 # ---------------------------------------------------------------------------
 # Window mass
@@ -283,7 +283,7 @@ def test_measure_document_round_trip():
            "inner": {"family": "scale", "factor": 3.0,
                      "inner": {"family": "cauchy", "loc": 0.0, "scale": 1.0}}}
     m = ml.measure_from_document(doc)
-    assert isinstance(m, Shifted)
+    assert isinstance(m, Affine) and (m.a, m.s) == (2.0, 1.0)
     # law of 3X + 2: symmetric around 2
     assert ml.window_first_moment(m, 2 - 5, 2 + 5) == pytest.approx(
         2 * ml.window_mass(m, -3, 7), abs=1e-12)
@@ -311,3 +311,39 @@ def test_tail_mass_bounds_are_nonincreasing_and_honest(family):
     for n in (1, 5, 10):
         later = sum(a.weight for blk in atoms_by_block[n:] for a in blk)
         assert later <= m.tail_mass_bound(n) + 1e-15
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ml.gaussian(sigma=math.inf),
+    lambda: ml.gaussian(mu=math.nan),
+    lambda: ml.cauchy(loc=math.nan),
+    lambda: ml.cauchy(scale=math.inf),
+    lambda: ml.power_tail(math.nan, 1.5),
+    lambda: ml.integer_power_comb(math.inf),
+    lambda: ml.cauchy().shift(math.nan),
+    lambda: ml.cauchy().scale(math.inf),
+    lambda: ml.comb_ex2().shift(-math.inf),
+    lambda: Affine(ml.gaussian(), 0.0, 0.0),
+])
+def test_nonfinite_parameters_rejected_at_construction(build):
+    with pytest.raises(ml.MeasureError):
+        build()
+
+
+def test_negative_scale_swaps_endpoint_flags():
+    # comb_ex2 atom at 2 (weight 1/4) sits at -6 under x -> -3x
+    m = ml.comb_ex2().scale(-3.0)
+    assert ml.window_mass(m, -6.0, -1.0, include_lo=False) == 0.0
+    assert ml.window_mass(m, -6.0, -1.0, include_hi=False) == 0.25
+    assert ml.window_first_moment(m, -6.0, -1.0) == -1.5
+
+
+def test_tail_probability_is_elementwise():
+    for m in (ml.cauchy(0.5, 2.0), ml.gaussian(1.0, 3.0), ml.power_tail(1.5, 1.8),
+              ml.comb_ex2(), ml.integer_power_comb(3.0), ml.cauchy().shift(2.0)):
+        ts = np.array([-1.0, 0.0, 3.5, 1e4])
+        batch = m.tail_probability(ts)
+        assert batch.shape == ts.shape
+        for t, p in zip(ts, batch):
+            assert m.tail_probability(t) == p
+        assert batch[0] == pytest.approx(1.0, abs=1e-15)
