@@ -62,6 +62,7 @@ __all__ = [
     "QuadratureError",
     "QuadraturePolicy",
     "MASS_TOL",
+    "checked_quad",
     "window_mass",
     "window_first_moment",
     "normalize_comb",
@@ -133,6 +134,26 @@ class QuadraturePolicy:
     max_subdivisions: int = 10_000
 
 
+def checked_quad(f: Callable[[float], float], a: float, b: float,
+                 policy: QuadraturePolicy, what: str) -> tuple[float, dict]:
+    """``integrate.quad`` of f over [a, b] that refuses an unconverged result.
+
+    Returns the value and quad's info dict (its final subintervals are
+    ``alist[:last]``, ``blist[:last]``).  Raises QuadratureError when quad
+    reports a problem (it would otherwise only warn) or when its error
+    estimate exceeds max(100 * abs_tol, 1e-8 * |value|).
+    """
+    out = integrate.quad(f, a, b, epsabs=policy.abs_tol, epsrel=1e-12,
+                         limit=policy.max_subdivisions, full_output=True)
+    value, abserr, info = out[:3]
+    if len(out) > 3 or abserr > max(100 * policy.abs_tol, 1e-8 * abs(value)):
+        raise QuadratureError(
+            f"{what}: quadrature on [{a:g}, {b:g}] did not converge "
+            f"(estimate {value:.6g}, error estimate {abserr:.3g})",
+            estimate=value, error_estimate=abserr)
+    return value, info
+
+
 class Measure:
     """Common interface for all measure representations.
 
@@ -175,12 +196,20 @@ class Measure:
 
     def atoms_within(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> list[Atom]:
         """Atoms with |location| <= max_abs; empty for continuous measures."""
-        return []
+        locs, weights = self.atom_arrays(max_abs, max_atoms)
+        return [Atom(x, w) for x, w in zip(locs.tolist(), weights.tolist())]
+
+    def atom_arrays(self, max_abs: float,
+                    max_atoms: int = _MAX_ATOMS) -> tuple[np.ndarray, np.ndarray]:
+        """(locations, weights) of the atoms with |location| <= max_abs, sorted
+        by location; raises MeasureError when there are more than
+        ``max_atoms`` of them."""
+        return np.empty(0), np.empty(0)
 
     def atom_locations(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> np.ndarray:
         """Sorted locations of the atoms with |location| <= max_abs; raises
         MeasureError when there are more than ``max_atoms`` of them."""
-        return np.empty(0)
+        return self.atom_arrays(max_abs, max_atoms)[0]
 
     # Affine combinators (precomposition with the inverse map).
 
@@ -306,10 +335,11 @@ class AtomicComb(Measure):
         self._ensure_blocks(max_abs, max_atoms)
         return [a for a in self._atoms if abs(a.location) <= max_abs]
 
-    def atom_locations(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> np.ndarray:
+    def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
         self._ensure_blocks(max_abs, max_atoms)
-        locs = self._sorted_atoms()[0]
-        return locs[np.abs(locs) <= max_abs]
+        locs, values = self._sorted_atoms()
+        keep = np.abs(locs) <= max_abs
+        return locs[keep], values[0][keep]
 
     def _window_stats(self, lo, hi, include_lo, include_hi):
         self._ensure_blocks(float(max(np.abs(lo).max(), np.abs(hi).max())))
@@ -475,11 +505,12 @@ class IntegerPowerComb(AtomicComb):
     def _tail(self, t):
         return special.zeta(self.p, np.floor(np.maximum(t, 0.0)) + 1.0) / self.zeta_p
 
-    def atom_locations(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> np.ndarray:
+    def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
         if max_abs >= max_atoms + 1:
             raise MeasureError(
                 f"{self.family}: more than {max_atoms} atoms within {max_abs:g}")
-        return np.arange(1.0, math.floor(max(max_abs, 0.0)) + 1.0)
+        n = np.arange(1.0, math.floor(max(max_abs, 0.0)) + 1.0)
+        return n, n ** -self.p / self.zeta_p
 
 
 def integer_power_comb(p: float) -> IntegerPowerComb:
@@ -536,16 +567,7 @@ class DensityMeasure(Measure):
                 raise MeasureError(f"{family}: density integrates to {total}, not 1")
 
     def _quad(self, f: Callable[[float], float], a: float, b: float) -> float:
-        pol = self.quadrature
-        out = integrate.quad(f, a, b, epsabs=pol.abs_tol, epsrel=1e-12,
-                             limit=pol.max_subdivisions, full_output=True)
-        value, abserr = out[0], out[1]
-        if len(out) > 3 or abserr > max(100 * pol.abs_tol, 1e-8 * abs(value)):
-            raise QuadratureError(
-                f"{self.family}: quadrature on [{a:g}, {b:g}] did not converge "
-                f"(estimate {value:.6g}, error estimate {abserr:.3g})",
-                estimate=value, error_estimate=abserr)
-        return value
+        return checked_quad(f, a, b, self.quadrature, self.family)[0]
 
     def _quad_stats(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         def xpdf(x: float) -> float:
@@ -736,12 +758,9 @@ class EmpiricalMeasure(Measure):
                                          include_lo, include_hi)
         return counts / self.samples.size, sums[0] / self.samples.size
 
-    def atoms_within(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> list[Atom]:
-        w = 1.0 / self.samples.size
-        return [Atom(float(x), w) for x in self.samples if abs(x) <= max_abs]
-
-    def atom_locations(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> np.ndarray:
-        return self.samples[np.abs(self.samples) <= max_abs]
+    def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
+        locs = self.samples[np.abs(self.samples) <= max_abs]
+        return locs, np.full(locs.shape, 1.0 / self.samples.size)
 
 
 class Affine(Measure):
@@ -778,15 +797,12 @@ class Affine(Measure):
     def _inner_radius(self, max_abs: float) -> float:
         return (max_abs + abs(self.a)) / abs(self.s)
 
-    def atoms_within(self, max_abs, max_atoms=_MAX_ATOMS):
-        moved = ((self.s * z.location + self.a, z.weight)
-                 for z in self.inner.atoms_within(self._inner_radius(max_abs), max_atoms))
-        return [Atom(y, w) for y, w in moved if abs(y) <= max_abs]
-
-    def atom_locations(self, max_abs, max_atoms=_MAX_ATOMS):
-        y = self.s * self.inner.atom_locations(self._inner_radius(max_abs), max_atoms) + self.a
-        y = y[np.abs(y) <= max_abs]
-        return y[::-1] if self.s < 0 else y
+    def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
+        x, w = self.inner.atom_arrays(self._inner_radius(max_abs), max_atoms)
+        y = self.s * x + self.a
+        keep = np.abs(y) <= max_abs
+        y, w = y[keep], w[keep]
+        return (y[::-1], w[::-1]) if self.s < 0 else (y, w)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,18 @@ def test_arithmetic_error_exits_1_with_error_json(tmp_path, monkeypatch):
     _assert_error_contract(out, "classify", "OverflowError")
 
 
+def test_unresolved_exp_tilt_quadrature_exits_1_with_error_json(tmp_path):
+    # a power-tail bump of width 1e-6 at 3e4, below what quadrature resolves
+    measure = {"family": "shift", "a": 3e4,
+               "inner": {"family": "scale", "factor": 1e-6,
+                         "inner": {"family": "power_tail", "a": 1.5, "b": 1.7}}}
+    doc = _write(tmp_path, "m.json", {"measure": measure,
+                                      "multiplier": {"kind": "exp_tilt", "c": 0.0}})
+    out = tmp_path / "out"
+    assert _run(["multiplier", "--input", doc, "--out", str(out)]) == 1
+    _assert_error_contract(out, "multiplier", "QuadratureError")
+
+
 def test_nonfinite_result_is_refused_not_written(tmp_path, monkeypatch):
     def nan_handler(doc, args, schedule, policy):
         return {"value": float("nan")}, [], {}, False
