@@ -22,7 +22,7 @@ for name, measure in [
     ("symmetric dyadic comb", ml.comb_ex2()),
 ]:
     ladder = ml.mean_ladder(measure)
-    curve = ml.tail_mass_curve(measure)
+    curve = ladder.tail
     print(f"{name}")
     print(f"  ordinary mean : {ladder.ordinary_kind}"
           + (f" = {ladder.ordinary_value:.6f}" if ladder.ordinary_value is not None else ""))

@@ -41,7 +41,7 @@ lhs = ml.qm_mean(A, psi)
 rhs = np.linalg.norm(E @ psi) ** 2 - np.linalg.norm(F @ psi) ** 2
 comb = ml.induced_measure(A, psi)
 print(f"  quadratic form {lhs:+.10f} vs split {rhs:+.10f}")
-print(f"  P(A in [0, 2]) via measure {ml.window_mass(comb, 0, 2):.10f} vs "
+print(f"  P(A in [0, 2]) via measure {comb.window_stats(0, 2)[0]:.10f} vs "
       f"projector {ml.window_projection_probability(A, psi, 0, 2):.10f}\n")
 
 print("Diagonal bridge: countable operators feeding the truncated-mean lab.")

@@ -27,11 +27,11 @@ print("\nThe condensation failure of the median, replayed by hand:")
 rep = ml.check_axiom(ml.median_statistic, ml.AxiomId.COND, trials=2000, seed=0)
 xs = rep.counterexample["xs"]
 m = rep.counterexample["m"]
-sub = ml.evaluate(ml.median_statistic, xs[:m])
+sub = ml.median_statistic(xs[:m])
 condensed = (sub,) * m + xs[m:]
-print(f"  data {xs}: median = {ml.evaluate(ml.median_statistic, xs)}")
+print(f"  data {xs}: median = {ml.median_statistic(xs)}")
 print(f"  condense the first {m} entries to their median {sub}: "
-      f"{condensed} has median {ml.evaluate(ml.median_statistic, condensed)}")
+      f"{condensed} has median {ml.median_statistic(condensed)}")
 
 print("\nAt sizes one and two, every homogeneous symmetric translation-")
 print("invariant statistic coincides with the mean:")

@@ -9,7 +9,7 @@ statistic axioms, and spectral means of Hermitian observables.
 __version__ = "0.1.0"
 
 from .axioms import (AxiomId, AxiomReport, SampleStatistic, builtin_statistic,
-                     check_axiom, check_axioms, convex_combination, evaluate,
+                     check_axiom, check_axioms, convex_combination,
                      mean_statistic, median_statistic, two_point_coincidence)
 from .genmean import (DEFAULT_C_GRID, ExpTiltMultiplier, LimitVerdict,
                       MeanLadder, MultiplierSeries, PartialMeanSeries,
@@ -18,7 +18,7 @@ from .genmean import (DEFAULT_C_GRID, ExpTiltMultiplier, LimitVerdict,
                       classify_taxonomy, limit_scan, mean_ladder,
                       multiplier_mean, tail_mass_curve)
 from .lln import (Sampler, StabilityReport, WllnReport, build_sampler,
-                  cauchy_stability_demo, running_mean_trajectory, sample,
+                  cauchy_stability_demo, running_mean_trajectory,
                   wlln_experiment)
 from .maxent import (FiniteDistribution, FiniteObservable,
                      InfeasibleTargetError, MaxEntProblem, MaxEntSolution,
@@ -29,8 +29,7 @@ from .measures import (Affine, Atom, AtomicComb, DensityMeasure,
                        MeasureError, QuadratureError,
                        QuadraturePolicy, cauchy, comb_ex1, comb_ex2, comb_ex4,
                        comb_ex5, finite_comb, gaussian, integer_power_comb,
-                       make_measure, measure_from_document, normalize_comb,
-                       power_tail, window_first_moment, window_mass)
+                       make_measure, measure_from_document, power_tail)
 from .spectral import (BridgeReport, DiagonalBridge, HermitianObservable,
                        SpectralDecomposition, StateVector, bridge_analyze,
                        build_bridge, eigendecompose, induced_measure,

@@ -27,7 +27,6 @@ __all__ = [
     "AxiomId",
     "AxiomReport",
     "CoincidenceReport",
-    "evaluate",
     "check_axiom",
     "check_axioms",
     "two_point_coincidence",
@@ -48,6 +47,7 @@ class SampleStatistic:
     fn: Callable[[tuple[float, ...]], float]
 
     def __call__(self, xs: Sequence[float]) -> float:
+        """Apply f_n to a nonempty tuple."""
         xs = tuple(float(x) for x in xs)
         if not xs:
             raise ValueError(f"{self.name}: statistic of an empty tuple")
@@ -102,11 +102,6 @@ def builtin_statistic(name: str) -> SampleStatistic:
     if name.startswith("convex:"):
         return convex_combination(float(name.split(":", 1)[1]))
     raise ValueError(f"unknown statistic {name!r}")
-
-
-def evaluate(stat: SampleStatistic, xs: Sequence[float]) -> float:
-    """Apply f_n to a nonempty tuple."""
-    return stat(xs)
 
 
 class AxiomId(enum.Enum):

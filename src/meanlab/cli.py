@@ -26,7 +26,7 @@ from . import __version__
 from .axioms import AxiomId, builtin_statistic, check_axiom
 from .genmean import (DEFAULT_C_GRID, ExpTiltMultiplier, TruncationSchedule,
                       VerdictPolicy, WindowMultiplier, classify_taxonomy,
-                      limit_scan, mean_ladder, multiplier_mean, tail_mass_curve)
+                      mean_ladder, multiplier_mean)
 from .lln import (build_sampler, cauchy_stability_demo, running_mean_trajectory,
                   wlln_experiment)
 from .maxent import (FiniteObservable, InfeasibleTargetError, MaxEntProblem,
@@ -88,6 +88,16 @@ def _series_rows(series):
             for k in range(len(series.radii))]
 
 
+def _ladder_dict(ladder) -> dict:
+    return {
+        "ordinary": ladder.ordinary_kind,
+        "ordinary_value": ladder.ordinary_value,
+        "weak": ladder.weak_value,
+        "doubly_weak": ladder.doubly_weak_value,
+        "taxonomy_case": ladder.taxonomy_case,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (results dict, warnings, csv files dict)
 # ---------------------------------------------------------------------------
@@ -99,8 +109,7 @@ def _load_measure(doc: dict, where: str = "document"):
 
 def _run_classify(doc, args, schedule, policy):
     measure = _load_measure(doc, "classify document")
-    grid = args.c_grid or DEFAULT_C_GRID
-    report = classify_taxonomy(measure, grid, schedule, policy)
+    report = classify_taxonomy(measure, args.c_grid or DEFAULT_C_GRID, schedule, policy)
     results = {
         "case": report.case,
         "per_center": {repr(c): _verdict_dict(v) for c, v in report.per_center.items()},
@@ -111,11 +120,9 @@ def _run_classify(doc, args, schedule, policy):
         "horizon": report.horizon,
     }
     warnings = list(report.diagnostics)
-    csvs = {}
-    for c in grid:
-        series = limit_scan(measure, c, schedule, policy)
-        csvs[f"series_c{c:+g}.csv"] = (["k", "M", "partial_mean", "window_mass"],
-                                       _series_rows(series))
+    csvs = {f"series_c{c:+g}.csv": (["k", "M", "partial_mean", "window_mass"],
+                                    _series_rows(series))
+            for c, series in report.series.items()}
     undetermined = report.case == "Undetermined"
     return results, warnings, csvs, undetermined
 
@@ -123,15 +130,9 @@ def _run_classify(doc, args, schedule, policy):
 def _run_weakmean(doc, args, schedule, policy):
     measure = _load_measure(doc, "weakmean document")
     ladder = mean_ladder(measure, schedule, policy)
-    tail = tail_mass_curve(measure, policy=policy)
+    tail = ladder.tail
     results = {
-        "ladder": {
-            "ordinary": ladder.ordinary_kind,
-            "ordinary_value": ladder.ordinary_value,
-            "weak": ladder.weak_value,
-            "doubly_weak": ladder.doubly_weak_value,
-            "taxonomy_case": ladder.taxonomy_case,
-        },
+        "ladder": _ladder_dict(ladder),
         "tail_tends_to_zero": tail.tends_to_zero,
         "horizon": ladder.horizon,
     }
@@ -264,13 +265,7 @@ def _run_spectral(doc, args, schedule, policy):
             "mean_exists": report.mean_exists,
             "variance_exists": report.variance_exists,
             "analytic_mean": bridge.analytic_mean,
-            "ladder": {
-                "ordinary": report.ladder.ordinary_kind,
-                "ordinary_value": report.ladder.ordinary_value,
-                "weak": report.ladder.weak_value,
-                "doubly_weak": report.ladder.doubly_weak_value,
-                "taxonomy_case": report.ladder.taxonomy_case,
-            },
+            "ladder": _ladder_dict(report.ladder),
             "partial_sums": report.partial_sums,
         }
         return results, [], {}, False

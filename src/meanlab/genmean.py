@@ -39,8 +39,7 @@ import numpy as np
 from scipy import special
 
 from .measures import (Affine, Measure, MeasureError, QuadratureError,
-                       QuadraturePolicy, checked_quad, window_first_moment,
-                       window_mass)
+                       QuadraturePolicy, checked_quad)
 
 __all__ = [
     "TruncationSchedule",
@@ -149,6 +148,8 @@ class PartialMeanSeries:
 
     ``is_probe`` marks radii inserted to straddle atom-crossing events; the
     entries at ``~is_probe`` are exactly the schedule's geometric grid.
+    The ladder's one-sided scans reuse this record for the windows
+    [c, c + M_k] and [c - M_k, c].
     """
 
     center: float
@@ -162,9 +163,6 @@ class PartialMeanSeries:
         n = len(self.radii)
         if not (len(self.values) == len(self.masses) == len(self.is_probe) == n):
             raise ValueError("series arrays must share one length")
-
-    def base_values(self) -> np.ndarray:
-        return self.values[~self.is_probe]
 
 
 @dataclass
@@ -242,18 +240,35 @@ def _scan_radii(locations: np.ndarray, center: float, base: np.ndarray,
     return radii, is_probe
 
 
+def _scan(measure: Measure, center: float, schedule: TruncationSchedule,
+          policy: VerdictPolicy, probe_atoms: bool = True,
+          side: str = "both") -> PartialMeanSeries:
+    """Every window of one scan in one ``window_stats`` call.
+
+    ``side`` "both" gives the windows [c - M, c + M]; "plus" and "minus" give
+    the one-sided windows [c, c + M] and [c - M, c], probed only at the atoms
+    on their own side.
+    """
+    base = schedule.radii()
+    locations = _atom_locations(measure, base[-1] + abs(center) + 1.0)
+    if side != "both":
+        sign = 1.0 if side == "plus" else -1.0
+        locations = locations[sign * (locations - center) > 0]
+    radii, is_probe = _scan_radii(locations, center, base, policy, probe_atoms)
+    lo = center if side == "plus" else center - radii
+    hi = center if side == "minus" else center + radii
+    masses, values = measure.window_stats(lo, hi)
+    return PartialMeanSeries(center=float(center), radii=radii, values=values,
+                             masses=masses, is_probe=is_probe,
+                             horizon=schedule.horizon)
+
+
 def limit_scan(measure: Measure, center: float,
                schedule: TruncationSchedule = TruncationSchedule(),
                policy: VerdictPolicy = VerdictPolicy(),
                probe_atoms: bool = True) -> PartialMeanSeries:
     """Partial means over [c - M, c + M] for every M in the (augmented) schedule."""
-    base = schedule.radii()
-    locations = _atom_locations(measure, base[-1] + abs(center) + 1.0)
-    radii, is_probe = _scan_radii(locations, center, base, policy, probe_atoms)
-    masses, values = measure.window_stats(center - radii, center + radii)
-    return PartialMeanSeries(center=float(center), radii=radii, values=values,
-                             masses=masses, is_probe=is_probe,
-                             horizon=schedule.horizon)
+    return _scan(measure, center, schedule, policy, probe_atoms)
 
 
 def _classify_values(values: np.ndarray, policy: VerdictPolicy,
@@ -262,6 +277,10 @@ def _classify_values(values: np.ndarray, policy: VerdictPolicy,
     W = policy.window
     if len(values) < 2 * W:
         raise ValueError(f"series too short to classify: {len(values)} < {2 * W}")
+    if not np.all(np.isfinite(values)):
+        # A NaN or infinite value makes the spread and tolerance NaN, which
+        # compares false against every threshold: no rule below can be read.
+        return LimitVerdict(UNDETERMINED, window=W, horizon=horizon)
     last = values[-W:]
     tol = policy.conv_tol(last)
     spread = float(last.max() - last.min())
@@ -331,11 +350,13 @@ class TaxonomyReport:
     ``case`` is one of I, II, III_finite, III_plus_inf, III_minus_inf, IV, V,
     or Undetermined.  Case II carries the unique converging center; IV and V
     carry the estimated threshold center with the grid resolution as its
-    uncertainty; III_finite carries the common value.
+    uncertainty; III_finite carries the common value.  ``series`` holds the
+    scan behind each center's verdict.
     """
 
     case: str
     per_center: dict[float, LimitVerdict]
+    series: dict[float, PartialMeanSeries]
     c_star: Optional[float] = None
     c_threshold: Optional[float] = None
     threshold_uncertainty: Optional[float] = None
@@ -353,8 +374,8 @@ def classify_taxonomy(measure: Measure,
     if len(grid) < 5 or 0.0 not in grid or min(grid) >= 0 or max(grid) <= 0:
         raise ValueError("center grid needs >= 5 points including 0 and both signs")
 
-    verdicts = {c: classify_series(limit_scan(measure, c, schedule, policy), policy)
-                for c in grid}
+    series = {c: limit_scan(measure, c, schedule, policy) for c in grid}
+    verdicts = {c: classify_series(s, policy) for c, s in series.items()}
     horizon = schedule.horizon
     diags: list[str] = []
 
@@ -365,8 +386,8 @@ def classify_taxonomy(measure: Measure,
     undet = [c for c in grid if verdicts[c].kind == UNDETERMINED]
 
     def report(case, **kw):
-        return TaxonomyReport(case=case, per_center=verdicts, horizon=horizon,
-                              diagnostics=diags, **kw)
+        return TaxonomyReport(case=case, per_center=verdicts, series=series,
+                              horizon=horizon, diagnostics=diags, **kw)
 
     if undet:
         diags.append(f"undetermined centers: {undet}")
@@ -434,7 +455,7 @@ def asym_partial_mean(measure: Measure, a: float, b: float, M: float, K: float) 
         raise ValueError(f"requires a <= b, got a={a}, b={b}")
     if M < 0 or K < 0:
         raise ValueError(f"requires M, K >= 0, got M={M}, K={K}")
-    return window_first_moment(measure, a - M, b + K)
+    return float(measure.window_stats(a - M, b + K)[1])
 
 
 def default_tail_schedule(n_max: float = 1e6) -> np.ndarray:
@@ -455,7 +476,16 @@ class TailMassCurve:
 
 def tail_mass_curve(measure: Measure, n_schedule: Optional[Sequence[float]] = None,
                     policy: VerdictPolicy = VerdictPolicy()) -> TailMassCurve:
-    """Evaluate n * P(|X| > n); the weak mean requires this to vanish."""
+    """Evaluate n * P(|X| > n); the weak mean requires this to vanish.
+
+    The default schedule stops at n = 1e6, short of the truncation
+    schedule's horizon (about 2.7e10).  Both horizons give the same
+    decision on every example measure.  They differ for
+    integer_power_comb(p) with p in [2.3, 2.5]: n * P(X > n) ~ n^(2 - p)
+    tends to 0, yet reads False at 1e6 and True at 2.7e10.  Moving the
+    horizon changes those verdicts, so it stays at 1e6 until the verdict
+    rules for slow tails are revisited.
+    """
     ns = np.asarray(default_tail_schedule() if n_schedule is None else n_schedule,
                     dtype=float)
     if len(ns) < 2 or np.any(np.diff(ns) <= 0):
@@ -479,6 +509,7 @@ class MeanLadder:
     undetermined.  The weak mean exists when the centered partial means
     settle to a finite value and n * P(|X| > n) -> 0; the doubly weak mean
     is the common finite limit over all centers (taxonomy case III_finite).
+    ``tail`` is the curve n * P(|X| > n) behind the weak-mean verdict.
     The mathematically forced orderings (ordinary finite implies weak, weak
     implies doubly weak with equal values) are asserted at construction.
     """
@@ -488,7 +519,7 @@ class MeanLadder:
     weak_value: Optional[float]
     doubly_weak_value: Optional[float]
     taxonomy_case: str
-    tail_tends_to_zero: bool
+    tail: TailMassCurve
     horizon: float
     tolerance: float
 
@@ -503,25 +534,13 @@ class MeanLadder:
                                  "doubly weak mean")
 
 
-def _one_sided_series(measure: Measure, side: str, schedule: TruncationSchedule,
-                      policy: VerdictPolicy) -> np.ndarray:
-    """Moments over [0, M] (side "plus") or [-M, 0] (side "minus")."""
-    base = schedule.radii()
-    sign = 1.0 if side == "plus" else -1.0
-    locations = _atom_locations(measure, base[-1] + 1.0)
-    radii, _ = _scan_radii(locations[sign * locations > 0], 0.0, base, policy)
-    zero = np.zeros_like(radii)
-    lo, hi = (zero, radii) if side == "plus" else (-radii, zero)
-    return measure.window_stats(lo, hi)[1]
-
-
 def mean_ladder(measure: Measure,
                 schedule: TruncationSchedule = TruncationSchedule(),
                 policy: VerdictPolicy = VerdictPolicy()) -> MeanLadder:
     """Decide the ordinary, weak, and doubly weak means at the schedule horizon."""
-    plus = _classify_values(_one_sided_series(measure, "plus", schedule, policy),
+    plus = _classify_values(_scan(measure, 0.0, schedule, policy, side="plus").values,
                             policy, schedule.horizon, monotone="increasing")
-    minus = _classify_values(_one_sided_series(measure, "minus", schedule, policy),
+    minus = _classify_values(_scan(measure, 0.0, schedule, policy, side="minus").values,
                              policy, schedule.horizon, monotone="decreasing")
 
     if plus.kind == CONVERGED and minus.kind == CONVERGED:
@@ -535,20 +554,18 @@ def mean_ladder(measure: Measure,
     else:
         ordinary_kind, ordinary_value = "undetermined", None
 
-    center_verdict = classify_series(limit_scan(measure, 0.0, schedule, policy), policy)
     tail = tail_mass_curve(measure, policy=policy)
+    taxonomy = classify_taxonomy(measure, DEFAULT_C_GRID, schedule, policy)
+    center_verdict = taxonomy.per_center[0.0]
     weak_value = (center_verdict.value
                   if center_verdict.kind == CONVERGED and tail.tends_to_zero
                   else None)
-
-    taxonomy = classify_taxonomy(measure, DEFAULT_C_GRID, schedule, policy)
     doubly = taxonomy.common_value if taxonomy.case == "III_finite" else None
 
     tol = 2.0 * max(center_verdict.conv_tol or 0.0, policy.conv_scale)
     return MeanLadder(ordinary_kind=ordinary_kind, ordinary_value=ordinary_value,
                       weak_value=weak_value, doubly_weak_value=doubly,
-                      taxonomy_case=taxonomy.case,
-                      tail_tends_to_zero=tail.tends_to_zero,
+                      taxonomy_case=taxonomy.case, tail=tail,
                       horizon=schedule.horizon, tolerance=tol)
 
 
@@ -829,7 +846,7 @@ def _resolved_quad(measure: Measure, f: Callable[[float], float], a: float, b: f
         nodes = (0.5 * (left + right))[:, None] + half[:, None] * rule
         dens = np.fromiter(map(measure.pdf, nodes.ravel()), float, nodes.size)
         seen = float(half @ (dens.reshape(nodes.shape) @ weights))
-        mass = window_mass(measure, a, b)
+        mass = float(measure.window_stats(a, b)[0])
         if abs(seen - mass) <= _MASS_GAP:
             return value
         failure = QuadratureError(

@@ -29,7 +29,6 @@ __all__ = [
     "WllnReport",
     "StabilityReport",
     "build_sampler",
-    "sample",
     "wlln_experiment",
     "cauchy_stability_demo",
     "running_mean_trajectory",
@@ -105,6 +104,7 @@ class Sampler:
         return np.random.default_rng([int(self.master_seed), *map(int, stream)])
 
     def draw(self, count: int, stream: Sequence[int] = (0,)) -> np.ndarray:
+        """Deterministic iid draws: same (seed, stream, count) gives the same array."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         rng = self._rng(stream)
@@ -115,11 +115,6 @@ class Sampler:
 
 def build_sampler(measure: Measure, seed: int = 0) -> Sampler:
     return Sampler(measure=measure, master_seed=seed)
-
-
-def sample(s: Sampler, count: int) -> np.ndarray:
-    """Deterministic iid draws: same (seed, count) gives the same array."""
-    return s.draw(count)
 
 
 @dataclass

@@ -8,8 +8,8 @@ Every measure answers a whole batch of windows in one call::
 results hold P([lo, hi]) and int_{[lo, hi]} x dP for each window.  Windows
 are closed by default; ``include_lo``/``include_hi`` False open that end,
 which matters only where an atom sits exactly on the endpoint (splitting a
-window at an atom) and never for densities.  ``window_mass`` and
-``window_first_moment`` are scalar one-line wrappers over it.
+window at an atom) and never for densities.  Scalar endpoints give 0-d
+arrays.
 
 Representations:
 
@@ -63,9 +63,6 @@ __all__ = [
     "QuadraturePolicy",
     "MASS_TOL",
     "checked_quad",
-    "window_mass",
-    "window_first_moment",
-    "normalize_comb",
     "make_measure",
     "measure_from_document",
     "measure_document",
@@ -413,7 +410,7 @@ def comb_ex4() -> AtomicComb:
 
     The raw coefficients 2^(n-1)/3^(n+1) at +3^n and 2^(n-2)/3^(n+1) at -3^n
     sum to exactly 1/2, so construction doubles them to obtain a probability
-    measure (see ``normalize_comb``).
+    measure.
     """
 
     def block(n: int) -> tuple[Atom, ...]:
@@ -518,18 +515,6 @@ def integer_power_comb(p: float) -> IntegerPowerComb:
     return IntegerPowerComb(p)
 
 
-def normalize_comb(family: str, **params) -> AtomicComb:
-    """Construct a built-in comb, normalizing its raw weights to total mass 1.
-
-    comb_ex1 and comb_ex2 are already normalized.  comb_ex4's raw weights sum
-    to 1/2 and are doubled.  comb_ex5's normalizer K is computed numerically
-    from partial sums with a geometric remainder bound.
-    """
-    if family not in COMB_FAMILIES:
-        raise MeasureError(f"unknown comb family {family!r}")
-    return COMB_FAMILIES[family](**params)
-
-
 # ---------------------------------------------------------------------------
 # Density measures
 # ---------------------------------------------------------------------------
@@ -562,7 +547,7 @@ class DensityMeasure(Measure):
         self._tail_probability_fn = tail_probability_fn
         self.quadrature = quadrature
         if validate and stats_between is None:
-            total = window_mass(self, *self.support)
+            total = float(self.window_stats(*self.support)[0])
             if abs(total - 1.0) > max(MASS_TOL, 100 * quadrature.abs_tol):
                 raise MeasureError(f"{family}: density integrates to {total}, not 1")
 
@@ -803,22 +788,6 @@ class Affine(Measure):
         keep = np.abs(y) <= max_abs
         y, w = y[keep], w[keep]
         return (y[::-1], w[::-1]) if self.s < 0 else (y, w)
-
-
-# ---------------------------------------------------------------------------
-# Scalar window verbs
-# ---------------------------------------------------------------------------
-
-def window_mass(m: Measure, lo: float, hi: float, *, include_lo: bool = True,
-                include_hi: bool = True) -> float:
-    """P([lo, hi]) with closed-interval semantics; atoms at lo or hi count."""
-    return float(m.window_stats(lo, hi, include_lo, include_hi)[0])
-
-
-def window_first_moment(m: Measure, lo: float, hi: float, *, include_lo: bool = True,
-                        include_hi: bool = True) -> float:
-    """int_{[lo, hi]} x dP; exact for combs, quadrature-accurate for densities."""
-    return float(m.window_stats(lo, hi, include_lo, include_hi)[1])
 
 
 # ---------------------------------------------------------------------------

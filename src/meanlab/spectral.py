@@ -26,8 +26,7 @@ import numpy as np
 from scipy import special
 
 from .genmean import MeanLadder, TruncationSchedule, VerdictPolicy, mean_ladder
-from .measures import (Atom, AtomicComb, comb_ex2, finite_comb, integer_power_comb,
-                       window_first_moment)
+from .measures import Atom, AtomicComb, comb_ex2, finite_comb, integer_power_comb
 
 __all__ = [
     "HermitianObservable",
@@ -300,9 +299,7 @@ def bridge_analyze(bridge: DiagonalBridge,
     """
     comb = bridge.comb
     horizon = min(schedule.horizon, 1e6)
-    sums = {
-        "pos_abs_moment": window_first_moment(comb, 0.0, horizon),
-        "neg_abs_moment": -window_first_moment(comb, -horizon, 0.0),
-    }
+    _, (pos, neg) = comb.window_stats([0.0, -horizon], [horizon, 0.0])
+    sums = {"pos_abs_moment": float(pos), "neg_abs_moment": -float(neg)}
     ladder = mean_ladder(comb, schedule, policy)
     return BridgeReport(bridge=bridge, ladder=ladder, partial_sums=sums)

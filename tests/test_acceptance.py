@@ -249,7 +249,7 @@ def test_criterion_09_spectral_identities():
 
         lo = float(rng.uniform(-2, 0))
         hi = lo + float(rng.uniform(0.1, 4))
-        dual_gap = abs(ml.window_mass(comb, lo, hi)
+        dual_gap = abs(comb.window_stats(lo, hi)[0]
                        - ml.window_projection_probability(A, psi, lo, hi))
         assert dual_gap <= 1e-10
         worst_dual = max(worst_dual, dual_gap)

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import meanlab as ml
 from meanlab import cli
 
 
@@ -275,3 +276,30 @@ def test_nonfinite_result_is_refused_not_written(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert _run(["classify", "--input", doc, "--out", str(out)]) == 1
     _assert_error_contract(out, "classify", "ValueError")
+
+
+def test_classify_scans_each_center_once(tmp_path, scan_counts):
+    doc = _write(tmp_path, "m.json", {"measure": {"family": "comb_ex4"}})
+    assert _run(["classify", "--input", doc, "--out", str(tmp_path / "out")]) == 0
+    assert scan_counts == {"window_stats": len(ml.DEFAULT_C_GRID)}
+
+
+def test_weakmean_scans_once_and_builds_one_tail_curve(tmp_path, scan_counts):
+    # the grid's centers plus the two one-sided scans of the ordinary mean
+    doc = _write(tmp_path, "m.json", {"measure": {"family": "cauchy"}})
+    assert _run(["weakmean", "--input", doc, "--out", str(tmp_path / "out")]) == 0
+    assert scan_counts == {"window_stats": len(ml.DEFAULT_C_GRID) + 2,
+                           "tail_probability": 1}
+
+
+def test_classify_series_csvs_match_an_independent_scan(tmp_path):
+    doc = _write(tmp_path, "m.json", {"measure": {"family": "comb_ex4"}})
+    out = tmp_path / "out"
+    assert _run(["classify", "--input", doc, "--out", str(out)]) == 0
+    for c in ml.DEFAULT_C_GRID:
+        series = ml.limit_scan(ml.comb_ex4(), c)
+        columns = (series.radii, series.values, series.masses)
+        rows = [",".join([str(k)] + [repr(float(col[k])) for col in columns])
+                for k in range(len(series.radii))]
+        lines = (out / f"series_c{c:+g}.csv").read_text().splitlines()
+        assert lines == ["k,M,partial_mean,window_mass"] + rows

@@ -1,5 +1,7 @@
 """Partial-mean scans, the five-case taxonomy, ladders, and multipliers."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -126,12 +128,12 @@ def test_taxonomy_rejects_bad_grid():
 # ---------------------------------------------------------------------------
 
 def _decomposition_check(measure, c1, c2, M, exact_tol):
-    lhs = ml.window_first_moment(measure, c2 - M, c2 + M)
-    base = ml.window_first_moment(measure, c1 - M, c1 + M)
-    upper = ml.window_first_moment(measure, c1 + M, c2 + M,
-                                   include_lo=False, include_hi=True)
-    lower = ml.window_first_moment(measure, c1 - M, c2 - M,
-                                   include_lo=True, include_hi=False)
+    lhs = measure.window_stats(c2 - M, c2 + M)[1]
+    base = measure.window_stats(c1 - M, c1 + M)[1]
+    upper = measure.window_stats(c1 + M, c2 + M,
+                                 include_lo=False, include_hi=True)[1]
+    lower = measure.window_stats(c1 - M, c2 - M,
+                                 include_lo=True, include_hi=False)[1]
     if M > max(abs(c1), abs(c2)):
         assert upper >= 0.0
         assert -lower >= 0.0
@@ -233,7 +235,7 @@ def test_ladder_cauchy_only_doubly_weak():
     assert lad.ordinary_kind == "none"
     assert lad.weak_value is None
     assert lad.doubly_weak_value == pytest.approx(0.0, abs=1e-6)
-    assert not lad.tail_tends_to_zero
+    assert not lad.tail.tends_to_zero
 
 
 def test_ladder_comb_ex2_all_rungs_absent():
@@ -260,10 +262,12 @@ def test_ladder_shift_equivariance():
 
 
 def test_ladder_invariant_violation_raises():
+    tail = ml.tail_mass_curve(ml.gaussian())
+    assert tail.tends_to_zero
     with pytest.raises(ValueError):
         ml.MeanLadder(ordinary_kind="finite", ordinary_value=1.0,
                       weak_value=None, doubly_weak_value=None,
-                      taxonomy_case="III_finite", tail_tends_to_zero=True,
+                      taxonomy_case="III_finite", tail=tail,
                       horizon=1e5, tolerance=1e-6)
 
 
@@ -356,3 +360,51 @@ def test_schedule_rejects_a_nonfinite_horizon():
         with pytest.raises(ValueError):
             ml.TruncationSchedule(**kw)
     assert math.isfinite(ml.TruncationSchedule(m0=1.0, ratio=2.0, count=1000).horizon)
+
+
+# ---------------------------------------------------------------------------
+# Scan reuse and non-finite evidence
+# ---------------------------------------------------------------------------
+
+def test_taxonomy_keeps_the_scan_behind_each_verdict():
+    report = ml.classify_taxonomy(ml.comb_ex4())
+    assert sorted(report.series) == sorted(ml.DEFAULT_C_GRID)
+    for c, series in report.series.items():
+        assert series.center == c
+        assert ml.classify_series(series) == report.per_center[c]
+
+
+def test_ladder_scans_each_window_once(scan_counts):
+    lad = ml.mean_ladder(ml.cauchy())
+    # the grid's centers plus the two one-sided scans, and one tail curve
+    assert scan_counts == {"window_stats": len(ml.DEFAULT_C_GRID) + 2,
+                           "tail_probability": 1}
+    assert lad.tail.ns[-1] == 1e6
+
+
+def test_nonfinite_values_classify_as_undetermined():
+    values = np.linspace(0.0, 1.0, 40)
+    values[-3] = np.nan
+    verdict = _classify_values(values, POLICY, horizon=1e3)
+    assert verdict.kind == "undetermined"
+    assert verdict.spread is None and verdict.conv_tol is None
+    values[-3] = np.inf
+    assert _classify_values(values, POLICY, monotone="increasing").kind == "undetermined"
+
+
+def _ladder_and_taxonomy(p):
+    comb = ml.integer_power_comb(p)
+    return ml.mean_ladder(comb), ml.classify_taxonomy(comb)
+
+
+def test_nan_partial_means_never_reach_a_verdict():
+    # The Hurwitz zeta moments of integer_power_comb are NaN for p <= 2.
+    # At p < 2 scipy returns them silently; at p = 2 they come from inf - inf.
+    results = [_ladder_and_taxonomy(1.8)]
+    with pytest.warns(RuntimeWarning):
+        results.append(_ladder_and_taxonomy(2.0))
+    for lad, report in results:
+        assert lad.ordinary_kind == "undetermined"
+        assert report.case == "Undetermined"
+        for verdict in report.per_center.values():
+            json.dumps(dataclasses.asdict(verdict), allow_nan=False)

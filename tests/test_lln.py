@@ -10,20 +10,20 @@ import meanlab as ml
 
 def test_cauchy_sampler_matches_closed_form_cdf():
     s = ml.build_sampler(ml.cauchy(), seed=42)
-    x = ml.sample(s, 100_000)
+    x = s.draw(100_000)
     # P(|X| <= 1) = 1/2
     assert np.mean(np.abs(x) <= 1.0) == pytest.approx(0.5, abs=0.01)
 
 
 def test_gaussian_sampler_mean():
     s = ml.build_sampler(ml.gaussian(0, 1), seed=42)
-    x = ml.sample(s, 100_000)
+    x = s.draw(100_000)
     assert abs(x.mean()) <= 0.02
 
 
 def test_comb_sampler_atom_frequencies():
     s = ml.build_sampler(ml.comb_ex2(), seed=42)
-    x = ml.sample(s, 100_000)
+    x = s.draw(100_000)
     # weights are 2^-(n+1): 1/4 at +-2, 1/8 at +-4
     assert np.mean(x == 2.0) == pytest.approx(0.25, abs=0.005)
     assert np.mean(x == 4.0) == pytest.approx(0.125, abs=0.005)
@@ -32,28 +32,28 @@ def test_comb_sampler_atom_frequencies():
 
 def test_affine_wrapped_sampler():
     s = ml.build_sampler(ml.gaussian(0, 1).scale(2.0).shift(5.0), seed=1)
-    x = ml.sample(s, 50_000)
+    x = s.draw(50_000)
     assert x.mean() == pytest.approx(5.0, abs=0.05)
     assert x.std() == pytest.approx(2.0, abs=0.05)
 
 
 def test_empirical_sampler_draws_from_the_sample():
     s = ml.build_sampler(ml.EmpiricalMeasure([1.0, 2.0, 4.0]), seed=3)
-    x = ml.sample(s, 1000)
+    x = s.draw(1000)
     assert set(np.unique(x)) <= {1.0, 2.0, 4.0}
 
 
 def test_sampler_determinism():
-    a = ml.sample(ml.build_sampler(ml.cauchy(), seed=9), 1000)
-    b = ml.sample(ml.build_sampler(ml.cauchy(), seed=9), 1000)
+    a = ml.build_sampler(ml.cauchy(), seed=9).draw(1000)
+    b = ml.build_sampler(ml.cauchy(), seed=9).draw(1000)
     assert np.array_equal(a, b)
-    c = ml.sample(ml.build_sampler(ml.cauchy(), seed=10), 1000)
+    c = ml.build_sampler(ml.cauchy(), seed=10).draw(1000)
     assert not np.array_equal(a, c)
 
 
 def test_sample_count_validation():
     with pytest.raises(ValueError):
-        ml.sample(ml.build_sampler(ml.gaussian(), seed=0), 0)
+        ml.build_sampler(ml.gaussian(), seed=0).draw(0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +161,9 @@ def test_sampler_window_masses_within_five_sigma():
     n = 40_000
     for measure in (ml.comb_ex2(), ml.gaussian(0, 1)):
         s = ml.build_sampler(measure, seed=13)
-        x = ml.sample(s, n)
+        x = s.draw(n)
         for lo, hi in ((-2.0, 2.0), (0.5, 4.5), (-10.0, -0.5)):
-            p = ml.window_mass(measure, lo, hi)
+            p = measure.window_stats(lo, hi)[0]
             hat = float(np.mean((x >= lo) & (x <= hi)))
             band = 5.0 * math.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(hat - p) <= band + 1e-9, (measure.family, lo, hi)

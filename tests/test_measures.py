@@ -18,30 +18,30 @@ from meanlab.measures import MASS_TOL, Affine
 def test_comb_ex2_window_mass_hand_enumeration():
     # atoms inside [-2, 2]: +2 and -2, each weight 1/4
     m = ml.comb_ex2()
-    assert ml.window_mass(m, -2, 2) == pytest.approx(0.5, abs=0)
+    assert m.window_stats(-2, 2)[0] == pytest.approx(0.5, abs=0)
 
 
 def test_gaussian_total_mass():
     m = ml.gaussian(0, 1)
-    assert ml.window_mass(m, -40, 40) == pytest.approx(1.0, abs=1e-12)
+    assert m.window_stats(-40, 40)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cauchy_central_window_mass():
     # (2/pi) * arctan(1) = 1/2
     m = ml.cauchy(0, 1)
-    assert ml.window_mass(m, -1, 1) == pytest.approx(0.5, abs=1e-12)
+    assert m.window_stats(-1, 1)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_mass_bounds_and_monotonicity():
     for m in (ml.comb_ex1(), ml.cauchy(), ml.gaussian(), ml.power_tail(1.5, 1.8)):
-        inner = ml.window_mass(m, -3, 3)
-        outer = ml.window_mass(m, -10, 10)
+        inner = m.window_stats(-3, 3)[0]
+        outer = m.window_stats(-10, 10)[0]
         assert 0.0 <= inner <= outer <= 1.0
 
 
 def test_window_requires_ordered_endpoints():
     with pytest.raises(ml.MeasureError):
-        ml.window_mass(ml.gaussian(), 1.0, -1.0)
+        ml.gaussian().window_stats(1.0, -1.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -51,20 +51,20 @@ def test_window_requires_ordered_endpoints():
 def test_comb_ex1_moment_cancellation():
     # atom 4 contributes 4 * (1/4) = 1; atom -2 contributes -2 * (1/2) = -1
     m = ml.comb_ex1()
-    assert ml.window_first_moment(m, -4, 4) == 0.0
+    assert m.window_stats(-4, 4)[1] == 0.0
 
 
 def test_cauchy_symmetric_window_moment_is_zero():
     m = ml.cauchy(0, 1)
     for M in (1.0, 17.3, 1e4):
-        assert ml.window_first_moment(m, -M, M) == pytest.approx(0.0, abs=1e-14)
+        assert m.window_stats(-M, M)[1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cauchy_asymmetric_window_closed_form():
     # (1/2pi) ln((1 + 4M^2) / (1 + M^2)) -> ln(2)/pi
     m = ml.cauchy(0, 1)
     M = 1000.0
-    got = ml.window_first_moment(m, -M, 2 * M)
+    got = m.window_stats(-M, 2 * M)[1]
     exact = math.log((1 + 4 * M * M) / (1 + M * M)) / (2 * math.pi)
     assert got == pytest.approx(exact, abs=1e-12)
     assert got == pytest.approx(math.log(2) / math.pi, abs=1e-3)
@@ -74,7 +74,7 @@ def test_gaussian_moment_matches_quadrature():
     m = ml.gaussian(1.5, 2.0)
     lo, hi = -3.0, 7.0
     ref, _ = quad(lambda x: x * m.pdf(x), lo, hi, epsabs=1e-12)
-    assert ml.window_first_moment(m, lo, hi) == pytest.approx(ref, abs=1e-10)
+    assert m.window_stats(lo, hi)[1] == pytest.approx(ref, abs=1e-10)
 
 
 def test_power_tail_closed_forms_match_quadrature():
@@ -82,14 +82,14 @@ def test_power_tail_closed_forms_match_quadrature():
     for lo, hi in ((-5.0, 2.0), (0.0, 100.0), (-1000.0, 3.0)):
         ref_mass, _ = quad(m.pdf, lo, hi, epsabs=1e-12, limit=200)
         ref_mom, _ = quad(lambda x: x * m.pdf(x), lo, hi, epsabs=1e-12, limit=200)
-        assert ml.window_mass(m, lo, hi) == pytest.approx(ref_mass, abs=1e-9)
-        assert ml.window_first_moment(m, lo, hi) == pytest.approx(ref_mom, abs=1e-8)
+        assert m.window_stats(lo, hi)[0] == pytest.approx(ref_mass, abs=1e-9)
+        assert m.window_stats(lo, hi)[1] == pytest.approx(ref_mom, abs=1e-8)
 
 
 def test_power_tail_halves_carry_equal_mass():
     m = ml.power_tail(1.5, 1.8)
-    assert ml.window_mass(m, -1e300, 0) == pytest.approx(0.5, abs=1e-9)
-    assert ml.window_mass(m, 0, 1e300) == pytest.approx(0.5, abs=1e-9)
+    assert m.window_stats(-1e300, 0)[0] == pytest.approx(0.5, abs=1e-9)
+    assert m.window_stats(0, 1e300)[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_power_tail_rejects_bad_exponents():
@@ -113,7 +113,7 @@ def _raw_ex4_mass(n_max=200):
 def test_comb_ex4_raw_mass_is_half_and_gets_rescaled():
     raw, tail = _raw_ex4_mass()
     assert abs(raw - 0.5) <= tail + 1e-15
-    m = ml.normalize_comb("comb_ex4")
+    m = ml.make_measure("comb_ex4")
     atoms = m.atoms_within(3.0 ** 6)
     # after rescaling, atom at +3 carries 2 * (1/9) = 2/9
     w3 = [a.weight for a in atoms if a.location == 3.0][0]
@@ -133,7 +133,7 @@ def _raw_ex5_mass(n_max=220):
 def test_comb_ex5_normalizer():
     raw, tail = _raw_ex5_mass()
     expected_K = 1.0 / (raw + tail / 2.0)
-    m = ml.normalize_comb("comb_ex5")
+    m = ml.make_measure("comb_ex5")
     assert m.normalizer == pytest.approx(expected_K, rel=1e-12)
     # the raw series sums strictly below 3, so K sits above 1/3 (and below 1/2)
     assert 1.0 / 3.0 < m.normalizer < 0.5
@@ -142,13 +142,13 @@ def test_comb_ex5_normalizer():
 
 
 def test_comb_ex2_already_normalized():
-    total = sum(a.weight for a in ml.normalize_comb("comb_ex2").atoms_within(1e12))
+    total = sum(a.weight for a in ml.make_measure("comb_ex2").atoms_within(1e12))
     assert total == pytest.approx(1.0, abs=2 ** -39)
 
 
-def test_normalize_comb_unknown_family():
+def test_make_measure_unknown_comb_family():
     with pytest.raises(ml.MeasureError):
-        ml.normalize_comb("comb_ex3")
+        ml.make_measure("comb_ex3")
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +161,11 @@ def test_integer_power_comb_matches_explicit_sums():
     z = sum(n ** -p for n in range(1, 200000))
     explicit_mass = sum(n ** -p for n in range(2, 8)) / z
     explicit_mom = sum(n ** (1 - p) for n in range(2, 8)) / z
-    assert ml.window_mass(m, 2, 7) == pytest.approx(explicit_mass, rel=1e-9)
-    assert ml.window_first_moment(m, 2, 7) == pytest.approx(explicit_mom, rel=1e-9)
+    assert m.window_stats(2, 7)[0] == pytest.approx(explicit_mass, rel=1e-9)
+    assert m.window_stats(2, 7)[1] == pytest.approx(explicit_mom, rel=1e-9)
     # endpoint flags drop the boundary integers
     open_mass = sum(n ** -p for n in range(3, 7)) / z
-    assert ml.window_mass(m, 2, 7, include_lo=False, include_hi=False) == \
+    assert m.window_stats(2, 7, include_lo=False, include_hi=False)[0] == \
         pytest.approx(open_mass, rel=1e-9)
 
 
@@ -182,9 +182,9 @@ def test_integer_power_comb_tail_probability():
 
 def test_empirical_window_ops():
     m = ml.EmpiricalMeasure([3.0, -1.0, 2.0, 2.0])
-    assert ml.window_mass(m, -1, 2) == pytest.approx(0.75)
-    assert ml.window_mass(m, -1, 2, include_lo=False) == pytest.approx(0.5)
-    assert ml.window_first_moment(m, 0, 3) == pytest.approx((2 + 2 + 3) / 4)
+    assert m.window_stats(-1, 2)[0] == pytest.approx(0.75)
+    assert m.window_stats(-1, 2, include_lo=False)[0] == pytest.approx(0.5)
+    assert m.window_stats(0, 3)[1] == pytest.approx((2 + 2 + 3) / 4)
 
 
 def test_empirical_rejects_empty_or_nonfinite():
@@ -204,9 +204,9 @@ def test_shift_equivariance_gaussian(a, lo, width):
     base = ml.gaussian(0.5, 1.5)
     hi = lo + width
     shifted = base.shift(a)
-    lhs = ml.window_first_moment(shifted, lo + a, hi + a)
-    rhs = (ml.window_first_moment(base, lo, hi)
-           + a * ml.window_mass(base, lo, hi))
+    lhs = shifted.window_stats(lo + a, hi + a)[1]
+    rhs = (base.window_stats(lo, hi)[1]
+           + a * base.window_stats(lo, hi)[0])
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -216,16 +216,16 @@ def test_negation_antisymmetry_comb(lo, width):
     m = ml.comb_ex2()
     hi = lo + width
     neg = m.negate()
-    assert ml.window_first_moment(neg, -hi, -lo) == \
-        -ml.window_first_moment(m, lo, hi)
+    assert neg.window_stats(-hi, -lo)[1] == \
+        -m.window_stats(lo, hi)[1]
 
 
 def test_scale_wrapper_moment():
     m = ml.comb_ex2().scale(3.0)
     # atom originally at 2 (weight 1/4) now sits at 6
-    assert ml.window_first_moment(m, 5, 7) == pytest.approx(6 * 0.25)
+    assert m.window_stats(5, 7)[1] == pytest.approx(6 * 0.25)
     neg = ml.comb_ex2().scale(-1.0)
-    assert ml.window_first_moment(neg, -3, -1) == pytest.approx(-2 * 0.25)
+    assert neg.window_stats(-3, -1)[1] == pytest.approx(-2 * 0.25)
 
 
 def test_scale_zero_rejected():
@@ -240,16 +240,16 @@ def test_closed_window_additivity(lo, w1, w2):
     comb = ml.comb_ex1()
     atom_locs = {a.location for a in comb.atoms_within(abs(hi) + abs(lo) + 10)}
     assume(mid not in atom_locs)
-    left = ml.window_first_moment(comb, lo, mid)
-    right = ml.window_first_moment(comb, mid, hi)
+    left = comb.window_stats(lo, mid)[1]
+    right = comb.window_stats(mid, hi)[1]
     # the split double-counts nothing when no atom sits at mid
-    whole = ml.window_first_moment(comb, lo, hi)
+    whole = comb.window_stats(lo, hi)[1]
     assert whole == pytest.approx(left + right, abs=1e-12)
 
     dens = ml.cauchy()
-    whole_d = ml.window_first_moment(dens, lo, hi)
-    split_d = (ml.window_first_moment(dens, lo, mid)
-               + ml.window_first_moment(dens, mid, hi))
+    whole_d = dens.window_stats(lo, hi)[1]
+    split_d = (dens.window_stats(lo, mid)[1]
+               + dens.window_stats(mid, hi)[1])
     assert whole_d == pytest.approx(split_d, abs=2e-10)
 
 
@@ -260,8 +260,8 @@ def test_closed_window_additivity(lo, w1, w2):
 def test_plain_density_quadrature():
     m = ml.DensityMeasure("triangle", lambda x: max(0.0, 1.0 - abs(x)),
                           support=(-1.0, 1.0))
-    assert ml.window_mass(m, -1, 1) == pytest.approx(1.0, abs=1e-9)
-    assert ml.window_first_moment(m, 0, 1) == pytest.approx(1.0 / 6.0, abs=1e-9)
+    assert m.window_stats(-1, 1)[0] == pytest.approx(1.0, abs=1e-9)
+    assert m.window_stats(0, 1)[1] == pytest.approx(1.0 / 6.0, abs=1e-9)
 
 
 def test_quadrature_failure_carries_partial_estimate():
@@ -270,7 +270,7 @@ def test_quadrature_failure_carries_partial_estimate():
         "rough", lambda x: (1 + math.sin(500.0 / (abs(x) + 1e-3))) / 2.774631637,
         support=(-1.0, 1.0), quadrature=policy, validate=False)
     with pytest.raises(ml.QuadratureError) as err:
-        ml.window_mass(rough, -1, 1)
+        rough.window_stats(-1, 1)[0]
     assert math.isfinite(err.value.estimate)
 
 
@@ -285,8 +285,8 @@ def test_measure_document_round_trip():
     m = ml.measure_from_document(doc)
     assert isinstance(m, Affine) and (m.a, m.s) == (2.0, 1.0)
     # law of 3X + 2: symmetric around 2
-    assert ml.window_first_moment(m, 2 - 5, 2 + 5) == pytest.approx(
-        2 * ml.window_mass(m, -3, 7), abs=1e-12)
+    assert m.window_stats(2 - 5, 2 + 5)[1] == pytest.approx(
+        2 * m.window_stats(-3, 7)[0], abs=1e-12)
 
 
 def test_measure_document_rejects_unknown_keys():
@@ -302,7 +302,7 @@ def test_measure_document_rejects_unknown_keys():
 
 @pytest.mark.parametrize("family", ["comb_ex1", "comb_ex2", "comb_ex4", "comb_ex5"])
 def test_tail_mass_bounds_are_nonincreasing_and_honest(family):
-    m = ml.normalize_comb(family)
+    m = ml.make_measure(family)
     bounds = [m.tail_mass_bound(n) for n in range(0, 40)]
     assert all(b >= 0 for b in bounds)
     assert all(a >= b for a, b in zip(bounds, bounds[1:]))
@@ -333,9 +333,9 @@ def test_nonfinite_parameters_rejected_at_construction(build):
 def test_negative_scale_swaps_endpoint_flags():
     # comb_ex2 atom at 2 (weight 1/4) sits at -6 under x -> -3x
     m = ml.comb_ex2().scale(-3.0)
-    assert ml.window_mass(m, -6.0, -1.0, include_lo=False) == 0.0
-    assert ml.window_mass(m, -6.0, -1.0, include_hi=False) == 0.25
-    assert ml.window_first_moment(m, -6.0, -1.0) == -1.5
+    assert m.window_stats(-6.0, -1.0, include_lo=False)[0] == 0.0
+    assert m.window_stats(-6.0, -1.0, include_hi=False)[0] == 0.25
+    assert m.window_stats(-6.0, -1.0)[1] == -1.5
 
 
 def test_tail_probability_is_elementwise():

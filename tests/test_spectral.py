@@ -91,7 +91,7 @@ def test_induced_measure_total_mass():
     comb = ml.induced_measure(A, psi)
     lo = float(np.min(np.linalg.eigvalsh(A))) - 1
     hi = float(np.max(np.linalg.eigvalsh(A))) + 1
-    assert ml.window_mass(comb, lo, hi) == pytest.approx(1.0, abs=1e-10)
+    assert comb.window_stats(lo, hi)[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_induced_measure_merges_degenerate_eigenvalues():
@@ -134,7 +134,7 @@ def test_mean_equals_induced_first_moment():
         comb = ml.induced_measure(A, psi)
         span = float(np.abs(np.linalg.eigvalsh(A)).max()) + 1
         assert ml.qm_mean(A, psi) == pytest.approx(
-            ml.window_first_moment(comb, -span, span), abs=1e-9)
+            comb.window_stats(-span, span)[1], abs=1e-9)
 
 
 def test_variance_equals_induced_second_central_moment():
@@ -203,7 +203,7 @@ def test_window_probability_duality():
         comb = ml.induced_measure(A, psi)
         lo = float(rng.uniform(-3, 0))
         hi = lo + float(rng.uniform(0.1, 4))
-        via_measure = ml.window_mass(comb, lo, hi)
+        via_measure = comb.window_stats(lo, hi)[0]
         via_projection = window_projection_probability(A, psi, lo, hi)
         assert abs(via_measure - via_projection) <= 1e-10
 
@@ -262,6 +262,15 @@ def test_power_law_p3_bridge_mean_without_variance():
     assert report.ladder.ordinary_kind == "finite"
     assert report.ladder.ordinary_value == pytest.approx(
         float(special.zeta(2) / special.zeta(3)), abs=1e-6)
+
+
+def test_bridge_partial_sums_are_one_window_call(scan_counts):
+    report = ml.bridge_analyze(ml.build_bridge("power_law_integer", p=3.0))
+    # the ladder's grid and one-sided scans, plus one call for both sums
+    assert scan_counts["window_stats"] == len(ml.DEFAULT_C_GRID) + 2 + 1
+    comb = report.bridge.comb
+    assert report.partial_sums["pos_abs_moment"] == float(comb.window_stats(0.0, 1e6)[1])
+    assert report.partial_sums["neg_abs_moment"] == -float(comb.window_stats(-1e6, 0.0)[1])
 
 
 def test_bridge_consistency_violation_raises():
