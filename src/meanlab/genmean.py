@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .measures import (Affine, Measure, MeasureError, QuadratureError,
                        QuadraturePolicy, checked_quad)
@@ -795,15 +794,17 @@ def _gaussian_tilt_means(mu: float, sigma: float, c: float, lams: np.ndarray) ->
     against an underflowing Phi(t), so A is taken as
     erfcx(-t / sqrt 2) / 2 * e^(-mu0^2 / (2 sigma^2)) there.
     """
+    from scipy.special import erfcx, ndtr
+
     def moments(mu0: float) -> tuple[np.ndarray, np.ndarray]:
         m = mu0 - lams * sigma ** 2
         t = m / sigma
         gauss = math.exp(-0.5 * (mu0 / sigma) ** 2)
         A = np.empty_like(t)
         low = t < 0
-        A[low] = 0.5 * special.erfcx(-t[low] / math.sqrt(2.0)) * gauss
+        A[low] = 0.5 * erfcx(-t[low] / math.sqrt(2.0)) * gauss
         A[~low] = (np.exp(-lams[~low] * mu0 + 0.5 * (lams[~low] * sigma) ** 2)
-                   * special.ndtr(t[~low]))
+                   * ndtr(t[~low]))
         B = gauss / math.sqrt(2.0 * math.pi)
         return m * A + sigma * B, (m * m + sigma ** 2) * A + m * sigma * B
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .measures import Affine, AtomicComb, EmpiricalMeasure, Measure, MeasureError
 
@@ -45,7 +44,8 @@ def _draw_recursive(measure: Measure, u: np.ndarray,
         return measure.s * _draw_recursive(measure.inner, u, comb_table) + measure.a
     family = getattr(measure, "family", "")
     if family == "gaussian":
-        return measure.mu + measure.sigma * special.ndtri(u)
+        from scipy.special import ndtri
+        return measure.mu + measure.sigma * ndtri(u)
     if family == "cauchy":
         return measure.loc + measure.gamma * np.tan(np.pi * (u - 0.5))
     if isinstance(measure, EmpiricalMeasure):

@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
 
 __all__ = [
     "Affine",
@@ -140,6 +139,7 @@ def checked_quad(f: Callable[[float], float], a: float, b: float,
     reports a problem (it would otherwise only warn) or when its error
     estimate exceeds max(100 * abs_tol, 1e-8 * |value|).
     """
+    from scipy import integrate  # looked up per call, so a wrapped quad is seen
     out = integrate.quad(f, a, b, epsabs=policy.abs_tol, epsrel=1e-12,
                          limit=policy.max_subdivisions, full_output=True)
     value, abserr, info = out[:3]
@@ -474,8 +474,9 @@ class IntegerPowerComb(AtomicComb):
         p = _finite("integer power comb exponent p", p)
         if not p > 1.0:
             raise MeasureError(f"integer power comb needs p > 1, got {p}")
-        z = float(special.zeta(p))
-        self.p, self.zeta_p = p, z
+        from scipy.special import zeta
+        z = float(zeta(p))
+        self.p, self.zeta_p, self._zeta = p, z, zeta
         super().__init__(
             f"integer_power(p={p:g})",
             lambda n: (Atom(float(n), float(n) ** (-p) / z),),
@@ -494,13 +495,13 @@ class IntegerPowerComb(AtomicComb):
         empty = b < a
 
         def partial(s: float) -> np.ndarray:
-            sums = special.zeta(s, a) - special.zeta(s, b + 1.0)
+            sums = self._zeta(s, a) - self._zeta(s, b + 1.0)
             return np.where(empty, 0.0, sums) / self.zeta_p
 
         return partial(self.p), partial(self.p - 1.0)
 
     def _tail(self, t):
-        return special.zeta(self.p, np.floor(np.maximum(t, 0.0)) + 1.0) / self.zeta_p
+        return self._zeta(self.p, np.floor(np.maximum(t, 0.0)) + 1.0) / self.zeta_p
 
     def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
         if max_abs >= max_atoms + 1:
@@ -588,6 +589,7 @@ def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
     mu, sigma = _finite("gaussian mu", mu), _finite("gaussian sigma", sigma)
     if not sigma > 0:
         raise MeasureError(f"gaussian needs sigma > 0, got {sigma}")
+    from scipy.special import ndtr
 
     def pdf(x: float) -> float:
         z = (x - mu) / sigma
@@ -598,12 +600,12 @@ def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
 
     def stats_between(a, b):
         za, zb = (a - mu) / sigma, (b - mu) / sigma
-        mass = special.ndtr(zb) - special.ndtr(za)
+        mass = ndtr(zb) - ndtr(za)
         return mass, mu * mass - sigma * (_phi(zb) - _phi(za))
 
     def tail_probability(t):
         return np.where(t < 0, 1.0,
-                        special.ndtr(-(t - mu) / sigma) + special.ndtr(-(t + mu) / sigma))
+                        ndtr(-(t - mu) / sigma) + ndtr(-(t + mu) / sigma))
 
     m = DensityMeasure("gaussian", pdf,
                        stats_between=stats_between,
@@ -671,6 +673,7 @@ def power_tail(a: float, b: float) -> DensityMeasure:
     a, b = _finite("power_tail a", a), _finite("power_tail b", b)
     if not (1.0 < a < 2.0 and 1.0 < b < 2.0):
         raise MeasureError(f"power_tail exponents must lie in (1, 2), got a={a}, b={b}")
+    from scipy.special import hyp2f1
     C, D = _power_tail_constant(a), _power_tail_constant(b)
 
     def pdf(x: float) -> float:
@@ -688,8 +691,8 @@ def power_tail(a: float, b: float) -> DensityMeasure:
         far = (X > 0.0) & ~near
         Xn = X[near]
         z = -(coef * Xn ** e)
-        h1[near] = Xn * special.hyp2f1(1.0, 1.0 / e, 1.0 / e + 1.0, z)
-        h2[near] = (Xn ** 2.0 / 2.0) * special.hyp2f1(1.0, 2.0 / e, 2.0 / e + 1.0, z)
+        h1[near] = Xn * hyp2f1(1.0, 1.0 / e, 1.0 / e + 1.0, z)
+        h2[near] = (Xn ** 2.0 / 2.0) * hyp2f1(1.0, 2.0 / e, 2.0 / e + 1.0, z)
         # Asymptotic region: 1/(1 + coef x^e) = (coef x^e)^-1 + O(x^-2e).
         log_xf = log_x[far]
         full = coef ** (-1.0 / e) * (math.pi / e) / math.sin(math.pi / e)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .genmean import MeanLadder, TruncationSchedule, VerdictPolicy, mean_ladder
 from .measures import Atom, AtomicComb, comb_ex2, finite_comb, integer_power_comb
@@ -245,7 +244,8 @@ def _bridge_power_law(p: float = 4.0) -> DiagonalBridge:
     if not p > 1.0:
         raise ValueError(f"power_law bridge needs p > 1, got {p}")
     in_e = p > 2.0
-    mean = float(special.zeta(p - 1.0) / special.zeta(p)) if in_e else None
+    from scipy.special import zeta
+    mean = float(zeta(p - 1.0) / zeta(p)) if in_e else None
     return DiagonalBridge(family="power_law_integer", params={"p": p},
                           comb=integer_power_comb(p),
                           in_dom_a=p > 3.0, in_dom_e=in_e, in_dom_f=True,
