@@ -42,7 +42,28 @@ class SchemaError(ValueError):
     """Input document violates the strict schema."""
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], where: str):
+def _json(*types, of=None):
+    """A test for JSON values of ``types`` (a bool is no number) whose
+    entries, when ``of`` is given, all pass ``of``."""
+    return lambda v: (isinstance(v, types) and not isinstance(v, bool)
+                      and (of is None or all(map(of, v))))
+
+
+_NUMBER, _INTEGER = _json(int, float), _json(int)
+_NUMBER_LISTS = _json(list, of=_json(list, of=_NUMBER))
+_KINDS = {"a number": _NUMBER, "an integer": _INTEGER, "an object": _json(dict),
+          "a list of numbers": _json(list, of=_NUMBER),
+          "a list of integers": _json(list, of=_INTEGER),
+          "a list of strings": _json(list, of=_json(str)),
+          "a list of number lists": _NUMBER_LISTS,
+          "a list of [re, im] pairs": _NUMBER_LISTS,
+          "a list of rows of [re, im] pairs": _json(list, of=_NUMBER_LISTS)}
+
+
+def _require_keys(obj: dict, required: set[str], optional: set[str], where: str,
+                  kinds: Optional[dict[str, str]] = None):
+    """Strict keys, and each key of ``kinds`` that is present holds a JSON
+    value of that kind (a key of _KINDS)."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     missing = required - set(obj)
@@ -51,6 +72,9 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
     extra = set(obj) - required - optional
     if extra:
         raise SchemaError(f"{where}: unknown keys {sorted(extra)}")
+    for key, kind in (kinds or {}).items():
+        if key in obj and not _KINDS[kind](obj[key]):
+            raise SchemaError(f"{where}: {key!r} must be {kind}, got {obj[key]!r}")
 
 
 def _atomic_write(path: Path, text: str):
@@ -146,10 +170,11 @@ def _run_weakmean(doc, args, schedule, policy):
 
 
 def _run_multiplier(doc, args, schedule, policy):
-    _require_keys(doc, {"measure", "multiplier"}, {"lambdas"}, "multiplier document")
+    _require_keys(doc, {"measure", "multiplier"}, {"lambdas"}, "multiplier document",
+                  {"lambdas": "a list of numbers"})
     measure = measure_from_document(doc["measure"])
     mdoc = doc["multiplier"]
-    _require_keys(mdoc, {"kind"}, {"c"}, "multiplier object")
+    _require_keys(mdoc, {"kind"}, {"c"}, "multiplier object", {"c": "a number"})
     kind = mdoc["kind"]
     c = float(mdoc.get("c", 0.0))
     if kind == "window":
@@ -173,19 +198,21 @@ def _run_multiplier(doc, args, schedule, policy):
 
 
 _LLN_KEYS = {
-    "wlln": {"m", "epsilon", "n_values", "replications"},
-    "stability": {"n", "replications"},
-    "trajectory": {"n"},
+    "wlln": {"m": "a number", "epsilon": "a number", "n_values": "a list of integers",
+             "replications": "an integer"},
+    "stability": {"n": "an integer", "replications": "an integer"},
+    "trajectory": {"n": "an integer"},
 }
 
 
 def _run_lln(doc, args, schedule, policy):
     experiment = doc.get("experiment")
-    if experiment not in _LLN_KEYS:
+    if not isinstance(experiment, str) or experiment not in _LLN_KEYS:
         raise SchemaError(f"lln experiment must be one of {sorted(_LLN_KEYS)}, "
                           f"got {experiment!r}")
-    _require_keys(doc, {"measure", "experiment"} | _LLN_KEYS[experiment],
-                  set(), f"lln {experiment} document")
+    kinds = _LLN_KEYS[experiment]
+    _require_keys(doc, {"measure", "experiment"} | set(kinds), set(),
+                  f"lln {experiment} document", kinds)
     measure = measure_from_document(doc["measure"])
     sampler = build_sampler(measure, seed=args.seed)
     csvs = {}
@@ -207,7 +234,9 @@ def _run_lln(doc, args, schedule, policy):
 
 
 def _run_maxent(doc, args, schedule, policy):
-    _require_keys(doc, {"n", "observables", "targets"}, {"base"}, "maxent document")
+    _require_keys(doc, {"n", "observables", "targets"}, {"base"}, "maxent document",
+                  {"n": "an integer", "observables": "a list of number lists",
+                   "targets": "a list of numbers"})
     problem = MaxEntProblem(
         n=int(doc["n"]),
         observables=tuple(FiniteObservable(tuple(g)) for g in doc["observables"]),
@@ -228,7 +257,13 @@ def _run_maxent(doc, args, schedule, policy):
 
 
 def _run_axioms(doc, args, schedule, policy):
-    _require_keys(doc, {"statistics"}, {"axioms", "trials"}, "axioms document")
+    _require_keys(doc, {"statistics"}, {"axioms", "trials"}, "axioms document",
+                  {"statistics": "a list of strings", "axioms": "a list of strings",
+                   "trials": "an integer"})
+    unknown = sorted(set(doc.get("axioms", ())) - set(AxiomId.__members__))
+    if unknown:
+        raise SchemaError(f"axioms document: unknown 'axioms' {unknown}; "
+                          f"known: {list(AxiomId.__members__)}")
     axioms = ([AxiomId[a] for a in doc["axioms"]] if "axioms" in doc
               else list(AxiomId))
     trials = int(doc.get("trials", 1000))
@@ -254,6 +289,7 @@ def _run_spectral(doc, args, schedule, policy):
         _require_keys(doc, {"bridge"}, set(), "spectral document")
         bdoc = doc["bridge"]
         _require_keys(bdoc, {"family"}, {"params"}, "bridge object")
+        _require_keys(bdoc.get("params", {}), set(), {"p"}, "bridge params", {"p": "a number"})
         bridge = build_bridge(bdoc["family"], **bdoc.get("params", {}))
         report = bridge_analyze(bridge, schedule, policy)
         results = {
@@ -269,7 +305,9 @@ def _run_spectral(doc, args, schedule, policy):
             "partial_sums": report.partial_sums,
         }
         return results, [], {}, False
-    _require_keys(doc, {"matrix", "state"}, set(), "spectral document")
+    _require_keys(doc, {"matrix", "state"}, set(), "spectral document",
+                  {"matrix": "a list of rows of [re, im] pairs",
+                   "state": "a list of [re, im] pairs"})
     matrix = np.array([[complex(re, im) for re, im in row] for row in doc["matrix"]])
     state = np.array([complex(re, im) for re, im in doc["state"]])
     mu = qm_mean(matrix, state)
@@ -432,6 +470,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise SchemaError(f"document must be a JSON object, got {type(doc).__name__}")
         schedule = _parse_schedule(args.schedule) if args.schedule \
             else TruncationSchedule()
         policy = _apply_tols(VerdictPolicy(), args.tol)

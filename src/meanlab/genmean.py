@@ -37,8 +37,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import (Affine, Measure, MeasureError, QuadratureError,
-                       QuadraturePolicy, checked_quad)
+from .measures import (Measure, MeasureError, QuadratureError, QuadraturePolicy,
+                       checked_quad)
 
 __all__ = [
     "TruncationSchedule",
@@ -178,14 +178,6 @@ class LimitVerdict:
     horizon: Optional[float] = None
 
     @property
-    def exists_finite(self) -> bool:
-        return self.kind == CONVERGED
-
-    @property
-    def diverges(self) -> bool:
-        return self.kind in (DIVERGES_PLUS, DIVERGES_MINUS)
-
-    @property
     def oscillates(self) -> bool:
         return self.kind in (OSC_BOUNDED, OSC_UNBOUNDED_ABOVE, OSC_UNBOUNDED_BELOW)
 
@@ -200,7 +192,7 @@ def _atom_locations(measure: Measure, max_abs: float) -> np.ndarray:
     if not measure.is_atomic:
         return np.empty(0)
     try:
-        return measure.atom_locations(max_abs, max_atoms=_PROBE_ATOM_CAP)
+        return measure.atom_arrays(max_abs, max_atoms=_PROBE_ATOM_CAP)[0]
     except MeasureError:
         return np.empty(0)
 
@@ -585,12 +577,6 @@ class WindowMultiplier:
         half = 1.0 / lam
         return ((x >= self.c - half) & (x <= self.c + half)).astype(float)
 
-    def regularized_mean(self, measure: Measure, lam: float,
-                         quad_tol: float = 1e-10) -> float:
-        if not lam > 0:
-            raise ValueError(f"damping rate must be positive, got {lam}")
-        return float(self.regularized_means(measure, np.array([lam]))[0])
-
     def regularized_means(self, measure: Measure, lams: np.ndarray) -> np.ndarray:
         """All windows of the damping schedule in one window_stats call."""
         half = 1.0 / np.asarray(lams, dtype=float)
@@ -619,8 +605,8 @@ class ExpTiltMultiplier:
     and the limit is c whatever c is.
 
     ``regularized_means`` takes the whole damping schedule in one pass.
-    Affine images of the built-in Cauchy and Gaussian laws use their closed
-    forms (``_cauchy_tilt_means``, ``_gaussian_tilt_means``).  Atomic
+    Measures whose ``location_scale()`` names the Cauchy or Gaussian family
+    use their closed forms (``_TILT_MEANS``).  Atomic
     measures enumerate their atoms once, at the widest cutoff.  Any other
     density is integrated by quadrature over |x| <= X(lam), refused when
     it does not converge or misses mass (``_resolved_quad``).
@@ -645,9 +631,9 @@ class ExpTiltMultiplier:
         # (the bound is decreasing there once X >= 2 / lam)
         return X * math.exp(-lam * X) * (1.0 + math.pi * abs(self.c) * lam * X)
 
-    def _cutoff(self, lam: float, quad_tol: float) -> float:
+    def _cutoff(self, lam: float, abs_tol: float) -> float:
         X = self.cutoff_factor / lam
-        while self._remainder_bound(lam, X) >= quad_tol / 2 and X < 1e306:
+        while self._remainder_bound(lam, X) >= abs_tol / 2 and X < 1e306:
             X *= 1.5
         return X
 
@@ -663,31 +649,26 @@ class ExpTiltMultiplier:
 
         return neg, pos
 
-    def regularized_mean(self, measure: Measure, lam: float,
-                         quad_tol: float = 1e-10) -> float:
-        return float(self.regularized_means(measure, np.array([lam]), quad_tol)[0])
-
-    def regularized_means(self, measure: Measure, lams: np.ndarray,
-                          quad_tol: float = 1e-10) -> np.ndarray:
+    def regularized_means(self, measure: Measure, lams: np.ndarray) -> np.ndarray:
         """E(weight_lam(X) X) for every lam of the damping schedule."""
         lams = np.asarray(lams, dtype=float)
         if not np.all(lams > 0):
             raise ValueError(
                 "damping rate must be positive; lam <= 0 leaves both tails "
                 "of weight(x) * x unregularized")
-        law = _tilt_law(measure)
-        if law is not None:
-            means, loc, scale = law
-            return means(loc, scale, self.c, lams)
-        cutoffs = np.array([self._cutoff(lam, quad_tol) for lam in lams])
+        law = measure.location_scale()
+        if law is not None and law[0] in _TILT_MEANS:
+            family, loc, scale = law
+            return _TILT_MEANS[family](loc, scale, self.c, lams)
+        policy = QuadraturePolicy()
+        cutoffs = np.array([self._cutoff(lam, policy.abs_tol) for lam in lams])
         if measure.is_atomic:
             locs, weights = measure.atom_arrays(float(cutoffs.max()))
             inside = np.abs(locs) <= cutoffs[:, None]
             return np.where(inside, self.weight(locs, lams[:, None]), 0.0) @ (locs * weights)
-        if not hasattr(measure, "pdf"):
+        if measure.pdf is None:
             raise MeasureError("exp_tilt needs an atomic or density measure")
-        policy = QuadraturePolicy(abs_tol=quad_tol)
-        lo, hi = getattr(measure, "support", (-math.inf, math.inf))
+        lo, hi = measure.support
         means = []
         for lam, X in zip(lams.tolist(), cutoffs.tolist()):
             neg, pos = self._integrands(measure.pdf, lam)
@@ -705,22 +686,6 @@ class ExpTiltMultiplier:
         # so the settling tolerance is scaled to the schedule depth rather
         # than the truncation default.
         return replace(policy, conv_scale=max(policy.conv_scale, 1e-3))
-
-
-def _tilt_law(measure: Measure):
-    """(closed form, location, scale) when ``measure`` is an affine image of
-    the built-in Cauchy or Gaussian law (both families are closed under
-    s * X + a), else None."""
-    a, s = 0.0, 1.0
-    while isinstance(measure, Affine):
-        a, s = a + s * measure.a, s * measure.s
-        measure = measure.inner
-    family = getattr(measure, "family", None)
-    if family == "cauchy" and hasattr(measure, "gamma"):
-        return _cauchy_tilt_means, s * measure.loc + a, abs(s) * measure.gamma
-    if family == "gaussian" and hasattr(measure, "sigma"):
-        return _gaussian_tilt_means, s * measure.mu + a, abs(s) * measure.sigma
-    return None
 
 
 _EULER_GAMMA = 0.5772156649015329
@@ -811,6 +776,10 @@ def _gaussian_tilt_means(mu: float, sigma: float, c: float, lams: np.ndarray) ->
     p1, _ = moments(mu)
     q1, q2 = moments(-mu)
     return p1 - q1 + math.pi * c * lams * q2
+
+
+# closed forms of E(weight_lam(X) X) by location-scale family
+_TILT_MEANS = {"cauchy": _cauchy_tilt_means, "gaussian": _gaussian_tilt_means}
 
 
 _MASS_GAP = 1e-5

@@ -1,10 +1,10 @@
 """Monte Carlo laboratory for the laws of large numbers.
 
-Samplers draw iid sequences from the built-in measures (inverse transform
-for the gaussian and cauchy families, index inversion over atom weights for
-combs, uniform picks for empirical measures).  Every replication runs on its
-own substream keyed by (master seed, context, replication index), so reports
-are bit-identical under any execution order or degree of parallelism.
+Samplers draw iid sequences through each measure's own inverse transform
+(``Measure.sampler``), applied to clipped uniforms.  Every replication runs
+on its own substream keyed by (master seed, context, replication index), so
+reports are bit-identical under any execution order or degree of
+parallelism.
 
 The deviation-probability experiment estimates
 P(|S_n / n - m| > eps) across n, which decays for measures with a weak mean
@@ -15,13 +15,12 @@ visible as a two-sample distance between means of size n and single draws.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .measures import Affine, AtomicComb, EmpiricalMeasure, Measure, MeasureError
+from .measures import Measure
 
 __all__ = [
     "Sampler",
@@ -34,83 +33,31 @@ __all__ = [
     "two_sample_sup_distance",
 ]
 
-_COMB_CUTOFF_TOL = 1e-12
-
-
-def _draw_recursive(measure: Measure, u: np.ndarray,
-                    comb_table: Optional[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Map uniforms in (0, 1) through the measure's inverse transform."""
-    if isinstance(measure, Affine):
-        return measure.s * _draw_recursive(measure.inner, u, comb_table) + measure.a
-    family = getattr(measure, "family", "")
-    if family == "gaussian":
-        from scipy.special import ndtri
-        return measure.mu + measure.sigma * ndtri(u)
-    if family == "cauchy":
-        return measure.loc + measure.gamma * np.tan(np.pi * (u - 0.5))
-    if isinstance(measure, EmpiricalMeasure):
-        idx = np.minimum((u * measure.samples.size).astype(int),
-                         measure.samples.size - 1)
-        return measure.samples[idx]
-    if isinstance(measure, AtomicComb):
-        locations, cum = comb_table
-        idx = np.searchsorted(cum, u, side="right")
-        return locations[np.minimum(idx, len(locations) - 1)]
-    raise MeasureError(f"no sampler for measure family {family!r}")
-
-
-def _comb_table(measure: Measure) -> tuple[Optional[tuple[np.ndarray, np.ndarray]], float]:
-    """Truncated, renormalized atom table for index inversion.
-
-    Returns (table, bias) where bias bounds the truncated tail mass."""
-    inner = measure
-    while isinstance(inner, Affine):
-        inner = inner.inner
-    if not isinstance(inner, AtomicComb):
-        return None, 0.0
-    n = 1
-    while inner.tail_mass_bound(n) >= _COMB_CUTOFF_TOL:
-        n += 1
-        if n > 10_000:
-            raise MeasureError(
-                f"{inner.family}: tail bound never fell below the sampling "
-                f"cutoff {_COMB_CUTOFF_TOL:g}")
-    atoms = []
-    for k in range(1, n + 1):
-        atoms.extend(inner._block(k))
-    bias = inner.tail_mass_bound(n)
-    locations = np.array([a.location for a in atoms])
-    weights = np.array([a.weight for a in atoms])
-    cum = np.cumsum(weights / weights.sum())
-    return (locations, cum), float(bias)
-
 
 @dataclass
 class Sampler:
     """Reproducible iid sampler for a measure.
 
     ``truncation_bias`` is the discarded tail mass for comb measures (the
-    drawn distribution is the comb renormalized on the kept atoms).
+    drawn distribution is the comb renormalized on the kept atoms).  A
+    measure with no sampler is refused here, with a MeasureError.
     """
 
     measure: Measure
     master_seed: int
-    truncation_bias: float = 0.0
+    truncation_bias: float = field(init=False)
 
     def __post_init__(self):
-        self._table, self.truncation_bias = _comb_table(self.measure)
-
-    def _rng(self, stream: Sequence[int]) -> np.random.Generator:
-        return np.random.default_rng([int(self.master_seed), *map(int, stream)])
+        self._inverse, self.truncation_bias = self.measure.sampler()
 
     def draw(self, count: int, stream: Sequence[int] = (0,)) -> np.ndarray:
         """Deterministic iid draws: same (seed, stream, count) gives the same array."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
-        rng = self._rng(stream)
+        rng = np.random.default_rng([int(self.master_seed), *map(int, stream)])
         u = rng.random(count)
         u = np.clip(u, 1e-300, 1.0 - 1e-16)  # keep inverse transforms finite
-        return _draw_recursive(self.measure, u, self._table)
+        return self._inverse(u)
 
 
 def build_sampler(measure: Measure, seed: int = 0) -> Sampler:

@@ -29,6 +29,9 @@ Representations:
   through the inverse map (a negative s swaps the endpoints and their
   flags), so wrapped measures keep the accuracy of the wrapped one.
 
+Each class also defines its own draws (``sampler``) and says whether it is
+a location-scale law (``location_scale``); one table builds every family.
+
 Accuracy of atomic windows.  A window sum over sorted atoms is a difference
 of cumulative sums, and one global prefix sum would cancel every atom left
 of the window: comb_ex4 is enumerated to about 3^53, where single atom
@@ -64,7 +67,6 @@ __all__ = [
     "checked_quad",
     "make_measure",
     "measure_from_document",
-    "measure_document",
     "finite_comb",
     "gaussian",
     "cauchy",
@@ -74,14 +76,15 @@ __all__ = [
     "comb_ex4",
     "comb_ex5",
     "integer_power_comb",
-    "COMB_FAMILIES",
-    "DENSITY_FAMILIES",
 ]
 
 MASS_TOL = 1e-9
 
 # Hard cap on atom enumeration; combs needing more must supply closed forms.
 _MAX_ATOMS = 200_000
+
+# Comb samplers drop the blocks past the first whose tail bound is below this.
+_SAMPLING_CUTOFF = 1e-12
 
 
 class MeasureError(ValueError):
@@ -156,9 +159,13 @@ class Measure:
 
     Subclasses implement ``_window_stats`` on validated 1-d endpoint arrays;
     the public ``window_stats`` broadcasts and checks the endpoints.
+    Densities set ``pdf`` and ``support``.
     """
 
+    family = "?"
     is_atomic = False
+    pdf: Optional[Callable[[float], float]] = None
+    support = (-math.inf, math.inf)
 
     def window_stats(self, lo, hi, include_lo: bool = True,
                      include_hi: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -203,10 +210,16 @@ class Measure:
         ``max_atoms`` of them."""
         return np.empty(0), np.empty(0)
 
-    def atom_locations(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> np.ndarray:
-        """Sorted locations of the atoms with |location| <= max_abs; raises
-        MeasureError when there are more than ``max_atoms`` of them."""
-        return self.atom_arrays(max_abs, max_atoms)[0]
+    def sampler(self) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+        """(draw, truncation_bias): ``draw`` maps uniforms in (0, 1) to draws
+        from this measure; ``truncation_bias`` bounds the mass the draws
+        leave out (combs draw from their leading atoms, renormalized)."""
+        raise MeasureError(f"no sampler for measure family {self.family!r}")
+
+    def location_scale(self) -> Optional[tuple[str, float, float]]:
+        """(family, loc, scale) when this is the law of loc + scale * Z for
+        the standard member Z of a location-scale family, else None."""
+        return None
 
     # Affine combinators (precomposition with the inverse map).
 
@@ -344,6 +357,27 @@ class AtomicComb(Measure):
         _, sums = _atom_window_sums(locs, values, lo, hi, include_lo, include_hi)
         return sums[0], sums[1]
 
+    def sampler(self):
+        """Index inversion over the atoms of blocks 1..n, the first n whose
+        tail bound (the truncation bias) is below _SAMPLING_CUTOFF."""
+        n = 1
+        while self.tail_mass_bound(n) >= _SAMPLING_CUTOFF:
+            n += 1
+            if n > 10_000:
+                raise MeasureError(
+                    f"{self.family}: tail bound never fell below the sampling "
+                    f"cutoff {_SAMPLING_CUTOFF:g}")
+        atoms = [a for k in range(1, n + 1) for a in self._block(k)]
+        locations = np.array([a.location for a in atoms])
+        weights = np.array([a.weight for a in atoms])
+        cum = np.cumsum(weights / weights.sum())
+
+        def draw(u: np.ndarray) -> np.ndarray:
+            idx = np.searchsorted(cum, u, side="right")
+            return locations[np.minimum(idx, len(locations) - 1)]
+
+        return draw, float(self.tail_mass_bound(n))
+
 
 def finite_comb(atoms: Sequence[Atom], family: str = "finite",
                 validate: bool = True) -> AtomicComb:
@@ -466,7 +500,7 @@ class IntegerPowerComb(AtomicComb):
 
     Dense in the integers, so windows use Hurwitz zeta closed forms instead
     of enumeration:  sum_{n=a}^{b} n^-s = zeta(s, a) - zeta(s, b + 1).  The
-    atom count within |z| <= t is floor(t), so ``atom_locations`` refuses a
+    atom count within |z| <= t is floor(t), so ``atom_arrays`` refuses a
     radius with too many atoms before building any of them.
     """
 
@@ -526,7 +560,9 @@ class DensityMeasure(Measure):
     Built-in families pass ``stats_between(a, b) -> (masses, moments)``, their
     closed forms over arrays of windows with a < b inside the support, and
     ``tail_probability_fn(t)`` over arrays.  Any other density falls back to
-    adaptive quadrature, one window at a time.
+    adaptive quadrature, one window at a time.  ``loc_scale`` marks the law
+    of loc + scale * Z for the family's standard member Z, whose inverse CDF
+    ``standard_quantile`` the sampler applies.
     """
 
     def __init__(
@@ -538,6 +574,8 @@ class DensityMeasure(Measure):
         stats_between: Optional[Callable[[np.ndarray, np.ndarray],
                                          tuple[np.ndarray, np.ndarray]]] = None,
         tail_probability_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        loc_scale: Optional[tuple[float, float]] = None,
+        standard_quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         quadrature: QuadraturePolicy = QuadraturePolicy(),
         validate: bool = True,
     ):
@@ -546,6 +584,8 @@ class DensityMeasure(Measure):
         self.support = (float(support[0]), float(support[1]))
         self._stats_between = stats_between or self._quad_stats
         self._tail_probability_fn = tail_probability_fn
+        self._loc_scale = loc_scale
+        self._standard_quantile = standard_quantile
         self.quadrature = quadrature
         if validate and stats_between is None:
             total = float(self.window_stats(*self.support)[0])
@@ -583,13 +623,22 @@ class DensityMeasure(Measure):
             return self._tail_probability_fn(t)
         return super()._tail(t)
 
+    def location_scale(self):
+        return None if self._loc_scale is None else (self.family, *self._loc_scale)
+
+    def sampler(self):
+        if self._loc_scale is None or self._standard_quantile is None:
+            return super().sampler()
+        (loc, scale), quantile = self._loc_scale, self._standard_quantile
+        return (lambda u: loc + scale * quantile(u)), 0.0
+
 
 def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
     """Normal distribution with closed-form window mass and moment."""
     mu, sigma = _finite("gaussian mu", mu), _finite("gaussian sigma", sigma)
     if not sigma > 0:
         raise MeasureError(f"gaussian needs sigma > 0, got {sigma}")
-    from scipy.special import ndtr
+    from scipy.special import ndtr, ndtri
 
     def pdf(x: float) -> float:
         z = (x - mu) / sigma
@@ -607,12 +656,11 @@ def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
         return np.where(t < 0, 1.0,
                         ndtr(-(t - mu) / sigma) + ndtr(-(t + mu) / sigma))
 
-    m = DensityMeasure("gaussian", pdf,
-                       stats_between=stats_between,
-                       tail_probability_fn=tail_probability,
-                       validate=False)
-    m.mu, m.sigma = mu, sigma
-    return m
+    return DensityMeasure("gaussian", pdf,
+                          stats_between=stats_between,
+                          tail_probability_fn=tail_probability,
+                          loc_scale=(mu, sigma), standard_quantile=ndtri,
+                          validate=False)
 
 
 def cauchy(loc: float = 0.0, scale: float = 1.0) -> DensityMeasure:
@@ -648,12 +696,14 @@ def cauchy(loc: float = 0.0, scale: float = 1.0) -> DensityMeasure:
                                 np.arctan(1.0 / u) / math.pi)
         return np.where(t < 0, 1.0, upper((t - loc) / scale) + upper((t + loc) / scale))
 
-    m = DensityMeasure("cauchy", pdf,
-                       stats_between=stats_between,
-                       tail_probability_fn=tail_probability,
-                       validate=False)
-    m.loc, m.gamma = loc, scale  # "scale" would shadow Measure.scale()
-    return m
+    def standard_quantile(u):
+        return np.tan(np.pi * (u - 0.5))
+
+    return DensityMeasure("cauchy", pdf,
+                          stats_between=stats_between,
+                          tail_probability_fn=tail_probability,
+                          loc_scale=(loc, scale), standard_quantile=standard_quantile,
+                          validate=False)
 
 
 def _power_tail_constant(exponent: float) -> float:
@@ -715,12 +765,10 @@ def power_tail(a: float, b: float) -> DensityMeasure:
         return np.where(t <= 0, 1.0,
                         (0.5 - _halves(C, a, r)[0]) + (0.5 - _halves(D, b, r)[0]))
 
-    m = DensityMeasure("power_tail", pdf,
-                       stats_between=stats_between,
-                       tail_probability_fn=tail_probability,
-                       validate=False)
-    m.a, m.b, m.C, m.D = a, b, C, D
-    return m
+    return DensityMeasure("power_tail", pdf,
+                          stats_between=stats_between,
+                          tail_probability_fn=tail_probability,
+                          validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +781,10 @@ class EmpiricalMeasure(Measure):
     is_atomic = True
 
     def __init__(self, samples: Sequence[float]):
-        arr = np.asarray(samples, dtype=float)
+        try:
+            arr = np.asarray(samples, dtype=float)
+        except (TypeError, ValueError):
+            raise MeasureError(f"empirical samples must be numbers, got {samples!r}") from None
         if arr.ndim != 1 or arr.size == 0:
             raise MeasureError("empirical measure needs a nonempty 1-d sample")
         if not np.all(np.isfinite(arr)):
@@ -750,6 +801,10 @@ class EmpiricalMeasure(Measure):
         locs = self.samples[np.abs(self.samples) <= max_abs]
         return locs, np.full(locs.shape, 1.0 / self.samples.size)
 
+    def sampler(self):
+        n = self.samples.size
+        return (lambda u: self.samples[np.minimum((u * n).astype(int), n - 1)]), 0.0
+
 
 class Affine(Measure):
     """Law of s * X + a when ``inner`` is the law of X (s finite and nonzero).
@@ -764,10 +819,10 @@ class Affine(Measure):
             raise MeasureError("scale factor must be nonzero")
         self.inner, self.a, self.s = inner, a, s
         self.is_atomic = inner.is_atomic
-        self.family = f"affine({getattr(inner, 'family', '?')}, a={a:g}, s={s:g})"
-        if hasattr(inner, "pdf"):
+        self.family = f"affine({inner.family}, a={a:g}, s={s:g})"
+        if inner.pdf is not None:
             self.pdf = lambda x: inner.pdf((x - a) / s) / abs(s)
-            ends = [s * v + a for v in getattr(inner, "support", (-math.inf, math.inf))]
+            ends = [s * v + a for v in inner.support]
             self.support = (min(ends), max(ends))
 
     def _window_stats(self, lo, hi, include_lo, include_hi):
@@ -792,73 +847,60 @@ class Affine(Measure):
         y, w = y[keep], w[keep]
         return (y[::-1], w[::-1]) if self.s < 0 else (y, w)
 
+    def sampler(self):
+        # Composed level by level rather than through location_scale(): a
+        # negative s must map each draw, not mirror the uniforms.
+        draw, bias = self.inner.sampler()
+        return (lambda u: self.s * draw(u) + self.a), bias
+
+    def location_scale(self):
+        law = self.inner.location_scale()
+        if law is None:
+            return None
+        family, loc, scale = law
+        return family, self.s * loc + self.a, abs(self.s) * scale
+
 
 # ---------------------------------------------------------------------------
 # Family registry and JSON documents
 # ---------------------------------------------------------------------------
 
-COMB_FAMILIES: dict[str, Callable[..., AtomicComb]] = {
-    "comb_ex1": comb_ex1,
-    "comb_ex2": comb_ex2,
-    "comb_ex4": comb_ex4,
-    "comb_ex5": comb_ex5,
-}
-
-DENSITY_FAMILIES: dict[str, Callable[..., DensityMeasure]] = {
-    "gaussian": gaussian,
-    "cauchy": cauchy,
-    "power_tail": power_tail,
+# family -> (constructor, required keys, optional keys).  The wrappers take
+# the wrapped measure as ``inner``.
+_FAMILIES: dict[str, tuple[Callable[..., Measure], set[str], set[str]]] = {
+    "comb_ex1": (comb_ex1, set(), set()),
+    "comb_ex2": (comb_ex2, set(), set()),
+    "comb_ex4": (comb_ex4, set(), set()),
+    "comb_ex5": (comb_ex5, set(), set()),
+    "gaussian": (gaussian, set(), {"mu", "sigma"}),
+    "cauchy": (cauchy, set(), {"loc", "scale"}),
+    "power_tail": (power_tail, {"a", "b"}, set()),
+    "empirical": (EmpiricalMeasure, {"samples"}, set()),
+    "shift": (lambda inner, a: inner.shift(a), {"inner", "a"}, set()),
+    "scale": (lambda inner, factor: inner.scale(factor), {"inner", "factor"}, set()),
+    "negate": (lambda inner: inner.negate(), {"inner"}, set()),
 }
 
 
 def make_measure(family: str, **params) -> Measure:
     """Build a measure from a family name and keyword parameters."""
-    if family in COMB_FAMILIES:
-        if params:
-            raise MeasureError(f"{family} takes no parameters, got {sorted(params)}")
-        return COMB_FAMILIES[family]()
-    if family in DENSITY_FAMILIES:
-        return DENSITY_FAMILIES[family](**params)
-    if family == "empirical":
-        return EmpiricalMeasure(**params)
-    raise MeasureError(f"unknown measure family {family!r}")
-
-
-_DOC_KEYS = {
-    "gaussian": {"mu", "sigma"},
-    "cauchy": {"loc", "scale"},
-    "power_tail": {"a", "b"},
-    "comb_ex1": set(),
-    "comb_ex2": set(),
-    "comb_ex4": set(),
-    "comb_ex5": set(),
-    "empirical": {"samples"},
-    "shift": {"a", "inner"},
-    "scale": {"factor", "inner"},
-    "negate": {"inner"},
-}
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise MeasureError(f"unknown measure family {family!r}")
+    build, required, optional = _FAMILIES[family]
+    missing = required - set(params)
+    if missing:
+        raise MeasureError(f"family {family!r} needs keys {sorted(missing)}")
+    extra = set(params) - required - optional
+    if extra:
+        raise MeasureError(f"unknown keys for family {family!r}: {sorted(extra)}")
+    return build(**params)
 
 
 def measure_from_document(doc: dict) -> Measure:
     """Parse a JSON measure object (strict keys; see the CLI documents)."""
     if not isinstance(doc, dict) or "family" not in doc:
         raise MeasureError("measure object must be a dict with a 'family' key")
-    family = doc["family"]
-    if family not in _DOC_KEYS:
-        raise MeasureError(f"unknown measure family {family!r}")
-    extra = set(doc) - {"family"} - _DOC_KEYS[family]
-    if extra:
-        raise MeasureError(f"unknown keys for family {family!r}: {sorted(extra)}")
-    params = {k: doc[k] for k in doc if k != "family"}
-    if family == "shift":
-        return measure_from_document(params.pop("inner")).shift(params.pop("a"))
-    if family == "scale":
-        return measure_from_document(params.pop("inner")).scale(params.pop("factor"))
-    if family == "negate":
-        return measure_from_document(params.pop("inner")).negate()
-    return make_measure(family, **params)
-
-
-def measure_document(family: str, **params) -> dict:
-    """Canonical JSON-ready measure object."""
-    return {"family": family, **params}
+    params = {k: v for k, v in doc.items() if k != "family"}
+    if "inner" in params:
+        params["inner"] = measure_from_document(params["inner"])
+    return make_measure(doc["family"], **params)

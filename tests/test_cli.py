@@ -155,6 +155,35 @@ def test_strict_schema_rejects_unknown_keys(tmp_path):
     assert error["error"]["type"] == "SchemaError"
 
 
+_CAUCHY = {"family": "cauchy"}
+
+
+@pytest.mark.parametrize("subcommand, doc, key", [
+    ("axioms", {"statistics": ["mean"], "axioms": ["BOGUS"]}, "axioms"),
+    ("axioms", {"statistics": [3]}, "statistics"),
+    ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": "zero", "epsilon": 1.0,
+             "n_values": [10], "replications": 100}, "'m'"),
+    ("lln", {"measure": _CAUCHY, "experiment": "stability", "n": 10,
+             "replications": "many"}, "'replications'"),
+    ("lln", {"measure": _CAUCHY, "experiment": "trajectory", "n": "10"}, "'n'"),
+    ("lln", [1, 2], "document"),
+    ("maxent", {"n": [3], "observables": [], "targets": []}, "'n'"),
+    ("spectral", {"matrix": 5, "state": [[1.0, 0.0]]}, "'matrix'"),
+    ("spectral", {"bridge": {"family": "power_law_integer", "params": {"q": 3}}}, "'q'"),
+    ("multiplier", {"measure": _CAUCHY, "multiplier": {"kind": "window", "c": [1]}}, "'c'"),
+    ("classify", {"measure": {"family": "shift", "a": 1.0}}, "'inner'"),
+])
+def test_malformed_documents_exit_1_with_error_json(tmp_path, capsys, subcommand, doc, key):
+    path = _write(tmp_path, "doc.json", doc)
+    out = tmp_path / "out"
+    assert _run([subcommand, "--input", path, "--out", str(out)]) == 1
+    error = json.loads((out / f"{subcommand}_error.json").read_text())["error"]
+    assert error["type"] in ("SchemaError", "MeasureError")
+    assert key in error["message"]
+    assert not (out / f"{subcommand}_report.json").exists()
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_input_file_exits_1(tmp_path):
     assert _run(["classify", "--input", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 1

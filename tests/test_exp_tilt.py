@@ -170,7 +170,7 @@ def test_power_tail_keeps_its_quadrature_values():
         want = sum(integrate.quad(lambda x: float(fam.weight(x, lam)) * x * m.pdf(x), a, b,
                                   epsabs=1e-10, epsrel=1e-12, limit=10_000)[0]
                    for a, b in ((-X, 0.0), (0.0, X)))
-        assert fam.regularized_mean(m, lam) == pytest.approx(want, rel=1e-14, abs=1e-15)
+        assert fam.regularized_means(m, [lam])[0] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.5, 4.0])
@@ -201,7 +201,7 @@ def test_atomic_schedule_in_one_pass_matches_the_loop(build):
     got = fam.regularized_means(build(), lams)
     want = [_atom_loop(fam, build(), lam) for lam in lams]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
-    assert fam.regularized_mean(build(), lams[3]) == pytest.approx(got[3], rel=1e-14)
+    assert fam.regularized_means(build(), [lams[3]])[0] == pytest.approx(got[3], rel=1e-14)
 
 
 def test_integer_power_comb_fails_fast_at_the_atom_cap():
@@ -209,3 +209,26 @@ def test_integer_power_comb_fails_fast_at_the_atom_cap():
     with pytest.raises(ml.MeasureError, match="more than 200000 atoms"):
         ml.multiplier_mean(m, ml.ExpTiltMultiplier(0.0))
     assert m.atoms_within(0.0) == []  # nothing was enumerated for the refusal
+
+
+# ExpTiltMultiplier(2.5) at lam = 1e-2, 1e-3, 1e-4, as recorded before the
+# closed forms were looked up through Measure.location_scale()
+PINNED_TILT_MEANS = {
+    "cauchy": (lambda: ml.cauchy(), [
+        2.461989019517544, 2.4960913374921416, 2.4996075417483823]),
+    "cauchy_far": (lambda: ml.cauchy(1e4, 1.0), [
+        0.0004742409218737864, 0.4885406122210168, 3678.942178367769]),
+    "gaussian_mu_sigma": (lambda: ml.gaussian(1.0, 2.0), [
+        1.0314748003399838, 1.0032513766017863, 1.0003261948896418]),
+    "gaussian_scale_shift": (lambda: ml.gaussian(0.5, 2.0).scale(-3.0).shift(1.0), [
+        1.0077766012664147, -0.33563039714091036, -0.4834192910853729]),
+    "cauchy_3_levels": (lambda: ml.cauchy(0.3, 1.5).negate().scale(2.0).shift(-1.0), [
+        6.478640689046234, 6.024977481276217, 5.919406207347433]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TILT_MEANS))
+def test_pinned_closed_form_means(name):
+    build, means = PINNED_TILT_MEANS[name]
+    got = ml.ExpTiltMultiplier(2.5).regularized_means(build(), [1e-2, 1e-3, 1e-4])
+    np.testing.assert_array_equal(got, means)

@@ -300,7 +300,7 @@ def test_exp_tilt_single_lambda_oracle():
     # m(lam, 1) = 1 - int_0^inf lam e^(-lam u) / (1 + u^2) du
     lam = 1e-3
     fam = ml.ExpTiltMultiplier(1.0)
-    got = fam.regularized_mean(ml.cauchy(), lam)
+    got = fam.regularized_means(ml.cauchy(), [lam])[0]
     corr, _ = quad(lambda u: lam * math.exp(-lam * u) / (1 + u * u), 0, np.inf,
                    epsabs=1e-12, limit=500)
     assert got == pytest.approx(1.0 - corr, abs=1e-8)
@@ -326,7 +326,7 @@ def test_multiplier_rejects_bad_schedules():
     with pytest.raises(ValueError):
         ml.multiplier_mean(ml.cauchy(), ml.WindowMultiplier(0.0), [1e-2, 1e-2])
     with pytest.raises(ValueError):
-        ml.ExpTiltMultiplier(0.0).regularized_mean(ml.cauchy(), -1.0)
+        ml.ExpTiltMultiplier(0.0).regularized_means(ml.cauchy(), [-1.0])
 
 
 def test_exp_tilt_on_wrapped_density():

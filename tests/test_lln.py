@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meanlab as ml
 
@@ -181,3 +183,77 @@ def test_comb_sampler_cutoff_failure_is_a_construction_error():
         validate=False)
     with pytest.raises(ml.MeasureError, match="cutoff"):
         ml.build_sampler(heavy, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# Pinned draws: each measure class defines its own inverse transform
+# ---------------------------------------------------------------------------
+
+# draw(6, stream=(5, 2)) at seed 12 and the truncation bias, as recorded
+# before the samplers moved into the measure classes
+PINNED_DRAWS = {
+    "cauchy": (lambda: ml.cauchy(), [
+        -0.019104641409261273, -0.40287615338760385, -0.25865169892534356,
+        762.8515470441866, -1.4275457379718415, -1.7386505736498672], 0.0),
+    "cauchy_loc_scale": (lambda: ml.cauchy(2.5, 0.5), [
+        2.4904476792953694, 2.298561923306198, 2.370674150537328,
+        383.9257735220933, 1.7862271310140794, 1.6306747131750665], 0.0),
+    "gaussian": (lambda: ml.gaussian(), [
+        -0.015242034439278565, -0.3104941311119, -0.2033409730507382,
+        3.3410819252485666, -0.8614049246953643, -0.9695197278252887], 0.0),
+    "gaussian_mu_sigma": (lambda: ml.gaussian(-1.0, 3.0), [
+        -1.0457261033178358, -1.9314823933357, -1.6100229191522146,
+        9.0232457757457, -3.5842147740860932, -3.908559183475866], 0.0),
+    "cauchy_negate": (lambda: ml.cauchy(1.0, 2.0).negate(), [
+        -0.9617907171814775, -0.1942476932247923, -0.48269660214931287,
+        -1526.7030940883733, 1.855091475943683, 2.4773011472997344], 0.0),
+    "gaussian_scale_neg3": (lambda: ml.gaussian(0.5, 2.0).scale(-3.0), [
+        -1.4085477933643284, 0.3629647866714, -0.2799541616955708,
+        -21.5464915514914, 3.668429548172186, 4.317118366951732], 0.0),
+    "cauchy_3_levels": (lambda: ml.cauchy(0.3, 1.5).negate().scale(2.0).shift(-1.0), [
+        -1.5426860757722163, -0.39137153983718853, -0.8240449032239693,
+        -2290.15464113256, 2.6826372139155246, 3.615951720949602], 0.0),
+    "comb_ex1": (lambda: ml.comb_ex1(), [
+        -2.0, -2.0, -2.0, -2048.0, 4.0, 4.0], 9.094947017729282e-13),
+    "comb_ex4": (lambda: ml.comb_ex4(), [
+        -9.0, 9.0, 9.0, 3486784401.0, 3.0, 3.0], 7.074620124652989e-13),
+    "comb_ex5_negate_shift": (lambda: ml.comb_ex5().negate().shift(2.0), [
+        11.0, -7.5, -7.5, -3486784399.05, 5.0, -2.0], 7.564854866056122e-13),
+    "empirical": (lambda: ml.EmpiricalMeasure([3.0, -1.0, 0.5, 7.25, 2.0]), [
+        2.0, 0.5, 2.0, 7.25, -1.0, -1.0], 0.0),
+    "integer_power_comb_6": (lambda: ml.integer_power_comb(6.0), [
+        1.0, 1.0, 1.0, 3.0, 1.0, 1.0], 9.844771218747313e-13),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DRAWS))
+def test_pinned_draws(name):
+    build, draws, bias = PINNED_DRAWS[name]
+    s = ml.build_sampler(build(), seed=12)
+    np.testing.assert_array_equal(s.draw(6, stream=(5, 2)), draws)
+    assert s.truncation_bias == bias
+
+
+_BASES = {
+    "cauchy": lambda: ml.cauchy(0.5, 2.0),
+    "gaussian": lambda: ml.gaussian(-1.0, 0.5),
+    "comb_ex4": ml.comb_ex4,
+    "empirical": lambda: ml.EmpiricalMeasure([3.0, -1.0, 0.5, 7.25]),
+}
+
+
+@given(name=st.sampled_from(sorted(_BASES)),
+       a=st.floats(-1e6, 1e6),
+       s=st.floats(-1e3, 1e3).filter(lambda v: v != 0.0),
+       seed=st.integers(0, 2 ** 32 - 1), stream=st.integers(0, 100))
+@settings(max_examples=60, deadline=None)
+def test_affine_draws_map_the_inner_draws(name, a, s, seed, stream):
+    m = _BASES[name]()
+    inner = ml.build_sampler(m, seed=seed).draw(16, stream=(stream,))
+    outer = ml.build_sampler(m.shift(a).scale(s), seed=seed).draw(16, stream=(stream,))
+    np.testing.assert_array_equal(outer, s * (inner + a))
+
+
+def test_family_without_sampler_is_refused_at_build():
+    with pytest.raises(ml.MeasureError, match="no sampler for measure family 'power_tail'"):
+        ml.build_sampler(ml.power_tail(1.5, 1.8).shift(1.0), seed=0)

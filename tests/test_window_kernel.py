@@ -105,9 +105,9 @@ def test_comb_ex1_partial_means_stay_exactly_zero_or_minus_one():
 
 def test_dense_comb_declares_its_atom_count():
     m = ml.integer_power_comb(3.0)
-    np.testing.assert_array_equal(m.atom_locations(4.5), [1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(m.atom_arrays(4.5)[0], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ml.MeasureError):
-        m.atom_locations(2.7e10, max_atoms=50_000)
+        m.atom_arrays(2.7e10, max_atoms=50_000)
     assert m.atoms_within(0.0) == []  # nothing was enumerated for the refusal
 
 
