@@ -9,8 +9,8 @@ statistic axioms, and spectral means of Hermitian observables.
 __version__ = "0.1.0"
 
 from .axioms import (AxiomId, AxiomReport, SampleStatistic, builtin_statistic,
-                     check_axiom, check_axioms, convex_combination,
-                     mean_statistic, median_statistic, two_point_coincidence)
+                     check_axiom, convex_combination, mean_statistic,
+                     median_statistic, two_point_coincidence)
 from .genmean import (DEFAULT_C_GRID, ExpTiltMultiplier, LimitVerdict,
                       MeanLadder, MultiplierSeries, PartialMeanSeries,
                       TaxonomyReport, TruncationSchedule, VerdictPolicy,

@@ -28,7 +28,6 @@ __all__ = [
     "AxiomReport",
     "CoincidenceReport",
     "check_axiom",
-    "check_axioms",
     "two_point_coincidence",
     "builtin_statistic",
     "convex_combination",
@@ -150,43 +149,28 @@ def _trial_tuple(rng: np.random.Generator, min_n: int = 1) -> tuple[float, ...]:
 def _check_once(stat: SampleStatistic, axiom: AxiomId,
                 xs: tuple[float, ...], rng: np.random.Generator,
                 tol: float) -> tuple[bool, float, dict]:
-    """Evaluate one axiom instance; returns (violated, residual, witness)."""
+    """Draw one axiom instance around ``xs`` and score it with ``_score``;
+    returns (violated, residual, witness)."""
     n = len(xs)
+    if axiom is AxiomId.COND:
+        worst, witness = 0.0, {"xs": xs}
+        for m in range(2, n):
+            candidate = {"xs": xs, "m": m}
+            resid = _score(stat, axiom, candidate, tol)
+            if resid > worst:
+                worst, witness = resid, candidate
+        return worst > tol, worst, witness
     if axiom in (AxiomId.H, AxiomId.PH):
         lam = float(rng.uniform(0.1, 3.0)) if axiom is AxiomId.PH \
             else float(rng.uniform(-3.0, 3.0))
-        lhs = stat(tuple(lam * x for x in xs))
-        rhs = lam * stat(xs)
-        resid = abs(lhs - rhs)
-        return resid > tol, resid, {"xs": xs, "lam": lam}
-    if axiom is AxiomId.S:
-        perm = tuple(int(i) for i in rng.permutation(n))
-        lhs = stat(tuple(xs[i] for i in perm))
-        rhs = stat(xs)
-        resid = abs(lhs - rhs)
-        return resid > tol, resid, {"xs": xs, "perm": perm}
-    if axiom is AxiomId.T:
-        c = float(rng.uniform(-10.0, 10.0))
-        lhs = stat(tuple(x + c for x in xs))
-        rhs = stat(xs) + c
-        resid = abs(lhs - rhs)
-        return resid > tol, resid, {"xs": xs, "c": c}
-    if axiom is AxiomId.COND:
-        worst, witness = 0.0, None
-        for m in range(2, n):
-            sub = stat(xs[:m])
-            lhs = stat((sub,) * m + xs[m:])
-            resid = abs(lhs - stat(xs))
-            if resid > worst:
-                worst, witness = resid, {"xs": xs, "m": m, "substat": sub}
-        return worst > tol, worst, witness or {"xs": xs}
-    if axiom is AxiomId.ADD:
-        ys = tuple(rng.uniform(-10.0, 10.0, size=n))
-        lhs = stat(tuple(x + y for x, y in zip(xs, ys)))
-        rhs = stat(xs) + stat(ys)
-        resid = abs(lhs - rhs)
-        return resid > tol, resid, {"xs": xs, "ys": ys}
-    if axiom in (AxiomId.NN, AxiomId.P, AxiomId.SP):
+        witness = {"xs": xs, "lam": lam}
+    elif axiom is AxiomId.S:
+        witness = {"xs": xs, "perm": tuple(int(i) for i in rng.permutation(n))}
+    elif axiom is AxiomId.T:
+        witness = {"xs": xs, "c": float(rng.uniform(-10.0, 10.0))}
+    elif axiom is AxiomId.ADD:
+        witness = {"xs": xs, "ys": tuple(rng.uniform(-10.0, 10.0, size=n))}
+    else:
         if axiom is AxiomId.NN:
             deltas = rng.uniform(0.0, 2.0, size=n)
             deltas[rng.integers(0, n)] = 0.0  # allow ties
@@ -195,43 +179,46 @@ def _check_once(stat: SampleStatistic, axiom: AxiomId,
             deltas[int(rng.integers(0, n))] = float(rng.uniform(0.1, 2.0))
         else:
             deltas = rng.uniform(0.1, 2.0, size=n)
-        ys = tuple(x + d for x, d in zip(xs, deltas))
-        margin = stat(ys) - stat(xs)
-        if axiom is AxiomId.NN:
-            resid = max(0.0, -margin)
-            return resid > tol, resid, {"xs": xs, "ys": ys}
+        witness = {"xs": xs, "ys": tuple(x + d for x, d in zip(xs, deltas))}
+    resid = _score(stat, axiom, witness, tol)
+    if axiom in (AxiomId.P, AxiomId.SP):
         # strict variants: the increase must be clearly positive
-        violated = margin <= tol
-        resid = max(0.0, tol - margin) + (tol if violated else 0.0)
-        return violated, resid, {"xs": xs, "ys": ys, "margin": margin}
-    raise ValueError(f"unhandled axiom {axiom}")
+        return witness["margin"] <= tol, resid, witness
+    return resid > tol, resid, witness
+
+
+def _score(stat: SampleStatistic, axiom: AxiomId, witness: dict, tol: float) -> float:
+    """The residual of one axiom instance.  Stores in ``witness`` the
+    statistic values a report keeps with it: ``substat`` for COND and
+    ``margin`` for P and SP."""
+    xs = tuple(witness["xs"])
+    if axiom in (AxiomId.H, AxiomId.PH):
+        lam = witness["lam"]
+        return abs(stat(tuple(lam * x for x in xs)) - lam * stat(xs))
+    if axiom is AxiomId.S:
+        perm = witness["perm"]
+        return abs(stat(tuple(xs[i] for i in perm)) - stat(xs))
+    if axiom is AxiomId.T:
+        c = witness["c"]
+        return abs(stat(tuple(x + c for x in xs)) - (stat(xs) + c))
+    if axiom is AxiomId.COND:
+        m = witness["m"]
+        sub = witness["substat"] = stat(xs[:m])
+        return abs(stat((sub,) * m + xs[m:]) - stat(xs))
+    ys = tuple(witness["ys"])
+    if axiom is AxiomId.ADD:
+        return abs(stat(tuple(x + y for x, y in zip(xs, ys))) - (stat(xs) + stat(ys)))
+    margin = stat(ys) - stat(xs)
+    if axiom is AxiomId.NN:
+        return max(0.0, -margin)
+    witness["margin"] = margin
+    return max(0.0, tol - margin) + (tol if margin <= tol else 0.0)
 
 
 def recheck(stat: SampleStatistic, axiom: AxiomId, counterexample: dict,
             axiom_tol: float = AXIOM_TOL) -> float:
     """Re-evaluate a stored counterexample; returns its residual."""
-    xs = tuple(counterexample["xs"])
-    if axiom in (AxiomId.H, AxiomId.PH):
-        lam = counterexample["lam"]
-        return abs(stat(tuple(lam * x for x in xs)) - lam * stat(xs))
-    if axiom is AxiomId.S:
-        perm = counterexample["perm"]
-        return abs(stat(tuple(xs[i] for i in perm)) - stat(xs))
-    if axiom is AxiomId.T:
-        c = counterexample["c"]
-        return abs(stat(tuple(x + c for x in xs)) - (stat(xs) + c))
-    if axiom is AxiomId.COND:
-        m = counterexample["m"]
-        sub = stat(xs[:m])
-        return abs(stat((sub,) * m + xs[m:]) - stat(xs))
-    if axiom is AxiomId.ADD:
-        ys = tuple(counterexample["ys"])
-        return abs(stat(tuple(x + y for x, y in zip(xs, ys))) - (stat(xs) + stat(ys)))
-    ys = tuple(counterexample["ys"])
-    margin = stat(ys) - stat(xs)
-    if axiom is AxiomId.NN:
-        return max(0.0, -margin)
-    return max(0.0, axiom_tol - margin) + (axiom_tol if margin <= axiom_tol else 0.0)
+    return _score(stat, axiom, dict(counterexample), axiom_tol)
 
 
 def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
@@ -262,12 +249,6 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
                                counterexample=witness, residual=resid)
     return AxiomReport(statistic=stat.name, axiom=axiom, passed=True,
                        trials=trials, seed=seed, axiom_tol=axiom_tol)
-
-
-def check_axioms(stat: SampleStatistic, axioms: Sequence[AxiomId] = tuple(AxiomId),
-                 trials: int = 1000, seed: int = 0,
-                 axiom_tol: float = AXIOM_TOL) -> dict[AxiomId, AxiomReport]:
-    return {ax: check_axiom(stat, ax, trials, seed, axiom_tol) for ax in axioms}
 
 
 @dataclass

@@ -47,6 +47,7 @@ exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -100,12 +101,16 @@ class QuadratureError(MeasureError):
         self.error_estimate = error_estimate
 
 
+def _is_number(value) -> bool:
+    """A real number given as a number; strings and booleans are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _finite(name: str, value) -> float:
     """``value`` as a finite float, or a MeasureError naming the parameter."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise MeasureError(f"{name} must be a number, got {value!r}") from None
+    if not _is_number(value):
+        raise MeasureError(f"{name} must be a number, got {value!r}")
+    v = float(value)
     if not math.isfinite(v):
         raise MeasureError(f"{name} must be finite, got {v}")
     return v
@@ -199,7 +204,8 @@ class Measure:
         return np.where(t < 0, 1.0, np.maximum(0.0, 1.0 - masses))
 
     def atoms_within(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> list[Atom]:
-        """Atoms with |location| <= max_abs; empty for continuous measures."""
+        """Atoms with |location| <= max_abs, sorted by location, for every
+        measure (built from ``atom_arrays``); empty for continuous measures."""
         locs, weights = self.atom_arrays(max_abs, max_atoms)
         return [Atom(x, w) for x, w in zip(locs.tolist(), weights.tolist())]
 
@@ -274,6 +280,10 @@ class AtomicComb(Measure):
     ``location_floor(n)`` is a lower bound on |location| over all atoms in
     blocks with index > n and must be nondecreasing; it is what lets window
     enumeration stop once every remaining atom lies outside the window.
+
+    One cached enumeration serves construction, windows and atom lists:
+    validation enumerates until the tail bound falls below MASS_TOL/2 and
+    checks the total mass, and later requests extend the same cache.
     """
 
     is_atomic = True
@@ -285,76 +295,61 @@ class AtomicComb(Measure):
         tail_mass_bound: Callable[[int], float],
         location_floor: Callable[[int], float],
         *,
-        mass_tol: float = MASS_TOL,
         validate: bool = True,
     ):
         self.family = family
         self._block = block
         self.tail_mass_bound = tail_mass_bound
         self.location_floor = location_floor
-        self.mass_tol = mass_tol
-        self._atoms: list[Atom] = []
         self._blocks_done = 0
         # enumerated atoms sorted by location; rows: weights, weight * location
         self._sorted = (np.empty(0), np.empty((2, 0)))
         if validate:
-            self._validate_total_mass()
-
-    def _validate_total_mass(self) -> None:
-        n, total = 0, 0.0
-        while self.tail_mass_bound(n) >= self.mass_tol / 2:
-            n += 1
-            block = self._block(n)
-            total += sum(a.weight for a in block)
-            if n > _MAX_ATOMS:
+            self._ensure_blocks(-math.inf)
+            total = math.fsum(self._sorted[1][0]) + self.tail_mass_bound(self._blocks_done) / 2
+            if abs(total - 1.0) > MASS_TOL:
                 raise MeasureError(
-                    f"{self.family}: tail bound never fell below mass_tol/2")
-        bound = self.tail_mass_bound(n)
-        if abs(total + bound / 2 - 1.0) > self.mass_tol:
-            raise MeasureError(
-                f"{self.family}: total mass {total + bound / 2:.12g} != 1 "
-                f"within {self.mass_tol:g}")
+                    f"{family}: total mass {total:.12g} != 1 within {MASS_TOL:g}")
 
     def _ensure_blocks(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> None:
         """Extend the cached enumeration until it certifiably covers
         [-max_abs, max_abs]: every non-enumerated atom has |z| > max_abs and
-        the non-enumerated mass is below mass_tol/2."""
-        while True:
-            floor = self.location_floor(self._blocks_done)
-            bound = self.tail_mass_bound(self._blocks_done)
-            # An infinite floor means no atoms remain at any distance.
-            if (math.isinf(floor) or floor > max_abs) and bound < self.mass_tol / 2:
-                return
-            self._blocks_done += 1
-            self._atoms.extend(self._block(self._blocks_done))
-            if len(self._atoms) > max_atoms:
-                raise MeasureError(
-                    f"{self.family}: window needs more than {max_atoms} atoms; "
-                    "supply closed forms for this family")
-
-    def _sorted_atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        locs, values = self._sorted
-        if len(locs) != len(self._atoms):
-            x = np.array([a.location for a in self._atoms])
-            w = np.array([a.weight for a in self._atoms])
-            order = np.argsort(x, kind="stable")
-            self._sorted = locs, values = x[order], np.stack([w, w * x])[:, order]
-        return locs, values
-
-    def atoms_within(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> list[Atom]:
-        self._ensure_blocks(max_abs, max_atoms)
-        return [a for a in self._atoms if abs(a.location) <= max_abs]
+        the non-enumerated mass is below MASS_TOL/2.  New atoms are merged
+        into the sorted cache by a stable sort, so atoms at one location keep
+        their enumeration order.  A refused request keeps what it enumerated,
+        so no atom is built twice."""
+        n, new = self._blocks_done, []
+        try:
+            while True:
+                floor = self.location_floor(n)
+                # An infinite floor means no atoms remain at any distance.
+                if (math.isinf(floor) or floor > max_abs) and self.tail_mass_bound(n) < MASS_TOL / 2:
+                    return
+                new.extend(self._block(n + 1))
+                n += 1
+                if max(n, len(self._sorted[0]) + len(new)) > max_atoms:
+                    raise MeasureError(
+                        f"{self.family}: enumeration needs more than {max_atoms} atoms "
+                        "or blocks; supply closed forms for this family")
+        finally:
+            self._blocks_done = n
+            if new:
+                x = np.array([a.location for a in new])
+                w = np.array([a.weight for a in new])
+                locs = np.concatenate([self._sorted[0], x])
+                values = np.concatenate([self._sorted[1], np.stack([w, w * x])], axis=1)
+                order = np.argsort(locs, kind="stable")
+                self._sorted = locs[order], values[:, order]
 
     def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
         self._ensure_blocks(max_abs, max_atoms)
-        locs, values = self._sorted_atoms()
+        locs, values = self._sorted
         keep = np.abs(locs) <= max_abs
         return locs[keep], values[0][keep]
 
     def _window_stats(self, lo, hi, include_lo, include_hi):
         self._ensure_blocks(float(max(np.abs(lo).max(), np.abs(hi).max())))
-        locs, values = self._sorted_atoms()
-        _, sums = _atom_window_sums(locs, values, lo, hi, include_lo, include_hi)
+        _, sums = _atom_window_sums(*self._sorted, lo, hi, include_lo, include_hi)
         return sums[0], sums[1]
 
     def sampler(self):
@@ -659,8 +654,7 @@ def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
     return DensityMeasure("gaussian", pdf,
                           stats_between=stats_between,
                           tail_probability_fn=tail_probability,
-                          loc_scale=(mu, sigma), standard_quantile=ndtri,
-                          validate=False)
+                          loc_scale=(mu, sigma), standard_quantile=ndtri)
 
 
 def cauchy(loc: float = 0.0, scale: float = 1.0) -> DensityMeasure:
@@ -702,8 +696,7 @@ def cauchy(loc: float = 0.0, scale: float = 1.0) -> DensityMeasure:
     return DensityMeasure("cauchy", pdf,
                           stats_between=stats_between,
                           tail_probability_fn=tail_probability,
-                          loc_scale=(loc, scale), standard_quantile=standard_quantile,
-                          validate=False)
+                          loc_scale=(loc, scale), standard_quantile=standard_quantile)
 
 
 def _power_tail_constant(exponent: float) -> float:
@@ -767,8 +760,7 @@ def power_tail(a: float, b: float) -> DensityMeasure:
 
     return DensityMeasure("power_tail", pdf,
                           stats_between=stats_between,
-                          tail_probability_fn=tail_probability,
-                          validate=False)
+                          tail_probability_fn=tail_probability)
 
 
 # ---------------------------------------------------------------------------
@@ -782,9 +774,13 @@ class EmpiricalMeasure(Measure):
 
     def __init__(self, samples: Sequence[float]):
         try:
-            arr = np.asarray(samples, dtype=float)
-        except (TypeError, ValueError):
-            raise MeasureError(f"empirical samples must be numbers, got {samples!r}") from None
+            numeric = (samples.dtype.kind in "iuf" if isinstance(samples, np.ndarray)
+                       else all(_is_number(x) for x in samples))
+        except TypeError:  # not iterable
+            numeric = False
+        if not numeric:
+            raise MeasureError(f"empirical samples must be numbers, got {samples!r}")
+        arr = np.asarray(samples, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise MeasureError("empirical measure needs a nonempty 1-d sample")
         if not np.all(np.isfinite(arr)):

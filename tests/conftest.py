@@ -19,3 +19,17 @@ def scan_counts(monkeypatch):
 
         monkeypatch.setattr(ml.Measure, name, counted)
     return counts
+
+
+@pytest.fixture
+def atom_builds(monkeypatch):
+    """Counts Atom constructions (``atom_builds["atoms"]``)."""
+    counts = {"atoms": 0}
+    original = ml.Atom.__post_init__
+
+    def counted(self):
+        counts["atoms"] += 1
+        original(self)
+
+    monkeypatch.setattr(ml.Atom, "__post_init__", counted)
+    return counts

@@ -172,6 +172,15 @@ _CAUCHY = {"family": "cauchy"}
     ("spectral", {"bridge": {"family": "power_law_integer", "params": {"q": 3}}}, "'q'"),
     ("multiplier", {"measure": _CAUCHY, "multiplier": {"kind": "window", "c": [1]}}, "'c'"),
     ("classify", {"measure": {"family": "shift", "a": 1.0}}, "'inner'"),
+    # measure parameters are JSON numbers: numeric strings and booleans are refused
+    ("classify", {"measure": {"family": "gaussian", "mu": "3"}}, "gaussian mu"),
+    ("classify", {"measure": {"family": "gaussian", "mu": True}}, "gaussian mu"),
+    ("classify", {"measure": {"family": "empirical", "samples": ["1", "2.5", 3]}},
+     "empirical samples"),
+    ("classify", {"measure": {"family": "shift", "inner": _CAUCHY, "a": "1e3"}},
+     "affine shift"),
+    ("classify", {"measure": {"family": "power_tail", "a": "1.5", "b": 1.5}},
+     "power_tail a"),
 ])
 def test_malformed_documents_exit_1_with_error_json(tmp_path, capsys, subcommand, doc, key):
     path = _write(tmp_path, "doc.json", doc)

@@ -204,11 +204,12 @@ def test_atomic_schedule_in_one_pass_matches_the_loop(build):
     assert fam.regularized_means(build(), [lams[3]])[0] == pytest.approx(got[3], rel=1e-14)
 
 
-def test_integer_power_comb_fails_fast_at_the_atom_cap():
+def test_integer_power_comb_fails_fast_at_the_atom_cap(atom_builds):
     m = ml.integer_power_comb(3.0)
     with pytest.raises(ml.MeasureError, match="more than 200000 atoms"):
         ml.multiplier_mean(m, ml.ExpTiltMultiplier(0.0))
     assert m.atoms_within(0.0) == []  # nothing was enumerated for the refusal
+    assert atom_builds["atoms"] == 0
 
 
 # ExpTiltMultiplier(2.5) at lam = 1e-2, 1e-3, 1e-4, as recorded before the

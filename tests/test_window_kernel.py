@@ -103,12 +103,46 @@ def test_comb_ex1_partial_means_stay_exactly_zero_or_minus_one():
     assert set(ml.limit_scan(ml.comb_ex1().negate(), 0.0).values.tolist()) == {0.0, 1.0}
 
 
-def test_dense_comb_declares_its_atom_count():
+def test_dense_comb_declares_its_atom_count(atom_builds):
     m = ml.integer_power_comb(3.0)
     np.testing.assert_array_equal(m.atom_arrays(4.5)[0], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(ml.MeasureError):
         m.atom_arrays(2.7e10, max_atoms=50_000)
     assert m.atoms_within(0.0) == []  # nothing was enumerated for the refusal
+    assert atom_builds["atoms"] == 0
+
+
+def test_dense_comb_atoms_within_is_its_atom_arrays():
+    m = ml.integer_power_comb(2.5)
+    locs, weights = m.atom_arrays(10)
+    assert len(locs) == 10
+    assert m.atoms_within(10) == [ml.Atom(x, w) for x, w in zip(locs, weights)]
+
+
+def test_comb_validation_fills_the_enumeration_the_windows_use(atom_builds):
+    m = ml.comb_ex4()
+    built = atom_builds["atoms"]
+    blocks = []
+    block = m._block
+    m._block = lambda n: blocks.append(n) or block(n)
+    ml.classify_taxonomy(m)
+    ml.mean_ladder(m)
+    ml.tail_mass_curve(m)
+    assert blocks == []
+    assert atom_builds["atoms"] == built == 106  # 53 blocks of two atoms, each built once
+
+
+@pytest.mark.parametrize("build", [
+    ml.comb_ex1, ml.comb_ex2, ml.comb_ex4, ml.comb_ex5,
+    lambda: ml.comb_ex1().negate(), lambda: ml.comb_ex4().scale(-2.0).shift(5.0),
+    lambda: ml.integer_power_comb(2.5),
+    lambda: ml.finite_comb([ml.Atom(3.0, 0.5), ml.Atom(-1.0, 0.25), ml.Atom(2.0, 0.25)]),
+    lambda: ml.EmpiricalMeasure([4.0, -3.0, 4.0, 0.5]),
+    lambda: ml.induced_measure([[1.0, 2.0], [2.0, -3.0]], [0.6, 0.8]),
+])
+def test_atoms_within_is_sorted_by_location(build):
+    locs = [a.location for a in build().atoms_within(1000.0)]
+    assert locs and locs == sorted(locs)
 
 
 def test_window_stats_shapes_and_order_check():
