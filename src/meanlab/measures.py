@@ -323,7 +323,8 @@ class AtomicComb(Measure):
             while True:
                 floor = self.location_floor(n)
                 # An infinite floor means no atoms remain at any distance.
-                if (math.isinf(floor) or floor > max_abs) and self.tail_mass_bound(n) < MASS_TOL / 2:
+                covered = math.isinf(floor) or floor > max_abs
+                if covered and self.tail_mass_bound(n) < MASS_TOL / 2:
                     return
                 new.extend(self._block(n + 1))
                 n += 1

@@ -118,7 +118,7 @@ def test_comb_ex4_raw_mass_is_half_and_gets_rescaled():
     # after rescaling, atom at +3 carries 2 * (1/9) = 2/9
     w3 = [a.weight for a in atoms if a.location == 3.0][0]
     assert w3 == pytest.approx(2.0 / 9.0, abs=1e-15)
-    # the triadic tail needs |z| up to 3^52 before it drops below mass_tol
+    # the triadic tail needs |z| up to 3^52 before it drops below MASS_TOL
     total = sum(a.weight for a in m.atoms_within(1e26))
     assert total == pytest.approx(1.0, abs=MASS_TOL)
 

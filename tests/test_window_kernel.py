@@ -28,11 +28,7 @@ def _build(name: str, affine: bool):
     """(measure, radius, atoms within the radius) for one family."""
     factory, radius = FAMILIES[name]
     m = factory()
-    if isinstance(m, ml.IntegerPowerComb):
-        # its tail bound cannot certify any radius, so enumerate blocks directly
-        atoms = [a for n in range(1, int(radius) + 1) for a in m._block(n)]
-    else:
-        atoms = m.atoms_within(radius)
+    atoms = m.atoms_within(radius)
     if not affine:
         return m, radius, atoms
     # s = -2 maps atoms and endpoints exactly, so an endpoint placed on a
@@ -130,6 +126,23 @@ def test_comb_validation_fills_the_enumeration_the_windows_use(atom_builds):
     ml.tail_mass_curve(m)
     assert blocks == []
     assert atom_builds["atoms"] == built == 106  # 53 blocks of two atoms, each built once
+
+
+def test_comb_enumeration_resumes_at_a_block_that_raised():
+    failed = []
+
+    def block(n):
+        if n == 2 and not failed:
+            failed.append(n)
+            raise ml.MeasureError("transient")
+        w = 2.0 ** -(n + 1)
+        return (ml.Atom(2.0 ** n, w), ml.Atom(-(2.0 ** n), w))
+
+    m = ml.AtomicComb("ex2", block, tail_mass_bound=lambda n: 2.0 ** -n,
+                      location_floor=lambda n: 2.0 ** (n + 1), validate=False)
+    with pytest.raises(ml.MeasureError, match="transient"):
+        m.atom_arrays(10.0)
+    np.testing.assert_array_equal(m.atom_arrays(10.0)[0], [-8.0, -4.0, -2.0, 2.0, 4.0, 8.0])
 
 
 @pytest.mark.parametrize("build", [
