@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -409,13 +410,16 @@ def _parse_schedule(text: str) -> TruncationSchedule:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(v) for v in text.split(","))
+        grid = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
         raise SchemaError(f"--c-grid expects comma-separated numbers: {exc}")
+    if not all(map(math.isfinite, grid)):
+        raise SchemaError(f"--c-grid expects finite centers, got {text!r}")
+    return grid
 
 
-_POLICY_FIELDS = {"window": int, "conv_scale": float, "div_threshold": float,
-                  "jitter": float, "max_probes": int, "tail_tol": float}
+# Each tolerance name with the type of its default, which parses its value.
+_POLICY_FIELDS = {f.name: type(f.default) for f in fields(VerdictPolicy)}
 
 
 def _apply_tols(policy: VerdictPolicy, pairs: list[str]) -> VerdictPolicy:
@@ -426,7 +430,12 @@ def _apply_tols(policy: VerdictPolicy, pairs: list[str]) -> VerdictPolicy:
         if name not in _POLICY_FIELDS:
             raise SchemaError(f"unknown tolerance {name!r}; "
                               f"known: {sorted(_POLICY_FIELDS)}")
-        policy = replace(policy, **{name: _POLICY_FIELDS[name](value)})
+        try:
+            value = _POLICY_FIELDS[name](value)
+        except ValueError:
+            raise SchemaError(f"--tol {name} expects {_POLICY_FIELDS[name].__name__}, "
+                              f"got {value!r}") from None
+        policy = replace(policy, **{name: value})
     return policy
 
 
@@ -444,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--schedule", default=None, metavar="M0,r,K")
-        p.add_argument("--c-grid", dest="c_grid", default=None, metavar="a,b,...")
+        p.add_argument("--c-grid", dest="c_grid", default=None, metavar="a,b,...",
+                       help="centers to classify at (classify only)")
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
     return parser
 
@@ -475,7 +485,10 @@ def run(argv: Optional[list[str]] = None) -> int:
         schedule = _parse_schedule(args.schedule) if args.schedule \
             else TruncationSchedule()
         policy = _apply_tols(VerdictPolicy(), args.tol)
-        if args.c_grid:
+        if args.c_grid is not None:
+            if args.subcommand != "classify":
+                raise SchemaError(f"--c-grid is read only by classify, "
+                                  f"not by {args.subcommand}")
             args.c_grid = _parse_grid(args.c_grid)
         results, warnings, csvs, undetermined = _HANDLERS[args.subcommand](
             doc, args, schedule, policy)

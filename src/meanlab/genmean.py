@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -38,7 +39,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .measures import (Measure, MeasureError, QuadratureError, QuadraturePolicy,
-                       checked_quad)
+                       _is_number, checked_quad)
 
 __all__ = [
     "TruncationSchedule",
@@ -80,6 +81,9 @@ UNDETERMINED = "undetermined"
 class TruncationSchedule:
     """Geometric half-width schedule M_k = m0 * ratio^k, k = 0..count-1.
 
+    A scan evaluates the closed windows [c - M_k, c + M_k] at exactly these
+    radii, plus, for atomic measures, the midpoints of the gaps between atom
+    crossings.  A window whose boundary lands on an atom counts that atom.
     The non-dyadic defaults keep window boundaries off the dyadic and triadic
     atom grids of the built-in combs.
     """
@@ -133,9 +137,20 @@ class VerdictPolicy:
     window: int = 8
     conv_scale: float = 1e-6
     div_threshold: float = 1e4
-    jitter: float = 1e-6
     max_probes: int = 400
     tail_tol: float = 1e-3
+
+    def __post_init__(self):
+        for name, least in (("window", 1), ("max_probes", 0)):
+            value = getattr(self, name)
+            if not (_is_number(value) and isinstance(value, numbers.Integral)
+                    and value >= least):
+                raise ValueError(f"policy {name} must be an integer >= {least}, "
+                                 f"got {value!r}")
+        for name in ("conv_scale", "div_threshold", "tail_tol"):
+            value = getattr(self, name)
+            if not (_is_number(value) and math.isfinite(value) and value > 0):
+                raise ValueError(f"policy {name} must be finite and > 0, got {value!r}")
 
     def conv_tol(self, last: np.ndarray) -> float:
         return self.conv_scale * max(1.0, abs(float(np.median(last))))
@@ -198,37 +213,27 @@ def _atom_locations(measure: Measure, max_abs: float) -> np.ndarray:
 
 
 def _scan_radii(locations: np.ndarray, center: float, base: np.ndarray,
-                policy: VerdictPolicy, probe: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """The base radii plus probe radii, sorted and nudged off the atoms.
+                max_probes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The schedule's radii plus probe radii, sorted; returns (radii, is_probe).
 
     Probes are the midpoints between consecutive atom-crossing radii
-    |z - c| inside the base range (thinned evenly to ``policy.max_probes``).
+    |z - c| inside the base range (thinned evenly to ``max_probes``).
     The partial mean at center c is a pure jump function of M for atomic
     measures, constant between crossings; sampling each gap exposes every
-    value the series takes inside the horizon.  A radius whose window
-    boundary c +- M lands exactly on an atom is nudged outward, by an
-    absolute jitter widened to stay above float granularity at large M.
-    Returns (radii, is_probe).
+    value the series takes inside the horizon.  Windows are closed, so a
+    radius whose boundary c +- M lands on an atom counts that atom, and the
+    schedule's radii are kept exactly as given.
     """
-    probes = np.empty(0)
-    if probe:
-        crossings = np.abs(locations - center)
-        crossings = np.unique(crossings[(base[0] <= crossings) & (crossings <= base[-1])])
-        probes = 0.5 * (crossings[:-1] + crossings[1:])
-        if len(probes) > policy.max_probes:
-            idx = np.linspace(0, len(probes) - 1, policy.max_probes).round().astype(int)
-            probes = probes[np.unique(idx)]
+    crossings = np.abs(locations - center)
+    crossings = np.unique(crossings[(base[0] <= crossings) & (crossings <= base[-1])])
+    probes = 0.5 * (crossings[:-1] + crossings[1:])
+    if len(probes) > max_probes:
+        idx = np.linspace(0, len(probes) - 1, max_probes).round().astype(int)
+        probes = probes[np.unique(idx)]
     radii = np.concatenate([base, probes])
     is_probe = np.concatenate([np.zeros(len(base), bool), np.ones(len(probes), bool)])
     order = np.argsort(radii, kind="stable")
-    radii, is_probe = radii[order], is_probe[order]
-    eps = np.maximum(policy.jitter, 16 * np.spacing(radii))
-    for _ in range(8):
-        on_atom = np.isin(center - radii, locations) | np.isin(center + radii, locations)
-        if not on_atom.any():
-            break
-        radii = np.where(on_atom, radii + eps, radii)
-    return radii, is_probe
+    return radii[order], is_probe[order]
 
 
 def _scan(measure: Measure, center: float, schedule: TruncationSchedule,
@@ -236,16 +241,20 @@ def _scan(measure: Measure, center: float, schedule: TruncationSchedule,
           side: str = "both") -> PartialMeanSeries:
     """Every window of one scan in one ``window_stats`` call.
 
-    ``side`` "both" gives the windows [c - M, c + M]; "plus" and "minus" give
-    the one-sided windows [c, c + M] and [c - M, c], probed only at the atoms
-    on their own side.
+    ``side`` "both" gives the closed windows [c - M, c + M]; "plus" and
+    "minus" give the one-sided windows [c, c + M] and [c - M, c], probed only
+    at the atoms on their own side.  The radii are the schedule's, plus the
+    midpoints of the gaps between atom crossings when ``probe_atoms`` is set;
+    only then are the atom locations looked up.
     """
-    base = schedule.radii()
-    locations = _atom_locations(measure, base[-1] + abs(center) + 1.0)
-    if side != "both":
-        sign = 1.0 if side == "plus" else -1.0
-        locations = locations[sign * (locations - center) > 0]
-    radii, is_probe = _scan_radii(locations, center, base, policy, probe_atoms)
+    radii = schedule.radii()
+    is_probe = np.zeros(len(radii), bool)
+    if probe_atoms:
+        locations = _atom_locations(measure, radii[-1] + abs(center) + 1.0)
+        if side != "both":
+            sign = 1.0 if side == "plus" else -1.0
+            locations = locations[sign * (locations - center) > 0]
+        radii, is_probe = _scan_radii(locations, center, radii, policy.max_probes)
     lo = center if side == "plus" else center - radii
     hi = center if side == "minus" else center + radii
     masses, values = measure.window_stats(lo, hi)
@@ -362,6 +371,8 @@ def classify_taxonomy(measure: Measure,
                       policy: VerdictPolicy = VerdictPolicy()) -> TaxonomyReport:
     """Scan every center in the grid and map the verdicts to the five cases."""
     grid = sorted(float(c) for c in c_grid)
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"center grid needs finite centers, got {list(c_grid)}")
     if len(grid) < 5 or 0.0 not in grid or min(grid) >= 0 or max(grid) <= 0:
         raise ValueError("center grid needs >= 5 points including 0 and both signs")
 

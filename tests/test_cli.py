@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -239,6 +240,61 @@ def test_bad_tol_name_rejected(tmp_path):
     doc = _write(tmp_path, "m.json", {"measure": {"family": "gaussian"}})
     assert _run(["classify", "--input", doc, "--out", str(tmp_path),
                  "--tol", "nope=3"]) == 1
+
+
+def test_removed_jitter_tolerance_exits_1_listing_the_known_names(tmp_path):
+    doc = _write(tmp_path, "m.json", {"measure": {"family": "gaussian"}})
+    out = tmp_path / "out"
+    assert _run(["classify", "--input", doc, "--out", str(out),
+                 "--tol", "jitter=1e-6"]) == 1
+    _assert_error_contract(out, "classify", "SchemaError")
+    message = json.loads((out / "classify_error.json").read_text())["error"]["message"]
+    known = sorted(f.name for f in dataclasses.fields(ml.VerdictPolicy))
+    assert message.endswith(f"known: {known}")
+
+
+@pytest.mark.parametrize("tol", [
+    "conv_scale=-1", "conv_scale=nan", "tail_tol=nan", "div_threshold=inf",
+    "window=0", "window=2.5", "max_probes=-1",
+])
+def test_bad_tolerance_values_exit_1_naming_the_field(tmp_path, tol):
+    doc = _write(tmp_path, "m.json", {"measure": {"family": "comb_ex2"}})
+    out = tmp_path / "out"
+    assert _run(["classify", "--input", doc, "--out", str(out), "--tol", tol]) == 1
+    assert not (out / "classify_report.json").exists()
+    error = json.loads((out / "classify_error.json").read_text())["error"]
+    assert tol.split("=")[0] in error["message"]
+
+
+@pytest.mark.parametrize("grid", ["-1,nan,0,1,2", "-inf,-1,0,1,2"])
+def test_nonfinite_c_grid_exits_1(tmp_path, grid):
+    doc = _write(tmp_path, "m.json", {"measure": {"family": "gaussian"}})
+    out = tmp_path / "out"
+    assert _run(["classify", "--input", doc, "--out", str(out), f"--c-grid={grid}"]) == 1
+    _assert_error_contract(out, "classify", "SchemaError")
+    assert "--c-grid expects finite centers" in (out / "classify_error.json").read_text()
+
+
+_GAUSSIAN = {"family": "gaussian"}
+_GRIDLESS_DOCUMENTS = {  # a valid document for every subcommand but classify
+    "weakmean": {"measure": _GAUSSIAN},
+    "multiplier": {"measure": _GAUSSIAN, "multiplier": {"kind": "window"}},
+    "lln": {"measure": _GAUSSIAN, "experiment": "trajectory", "n": 10},
+    "maxent": {"n": 4, "observables": [], "targets": []},
+    "axioms": {"statistics": ["mean"], "trials": 10},
+    "spectral": {"bridge": {"family": "dyadic_symmetric"}},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(set(cli._HANDLERS) - {"classify"}))
+def test_c_grid_is_refused_where_it_is_not_read(tmp_path, subcommand):
+    doc = _write(tmp_path, "m.json", _GRIDLESS_DOCUMENTS[subcommand])
+    out = tmp_path / "out"
+    assert _run([subcommand, "--input", doc, "--out", str(out)]) in (0, 2)
+    assert _run([subcommand, "--input", doc, "--out", str(out),
+                 "--c-grid=-2,-1,0,1,2"]) == 1
+    error = json.loads((out / f"{subcommand}_error.json").read_text())["error"]
+    assert error["type"] == "SchemaError" and "--c-grid" in error["message"]
 
 
 def test_exit_code_mapping():

@@ -48,6 +48,25 @@ def test_series_masses_nondecreasing():
     assert np.all(np.diff(series.masses) >= -1e-15)
 
 
+@pytest.mark.parametrize("build,schedule", [
+    (ml.comb_ex2, ml.TruncationSchedule(1.0, 2.0, 40)),  # radii 2^k are atoms
+    (ml.comb_ex5, ml.TruncationSchedule(1.0, 3.0, 30)),  # 3^28 is 1/28 short of an atom
+])
+def test_scan_keeps_the_schedule_radii_and_closed_windows(build, schedule):
+    # A window [c - M, c + M] is closed and counts an atom on its boundary,
+    # so the scan samples the schedule's own radii even where they are atoms.
+    m = build()
+    series = ml.limit_scan(m, 0.0, schedule)
+    assert series.radii[~series.is_probe].tobytes() == schedule.radii().tobytes()
+    locs, weights = m.atom_arrays(schedule.horizon)
+    scale = math.fsum(np.abs(weights * locs))
+    for M, mass, value in zip(series.radii, series.masses, series.values):
+        inside = np.abs(locs) <= M
+        assert mass == pytest.approx(math.fsum(weights[inside]), abs=1e-12)
+        assert value == pytest.approx(math.fsum(weights[inside] * locs[inside]),
+                                      abs=1e-12 * scale + 1e-15)
+
+
 # ---------------------------------------------------------------------------
 # classify_series
 # ---------------------------------------------------------------------------
@@ -68,6 +87,16 @@ def test_classify_comb_ex1_oscillates_bounded():
 def test_classify_comb_ex4_diverges_at_positive_center():
     v = ml.classify_series(ml.limit_scan(ml.comb_ex4(), 1.0))
     assert v.kind == "diverges_plus"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("window", 0), ("window", 2.5), ("window", True), ("max_probes", -1),
+    ("max_probes", "400"), ("conv_scale", -1.0), ("conv_scale", math.nan),
+    ("div_threshold", math.inf), ("div_threshold", 0.0), ("tail_tol", math.nan),
+])
+def test_policy_rejects_bad_fields(field, value):
+    with pytest.raises(ValueError, match=f"policy {field} must be"):
+        ml.VerdictPolicy(**{field: value})
 
 
 def test_classify_rejects_short_series():
@@ -121,6 +150,9 @@ def test_taxonomy_rejects_bad_grid():
         ml.classify_taxonomy(ml.cauchy(), c_grid=(0.0, 1.0, 2.0, 3.0, 4.0))
     with pytest.raises(ValueError):
         ml.classify_taxonomy(ml.cauchy(), c_grid=(-1.0, 1.0, 2.0))
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="finite centers"):
+            ml.classify_taxonomy(ml.cauchy(), c_grid=(bad, -1.0, 0.0, 1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
