@@ -452,11 +452,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", required=True, help="JSON document path")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--schedule", default=None, metavar="M0,r,K")
+        p.add_argument("--schedule", default=None, metavar="M0,r,K",
+                       help="truncation schedule (verdict subcommands only)")
         p.add_argument("--c-grid", dest="c_grid", default=None, metavar="a,b,...",
                        help="centers to classify at (classify only)")
-        p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
+        p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
+                       help="verdict policy override (verdict subcommands only)")
     return parser
+
+
+# The subcommands whose handlers read the truncation schedule and the verdict
+# policy; the others refuse --schedule and --tol.
+_VERDICT_SUBCOMMANDS = {"classify", "weakmean", "multiplier", "spectral"}
 
 
 def exit_code_for(undetermined_only: bool) -> int:
@@ -482,6 +489,12 @@ def run(argv: Optional[list[str]] = None) -> int:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise SchemaError(f"document must be a JSON object, got {type(doc).__name__}")
+        for flag, given in (("--schedule", args.schedule is not None),
+                            ("--tol", bool(args.tol))):
+            if given and args.subcommand not in _VERDICT_SUBCOMMANDS:
+                raise SchemaError(f"{flag} is read only by "
+                                  f"{', '.join(sorted(_VERDICT_SUBCOMMANDS))}, "
+                                  f"not by {args.subcommand}")
         schedule = _parse_schedule(args.schedule) if args.schedule \
             else TruncationSchedule()
         policy = _apply_tols(VerdictPolicy(), args.tol)

@@ -1,12 +1,17 @@
 """Sample statistics and the axiom harness."""
 
+import json
 import math
+import statistics
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meanlab as ml
+from meanlab import axioms
 from meanlab.axioms import AXIOM_TOL, recheck
 
 finite_floats = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -102,6 +107,138 @@ def test_reports_are_deterministic_given_seed():
 def test_trials_must_be_positive():
     with pytest.raises(ValueError):
         ml.check_axiom(ml.mean_statistic, ml.AxiomId.H, trials=0)
+
+
+_BUILTINS = ["mean", "median", "midrange", "min", "max", "convex:0.5"]
+
+
+@pytest.mark.parametrize("name", _BUILTINS)
+def test_user_wrapped_statistic_gives_the_builtin_report(name):
+    # a plain SampleStatistic has no row-wise form, so every trial goes
+    # through the scalar path; equal reports mean the screen skipped no
+    # violating row before the reported one
+    builtin = ml.builtin_statistic(name)
+    wrapped = ml.SampleStatistic(builtin.name, builtin.fn)
+    for ax in ml.AxiomId:
+        for seed in (0, 1, 7):
+            a = ml.check_axiom(builtin, ax, trials=400, seed=seed)
+            b = ml.check_axiom(wrapped, ax, trials=400, seed=seed)
+            assert a == b, (ax, seed)
+
+
+@pytest.mark.parametrize("name", _BUILTINS)
+def test_screen_flags_exactly_the_violating_rows(name):
+    # the scalar scoring of every row is the reference for the row-wise screen
+    stat = ml.builtin_statistic(name)
+    for ax in ml.AxiomId:
+        min_n = 3 if ax in (ml.AxiomId.COND, ml.AxiomId.ADD) else 1
+        block = axioms._draw_block(np.random.default_rng(5), ax, 0, 256, min_n)
+        flagged = axioms._screen(stat.rows, ax, block, AXIOM_TOL)
+        violated = [axioms._confirm(stat, ax, axioms._witness(block, i), AXIOM_TOL)[0]
+                    for i in range(256)]
+        assert flagged.tolist() == violated, ax
+
+
+def test_screen_flags_a_margin_equal_to_the_tolerance():
+    # positivity needs a margin above the tolerance, so a margin equal to it
+    # violates the axiom and the screen must pass the row on to ``_score``
+    xs, ys = np.zeros((1, 8)), np.zeros((1, 8))
+    ys[0, 0] = AXIOM_TOL
+    block = {"n": np.array([1]), "xs": xs, "ys": ys}
+    for ax in (ml.AxiomId.P, ml.AxiomId.SP):
+        assert axioms._confirm(ml.mean_statistic, ax, axioms._witness(block, 0),
+                               AXIOM_TOL)[0]
+        assert axioms._screen(ml.mean_statistic.rows, ax, block, AXIOM_TOL).tolist() == [True]
+
+
+def test_edge_tuples_below_the_minimum_size_are_skipped():
+    # f(0) = 1 breaks additivity on every tuple; the one-point edge tuple is
+    # skipped for additivity, so the first violation is the second trial
+    shifted = ml.SampleStatistic("shifted", lambda xs: 1.0 + xs[0])
+    report = ml.check_axiom(shifted, ml.AxiomId.ADD, trials=10, seed=0)
+    assert report.trials == 2 and report.counterexample["xs"] == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("name, axiom", [("median", "COND"), ("median", "P"),
+                                         ("median", "ADD"), ("min", "H"),
+                                         ("max", "H")])
+def test_failures_are_stable_under_a_larger_trial_budget(name, axiom):
+    stat = ml.builtin_statistic(name)
+    short = ml.check_axiom(stat, ml.AxiomId[axiom], trials=50, seed=0)
+    long = ml.check_axiom(stat, ml.AxiomId[axiom], trials=2000, seed=0)
+    assert not short.passed and short.trials <= 50
+    assert short == long
+
+
+def test_min_homogeneity_fails_on_a_drawn_tuple_within_50_trials():
+    # the prefix-stability cases above include a failure past the edge tuples
+    report = ml.check_axiom(ml.builtin_statistic("min"), ml.AxiomId.H,
+                            trials=50, seed=0)
+    assert len(axioms._EDGE_TUPLES) < report.trials <= 50
+
+
+def _count_generators(monkeypatch):
+    made = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return made
+
+
+@pytest.mark.parametrize("stat", [ml.mean_statistic,
+                                  ml.SampleStatistic("user mean", statistics.fmean)])
+def test_one_generator_per_check(monkeypatch, stat):
+    made = _count_generators(monkeypatch)
+    for ax in ml.AxiomId:
+        made.clear()
+        ml.check_axiom(stat, ax, trials=3000, seed=4)
+        assert made == [(4,)], ax
+    made.clear()
+    ml.check_axiom(ml.median_statistic, ml.AxiomId.COND, trials=3000, seed=4)
+    assert made == [(4,)]
+
+
+def test_one_generator_per_coincidence_check(monkeypatch):
+    made = _count_generators(monkeypatch)
+    ml.two_point_coincidence(ml.mean_statistic, ml.median_statistic, trials=300, seed=2)
+    assert made == [(2,)]
+
+
+def test_a_failing_check_draws_only_its_first_block(monkeypatch):
+    drawn = []
+    real = axioms._draw_block
+
+    def spy(rng, axiom, start, rows, min_n):
+        drawn.append((start, rows))
+        return real(rng, axiom, start, rows, min_n)
+
+    monkeypatch.setattr(axioms, "_draw_block", spy)
+    report = ml.check_axiom(ml.median_statistic, ml.AxiomId.COND, trials=10**6, seed=0)
+    assert not report.passed
+    assert drawn == [(0, axioms._BLOCK_ROWS[0])]
+    # a passing check draws blocks in schedule order until its budget is covered
+    drawn.clear()
+    ml.check_axiom(ml.mean_statistic, ml.AxiomId.T, trials=3000, seed=0)
+    starts = [0]
+    for _, rows in drawn:
+        starts.append(starts[-1] + rows)
+    assert [s for s, _ in drawn] == starts[:-1]
+    assert starts[-2] < 3000 <= starts[-1]
+
+
+def test_recheck_reproduces_every_golden_residual_exactly():
+    golden = Path(__file__).parent / "golden" / "axioms_mean_median.axioms.json"
+    results = json.loads(golden.read_text())["results"]
+    failing = [(name, ax, entry) for name, per in results.items()
+               for ax, entry in per.items() if not entry["passed"]]
+    assert failing
+    for name, ax, entry in failing:
+        again = recheck(ml.builtin_statistic(name), ml.AxiomId[ax], entry["counterexample"])
+        assert again == entry["residual"], (name, ax)
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,18 @@ def test_c_grid_is_refused_where_it_is_not_read(tmp_path, subcommand):
     assert error["type"] == "SchemaError" and "--c-grid" in error["message"]
 
 
+@pytest.mark.parametrize("subcommand", ["axioms", "lln", "maxent"])
+def test_schedule_and_tol_are_refused_where_they_are_not_read(tmp_path, subcommand):
+    doc = _write(tmp_path, "m.json", _GRIDLESS_DOCUMENTS[subcommand])
+    assert _run([subcommand, "--input", doc, "--out", str(tmp_path / "plain")]) == 0
+    for flag, value in (("--schedule", "1,2,3"), ("--tol", "window=3")):
+        out = tmp_path / flag.strip("-")
+        assert _run([subcommand, "--input", doc, "--out", str(out), flag, value]) == 1
+        _assert_error_contract(out, subcommand, "SchemaError")
+        error = json.loads((out / f"{subcommand}_error.json").read_text())["error"]
+        assert flag in error["message"] and subcommand in error["message"]
+
+
 def test_exit_code_mapping():
     assert cli.exit_code_for(False) == 0
     assert cli.exit_code_for(True) == 2
