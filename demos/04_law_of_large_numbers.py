@@ -2,8 +2,8 @@
 """Monte Carlo contrast between measures that obey the weak law and one
 that does not.
 
-All replications run on substreams keyed by (seed, context, index), so
-every number printed here is reproducible bit for bit.
+Each experiment cell draws its replications from one generator keyed by
+the seed, in row blocks, so the same seed prints the same numbers.
 """
 
 import numpy as np

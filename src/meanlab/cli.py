@@ -51,10 +51,16 @@ def _json(*types, of=None):
 
 
 _NUMBER, _INTEGER = _json(int, float), _json(int)
+# NaN and the infinities fail the comparison, and so do ints too large for a float
+_FINITE = lambda v: _NUMBER(v) and abs(v) <= sys.float_info.max
+_SIZE = lambda v: _INTEGER(v) and v >= 1
 _NUMBER_LISTS = _json(list, of=_json(list, of=_NUMBER))
 _KINDS = {"a number": _NUMBER, "an integer": _INTEGER, "an object": _json(dict),
+          "a finite number": _FINITE,
+          "a finite number > 0": lambda v: _FINITE(v) and v > 0,
+          "an integer >= 1": _SIZE,
+          "a non-empty list of integers >= 1": lambda v: _json(list, of=_SIZE)(v) and v != [],
           "a list of numbers": _json(list, of=_NUMBER),
-          "a list of integers": _json(list, of=_INTEGER),
           "a list of strings": _json(list, of=_json(str)),
           "a list of number lists": _NUMBER_LISTS,
           "a list of [re, im] pairs": _NUMBER_LISTS,
@@ -199,10 +205,10 @@ def _run_multiplier(doc, args, schedule, policy):
 
 
 _LLN_KEYS = {
-    "wlln": {"m": "a number", "epsilon": "a number", "n_values": "a list of integers",
-             "replications": "an integer"},
-    "stability": {"n": "an integer", "replications": "an integer"},
-    "trajectory": {"n": "an integer"},
+    "wlln": {"m": "a finite number", "epsilon": "a finite number > 0",
+             "n_values": "a non-empty list of integers >= 1", "replications": "an integer"},
+    "stability": {"n": "an integer >= 1", "replications": "an integer"},
+    "trajectory": {"n": "an integer >= 1"},
 }
 
 

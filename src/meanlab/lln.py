@@ -1,10 +1,12 @@
 """Monte Carlo laboratory for the laws of large numbers.
 
 Samplers draw iid sequences through each measure's own inverse transform
-(``Measure.sampler``), applied to clipped uniforms.  Every replication runs
-on its own substream keyed by (master seed, context, replication index), so
-reports are bit-identical under any execution order or degree of
-parallelism.
+(``Measure.sampler``), applied to clipped uniforms.  Each cell of an
+experiment (one sample size n of the deviation experiment, or one side of
+the stability demo) draws all its replications from one generator keyed by
+(master seed, context, cell), row after row in blocks of at most ``_BLOCK``
+doubles, so the same config and seed give the same report whatever the
+block size.
 
 The deviation-probability experiment estimates
 P(|S_n / n - m| > eps) across n, which decays for measures with a weak mean
@@ -15,8 +17,9 @@ visible as a two-sample distance between means of size n and single draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +35,8 @@ __all__ = [
     "running_mean_trajectory",
     "two_sample_sup_distance",
 ]
+
+_BLOCK = 2 ** 16  # doubles drawn at a time by the replication experiments
 
 
 @dataclass
@@ -54,10 +59,23 @@ class Sampler:
         """Deterministic iid draws: same (seed, stream, count) gives the same array."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
+        return next(self._rows(stream, 1, count))[0]
+
+    def _rows(self, stream: Sequence[int], rows: int, n: int) -> Iterator[np.ndarray]:
+        """``rows`` rows of n iid draws from the one generator keyed by
+        (seed, *stream), in blocks of at most _BLOCK doubles (one row when n
+        is larger).  The uniforms come in row order, so the block size never
+        changes a draw."""
         rng = np.random.default_rng([int(self.master_seed), *map(int, stream)])
-        u = rng.random(count)
-        u = np.clip(u, 1e-300, 1.0 - 1e-16)  # keep inverse transforms finite
-        return self._inverse(u)
+        per_block = max(1, _BLOCK // n)
+        for start in range(0, rows, per_block):
+            k = min(per_block, rows - start)
+            u = np.clip(rng.random(k * n), 1e-300, 1.0 - 1e-16)  # keep inverse transforms finite
+            yield self._inverse(u).reshape(k, n)
+
+    def _row_means(self, stream: Sequence[int], rows: int, n: int) -> np.ndarray:
+        """The sample mean of each of ``rows`` rows of n draws (see _rows)."""
+        return np.concatenate([block.mean(axis=1) for block in self._rows(stream, rows, n)])
 
 
 def build_sampler(measure: Measure, seed: int = 0) -> Sampler:
@@ -81,20 +99,23 @@ def wlln_experiment(s: Sampler, m: float, epsilon: float,
                     n_schedule: Sequence[int], replications: int) -> WllnReport:
     """Estimate the deviation probability for each n over R replications.
 
-    Replication j of size n_i runs on substream (seed, 1, i, j); fractions
-    are averages of indicator variables, so aggregation order is immaterial.
+    The R replications of size n_i are the R rows drawn from the one
+    generator (seed, 1, i).
     """
+    if not math.isfinite(m):
+        raise ValueError(f"candidate mean m must be finite, got {m}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    n_values = tuple(int(n) for n in n_schedule)
+    if not n_values or min(n_values) < 1:
+        raise ValueError(f"n_schedule must be a non-empty list of sizes >= 1, "
+                         f"got {list(n_values)}")
     if replications < 100:
         raise ValueError(f"needs >= 100 replications, got {replications}")
-    n_values = tuple(int(n) for n in n_schedule)
     fractions = []
     for i, n in enumerate(n_values):
-        deviations = 0
-        for j in range(replications):
-            x = s.draw(n, stream=(1, i, j))
-            if abs(float(np.mean(x)) - m) > epsilon:
-                deviations += 1
-        fractions.append(deviations / replications)
+        means = s._row_means((1, i), replications, n)
+        fractions.append(int(np.count_nonzero(np.abs(means - m) > epsilon)) / replications)
     return WllnReport(candidate_mean=float(m), epsilon=float(epsilon),
                       n_values=n_values, replications=replications,
                       fractions=tuple(fractions), seed=s.master_seed,
@@ -125,12 +146,12 @@ def cauchy_stability_demo(s: Sampler, n: int, replications: int) -> StabilityRep
     at two-sample noise scale ~ sqrt(2 / R); for integrable measures the
     means contract and the distance is macroscopic.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if replications < 1000:
         raise ValueError(f"needs >= 1000 replications, got {replications}")
-    means = np.array([float(np.mean(s.draw(n, stream=(2, 1, j))))
-                      for j in range(replications)])
-    singles = np.array([float(s.draw(1, stream=(2, 2, j))[0])
-                        for j in range(replications)])
+    means = s._row_means((2, 1), replications, n)
+    singles = s.draw(replications, stream=(2, 2))
     return StabilityReport(n=int(n), replications=int(replications),
                            distance=two_sample_sup_distance(means, singles),
                            seed=s.master_seed)
@@ -141,12 +162,12 @@ def running_mean_trajectory(s: Sampler, n: int,
     """Running means S_k / k for k = 1..n with compensated (Kahan) summation,
     keeping the trajectory bit-stable across platforms."""
     x = s.draw(n, stream=stream)
-    means = np.empty(n)
+    means = []
     total, comp = 0.0, 0.0
-    for k in range(n):
-        y = x[k] - comp
+    for k, v in enumerate(x.tolist(), 1):
+        y = v - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        means[k] = total / (k + 1)
-    return np.arange(1, n + 1), means
+        means.append(total / k)
+    return np.arange(1, n + 1), np.array(means)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 
@@ -182,6 +183,20 @@ _CAUCHY = {"family": "cauchy"}
      "affine shift"),
     ("classify", {"measure": {"family": "power_tail", "a": "1.5", "b": 1.5}},
      "power_tail a"),
+    # LLN inputs the experiments cannot use are refused before any draw
+    ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": 0.0, "epsilon": -1.0,
+             "n_values": [10], "replications": 100}, "'epsilon'"),
+    ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": 0.0, "epsilon": math.nan,
+             "n_values": [10], "replications": 100}, "'epsilon'"),
+    ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": math.inf, "epsilon": 1.0,
+             "n_values": [10], "replications": 100}, "'m'"),
+    ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": 0.0, "epsilon": 1.0,
+             "n_values": [], "replications": 100}, "'n_values'"),
+    ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": 0.0, "epsilon": 1.0,
+             "n_values": [10, 0], "replications": 100}, "'n_values'"),
+    ("lln", {"measure": _CAUCHY, "experiment": "stability", "n": 0,
+             "replications": 1000}, "'n'"),
+    ("lln", {"measure": _CAUCHY, "experiment": "trajectory", "n": -5}, "'n'"),
 ])
 def test_malformed_documents_exit_1_with_error_json(tmp_path, capsys, subcommand, doc, key):
     path = _write(tmp_path, "doc.json", doc)

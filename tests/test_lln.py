@@ -1,6 +1,7 @@
 """Samplers, deviation-probability experiments, and the stability demo."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,18 +95,99 @@ def test_wlln_needs_enough_replications():
         ml.wlln_experiment(s, 0.0, 0.1, [100], replications=50)
 
 
-def test_wlln_report_is_order_independent():
-    s = ml.build_sampler(ml.cauchy(), seed=5)
-    rep = ml.wlln_experiment(s, m=0.0, epsilon=1.0, n_schedule=[50, 100],
-                             replications=100)
-    # recompute each fraction with the replication loop reversed
+def _count_generators(monkeypatch):
+    made = []
+    real = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    return made
+
+
+def _direct_rows(measure, key, rows, n):
+    """All rows of one cell at once, from the generator keyed by ``key``."""
+    u = np.random.default_rng(key).random((rows, n))
+    return measure.sampler()[0](np.clip(u, 1e-300, 1.0 - 1e-16))
+
+
+_LAWS = {"cauchy": lambda: ml.cauchy(0.5, 2.0), "gaussian": lambda: ml.gaussian(1.0, 3.0),
+         "comb_ex2": ml.comb_ex2}
+
+
+@pytest.mark.parametrize("name", sorted(_LAWS))
+def test_reports_are_the_rows_of_one_generator_per_cell(name):
+    m = _LAWS[name]()
+    s = ml.build_sampler(m, seed=5)
+    rep = ml.wlln_experiment(s, m=1.0, epsilon=1.5, n_schedule=[1, 7, 300],
+                             replications=120)
     for i, n in enumerate(rep.n_values):
-        deviations = 0
-        for j in reversed(range(rep.replications)):
-            x = s.draw(n, stream=(1, i, j))
-            if abs(float(np.mean(x))) > rep.epsilon:
-                deviations += 1
-        assert deviations / rep.replications == rep.fractions[i]
+        means = _direct_rows(m, [5, 1, i], 120, n).mean(axis=1)
+        assert np.count_nonzero(np.abs(means - 1.0) > 1.5) / 120 == rep.fractions[i]
+    stab = ml.cauchy_stability_demo(s, n=30, replications=1000)
+    means = _direct_rows(m, [5, 2, 1], 1000, 30).mean(axis=1)
+    singles = _direct_rows(m, [5, 2, 2], 1000, 1)[:, 0]
+    assert stab.distance == ml.lln.two_sample_sup_distance(means, singles)
+
+
+@pytest.mark.parametrize("block", [1, 1000 * 300])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
+    s = ml.build_sampler(ml.cauchy(), seed=8)
+
+    def reports():
+        return (ml.wlln_experiment(s, m=0.0, epsilon=1.0, n_schedule=[3, 300],
+                                   replications=1000),
+                ml.cauchy_stability_demo(s, n=300, replications=1000))
+
+    default = reports()
+    monkeypatch.setattr(ml.lln, "_BLOCK", block)
+    assert reports() == default
+
+
+def test_one_generator_per_cell(monkeypatch):
+    s = ml.build_sampler(ml.gaussian(), seed=4)
+    made = _count_generators(monkeypatch)
+    ml.wlln_experiment(s, m=0.0, epsilon=0.1, n_schedule=[10, 100, 1000], replications=300)
+    assert made == [([4, 1, 0],), ([4, 1, 1],), ([4, 1, 2],)]
+    made.clear()
+    ml.cauchy_stability_demo(s, n=100, replications=1000)
+    assert made == [([4, 2, 1],), ([4, 2, 2],)]
+
+
+def test_wlln_memory_is_bounded_by_the_block():
+    s = ml.build_sampler(ml.cauchy(), seed=0)
+    tracemalloc.start()
+    try:
+        ml.wlln_experiment(s, m=0.0, epsilon=1.0, n_schedule=[10_000], replications=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000  # the whole 1000 x 10,000 cell would be 80 MB
+
+
+@pytest.mark.parametrize("bad", [
+    {"m": math.inf}, {"m": math.nan}, {"epsilon": -1.0}, {"epsilon": 0.0},
+    {"epsilon": math.nan}, {"epsilon": math.inf}, {"n_schedule": []},
+    {"n_schedule": [10, 0]},
+])
+def test_wlln_rejects_bad_input_before_drawing(monkeypatch, bad):
+    s = ml.build_sampler(ml.cauchy(), seed=0)
+    made = _count_generators(monkeypatch)
+    args = {"m": 0.0, "epsilon": 1.0, "n_schedule": [10], "replications": 100, **bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        ml.wlln_experiment(s, **args)
+    assert made == []
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_stability_rejects_sizes_below_one_before_drawing(monkeypatch, n):
+    s = ml.build_sampler(ml.cauchy(), seed=0)
+    made = _count_generators(monkeypatch)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ml.cauchy_stability_demo(s, n=n, replications=1000)
+    assert made == []
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +232,21 @@ def test_trajectory_matches_fsum_prefix_means():
         exact = math.fsum(x[:k + 1]) / (k + 1)
         assert means[k] == pytest.approx(exact, rel=1e-15)
     assert ns[0] == 1 and ns[-1] == 500
+
+
+def test_trajectory_is_the_array_kahan_loop_bit_for_bit():
+    s = ml.build_sampler(ml.cauchy(1.0, 3.0), seed=6)
+    x = s.draw(3000, stream=(3,))
+    want = np.empty(3000)
+    total, comp = 0.0, 0.0
+    for k in range(3000):
+        y = x[k] - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        want[k] = total / (k + 1)
+    _, means = ml.running_mean_trajectory(s, 3000)
+    assert means.tobytes() == want.tobytes()
 
 
 def test_trajectory_settles_for_integrable_measures():
