@@ -9,6 +9,9 @@ variables solve an unconstrained smooth convex problem
 
 whose gradient is alpha - E_p[g] and whose Hessian is the covariance of g
 under p, so a damped Newton iteration converges fast from beta = 0.
+Steps are damped by Armijo backtracking on psi until the predicted decrease
+is within 16 ulps of psi; there no step can pass the Armijo test in double
+precision, so the moment gap ||alpha - E_p[g]||_inf judges the steps instead.
 Targets on or outside the attainable moment range push ||beta|| to infinity
 and are rejected; linearly dependent observables make the covariance
 singular and are rejected with the offending index named.
@@ -17,10 +20,13 @@ singular and are rejected with the offending index named.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .measures import _is_number
 
 __all__ = [
     "FiniteDistribution",
@@ -40,6 +46,7 @@ __all__ = [
 FEAS_TOL = 1e-10
 _MAX_NEWTON_STEPS = 200
 _BETA_GUARD = 1e3
+_ROUNDOFF_ULPS = 16  # a predicted decrease this many ulps of psi is roundoff
 
 
 class InfeasibleTargetError(ValueError):
@@ -171,9 +178,9 @@ def _check_affine_independence(G: np.ndarray) -> None:
     # Dependence relevant to the exponential family is affine: adding a
     # constant to an observable only shifts log Z.
     k, n = G.shape
-    centered = G - G.mean(axis=1, keepdims=True)
     if k == 0:
         return
+    centered = G - G.mean(axis=1, keepdims=True)
     s = np.linalg.svd(centered, compute_uv=False)
     if s[0] == 0 or s[-1] <= 1e-12 * max(n, k) * s[0]:
         _, _, vt = np.linalg.svd(centered.T, full_matrices=True)
@@ -206,11 +213,19 @@ def maxent_solve(problem: MaxEntProblem, feas_tol: float = FEAS_TOL,
     """Damped Newton iteration on the smooth convex dual.
 
     Backtracking halves the step until the Armijo condition with constant
-    1e-4 holds.  The iteration starts at beta = 0 (the uniform distribution)
-    and stops when the moment residual drops below ``feas_tol``.  A dual
-    norm beyond 1e3 with a non-improving gradient signals a target on or
-    outside the attainable boundary.
+    1e-4 holds.  Once the predicted decrease is within 16 ulps of psi, that
+    test is roundoff, and backtracking instead takes the longest step that
+    strictly shrinks the moment gap ||alpha - E_p[g]||_inf.  The iteration
+    starts at beta = 0 (the uniform distribution) and stops when the moment
+    gap drops to ``feas_tol``.  A dual norm beyond 1e3 with a non-improving
+    gap signals a target on or outside the attainable boundary.
+    ``feas_tol`` must be finite and > 0, and ``max_steps`` an integer >= 1.
     """
+    if not (_is_number(feas_tol) and math.isfinite(feas_tol) and feas_tol > 0):
+        raise ValueError(f"feas_tol must be finite and > 0, got {feas_tol!r}")
+    if not (_is_number(max_steps) and isinstance(max_steps, numbers.Integral)
+            and max_steps >= 1):
+        raise ValueError(f"max_steps must be an integer >= 1, got {max_steps!r}")
     G = problem.matrix()
     alpha = np.asarray(problem.targets, dtype=float)
     k, n = G.shape
@@ -221,7 +236,8 @@ def maxent_solve(problem: MaxEntProblem, feas_tol: float = FEAS_TOL,
     steps = 0
     for steps in range(1, max_steps + 1):
         logZ, p = _log_partition(G, beta)
-        grad = alpha - G @ p
+        m = G @ p
+        grad = alpha - m
         grad_norm = float(np.linalg.norm(grad, ord=np.inf)) if k else 0.0
         if grad_norm <= feas_tol:
             break
@@ -234,7 +250,7 @@ def maxent_solve(problem: MaxEntProblem, feas_tol: float = FEAS_TOL,
         best_grad_norm = min(best_grad_norm, grad_norm)
 
         Gp = G * p
-        cov = Gp @ G.T - np.outer(G @ p, G @ p)
+        cov = Gp @ G.T - np.outer(m, m)
         try:
             direction = -np.linalg.solve(cov, grad)
         except np.linalg.LinAlgError:
@@ -246,10 +262,15 @@ def maxent_solve(problem: MaxEntProblem, feas_tol: float = FEAS_TOL,
 
         psi0 = logZ + float(beta @ alpha)
         slope = float(grad @ direction)
+        roundoff = -slope <= _ROUNDOFF_ULPS * math.ulp(abs(psi0))
         t = 1.0
         while t > 1e-12:
             candidate = beta + t * direction
-            if dual_objective(G, alpha, candidate) <= psi0 + 1e-4 * t * slope:
+            if roundoff:
+                gap = float(np.linalg.norm(dual_gradient(G, alpha, candidate), ord=np.inf))
+                if gap < grad_norm:
+                    break
+            elif dual_objective(G, alpha, candidate) <= psi0 + 1e-4 * t * slope:
                 break
             t *= 0.5
         beta = beta + t * direction
@@ -259,9 +280,10 @@ def maxent_solve(problem: MaxEntProblem, feas_tol: float = FEAS_TOL,
             f"remaining moment gap {best_grad_norm:.3g}")
 
     logZ, p = _log_partition(G, beta)
-    h_nats = logZ + float(beta @ (G @ p)) if k else math.log(n)
+    m = G @ p
+    h_nats = logZ + float(beta @ m) if k else math.log(n)
     h = h_nats / math.log(2) if problem.base == "bits" else h_nats
-    residuals = tuple((G @ p - alpha).tolist()) if k else ()
+    residuals = tuple((m - alpha).tolist()) if k else ()
     return MaxEntSolution(betas=tuple(beta.tolist()), log_partition=logZ,
                           distribution=FiniteDistribution(tuple(p.tolist())),
                           entropy=h, base=problem.base, residuals=residuals,

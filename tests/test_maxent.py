@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 import meanlab as ml
-from meanlab.maxent import dual_gradient, dual_objective
+from meanlab import maxent
+from meanlab.maxent import FEAS_TOL, dual_gradient, dual_objective
 
 
 def _uniform(n):
@@ -207,3 +209,146 @@ def test_affine_rescaling_leaves_the_distribution_fixed():
     assert np.allclose(base.distribution.as_array(),
                        scaled.distribution.as_array(), atol=1e-9)
     assert scaled.betas[0] == pytest.approx(base.betas[0] / a, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Line search at roundoff, and the solver's parameters
+# ---------------------------------------------------------------------------
+
+def _problem(observables, targets):
+    return ml.MaxEntProblem(
+        n=len(observables[0]),
+        observables=tuple(ml.FiniteObservable(tuple(g)) for g in observables),
+        targets=tuple(targets))
+
+
+# Armijo backtracking alone stalls on this problem at a moment gap of 1.5e-10:
+# from step 3 on, the predicted decrease is below one ulp of psi.
+PINNED = _problem([(0.409, -0.428, -1.078, -1.054, 2.103)], [0.1900779329783188])
+
+
+def _drawn_problem(i):
+    # n in [3, 40), k < min(4, n), observables rounded to 3 digits and
+    # targets the moments of a Dirichlet draw: feasible and well posed
+    rng = np.random.default_rng([99, i])
+    n = int(rng.integers(3, 40))
+    k = int(rng.integers(0, min(4, n)))
+    obs = np.round(rng.standard_normal((k, n)), 3)
+    q = rng.dirichlet(np.ones(n))
+    return ml.MaxEntProblem(
+        n=n, observables=tuple(ml.FiniteObservable(tuple(g)) for g in obs.tolist()),
+        targets=tuple((obs @ q).tolist()))
+
+
+def test_pinned_problem_solves_past_the_armijo_roundoff():
+    sol = ml.maxent_solve(PINNED)
+    assert max(abs(r) for r in sol.residuals) <= FEAS_TOL
+    assert sol.newton_steps <= 10
+
+
+def test_drawn_problems_all_solve_in_few_steps():
+    # Armijo backtracking alone stalls on 5 of these 500
+    for i in range(500):
+        sol = ml.maxent_solve(_drawn_problem(i))
+        assert sol.newton_steps <= 10, i
+        assert max(map(abs, sol.residuals), default=0.0) <= FEAS_TOL, i
+
+
+_DIE = (1, 2, 3, 4, 5, 6)
+_SQUARES = (1, 4, 9, 16, 25, 36)
+
+
+@pytest.mark.parametrize("observables, targets", [
+    ([_DIE], [1.0]),                    # the lower boundary: a point mass
+    ([_DIE, _SQUARES], [3.5, 12.25]),   # E g^2 = (E g)^2: a point mass
+    ([_DIE, _SQUARES], [3.5, 12.0]),    # E g^2 < (E g)^2
+])
+def test_more_infeasible_and_boundary_targets_raise(observables, targets):
+    # the last two pass the per-observable range check and diverge in Newton
+    with pytest.raises(ml.InfeasibleTargetError):
+        ml.maxent_solve(_problem(observables, targets))
+
+
+# Targets 4 - 10^-e on [1, 2, 3, 4] never reach the roundoff regime, so they
+# keep the Newton steps and beta of the Armijo path bit for bit.
+_NEAR_BOUNDARY = [
+    (3, 12, -6.9087547748652725), (4, 14, -9.21044033586701),
+    (5, 16, -11.512934531848831), (6, 18, -13.81549684386179),
+    (7, 20, -16.11795804720779), (8, 22, -18.41983648497466),
+    (9, 23, -20.63629950661438), (10, 24, -22.401776251832803),
+    (11, 25, -23.698001428319603), (12, 25, -23.80991613487137),
+    (13, 25, -23.821505925163702), (14, 25, -23.822633360449252),
+]
+
+
+@pytest.mark.parametrize("e, steps, beta", _NEAR_BOUNDARY)
+def test_near_boundary_targets_keep_their_newton_path(e, steps, beta):
+    sol = ml.maxent_solve(_problem([(1, 2, 3, 4)], [4 - 10.0 ** -e]))
+    assert (sol.newton_steps, sol.betas) == (steps, (beta,))
+
+
+def _mpmath_distribution(problem, betas):
+    """p* from Newton on the same dual at 40 digits, started at ``betas``.
+
+    The dual is strictly convex, so a moment gap below 1e-30 pins p* whatever
+    the start; the start only saves iterations."""
+    with mp.workdps(40):
+        G = [[mp.mpf(v) for v in g.values] for g in problem.observables]
+        alpha = [mp.mpf(a) for a in problem.targets]
+        k, n = len(G), problem.n
+        beta = [mp.mpf(b) for b in betas]
+        for _ in range(20):
+            w = [-mp.fsum(beta[j] * G[j][i] for j in range(k)) for i in range(n)]
+            top = max(w)
+            e = [mp.exp(x - top) for x in w]
+            p = [x / mp.fsum(e) for x in e]
+            m = [mp.fsum(G[j][i] * p[i] for i in range(n)) for j in range(k)]
+            grad = [alpha[j] - m[j] for j in range(k)]
+            if max(abs(g) for g in grad) < mp.mpf(10) ** -30:
+                return [float(x) for x in p]
+            cov = mp.matrix(k, k)
+            for a in range(k):
+                for b in range(k):
+                    cov[a, b] = mp.fsum(G[a][i] * G[b][i] * p[i]
+                                        for i in range(n)) - m[a] * m[b]
+            step = mp.lu_solve(cov, mp.matrix(grad))
+            beta = [beta[j] - step[j] for j in range(k)]
+    raise AssertionError("the mpmath Newton did not converge")
+
+
+def _oracle_error(problem):
+    sol = ml.maxent_solve(problem)
+    exact = _mpmath_distribution(problem, sol.betas)
+    return max(abs(a - b) for a, b in zip(sol.distribution.probabilities, exact))
+
+
+# Problems whose last step is a full Newton step taken in the roundoff regime
+# (22 and 47 have k = 3; Armijo alone stalls on PINNED and 22, and stops 9.8e-12
+# away on 13 and 8.3e-12 on 47): they land at p* to about 1e-17.
+@pytest.mark.parametrize("problem", [PINNED, _drawn_problem(13), _drawn_problem(22),
+                                     _drawn_problem(47)],
+                         ids=["pinned", "drawn13", "drawn22", "drawn47"])
+def test_solution_matches_a_40_digit_newton(problem):
+    assert _oracle_error(problem) <= 1e-14
+
+
+# A solve that stops at a gap just under feas_tol is only that close to p*:
+# 4.4e-12 on problem 1 and 1.4e-11 on problem 106, both k = 3.
+@pytest.mark.parametrize("i", [1, 106])
+def test_solution_stopping_at_feas_tol_is_that_close(i):
+    assert _oracle_error(_drawn_problem(i)) <= 1e-10
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"feas_tol": float("nan")}, {"feas_tol": -1.0}, {"feas_tol": 0.0},
+    {"feas_tol": float("inf")}, {"feas_tol": "1e-10"},
+    {"max_steps": 0}, {"max_steps": -3}, {"max_steps": 2.0}, {"max_steps": True},
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_bad_solver_parameters_are_refused_before_any_step(kwargs, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a Newton step ran")
+
+    monkeypatch.setattr(maxent, "_log_partition", no_step)
+    with pytest.raises(ValueError, match=next(iter(kwargs))) as err:
+        ml.maxent_solve(PINNED, **kwargs)
+    assert type(err.value) is ValueError
