@@ -15,13 +15,13 @@ SEED = 0
 print("Deviation fractions P(|S_n/n - m| > eps), 500 replications each:")
 gauss = ml.build_sampler(ml.gaussian(0, 1), seed=SEED)
 rep = ml.wlln_experiment(gauss, m=0.0, epsilon=0.1,
-                         n_schedule=[100, 1000, 10_000], replications=500)
+                         n_values=[100, 1000, 10_000], replications=500)
 print(f"  gaussian, eps = 0.1 : n = {rep.n_values} -> {rep.fractions}")
 print("    (shrinks with n: the weak law holds)")
 
 cau = ml.build_sampler(ml.cauchy(0, 1), seed=SEED)
 rep = ml.wlln_experiment(cau, m=0.0, epsilon=1.0,
-                         n_schedule=[100, 1000, 10_000], replications=500)
+                         n_values=[100, 1000, 10_000], replications=500)
 print(f"  cauchy,   eps = 1.0 : n = {rep.n_values} -> {rep.fractions}")
 print("    (flat at 1/2: S_n/n is again standard Cauchy, and P(|X| > 1) = 1/2)\n")
 

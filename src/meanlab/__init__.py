@@ -26,12 +26,11 @@ from .maxent import (FiniteDistribution, FiniteObservable,
                      maxent_solve)
 from .measures import (Affine, Atom, AtomicComb, DensityMeasure,
                        EmpiricalMeasure, IntegerPowerComb, Measure,
-                       MeasureError, QuadratureError,
-                       QuadraturePolicy, cauchy, comb_ex1, comb_ex2, comb_ex4,
-                       comb_ex5, finite_comb, gaussian, integer_power_comb,
-                       make_measure, measure_from_document, power_tail)
-from .spectral import (BridgeReport, DiagonalBridge, HermitianObservable,
-                       SpectralDecomposition, StateVector, bridge_analyze,
-                       build_bridge, eigendecompose, induced_measure,
-                       pos_neg_split, qm_mean, qm_variance,
+                       MeasureError, QuadratureError, cauchy, comb_ex1,
+                       comb_ex2, comb_ex4, comb_ex5, finite_comb, gaussian,
+                       integer_power_comb, make_measure, measure_from_document,
+                       power_tail)
+from .spectral import (BridgeReport, DiagonalBridge, SpectralDecomposition,
+                       bridge_analyze, build_bridge, eigendecompose,
+                       induced_measure, pos_neg_split, qm_mean, qm_variance,
                        window_projection_probability)

@@ -22,6 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .measures import _number
+
 __all__ = [
     "SampleStatistic",
     "AxiomId",
@@ -326,8 +328,7 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
     trial order is reported, with its residual from ``_score``, which
     ``recheck`` reproduces exactly.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _number("trials", trials, integer=True, ge=1)
     min_n = 3 if axiom in (AxiomId.COND, AxiomId.ADD) else 1
     rng = np.random.default_rng(seed)
     start, k = 0, 0

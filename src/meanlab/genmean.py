@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import (Measure, MeasureError, QuadratureError, QuadraturePolicy,
-                       _is_number, checked_quad)
+from .measures import (_QUAD_ABS_TOL, Measure, MeasureError, QuadratureError, _number,
+                       checked_quad)
 
 __all__ = [
     "TruncationSchedule",
@@ -93,16 +92,12 @@ class TruncationSchedule:
     count: int = 60
 
     def __post_init__(self):
-        if not self.m0 > 0:
-            raise ValueError(f"schedule needs m0 > 0, got {self.m0}")
-        if not self.ratio > 1:
-            raise ValueError(f"schedule needs ratio > 1, got {self.ratio}")
-        if self.count < 1:
-            raise ValueError(f"schedule needs count >= 1, got {self.count}")
+        _number("schedule m0", self.m0, gt=0)
+        _number("schedule ratio", self.ratio, gt=1)
+        _number("schedule count", self.count, integer=True, ge=1)
         # Checked in log space: computing the horizon itself would overflow.
         growth = (self.count - 1) * math.log(self.ratio)
-        if not (math.isfinite(self.m0) and growth < _LOG_MAX
-                and math.log(self.m0) + growth < _LOG_MAX):
+        if not (growth < _LOG_MAX and math.log(self.m0) + growth < _LOG_MAX):
             raise ValueError(
                 f"schedule horizon m0 * ratio^(count - 1) is not finite "
                 f"(m0={self.m0}, ratio={self.ratio}, count={self.count})")
@@ -142,15 +137,9 @@ class VerdictPolicy:
 
     def __post_init__(self):
         for name, least in (("window", 1), ("max_probes", 0)):
-            value = getattr(self, name)
-            if not (_is_number(value) and isinstance(value, numbers.Integral)
-                    and value >= least):
-                raise ValueError(f"policy {name} must be an integer >= {least}, "
-                                 f"got {value!r}")
+            _number(f"policy {name}", getattr(self, name), integer=True, ge=least)
         for name in ("conv_scale", "div_threshold", "tail_tol"):
-            value = getattr(self, name)
-            if not (_is_number(value) and math.isfinite(value) and value > 0):
-                raise ValueError(f"policy {name} must be finite and > 0, got {value!r}")
+            _number(f"policy {name}", getattr(self, name), gt=0)
 
     def conv_tol(self, last: np.ndarray) -> float:
         return self.conv_scale * max(1.0, abs(float(np.median(last))))
@@ -581,7 +570,7 @@ class WindowMultiplier:
     kind = "window"
 
     def __init__(self, c: float = 0.0):
-        self.c = float(c)
+        self.c = _number("multiplier c", c)
 
     def weight(self, x: np.ndarray, lam: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -629,7 +618,7 @@ class ExpTiltMultiplier:
     cutoff_factor = 40.0
 
     def __init__(self, c: float = 0.0):
-        self.c = float(c)
+        self.c = _number("multiplier c", c)
 
     def weight(self, x: np.ndarray, lam: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -642,9 +631,9 @@ class ExpTiltMultiplier:
         # (the bound is decreasing there once X >= 2 / lam)
         return X * math.exp(-lam * X) * (1.0 + math.pi * abs(self.c) * lam * X)
 
-    def _cutoff(self, lam: float, abs_tol: float) -> float:
+    def _cutoff(self, lam: float) -> float:
         X = self.cutoff_factor / lam
-        while self._remainder_bound(lam, X) >= abs_tol / 2 and X < 1e306:
+        while self._remainder_bound(lam, X) >= _QUAD_ABS_TOL / 2 and X < 1e306:
             X *= 1.5
         return X
 
@@ -671,8 +660,7 @@ class ExpTiltMultiplier:
         if law is not None and law[0] in _TILT_MEANS:
             family, loc, scale = law
             return _TILT_MEANS[family](loc, scale, self.c, lams)
-        policy = QuadraturePolicy()
-        cutoffs = np.array([self._cutoff(lam, policy.abs_tol) for lam in lams])
+        cutoffs = np.array([self._cutoff(lam) for lam in lams])
         if measure.is_atomic:
             locs, weights = measure.atom_arrays(float(cutoffs.max()))
             inside = np.abs(locs) <= cutoffs[:, None]
@@ -684,7 +672,7 @@ class ExpTiltMultiplier:
         for lam, X in zip(lams.tolist(), cutoffs.tolist()):
             neg, pos = self._integrands(measure.pdf, lam)
             a, b = max(-X, lo), min(X, hi)
-            means.append(sum(_resolved_quad(measure, f, u, v, policy)
+            means.append(sum(_resolved_quad(measure, f, u, v)
                              for f, u, v in ((neg, a, min(0.0, b)), (pos, max(0.0, a), b))
                              if u < v))
         return np.array(means)
@@ -805,7 +793,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _resolved_quad(measure: Measure, f: Callable[[float], float], a: float, b: float,
-                   policy: QuadraturePolicy, depth: int = 0) -> float:
+                   depth: int = 0) -> float:
     """``checked_quad`` of f over [a, b], refused when it never saw the mass.
 
     Adaptive quadrature learns of a feature only by sampling it: GK21 on
@@ -819,7 +807,7 @@ def _resolved_quad(measure: Measure, f: Callable[[float], float], a: float, b: f
     spacing leaves quadrature nothing to resolve; QuadratureError instead.
     """
     try:
-        value, info = checked_quad(f, a, b, policy, measure.family)
+        value, info = checked_quad(f, a, b, measure.family)
         n = info["last"]
         left, right = info["alist"][:n], info["blist"][:n]
         half = 0.5 * (right - left)
@@ -840,8 +828,8 @@ def _resolved_quad(measure: Measure, f: Callable[[float], float], a: float, b: f
     if depth == _MAX_SPLITS or mid - a < 1e-9 * max(abs(a), abs(b)):
         raise QuadratureError(f"{failure} after {depth} splits",
                               failure.estimate, failure.error_estimate)
-    return (_resolved_quad(measure, f, a, mid, policy, depth + 1)
-            + _resolved_quad(measure, f, mid, b, policy, depth + 1))
+    return (_resolved_quad(measure, f, a, mid, depth + 1)
+            + _resolved_quad(measure, f, mid, b, depth + 1))
 
 
 @dataclass
@@ -860,8 +848,8 @@ def multiplier_mean(measure: Measure, family,
                     schedule: TruncationSchedule = TruncationSchedule(),
                     policy: VerdictPolicy = VerdictPolicy()) -> MultiplierSeries:
     """E(weight_lam(X) * X) along lam -> 0+, classified like a truncation series."""
-    lams = (np.asarray(lam_schedule, dtype=float) if lam_schedule is not None
-            else family.default_lambdas(schedule))
+    lams = (family.default_lambdas(schedule) if lam_schedule is None else
+            np.array([_number(f"lambdas[{i}]", lam) for i, lam in enumerate(lam_schedule)]))
     if len(lams) < 2 or np.any(np.diff(lams) >= 0) or lams[-1] <= 0:
         raise ValueError("lambda schedule must be positive and strictly decreasing")
     values = family.regularized_means(measure, lams)

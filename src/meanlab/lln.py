@@ -17,13 +17,12 @@ visible as a two-sample distance between means of size n and single draws.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .measures import Measure
+from .measures import Measure, _number
 
 __all__ = [
     "Sampler",
@@ -57,8 +56,7 @@ class Sampler:
 
     def draw(self, count: int, stream: Sequence[int] = (0,)) -> np.ndarray:
         """Deterministic iid draws: same (seed, stream, count) gives the same array."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
+        count = _number("count", count, integer=True, ge=1)
         return next(self._rows(stream, 1, count))[0]
 
     def _rows(self, stream: Sequence[int], rows: int, n: int) -> Iterator[np.ndarray]:
@@ -96,27 +94,24 @@ class WllnReport:
 
 
 def wlln_experiment(s: Sampler, m: float, epsilon: float,
-                    n_schedule: Sequence[int], replications: int) -> WllnReport:
+                    n_values: Sequence[int], replications: int) -> WllnReport:
     """Estimate the deviation probability for each n over R replications.
 
     The R replications of size n_i are the R rows drawn from the one
     generator (seed, 1, i).
     """
-    if not math.isfinite(m):
-        raise ValueError(f"candidate mean m must be finite, got {m}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    n_values = tuple(int(n) for n in n_schedule)
-    if not n_values or min(n_values) < 1:
-        raise ValueError(f"n_schedule must be a non-empty list of sizes >= 1, "
-                         f"got {list(n_values)}")
-    if replications < 100:
-        raise ValueError(f"needs >= 100 replications, got {replications}")
+    m = _number("m", m)
+    epsilon = _number("epsilon", epsilon, gt=0)
+    if np.ndim(n_values) != 1 or len(n_values) == 0:
+        raise ValueError(f"n_values must be a non-empty list of sizes, got {n_values!r}")
+    n_values = tuple(_number(f"n_values[{i}]", n, integer=True, ge=1)
+                     for i, n in enumerate(n_values))
+    replications = _number("replications", replications, integer=True, ge=100)
     fractions = []
     for i, n in enumerate(n_values):
         means = s._row_means((1, i), replications, n)
         fractions.append(int(np.count_nonzero(np.abs(means - m) > epsilon)) / replications)
-    return WllnReport(candidate_mean=float(m), epsilon=float(epsilon),
+    return WllnReport(candidate_mean=m, epsilon=epsilon,
                       n_values=n_values, replications=replications,
                       fractions=tuple(fractions), seed=s.master_seed,
                       truncation_bias=s.truncation_bias)
@@ -146,13 +141,11 @@ def cauchy_stability_demo(s: Sampler, n: int, replications: int) -> StabilityRep
     at two-sample noise scale ~ sqrt(2 / R); for integrable measures the
     means contract and the distance is macroscopic.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if replications < 1000:
-        raise ValueError(f"needs >= 1000 replications, got {replications}")
+    n = _number("n", n, integer=True, ge=1)
+    replications = _number("replications", replications, integer=True, ge=1000)
     means = s._row_means((2, 1), replications, n)
     singles = s.draw(replications, stream=(2, 2))
-    return StabilityReport(n=int(n), replications=int(replications),
+    return StabilityReport(n=n, replications=replications,
                            distance=two_sample_sup_distance(means, singles),
                            seed=s.master_seed)
 
@@ -161,6 +154,7 @@ def running_mean_trajectory(s: Sampler, n: int,
                             stream: Sequence[int] = (3,)) -> tuple[np.ndarray, np.ndarray]:
     """Running means S_k / k for k = 1..n with compensated (Kahan) summation,
     keeping the trajectory bit-stable across platforms."""
+    n = _number("n", n, integer=True, ge=1)
     x = s.draw(n, stream=stream)
     means = []
     total, comp = 0.0, 0.0

@@ -20,13 +20,12 @@ singular and are rejected with the offending index named.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import _is_number
+from .measures import _number
 
 __all__ = [
     "FiniteDistribution",
@@ -109,8 +108,9 @@ class MaxEntProblem:
     base: str = "bits"  # "bits" or "nats"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need n >= 1 states, got {self.n}")
+        _number("n", self.n, integer=True, ge=1)
+        for j, a in enumerate(self.targets):
+            _number(f"targets[{j}]", a)
         if len(self.observables) != len(self.targets):
             raise ValueError("one target per observable required")
         for j, g in enumerate(self.observables):
@@ -221,11 +221,8 @@ def maxent_solve(problem: MaxEntProblem, feas_tol: float = FEAS_TOL,
     gap signals a target on or outside the attainable boundary.
     ``feas_tol`` must be finite and > 0, and ``max_steps`` an integer >= 1.
     """
-    if not (_is_number(feas_tol) and math.isfinite(feas_tol) and feas_tol > 0):
-        raise ValueError(f"feas_tol must be finite and > 0, got {feas_tol!r}")
-    if not (_is_number(max_steps) and isinstance(max_steps, numbers.Integral)
-            and max_steps >= 1):
-        raise ValueError(f"max_steps must be an integer >= 1, got {max_steps!r}")
+    feas_tol = _number("feas_tol", feas_tol, gt=0)
+    max_steps = _number("max_steps", max_steps, integer=True, ge=1)
     G = problem.matrix()
     alpha = np.asarray(problem.targets, dtype=float)
     k, n = G.shape

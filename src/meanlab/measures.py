@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -63,7 +64,6 @@ __all__ = [
     "Measure",
     "MeasureError",
     "QuadratureError",
-    "QuadraturePolicy",
     "MASS_TOL",
     "checked_quad",
     "make_measure",
@@ -87,6 +87,10 @@ _MAX_ATOMS = 200_000
 # Comb samplers drop the blocks past the first whose tail bound is below this.
 _SAMPLING_CUTOFF = 1e-12
 
+# Adaptive quadrature: absolute tolerance and subdivision limit.
+_QUAD_ABS_TOL = 1e-10
+_QUAD_LIMIT = 10_000
+
 
 class MeasureError(ValueError):
     """Invalid measure construction or an unsupported window request."""
@@ -101,19 +105,21 @@ class QuadratureError(MeasureError):
         self.error_estimate = error_estimate
 
 
-def _is_number(value) -> bool:
-    """A real number given as a number; strings and booleans are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _finite(name: str, value) -> float:
-    """``value`` as a finite float, or a MeasureError naming the parameter."""
-    if not _is_number(value):
-        raise MeasureError(f"{name} must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise MeasureError(f"{name} must be finite, got {v}")
-    return v
+def _number(name: str, value, *, gt: Optional[float] = None,
+            ge: Optional[float] = None, integer: bool = False,
+            error: type = ValueError):
+    """``value`` as a float (an int when ``integer``), or ``error`` naming the
+    parameter.  Refuses strings, booleans, NaN, the infinities and ints beyond
+    float range, and values not ``> gt`` or not ``>= ge``."""
+    ok = (isinstance(value, numbers.Integral if integer else numbers.Real)
+          and not isinstance(value, bool)
+          and abs(value) <= sys.float_info.max  # false for NaN and huge ints
+          and (gt is None or value > gt) and (ge is None or value >= ge))
+    if not ok:
+        bounds = [f"{op} {b:g}" for op, b in ((">", gt), (">=", ge)) if b is not None]
+        kind = "an integer" if integer else "a finite number"
+        raise error(f"{name} must be {' and '.join([*bounds, kind])}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)
@@ -130,28 +136,20 @@ class Atom:
             raise MeasureError(f"atom weight must be positive, got {self.weight}")
 
 
-@dataclass(frozen=True)
-class QuadraturePolicy:
-    """Absolute-tolerance budget for adaptive quadrature."""
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 10_000
-
-
 def checked_quad(f: Callable[[float], float], a: float, b: float,
-                 policy: QuadraturePolicy, what: str) -> tuple[float, dict]:
+                 what: str) -> tuple[float, dict]:
     """``integrate.quad`` of f over [a, b] that refuses an unconverged result.
 
     Returns the value and quad's info dict (its final subintervals are
     ``alist[:last]``, ``blist[:last]``).  Raises QuadratureError when quad
     reports a problem (it would otherwise only warn) or when its error
-    estimate exceeds max(100 * abs_tol, 1e-8 * |value|).
+    estimate exceeds max(100 * _QUAD_ABS_TOL, 1e-8 * |value|).
     """
     from scipy import integrate  # looked up per call, so a wrapped quad is seen
-    out = integrate.quad(f, a, b, epsabs=policy.abs_tol, epsrel=1e-12,
-                         limit=policy.max_subdivisions, full_output=True)
+    out = integrate.quad(f, a, b, epsabs=_QUAD_ABS_TOL, epsrel=1e-12,
+                         limit=_QUAD_LIMIT, full_output=True)
     value, abserr, info = out[:3]
-    if len(out) > 3 or abserr > max(100 * policy.abs_tol, 1e-8 * abs(value)):
+    if len(out) > 3 or abserr > max(100 * _QUAD_ABS_TOL, 1e-8 * abs(value)):
         raise QuadratureError(
             f"{what}: quadrature on [{a:g}, {b:g}] did not converge "
             f"(estimate {value:.6g}, error estimate {abserr:.3g})",
@@ -281,9 +279,12 @@ class AtomicComb(Measure):
     blocks with index > n and must be nondecreasing; it is what lets window
     enumeration stop once every remaining atom lies outside the window.
 
-    One cached enumeration serves construction, windows and atom lists:
-    validation enumerates until the tail bound falls below MASS_TOL/2 and
-    checks the total mass, and later requests extend the same cache.
+    One cached enumeration serves construction, windows, atom lists and the
+    sampler: validation enumerates until the tail bound falls below
+    MASS_TOL/2 and checks the total mass, and later requests extend the same
+    cache.  The cache keeps the atoms both sorted by location, for windows,
+    and in enumeration order with the atom count after each block, for the
+    sampler.
     """
 
     is_atomic = True
@@ -302,7 +303,11 @@ class AtomicComb(Measure):
         self.tail_mass_bound = tail_mass_bound
         self.location_floor = location_floor
         self._blocks_done = 0
-        # enumerated atoms sorted by location; rows: weights, weight * location
+        # enumerated atoms in enumeration order, (locations, weights); the atom
+        # count after each block (blocks 1..n hold _ends[n] atoms); the same
+        # atoms sorted by location, with rows weights and weight * location
+        self._enumerated = (np.empty(0), np.empty(0))
+        self._ends = [0]
         self._sorted = (np.empty(0), np.empty((2, 0)))
         if validate:
             self._ensure_blocks(-math.inf)
@@ -311,36 +316,37 @@ class AtomicComb(Measure):
                 raise MeasureError(
                     f"{family}: total mass {total:.12g} != 1 within {MASS_TOL:g}")
 
-    def _ensure_blocks(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> None:
-        """Extend the cached enumeration until it certifiably covers
-        [-max_abs, max_abs]: every non-enumerated atom has |z| > max_abs and
-        the non-enumerated mass is below MASS_TOL/2.  New atoms are merged
-        into the sorted cache by a stable sort, so atoms at one location keep
-        their enumeration order.  A refused request keeps what it enumerated,
-        so no atom is built twice."""
+    def _ensure_blocks(self, max_abs: float, max_atoms: int = _MAX_ATOMS,
+                       min_blocks: int = 0) -> None:
+        """Extend the cached enumeration to at least ``min_blocks`` blocks and
+        until it certifiably covers [-max_abs, max_abs]: every non-enumerated
+        atom has |z| > max_abs and the non-enumerated mass is below
+        MASS_TOL/2.  The sorted cache is a stable sort of the enumeration, so
+        atoms at one location keep their enumeration order.  A refused
+        request keeps what it enumerated, so no atom is built twice."""
         n, new = self._blocks_done, []
         try:
             while True:
                 floor = self.location_floor(n)
                 # An infinite floor means no atoms remain at any distance.
                 covered = math.isinf(floor) or floor > max_abs
-                if covered and self.tail_mass_bound(n) < MASS_TOL / 2:
+                if n >= min_blocks and covered and self.tail_mass_bound(n) < MASS_TOL / 2:
                     return
                 new.extend(self._block(n + 1))
                 n += 1
-                if max(n, len(self._sorted[0]) + len(new)) > max_atoms:
+                self._ends.append(len(self._enumerated[0]) + len(new))
+                if max(n, self._ends[-1]) > max_atoms:
                     raise MeasureError(
                         f"{self.family}: enumeration needs more than {max_atoms} atoms "
                         "or blocks; supply closed forms for this family")
         finally:
             self._blocks_done = n
             if new:
-                x = np.array([a.location for a in new])
-                w = np.array([a.weight for a in new])
-                locs = np.concatenate([self._sorted[0], x])
-                values = np.concatenate([self._sorted[1], np.stack([w, w * x])], axis=1)
-                order = np.argsort(locs, kind="stable")
-                self._sorted = locs[order], values[:, order]
+                x = np.concatenate([self._enumerated[0], [a.location for a in new]])
+                w = np.concatenate([self._enumerated[1], [a.weight for a in new]])
+                order = np.argsort(x, kind="stable")
+                self._enumerated = x, w
+                self._sorted = x[order], np.stack([w, w * x])[:, order]
 
     def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
         self._ensure_blocks(max_abs, max_atoms)
@@ -354,8 +360,9 @@ class AtomicComb(Measure):
         return sums[0], sums[1]
 
     def sampler(self):
-        """Index inversion over the atoms of blocks 1..n, the first n whose
-        tail bound (the truncation bias) is below _SAMPLING_CUTOFF."""
+        """Index inversion over the atoms of blocks 1..n in enumeration order,
+        the first n whose tail bound (the truncation bias) is below
+        _SAMPLING_CUTOFF; the cached enumeration is extended to block n."""
         n = 1
         while self.tail_mass_bound(n) >= _SAMPLING_CUTOFF:
             n += 1
@@ -363,9 +370,8 @@ class AtomicComb(Measure):
                 raise MeasureError(
                     f"{self.family}: tail bound never fell below the sampling "
                     f"cutoff {_SAMPLING_CUTOFF:g}")
-        atoms = [a for k in range(1, n + 1) for a in self._block(k)]
-        locations = np.array([a.location for a in atoms])
-        weights = np.array([a.weight for a in atoms])
+        self._ensure_blocks(-math.inf, min_blocks=n)
+        locations, weights = (arr[:self._ends[n]] for arr in self._enumerated)
         cum = np.cumsum(weights / weights.sum())
 
         def draw(u: np.ndarray) -> np.ndarray:
@@ -501,9 +507,7 @@ class IntegerPowerComb(AtomicComb):
     """
 
     def __init__(self, p: float):
-        p = _finite("integer power comb exponent p", p)
-        if not p > 1.0:
-            raise MeasureError(f"integer power comb needs p > 1, got {p}")
+        p = _number("integer power comb exponent p", p, gt=1, error=MeasureError)
         from scipy.special import zeta
         z = float(zeta(p))
         self.p, self.zeta_p, self._zeta = p, z, zeta
@@ -572,7 +576,6 @@ class DensityMeasure(Measure):
         tail_probability_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         loc_scale: Optional[tuple[float, float]] = None,
         standard_quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        quadrature: QuadraturePolicy = QuadraturePolicy(),
         validate: bool = True,
     ):
         self.family = family
@@ -582,14 +585,13 @@ class DensityMeasure(Measure):
         self._tail_probability_fn = tail_probability_fn
         self._loc_scale = loc_scale
         self._standard_quantile = standard_quantile
-        self.quadrature = quadrature
         if validate and stats_between is None:
             total = float(self.window_stats(*self.support)[0])
-            if abs(total - 1.0) > max(MASS_TOL, 100 * quadrature.abs_tol):
+            if abs(total - 1.0) > max(MASS_TOL, 100 * _QUAD_ABS_TOL):
                 raise MeasureError(f"{family}: density integrates to {total}, not 1")
 
     def _quad(self, f: Callable[[float], float], a: float, b: float) -> float:
-        return checked_quad(f, a, b, self.quadrature, self.family)[0]
+        return checked_quad(f, a, b, self.family)[0]
 
     def _quad_stats(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         def xpdf(x: float) -> float:
@@ -631,9 +633,8 @@ class DensityMeasure(Measure):
 
 def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
     """Normal distribution with closed-form window mass and moment."""
-    mu, sigma = _finite("gaussian mu", mu), _finite("gaussian sigma", sigma)
-    if not sigma > 0:
-        raise MeasureError(f"gaussian needs sigma > 0, got {sigma}")
+    mu = _number("gaussian mu", mu, error=MeasureError)
+    sigma = _number("gaussian sigma", sigma, gt=0, error=MeasureError)
     from scipy.special import ndtr, ndtri
 
     def pdf(x: float) -> float:
@@ -660,9 +661,8 @@ def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
 
 def cauchy(loc: float = 0.0, scale: float = 1.0) -> DensityMeasure:
     """Cauchy distribution with closed-form window mass and moment."""
-    loc, scale = _finite("cauchy loc", loc), _finite("cauchy scale", scale)
-    if not scale > 0:
-        raise MeasureError(f"cauchy needs scale > 0, got {scale}")
+    loc = _number("cauchy loc", loc, error=MeasureError)
+    scale = _number("cauchy scale", scale, gt=0, error=MeasureError)
 
     def pdf(x: float) -> float:
         u = (x - loc) / scale
@@ -714,7 +714,8 @@ def power_tail(a: float, b: float) -> DensityMeasure:
     Window mass and moment reduce to Gauss hypergeometric evaluations:
     int_0^X x^(m-1) / (1 + C x^e) dx = (X^m / m) 2F1(1, m/e; m/e + 1; -C X^e).
     """
-    a, b = _finite("power_tail a", a), _finite("power_tail b", b)
+    a = _number("power_tail a", a, error=MeasureError)
+    b = _number("power_tail b", b, error=MeasureError)
     if not (1.0 < a < 2.0 and 1.0 < b < 2.0):
         raise MeasureError(f"power_tail exponents must lie in (1, 2), got a={a}, b={b}")
     from scipy.special import hyp2f1
@@ -774,14 +775,12 @@ class EmpiricalMeasure(Measure):
     is_atomic = True
 
     def __init__(self, samples: Sequence[float]):
-        try:
-            numeric = (samples.dtype.kind in "iuf" if isinstance(samples, np.ndarray)
-                       else all(_is_number(x) for x in samples))
-        except TypeError:  # not iterable
-            numeric = False
-        if not numeric:
+        numeric = isinstance(samples, np.ndarray) and samples.dtype.kind in "iuf"
+        if not (numeric or isinstance(samples, Sequence)):
             raise MeasureError(f"empirical samples must be numbers, got {samples!r}")
-        arr = np.asarray(samples, dtype=float)
+        arr = np.asarray(samples if numeric else
+                         [_number("empirical samples", x, error=MeasureError) for x in samples],
+                         dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise MeasureError("empirical measure needs a nonempty 1-d sample")
         if not np.all(np.isfinite(arr)):
@@ -811,7 +810,8 @@ class Affine(Measure):
     """
 
     def __init__(self, inner: Measure, a: float = 0.0, s: float = 1.0):
-        a, s = _finite("affine shift", a), _finite("scale factor", s)
+        a = _number("affine shift", a, error=MeasureError)
+        s = _number("scale factor", s, error=MeasureError)
         if s == 0.0:
             raise MeasureError("scale factor must be nonzero")
         self.inner, self.a, self.s = inner, a, s

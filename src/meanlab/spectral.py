@@ -1,5 +1,10 @@
 """Spectral probability measures of Hermitian observables.
 
+Every function takes the observable as a square matrix and the state as a
+vector (any array-like, converted to complex).  A matrix that is not square,
+finite and Hermitian within HERM_TOL, or a state that is empty, not finite
+or not of unit norm, is refused with a ValueError.
+
 A Hermitian matrix A and a unit state vector psi induce a probability
 measure on the real line: the weight of eigenvalue lam_i is the squared
 overlap |<psi, v_i>|^2.  The quadratic-form mean <A psi, psi> equals the
@@ -25,11 +30,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .genmean import MeanLadder, TruncationSchedule, VerdictPolicy, mean_ladder
-from .measures import Atom, AtomicComb, comb_ex2, finite_comb, integer_power_comb
+from .measures import Atom, AtomicComb, _number, comb_ex2, finite_comb, integer_power_comb
 
 __all__ = [
-    "HermitianObservable",
-    "StateVector",
     "SpectralDecomposition",
     "DiagonalBridge",
     "BridgeReport",
@@ -55,70 +58,38 @@ def _norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-@dataclass(frozen=True)
-class HermitianObservable:
-    """Square complex matrix equal to its conjugate transpose within HERM_TOL."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"observable must be square, got shape {a.shape}")
-        if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-            raise ValueError("observable entries must be finite")
-        scale = max(1.0, float(np.abs(a).max()))
-        if float(np.abs(a - a.conj().T).max()) > HERM_TOL * scale:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "matrix", a)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+def _as_matrix(A) -> np.ndarray:
+    """A as a complex matrix, refused unless square, finite and equal to its
+    conjugate transpose within HERM_TOL."""
+    a = np.asarray(A, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"observable must be square, got shape {a.shape}")
+    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+        raise ValueError("observable entries must be finite")
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - a.conj().T).max()) > HERM_TOL * scale:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return a
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Unit-norm complex amplitude vector."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if v.size == 0 or not (np.all(np.isfinite(v.real))
-                               and np.all(np.isfinite(v.imag))):
-            raise ValueError("state needs finite amplitudes")
-        if abs(_norm(v) - 1.0) > 1e-12:
-            raise ValueError(f"state norm is {_norm(v)!r}, not 1")
-        object.__setattr__(self, "amplitudes", v)
-
-    @property
-    def n(self) -> int:
-        return self.amplitudes.size
+def _as_state(psi) -> np.ndarray:
+    """psi as a flat complex vector, refused unless nonempty, finite and of
+    unit norm."""
+    v = np.asarray(psi, dtype=complex).reshape(-1)
+    if v.size == 0 or not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
+        raise ValueError("state needs finite amplitudes")
+    if abs(_norm(v) - 1.0) > 1e-12:
+        raise ValueError(f"state norm is {_norm(v)!r}, not 1")
+    return v
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues with orthonormal eigenvectors as columns."""
+    """Ascending eigenvalues (float64) with orthonormal eigenvectors
+    (complex128) as columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, float))
-        object.__setattr__(self, "eigenvectors", np.asarray(self.eigenvectors, complex))
-
-
-def _as_matrix(A) -> np.ndarray:
-    if isinstance(A, HermitianObservable):
-        return A.matrix
-    return HermitianObservable(np.asarray(A)).matrix
-
-
-def _as_state(psi) -> np.ndarray:
-    if isinstance(psi, StateVector):
-        return psi.amplitudes
-    return StateVector(np.asarray(psi)).amplitudes
 
 
 def eigendecompose(A) -> SpectralDecomposition:
@@ -241,8 +212,7 @@ def _bridge_dyadic_symmetric(**params) -> DiagonalBridge:
 def _bridge_power_law(p: float = 4.0) -> DiagonalBridge:
     # lam_n = n with w_n = n^-p / zeta(p): sum lam w = zeta(p-1)/zeta(p)
     # converges iff p > 2, and sum lam^2 w converges iff p > 3.
-    if not p > 1.0:
-        raise ValueError(f"power_law bridge needs p > 1, got {p}")
+    _number("power_law bridge p", p, gt=1)
     in_e = p > 2.0
     from scipy.special import zeta
     mean = float(zeta(p - 1.0) / zeta(p)) if in_e else None
@@ -259,7 +229,7 @@ BRIDGE_FAMILIES = {
 
 
 def build_bridge(family: str, **params) -> DiagonalBridge:
-    if family not in BRIDGE_FAMILIES:
+    if not isinstance(family, str) or family not in BRIDGE_FAMILIES:
         raise ValueError(f"unknown bridge family {family!r}; "
                          f"known: {sorted(BRIDGE_FAMILIES)}")
     return BRIDGE_FAMILIES[family](**params)

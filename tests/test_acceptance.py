@@ -156,13 +156,13 @@ def test_criterion_06_axiom_separation():
 
 def test_criterion_07_wlln_contrast():
     gauss = ml.build_sampler(ml.gaussian(0, 1), seed=0)
-    grep = ml.wlln_experiment(gauss, m=0.0, epsilon=0.1, n_schedule=[10_000],
+    grep = ml.wlln_experiment(gauss, m=0.0, epsilon=0.1, n_values=[10_000],
                               replications=1000)
     assert grep.fractions[0] <= 0.005
 
     cau = ml.build_sampler(ml.cauchy(0, 1), seed=0)
     crep = ml.wlln_experiment(cau, m=0.0, epsilon=1.0,
-                              n_schedule=[100, 1000, 10_000], replications=1000)
+                              n_values=[100, 1000, 10_000], replications=1000)
     for frac in crep.fractions:
         assert frac == pytest.approx(0.5, abs=0.05)
 

@@ -160,50 +160,99 @@ def test_strict_schema_rejects_unknown_keys(tmp_path):
 _CAUCHY = {"family": "cauchy"}
 
 
-@pytest.mark.parametrize("subcommand, doc, key", [
-    ("axioms", {"statistics": ["mean"], "axioms": ["BOGUS"]}, "axioms"),
-    ("axioms", {"statistics": [3]}, "statistics"),
+_BIG = 10 ** 400  # a JSON integer beyond float range
+
+# (subcommand, document, text of the message that names the key, error type,
+# label of the row in its test id); the first 23 rows keep the labels they had
+# when the CLI type-checked every key and quoted it in its own message.
+_MALFORMED = [
+    ("axioms", {"statistics": ["mean"], "axioms": ["BOGUS"]}, "axioms", "SchemaError", None),
+    ("axioms", {"statistics": [3]}, "statistics", "SchemaError", None),
     ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": "zero", "epsilon": 1.0,
-             "n_values": [10], "replications": 100}, "'m'"),
+             "n_values": [10], "replications": 100}, "m must be", "ValueError", "'m'"),
     ("lln", {"measure": _CAUCHY, "experiment": "stability", "n": 10,
-             "replications": "many"}, "'replications'"),
-    ("lln", {"measure": _CAUCHY, "experiment": "trajectory", "n": "10"}, "'n'"),
-    ("lln", [1, 2], "document"),
-    ("maxent", {"n": [3], "observables": [], "targets": []}, "'n'"),
-    ("spectral", {"matrix": 5, "state": [[1.0, 0.0]]}, "'matrix'"),
-    ("spectral", {"bridge": {"family": "power_law_integer", "params": {"q": 3}}}, "'q'"),
-    ("multiplier", {"measure": _CAUCHY, "multiplier": {"kind": "window", "c": [1]}}, "'c'"),
-    ("classify", {"measure": {"family": "shift", "a": 1.0}}, "'inner'"),
+             "replications": "many"}, "replications must be", "ValueError", "'replications'"),
+    ("lln", {"measure": _CAUCHY, "experiment": "trajectory", "n": "10"}, "n must be",
+     "ValueError", "'n'"),
+    ("lln", [1, 2], "document", "SchemaError", None),
+    ("maxent", {"n": [3], "observables": [], "targets": []}, "n must be", "ValueError", "'n'"),
+    ("spectral", {"matrix": 5, "state": [[1.0, 0.0]]}, "'matrix'", "SchemaError", None),
+    ("spectral", {"bridge": {"family": "power_law_integer", "params": {"q": 3}}}, "'q'",
+     "SchemaError", None),
+    ("multiplier", {"measure": _CAUCHY, "multiplier": {"kind": "window", "c": [1]}},
+     "multiplier c", "ValueError", "'c'"),
+    ("classify", {"measure": {"family": "shift", "a": 1.0}}, "'inner'", "MeasureError", None),
     # measure parameters are JSON numbers: numeric strings and booleans are refused
-    ("classify", {"measure": {"family": "gaussian", "mu": "3"}}, "gaussian mu"),
-    ("classify", {"measure": {"family": "gaussian", "mu": True}}, "gaussian mu"),
+    ("classify", {"measure": {"family": "gaussian", "mu": "3"}}, "gaussian mu",
+     "MeasureError", None),
+    ("classify", {"measure": {"family": "gaussian", "mu": True}}, "gaussian mu",
+     "MeasureError", None),
     ("classify", {"measure": {"family": "empirical", "samples": ["1", "2.5", 3]}},
-     "empirical samples"),
+     "empirical samples", "MeasureError", None),
     ("classify", {"measure": {"family": "shift", "inner": _CAUCHY, "a": "1e3"}},
-     "affine shift"),
+     "affine shift", "MeasureError", None),
     ("classify", {"measure": {"family": "power_tail", "a": "1.5", "b": 1.5}},
-     "power_tail a"),
+     "power_tail a", "MeasureError", None),
     # LLN inputs the experiments cannot use are refused before any draw
     ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": 0.0, "epsilon": -1.0,
-             "n_values": [10], "replications": 100}, "'epsilon'"),
+             "n_values": [10], "replications": 100}, "epsilon must be", "ValueError",
+     "'epsilon'"),
     ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": 0.0, "epsilon": math.nan,
-             "n_values": [10], "replications": 100}, "'epsilon'"),
+             "n_values": [10], "replications": 100}, "epsilon must be", "ValueError",
+     "'epsilon'"),
     ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": math.inf, "epsilon": 1.0,
-             "n_values": [10], "replications": 100}, "'m'"),
+             "n_values": [10], "replications": 100}, "m must be", "ValueError", "'m'"),
     ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": 0.0, "epsilon": 1.0,
-             "n_values": [], "replications": 100}, "'n_values'"),
+             "n_values": [], "replications": 100}, "n_values", "ValueError", "'n_values'"),
     ("lln", {"measure": _CAUCHY, "experiment": "wlln", "m": 0.0, "epsilon": 1.0,
-             "n_values": [10, 0], "replications": 100}, "'n_values'"),
+             "n_values": [10, 0], "replications": 100}, "n_values", "ValueError",
+     "'n_values'"),
     ("lln", {"measure": _CAUCHY, "experiment": "stability", "n": 0,
-             "replications": 1000}, "'n'"),
-    ("lln", {"measure": _CAUCHY, "experiment": "trajectory", "n": -5}, "'n'"),
-])
-def test_malformed_documents_exit_1_with_error_json(tmp_path, capsys, subcommand, doc, key):
+             "replications": 1000}, "n must be", "ValueError", "'n'"),
+    ("lln", {"measure": _CAUCHY, "experiment": "trajectory", "n": -5}, "n must be",
+     "ValueError", "'n'"),
+    # values that once got past the document checks into a scan, a solve, a
+    # float conversion or a dict lookup, which failed late or named no key
+    ("multiplier", {"measure": _CAUCHY, "multiplier": {"kind": "window", "c": math.nan}},
+     "multiplier c", "ValueError", "c-nan"),
+    ("multiplier", {"measure": _CAUCHY, "multiplier": {"kind": "exp_tilt", "c": math.inf}},
+     "multiplier c", "ValueError", "c-inf"),
+    ("multiplier", {"measure": _CAUCHY, "multiplier": {"kind": "window"},
+                    "lambdas": [1e-1, math.nan, 1e-3]}, "lambdas[1]", "ValueError",
+     "lambdas-nan"),
+    ("maxent", {"n": 3, "observables": [[1, 2, 3]], "targets": [math.nan]}, "targets[0]",
+     "ValueError", "target-nan"),
+    ("classify", {"measure": {"family": "power_tail", "a": _BIG, "b": 1.5}}, "power_tail a",
+     "MeasureError", "power_tail-big"),
+    ("classify", {"measure": {"family": "empirical", "samples": [1.0, _BIG]}},
+     "empirical samples", "MeasureError", "empirical-big"),
+    ("multiplier", {"measure": _CAUCHY, "multiplier": {"kind": "window", "c": _BIG}},
+     "multiplier c", "ValueError", "c-big"),
+    ("spectral", {"bridge": {"family": "power_law_integer", "params": {"p": _BIG}}},
+     "power_law bridge p", "ValueError", "bridge-big"),
+    ("maxent", {"n": _BIG, "observables": [], "targets": []}, "n must be", "ValueError",
+     "n-big"),
+    ("maxent", {"n": 3, "observables": [[1, 2, 3]], "targets": [_BIG]}, "targets[0]",
+     "ValueError", "target-big"),
+    ("spectral", {"matrix": [[[1.0, 0.0, 3.0]]], "state": [[1.0, 0.0]]}, "'matrix'",
+     "SchemaError", "matrix-triple"),
+    ("spectral", {"matrix": [[[1.0, 0.0]]], "state": [[1.0]]}, "'state'", "SchemaError",
+     "state-single"),
+    ("spectral", {"bridge": {"family": ["dyadic_symmetric"]}}, "unknown bridge family",
+     "ValueError", "bridge-family-list"),
+]
+
+
+@pytest.mark.parametrize("subcommand, doc, key, error_type", [
+    pytest.param(*row[:4], id=f"{row[0]}-doc{i}-{row[4] or row[2]}")
+    for i, row in enumerate(_MALFORMED)])
+def test_malformed_documents_exit_1_with_error_json(tmp_path, capsys, subcommand, doc, key,
+                                                    error_type):
     path = _write(tmp_path, "doc.json", doc)
     out = tmp_path / "out"
     assert _run([subcommand, "--input", path, "--out", str(out)]) == 1
     error = json.loads((out / f"{subcommand}_error.json").read_text())["error"]
-    assert error["type"] in ("SchemaError", "MeasureError")
+    assert error["type"] == error_type
     assert key in error["message"]
     assert not (out / f"{subcommand}_report.json").exists()
     assert capsys.readouterr().err == ""

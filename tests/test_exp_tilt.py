@@ -166,7 +166,7 @@ def test_power_tail_keeps_its_quadrature_values():
     fam = ml.ExpTiltMultiplier(1.5)
     m = ml.power_tail(1.3, 1.8)
     for lam in (1e-2, 1e-4):
-        X = fam._cutoff(lam, 1e-10)
+        X = fam._cutoff(lam)
         want = sum(integrate.quad(lambda x: float(fam.weight(x, lam)) * x * m.pdf(x), a, b,
                                   epsabs=1e-10, epsrel=1e-12, limit=10_000)[0]
                    for a, b in ((-X, 0.0), (0.0, X)))
@@ -185,7 +185,7 @@ def test_scalar_integrand_weight_equals_array_weight(c):
 
 def _atom_loop(fam, measure, lam):
     """Reference: the atoms within the cutoff, summed one lam at a time."""
-    atoms = measure.atoms_within(fam._cutoff(lam, 1e-10))
+    atoms = measure.atoms_within(fam._cutoff(lam))
     x = np.array([a.location for a in atoms])
     w = np.array([a.weight for a in atoms])
     return math.fsum(fam.weight(x, lam) * x * w)

@@ -386,6 +386,12 @@ def test_taxonomy_of_combs_shifted_toward_the_diverging_side(build, case, thresh
     assert report.c_threshold == threshold
 
 
+def test_schedule_refuses_a_fractional_count():
+    # count=2.5 used to scan 3 radii and report the horizon of 2.5 of them
+    with pytest.raises(ValueError, match="schedule count"):
+        ml.TruncationSchedule(count=2.5)
+
+
 def test_schedule_rejects_a_nonfinite_horizon():
     for kw in ({"m0": 1.1, "ratio": 1.5, "count": 2000},
                {"m0": math.inf}, {"m0": 0.5, "ratio": 2.0, "count": 1026}):

@@ -65,7 +65,7 @@ def test_sample_count_validation():
 
 def test_wlln_gaussian_fraction_shrinks():
     s = ml.build_sampler(ml.gaussian(0, 1), seed=0)
-    rep = ml.wlln_experiment(s, m=0.0, epsilon=0.1, n_schedule=[100, 1000],
+    rep = ml.wlln_experiment(s, m=0.0, epsilon=0.1, n_values=[100, 1000],
                              replications=200)
     # P(|S_n/n| > 0.1) = 2 Phi(-0.1 sqrt(n)): ~0.32 at n=100, ~0.002 at n=1000
     assert rep.fractions[0] > rep.fractions[1]
@@ -74,7 +74,7 @@ def test_wlln_gaussian_fraction_shrinks():
 
 def test_wlln_cauchy_fraction_is_flat_at_one_half():
     s = ml.build_sampler(ml.cauchy(), seed=0)
-    rep = ml.wlln_experiment(s, m=0.0, epsilon=1.0, n_schedule=[100, 1000],
+    rep = ml.wlln_experiment(s, m=0.0, epsilon=1.0, n_values=[100, 1000],
                              replications=300)
     for frac in rep.fractions:
         assert frac == pytest.approx(0.5, abs=0.1)
@@ -83,7 +83,7 @@ def test_wlln_cauchy_fraction_is_flat_at_one_half():
 def test_wlln_cauchy_epsilon_half_oracle():
     # S_n/n is again standard Cauchy: P(|X| > 1/2) = 1 - (2/pi) arctan(1/2)
     s = ml.build_sampler(ml.cauchy(), seed=0)
-    rep = ml.wlln_experiment(s, m=0.0, epsilon=0.5, n_schedule=[200],
+    rep = ml.wlln_experiment(s, m=0.0, epsilon=0.5, n_values=[200],
                              replications=500)
     expected = 1 - (2 / math.pi) * math.atan(0.5)
     assert rep.fractions[0] == pytest.approx(expected, abs=0.07)
@@ -121,7 +121,7 @@ _LAWS = {"cauchy": lambda: ml.cauchy(0.5, 2.0), "gaussian": lambda: ml.gaussian(
 def test_reports_are_the_rows_of_one_generator_per_cell(name):
     m = _LAWS[name]()
     s = ml.build_sampler(m, seed=5)
-    rep = ml.wlln_experiment(s, m=1.0, epsilon=1.5, n_schedule=[1, 7, 300],
+    rep = ml.wlln_experiment(s, m=1.0, epsilon=1.5, n_values=[1, 7, 300],
                              replications=120)
     for i, n in enumerate(rep.n_values):
         means = _direct_rows(m, [5, 1, i], 120, n).mean(axis=1)
@@ -137,7 +137,7 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
     s = ml.build_sampler(ml.cauchy(), seed=8)
 
     def reports():
-        return (ml.wlln_experiment(s, m=0.0, epsilon=1.0, n_schedule=[3, 300],
+        return (ml.wlln_experiment(s, m=0.0, epsilon=1.0, n_values=[3, 300],
                                    replications=1000),
                 ml.cauchy_stability_demo(s, n=300, replications=1000))
 
@@ -149,7 +149,7 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch, block):
 def test_one_generator_per_cell(monkeypatch):
     s = ml.build_sampler(ml.gaussian(), seed=4)
     made = _count_generators(monkeypatch)
-    ml.wlln_experiment(s, m=0.0, epsilon=0.1, n_schedule=[10, 100, 1000], replications=300)
+    ml.wlln_experiment(s, m=0.0, epsilon=0.1, n_values=[10, 100, 1000], replications=300)
     assert made == [([4, 1, 0],), ([4, 1, 1],), ([4, 1, 2],)]
     made.clear()
     ml.cauchy_stability_demo(s, n=100, replications=1000)
@@ -160,7 +160,7 @@ def test_wlln_memory_is_bounded_by_the_block():
     s = ml.build_sampler(ml.cauchy(), seed=0)
     tracemalloc.start()
     try:
-        ml.wlln_experiment(s, m=0.0, epsilon=1.0, n_schedule=[10_000], replications=1000)
+        ml.wlln_experiment(s, m=0.0, epsilon=1.0, n_values=[10_000], replications=1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -169,13 +169,13 @@ def test_wlln_memory_is_bounded_by_the_block():
 
 @pytest.mark.parametrize("bad", [
     {"m": math.inf}, {"m": math.nan}, {"epsilon": -1.0}, {"epsilon": 0.0},
-    {"epsilon": math.nan}, {"epsilon": math.inf}, {"n_schedule": []},
-    {"n_schedule": [10, 0]},
+    {"epsilon": math.nan}, {"epsilon": math.inf}, {"n_values": []},
+    {"n_values": [10, 0]},
 ])
 def test_wlln_rejects_bad_input_before_drawing(monkeypatch, bad):
     s = ml.build_sampler(ml.cauchy(), seed=0)
     made = _count_generators(monkeypatch)
-    args = {"m": 0.0, "epsilon": 1.0, "n_schedule": [10], "replications": 100, **bad}
+    args = {"m": 0.0, "epsilon": 1.0, "n_values": [10], "replications": 100, **bad}
     with pytest.raises(ValueError, match=next(iter(bad))):
         ml.wlln_experiment(s, **args)
     assert made == []

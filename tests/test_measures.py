@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import meanlab as ml
+from meanlab import measures
 from meanlab.measures import MASS_TOL, Affine
 
 # ---------------------------------------------------------------------------
@@ -264,11 +265,12 @@ def test_plain_density_quadrature():
     assert m.window_stats(0, 1)[1] == pytest.approx(1.0 / 6.0, abs=1e-9)
 
 
-def test_quadrature_failure_carries_partial_estimate():
-    policy = ml.QuadraturePolicy(abs_tol=1e-13, max_subdivisions=3)
+def test_quadrature_failure_carries_partial_estimate(monkeypatch):
+    # three subdivisions fail fast; the default limit fails the same way, slowly
+    monkeypatch.setattr(measures, "_QUAD_LIMIT", 3)
     rough = ml.DensityMeasure(
         "rough", lambda x: (1 + math.sin(500.0 / (abs(x) + 1e-3))) / 2.774631637,
-        support=(-1.0, 1.0), quadrature=policy, validate=False)
+        support=(-1.0, 1.0), validate=False)
     with pytest.raises(ml.QuadratureError) as err:
         rough.window_stats(-1, 1)[0]
     assert math.isfinite(err.value.estimate)

@@ -61,7 +61,7 @@ def test_non_hermitian_rejected():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        ml.StateVector(np.array([1.0, 1.0]))
+        ml.qm_mean(np.eye(2), [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,21 @@ def test_comb_validation_fills_the_enumeration_the_windows_use(atom_builds):
     assert atom_builds["atoms"] == built == 106  # 53 blocks of two atoms, each built once
 
 
+@pytest.mark.parametrize("build", [ml.comb_ex1, ml.comb_ex2, ml.comb_ex4, ml.comb_ex5])
+def test_comb_sampler_extends_the_one_enumeration(atom_builds, build):
+    m = build()
+    radii = ml.TruncationSchedule().radii()
+    lo = np.concatenate([-radii, 1.0 - radii, np.zeros_like(radii)])
+    hi = np.concatenate([radii, 1.0 + radii, radii])
+    before = m.window_stats(lo, hi)
+    built = atom_builds["atoms"]
+    ml.build_sampler(m, seed=0)
+    after = m.window_stats(lo, hi)
+    assert [a.tobytes() for a in after] == [b.tobytes() for b in before]
+    if build is ml.comb_ex4:  # the sampler adds blocks 54..69 only
+        assert (built, atom_builds["atoms"]) == (106, 138)
+
+
 def test_comb_enumeration_resumes_at_a_block_that_raised():
     failed = []
 
