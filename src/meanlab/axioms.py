@@ -149,7 +149,6 @@ class AxiomReport:
     passed: bool
     trials: int
     seed: int
-    axiom_tol: float
     counterexample: Optional[dict] = None
     residual: Optional[float] = None
 
@@ -307,14 +306,13 @@ def _score(stat: SampleStatistic, axiom: AxiomId, witness: dict, tol: float) -> 
     return max(0.0, tol - margin) + (tol if margin <= tol else 0.0)
 
 
-def recheck(stat: SampleStatistic, axiom: AxiomId, counterexample: dict,
-            axiom_tol: float = AXIOM_TOL) -> float:
+def recheck(stat: SampleStatistic, axiom: AxiomId, counterexample: dict) -> float:
     """Re-evaluate a stored counterexample; returns its residual."""
-    return _score(stat, axiom, dict(counterexample), axiom_tol)
+    return _score(stat, axiom, dict(counterexample), AXIOM_TOL)
 
 
 def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
-                seed: int = 0, axiom_tol: float = AXIOM_TOL) -> AxiomReport:
+                seed: int = 0) -> AxiomReport:
     """Run the harness for one axiom.
 
     Trials draw tuples of size 1..8 with entries uniform in [-10, 10]
@@ -324,9 +322,9 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
     schedule, so the first t trials do not depend on ``trials``; a block is
     drawn only when the trials before it pass.  A built-in statistic screens
     each block row-wise and re-scores the rows that may violate the axiom;
-    any other statistic scores every row.  Either way the first violation in
-    trial order is reported, with its residual from ``_score``, which
-    ``recheck`` reproduces exactly.
+    any other statistic scores every row.  Either way the first violation
+    of AXIOM_TOL in trial order is reported, with its residual from
+    ``_score``, which ``recheck`` reproduces exactly.
     """
     trials = _number("trials", trials, integer=True, ge=1)
     min_n = 3 if axiom in (AxiomId.COND, AxiomId.ADD) else 1
@@ -338,17 +336,16 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
         block = {key: col[:trials - start] for key, col in block.items()}
         candidates = block["n"] >= min_n  # too-short edge tuples are skipped
         if isinstance(stat, _RowwiseStatistic):
-            candidates &= _screen(stat.rows, axiom, block, axiom_tol)
+            candidates &= _screen(stat.rows, axiom, block, AXIOM_TOL)
         for i in np.flatnonzero(candidates):
-            violated, resid, witness = _confirm(stat, axiom, _witness(block, i), axiom_tol)
+            violated, resid, witness = _confirm(stat, axiom, _witness(block, i), AXIOM_TOL)
             if violated:
                 return AxiomReport(statistic=stat.name, axiom=axiom, passed=False,
                                    trials=start + int(i) + 1, seed=seed,
-                                   axiom_tol=axiom_tol, counterexample=witness,
-                                   residual=resid)
+                                   counterexample=witness, residual=resid)
         start, k = start + size, k + 1
     return AxiomReport(statistic=stat.name, axiom=axiom, passed=True,
-                       trials=trials, seed=seed, axiom_tol=axiom_tol)
+                       trials=trials, seed=seed)
 
 
 @dataclass

@@ -6,7 +6,7 @@ experiment (one sample size n of the deviation experiment, or one side of
 the stability demo) draws all its replications from one generator keyed by
 (master seed, context, cell), row after row in blocks of at most ``_BLOCK``
 doubles, so the same config and seed give the same report whatever the
-block size.
+block size.  The running-mean trajectory draws its one row from (seed, 3).
 
 The deviation-probability experiment estimates
 P(|S_n / n - m| > eps) across n, which decays for measures with a weak mean
@@ -150,12 +150,11 @@ def cauchy_stability_demo(s: Sampler, n: int, replications: int) -> StabilityRep
                            seed=s.master_seed)
 
 
-def running_mean_trajectory(s: Sampler, n: int,
-                            stream: Sequence[int] = (3,)) -> tuple[np.ndarray, np.ndarray]:
-    """Running means S_k / k for k = 1..n with compensated (Kahan) summation,
-    keeping the trajectory bit-stable across platforms."""
+def running_mean_trajectory(s: Sampler, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Running means S_k / k, k = 1..n, of the draws on stream (3,), summed with
+    Kahan compensation to keep the trajectory bit-stable across platforms."""
     n = _number("n", n, integer=True, ge=1)
-    x = s.draw(n, stream=stream)
+    x = s.draw(n, stream=(3,))
     means = []
     total, comp = 0.0, 0.0
     for k, v in enumerate(x.tolist(), 1):

@@ -8,7 +8,7 @@ variables solve an unconstrained smooth convex problem
     minimize  psi(beta) = log Z(beta) + beta . alpha,
 
 whose gradient is alpha - E_p[g] and whose Hessian is the covariance of g
-under p, so a damped Newton iteration converges fast from beta = 0.
+under p, so damped Newton from beta = 0 converges fast, to a moment gap of FEAS_TOL.
 Steps are damped by Armijo backtracking on psi until the predicted decrease
 is within 16 ulps of psi; there no step can pass the Armijo test in double
 precision, so the moment gap ||alpha - E_p[g]||_inf judges the steps instead.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -208,8 +208,7 @@ class MaxEntSolution:
             raise ValueError(f"constraint residuals too large: {self.residuals}")
 
 
-def maxent_solve(problem: MaxEntProblem, feas_tol: float = FEAS_TOL,
-                 max_steps: int = _MAX_NEWTON_STEPS) -> MaxEntSolution:
+def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
     """Damped Newton iteration on the smooth convex dual.
 
     Backtracking halves the step until the Armijo condition with constant
@@ -217,12 +216,10 @@ def maxent_solve(problem: MaxEntProblem, feas_tol: float = FEAS_TOL,
     test is roundoff, and backtracking instead takes the longest step that
     strictly shrinks the moment gap ||alpha - E_p[g]||_inf.  The iteration
     starts at beta = 0 (the uniform distribution) and stops when the moment
-    gap drops to ``feas_tol``.  A dual norm beyond 1e3 with a non-improving
-    gap signals a target on or outside the attainable boundary.
-    ``feas_tol`` must be finite and > 0, and ``max_steps`` an integer >= 1.
+    gap drops to FEAS_TOL; a problem not solved in _MAX_NEWTON_STEPS (200)
+    steps is refused.  A dual norm beyond 1e3 with a non-improving gap
+    signals a target on or outside the attainable boundary.
     """
-    feas_tol = _number("feas_tol", feas_tol, gt=0)
-    max_steps = _number("max_steps", max_steps, integer=True, ge=1)
     G = problem.matrix()
     alpha = np.asarray(problem.targets, dtype=float)
     k, n = G.shape
@@ -231,12 +228,12 @@ def maxent_solve(problem: MaxEntProblem, feas_tol: float = FEAS_TOL,
     beta = np.zeros(k)
     best_grad_norm = math.inf
     steps = 0
-    for steps in range(1, max_steps + 1):
+    for steps in range(1, _MAX_NEWTON_STEPS + 1):
         logZ, p = _log_partition(G, beta)
         m = G @ p
         grad = alpha - m
         grad_norm = float(np.linalg.norm(grad, ord=np.inf)) if k else 0.0
-        if grad_norm <= feas_tol:
+        if grad_norm <= FEAS_TOL:
             break
         if float(np.linalg.norm(beta, ord=np.inf)) > _BETA_GUARD \
                 and grad_norm > 0.5 * best_grad_norm:
@@ -273,7 +270,7 @@ def maxent_solve(problem: MaxEntProblem, feas_tol: float = FEAS_TOL,
         beta = beta + t * direction
     else:
         raise InfeasibleTargetError(
-            f"Newton did not reach tolerance {feas_tol:g} in {max_steps} steps; "
+            f"Newton did not reach tolerance {FEAS_TOL:g} in {_MAX_NEWTON_STEPS} steps; "
             f"remaining moment gap {best_grad_norm:.3g}")
 
     logZ, p = _log_partition(G, beta)

@@ -2,13 +2,13 @@
 
 Every measure answers a whole batch of windows in one call::
 
-    masses, moments = measure.window_stats(lo, hi, include_lo, include_hi)
+    masses, moments = measure.window_stats(lo, hi)
 
 ``lo`` and ``hi`` are arrays (or scalars) of window endpoints, and the two
 results hold P([lo, hi]) and int_{[lo, hi]} x dP for each window.  Windows
-are closed by default; ``include_lo``/``include_hi`` False open that end,
-which matters only where an atom sits exactly on the endpoint (splitting a
-window at an atom) and never for densities.  Scalar endpoints give 0-d
+are always closed, as the paper's truncations [c - M, c + M] are; a
+half-open window is a closed one minus the point window ``[x, x]``, which
+differs only where an atom sits exactly on x.  Scalar endpoints give 0-d
 arrays.
 
 Representations:
@@ -16,7 +16,7 @@ Representations:
 * ``AtomicComb``: a lazily enumerated sequence of weighted point masses with
   a certified bound on the mass beyond any enumeration prefix.  Windows are
   sums over the sorted atom locations, with ``searchsorted`` placing each
-  endpoint (an inclusion flag picks its side).
+  endpoint so that atoms on it count.
 * ``IntegerPowerComb``: a comb dense in the integers.  Its windows are
   Hurwitz zeta closed forms, and it declares its atom count within any
   radius, so no caller has to enumerate atoms to learn that there are too
@@ -26,8 +26,8 @@ Representations:
   falls back to adaptive quadrature, one window at a time.
 * ``EmpiricalMeasure``: equal-weight point masses on a finite sample.
 * ``Affine``: the law of s * X + a for any of the above.  Windows map back
-  through the inverse map (a negative s swaps the endpoints and their
-  flags), so wrapped measures keep the accuracy of the wrapped one.
+  through the inverse map (a negative s swaps the endpoints), so wrapped
+  measures keep the accuracy of the wrapped one.
 
 Each class also defines its own draws (``sampler``) and says whether it is
 a location-scale law (``location_scale``); one table builds every family.
@@ -170,10 +170,9 @@ class Measure:
     pdf: Optional[Callable[[float], float]] = None
     support = (-math.inf, math.inf)
 
-    def window_stats(self, lo, hi, include_lo: bool = True,
-                     include_hi: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """(masses, moments) over the windows [lo, hi], elementwise over the
-        broadcast endpoint arrays."""
+    def window_stats(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """(masses, moments) over the closed windows [lo, hi], elementwise
+        over the broadcast endpoint arrays."""
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         ordered = lo <= hi
         if not ordered.all():
@@ -182,12 +181,10 @@ class Measure:
                 f"window requires lo <= hi, got [{lo.flat[i]}, {hi.flat[i]}]")
         if lo.size == 0:
             return np.zeros(lo.shape), np.zeros(lo.shape)
-        masses, moments = self._window_stats(lo.ravel(), hi.ravel(),
-                                              bool(include_lo), bool(include_hi))
+        masses, moments = self._window_stats(lo.ravel(), hi.ravel())
         return masses.reshape(lo.shape), moments.reshape(lo.shape)
 
-    def _window_stats(self, lo: np.ndarray, hi: np.ndarray, include_lo: bool,
-                      include_hi: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _window_stats(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def tail_probability(self, t):
@@ -198,13 +195,13 @@ class Measure:
 
     def _tail(self, t: np.ndarray) -> np.ndarray:
         r = np.abs(t)
-        masses, _ = self._window_stats(-r, r, True, True)
+        masses, _ = self._window_stats(-r, r)
         return np.where(t < 0, 1.0, np.maximum(0.0, 1.0 - masses))
 
-    def atoms_within(self, max_abs: float, max_atoms: int = _MAX_ATOMS) -> list[Atom]:
+    def atoms_within(self, max_abs: float) -> list[Atom]:
         """Atoms with |location| <= max_abs, sorted by location, for every
         measure (built from ``atom_arrays``); empty for continuous measures."""
-        locs, weights = self.atom_arrays(max_abs, max_atoms)
+        locs, weights = self.atom_arrays(max_abs)
         return [Atom(x, w) for x, w in zip(locs.tolist(), weights.tolist())]
 
     def atom_arrays(self, max_abs: float,
@@ -250,13 +247,12 @@ def _anchor(lo: np.ndarray, hi: np.ndarray) -> float:
 
 
 def _atom_window_sums(locs: np.ndarray, values: np.ndarray, lo: np.ndarray,
-                      hi: np.ndarray, include_lo: bool,
-                      include_hi: bool) -> tuple[np.ndarray, np.ndarray]:
+                      hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Atom counts and sums of each row of ``values`` over the atoms at the
-    sorted ``locs`` inside each window, with cumulative sums anchored inside
-    the windows (see the module docstring)."""
-    il = np.searchsorted(locs, lo, side="left" if include_lo else "right")
-    ir = np.maximum(il, np.searchsorted(locs, hi, side="right" if include_hi else "left"))
+    sorted ``locs`` inside each closed window, with cumulative sums anchored
+    inside the windows (see the module docstring)."""
+    il = np.searchsorted(locs, lo, side="left")
+    ir = np.maximum(il, np.searchsorted(locs, hi, side="right"))
     k0 = int(np.searchsorted(locs, _anchor(lo, hi)))
     # anchored[:, k] = sum(values[:, k0:k]) for k >= k0, -sum(values[:, k:k0]) below
     right = np.cumsum(values[:, k0:], axis=1)
@@ -321,9 +317,11 @@ class AtomicComb(Measure):
         """Extend the cached enumeration to at least ``min_blocks`` blocks and
         until it certifiably covers [-max_abs, max_abs]: every non-enumerated
         atom has |z| > max_abs and the non-enumerated mass is below
-        MASS_TOL/2.  The sorted cache is a stable sort of the enumeration, so
-        atoms at one location keep their enumeration order.  A refused
-        request keeps what it enumerated, so no atom is built twice."""
+        MASS_TOL/2.  A radius the atom locations overflow before reaching
+        (an infinite one on an infinite comb) is refused.  The sorted cache
+        is a stable sort of the enumeration, so atoms at one location keep
+        their enumeration order.  A refused request keeps what it
+        enumerated, so no atom is built twice."""
         n, new = self._blocks_done, []
         try:
             while True:
@@ -339,6 +337,9 @@ class AtomicComb(Measure):
                     raise MeasureError(
                         f"{self.family}: enumeration needs more than {max_atoms} atoms "
                         "or blocks; supply closed forms for this family")
+        except OverflowError:  # atom locations leave float range first
+            raise MeasureError(f"{self.family}: enumeration overflows before "
+                               f"covering radius {max_abs:g}") from None
         finally:
             self._blocks_done = n
             if new:
@@ -354,9 +355,9 @@ class AtomicComb(Measure):
         keep = np.abs(locs) <= max_abs
         return locs[keep], values[0][keep]
 
-    def _window_stats(self, lo, hi, include_lo, include_hi):
+    def _window_stats(self, lo, hi):
         self._ensure_blocks(float(max(np.abs(lo).max(), np.abs(hi).max())))
-        _, sums = _atom_window_sums(*self._sorted, lo, hi, include_lo, include_hi)
+        _, sums = _atom_window_sums(*self._sorted, lo, hi)
         return sums[0], sums[1]
 
     def sampler(self):
@@ -519,13 +520,8 @@ class IntegerPowerComb(AtomicComb):
             validate=False,  # closed forms make the unit total exact by construction
         )
 
-    def _window_stats(self, lo, hi, include_lo, include_hi):
-        a, b = np.ceil(lo), np.floor(hi)
-        if not include_lo:
-            a = np.where(a == lo, a + 1.0, a)
-        if not include_hi:
-            b = np.where(b == hi, b - 1.0, b)
-        a = np.maximum(a, 1.0)
+    def _window_stats(self, lo, hi):
+        a, b = np.maximum(np.ceil(lo), 1.0), np.floor(hi)
         empty = b < a
 
         def partial(s: float) -> np.ndarray:
@@ -560,7 +556,8 @@ class DensityMeasure(Measure):
     Built-in families pass ``stats_between(a, b) -> (masses, moments)``, their
     closed forms over arrays of windows with a < b inside the support, and
     ``tail_probability_fn(t)`` over arrays.  Any other density falls back to
-    adaptive quadrature, one window at a time.  ``loc_scale`` marks the law
+    adaptive quadrature, one window at a time, and construction checks that
+    it integrates to 1 over its support.  ``loc_scale`` marks the law
     of loc + scale * Z for the family's standard member Z, whose inverse CDF
     ``standard_quantile`` the sampler applies.
     """
@@ -576,7 +573,6 @@ class DensityMeasure(Measure):
         tail_probability_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         loc_scale: Optional[tuple[float, float]] = None,
         standard_quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        validate: bool = True,
     ):
         self.family = family
         self.pdf = pdf
@@ -585,7 +581,7 @@ class DensityMeasure(Measure):
         self._tail_probability_fn = tail_probability_fn
         self._loc_scale = loc_scale
         self._standard_quantile = standard_quantile
-        if validate and stats_between is None:
+        if stats_between is None:
             total = float(self.window_stats(*self.support)[0])
             if abs(total - 1.0) > max(MASS_TOL, 100 * _QUAD_ABS_TOL):
                 raise MeasureError(f"{family}: density integrates to {total}, not 1")
@@ -605,7 +601,7 @@ class DensityMeasure(Measure):
              else self._quad(xpdf, a, b))
             for a, b in zip(lo.tolist(), hi.tolist())]).T
 
-    def _window_stats(self, lo, hi, include_lo, include_hi):
+    def _window_stats(self, lo, hi):
         lo = np.maximum(lo, self.support[0])
         hi = np.minimum(hi, self.support[1])
         inside = lo < hi
@@ -788,9 +784,8 @@ class EmpiricalMeasure(Measure):
         self.samples = np.sort(arr)
         self.family = "empirical"
 
-    def _window_stats(self, lo, hi, include_lo, include_hi):
-        counts, sums = _atom_window_sums(self.samples, self.samples[None], lo, hi,
-                                         include_lo, include_hi)
+    def _window_stats(self, lo, hi):
+        counts, sums = _atom_window_sums(self.samples, self.samples[None], lo, hi)
         return counts / self.samples.size, sums[0] / self.samples.size
 
     def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
@@ -806,7 +801,7 @@ class Affine(Measure):
     """Law of s * X + a when ``inner`` is the law of X (s finite and nonzero).
 
     Windows map back through the inverse map x = (y - a) / s; a negative s
-    swaps the endpoints and their inclusion flags.
+    swaps the endpoints.
     """
 
     def __init__(self, inner: Measure, a: float = 0.0, s: float = 1.0):
@@ -822,11 +817,11 @@ class Affine(Measure):
             ends = [s * v + a for v in inner.support]
             self.support = (min(ends), max(ends))
 
-    def _window_stats(self, lo, hi, include_lo, include_hi):
+    def _window_stats(self, lo, hi):
         lo, hi = (lo - self.a) / self.s, (hi - self.a) / self.s
         if self.s < 0:
-            lo, hi, include_lo, include_hi = hi, lo, include_hi, include_lo
-        masses, moments = self.inner._window_stats(lo, hi, include_lo, include_hi)
+            lo, hi = hi, lo
+        masses, moments = self.inner._window_stats(lo, hi)
         return masses, self.s * moments + self.a * masses
 
     def _tail(self, t):

@@ -23,9 +23,8 @@ corroborate but never decide, since slowly divergent sums look convergent).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

@@ -131,8 +131,7 @@ def test_criterion_05_asymmetric_path_dependence():
 def test_criterion_06_axiom_separation():
     trials = 10_000
     for axiom in ml.AxiomId:
-        report = ml.check_axiom(ml.mean_statistic, axiom, trials=trials, seed=0,
-                                axiom_tol=1e-9)
+        report = ml.check_axiom(ml.mean_statistic, axiom, trials=trials, seed=0)
         assert report.passed, (axiom, report.counterexample)
 
     median_fails = {}

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 import meanlab as ml
-
-_PROBLEM = ml.MaxEntProblem(n=3, observables=(ml.FiniteObservable((1.0, 2.0, 3.0)),),
-                            targets=(2.5,))
+from meanlab import genmean
+from meanlab.axioms import recheck
 
 
 def _sampler():
@@ -57,19 +56,22 @@ PARAMETERS = [
     ("n", lambda v: ml.MaxEntProblem(n=v, observables=(), targets=()), ValueError),
     ("targets[0]", lambda v: ml.MaxEntProblem(
         n=3, observables=(ml.FiniteObservable((1.0, 2.0, 3.0)),), targets=(v,)), ValueError),
-    ("feas_tol", lambda v: ml.maxent_solve(_PROBLEM, feas_tol=v), ValueError),
-    ("max_steps", lambda v: ml.maxent_solve(_PROBLEM, max_steps=v), ValueError),
     ("trials", lambda v: ml.check_axiom(ml.mean_statistic, ml.AxiomId.T, trials=v),
      ValueError),
     ("power_law bridge p", lambda v: ml.build_bridge("power_law_integer", p=v), ValueError),
 ]
+
+# Row numbers 31 and 32 are retired: they checked maxent_solve's feas_tol and
+# max_steps, which are constants now.  The rows after them keep their numbers,
+# so each row keeps its test id.
+_ROW_IDS = [f"{i + 2 * (i >= 31)}-{row[0]}" for i, row in enumerate(PARAMETERS)]
 
 BAD_VALUES = [math.nan, math.inf, True, "1", 10 ** 400]
 
 
 @pytest.mark.parametrize("value", BAD_VALUES, ids=["nan", "inf", "true", "str", "big"])
 @pytest.mark.parametrize("name, call, error", PARAMETERS,
-                         ids=[f"{i}-{row[0]}" for i, row in enumerate(PARAMETERS)])
+                         ids=_ROW_IDS)
 def test_bad_scalar_is_refused_naming_the_parameter(name, call, error, value):
     with pytest.raises(ValueError) as err:
         call(value)
@@ -82,3 +84,39 @@ def test_good_values_pass_the_checker_unchanged():
     assert ml.gaussian(mu=np.float64(2.0), sigma=3).location_scale() == ("gaussian", 2.0, 3.0)
     assert ml.ExpTiltMultiplier(np.int64(2)).c == 2.0
     assert ml.TruncationSchedule(m0=2, ratio=2, count=np.int64(3)).horizon == 8.0
+
+
+# Options that no caller set are constants now: the windows are closed, the
+# solver, harness, tail curve and trajectory settings are fixed, and every
+# user density is checked.  Passing one of the old keywords is a TypeError.
+_PROBLEM = ml.MaxEntProblem(n=3, observables=(ml.FiniteObservable((1.0, 2.0, 3.0)),),
+                            targets=(2.5,))
+
+REMOVED_KEYWORDS = {
+    "include_lo": lambda: ml.cauchy().window_stats(0.0, 1.0, include_lo=False),
+    "include_hi": lambda: ml.cauchy().window_stats(0.0, 1.0, include_hi=False),
+    "feas_tol": lambda: ml.maxent_solve(_PROBLEM, feas_tol=1e-8),
+    "max_steps": lambda: ml.maxent_solve(_PROBLEM, max_steps=10),
+    "check_axiom axiom_tol": lambda: ml.check_axiom(ml.mean_statistic, ml.AxiomId.T,
+                                                    trials=1, axiom_tol=1e-6),
+    "recheck axiom_tol": lambda: recheck(ml.mean_statistic, ml.AxiomId.T,
+                                         {"xs": (1.0,), "c": 1.0}, axiom_tol=1e-6),
+    "AxiomReport axiom_tol": lambda: ml.AxiomReport("mean", ml.AxiomId.T, True, 1, 0,
+                                                    axiom_tol=1e-6),
+    "n_schedule": lambda: ml.tail_mass_curve(ml.cauchy(), n_schedule=[1.0, 10.0]),
+    "stream": lambda: ml.running_mean_trajectory(_sampler(), 10, stream=(4,)),
+    "max_atoms": lambda: ml.comb_ex2().atoms_within(10.0, max_atoms=5),
+    "validate": lambda: ml.DensityMeasure("uniform", lambda x: 0.5, support=(-1.0, 1.0),
+                                          validate=False),
+}
+
+
+@pytest.mark.parametrize("keyword", sorted(REMOVED_KEYWORDS))
+def test_removed_keyword_is_a_type_error(keyword):
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        REMOVED_KEYWORDS[keyword]()
+
+
+def test_tail_schedule_is_private():
+    assert "default_tail_schedule" not in genmean.__all__
+    assert not hasattr(genmean, "default_tail_schedule")

@@ -240,6 +240,14 @@ _MALFORMED = [
      "state-single"),
     ("spectral", {"bridge": {"family": ["dyadic_symmetric"]}}, "unknown bridge family",
      "ValueError", "bridge-family-list"),
+    # ints beyond float range inside number lists are named by their position
+    ("maxent", {"n": 3, "observables": [[1, 2, _BIG]], "targets": [2.0]},
+     "observables[0][2]", "ValueError", "observable-big"),
+    ("spectral", {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [_BIG, 0.0]]],
+                  "state": [[1.0, 0.0], [0.0, 0.0]]}, "matrix[1][1]", "ValueError",
+     "matrix-big"),
+    ("spectral", {"matrix": [[[1.0, 0.0]]], "state": [[1.0, _BIG]]}, "state[0]",
+     "ValueError", "state-big"),
 ]
 
 

@@ -160,12 +160,15 @@ def test_taxonomy_rejects_bad_grid():
 # ---------------------------------------------------------------------------
 
 def _decomposition_check(measure, c1, c2, M, exact_tol):
-    lhs = measure.window_stats(c2 - M, c2 + M)[1]
-    base = measure.window_stats(c1 - M, c1 + M)[1]
-    upper = measure.window_stats(c1 + M, c2 + M,
-                                 include_lo=False, include_hi=True)[1]
-    lower = measure.window_stats(c1 - M, c2 - M,
-                                 include_lo=True, include_hi=False)[1]
+    def W(lo, hi):
+        return measure.window_stats(lo, hi)[1]
+
+    # [c2 - M, c2 + M] = [c1 - M, c1 + M] + (c1 + M, c2 + M] - [c1 - M, c2 - M),
+    # each half-open window a closed one minus the point window at its open end
+    lhs = W(c2 - M, c2 + M)
+    base = W(c1 - M, c1 + M)
+    upper = W(c1 + M, c2 + M) - W(c1 + M, c1 + M)
+    lower = W(c1 - M, c2 - M) - W(c2 - M, c2 - M)
     if M > max(abs(c1), abs(c2)):
         assert upper >= 0.0
         assert -lower >= 0.0
@@ -175,9 +178,12 @@ def _decomposition_check(measure, c1, c2, M, exact_tol):
 @pytest.mark.parametrize("c1,c2", [(-2.0, 1.0), (0.0, 3.0), (-4.5, -0.5)])
 def test_decomposition_identity_exact_for_dyadic_combs(c1, c2):
     # dyadic atom contributions are exactly representable, so the identity
-    # holds with zero residual
+    # holds with zero residual.  The extra radii put a boundary on an atom:
+    # at (-2, 1), M = 3 puts c2 - M on comb_ex2's atom -2, and 6, 10, 18, 34
+    # put c1 + M on its atoms 4, 8, 16, 32, so a subtracted point window
+    # holds that atom.
     for measure in (ml.comb_ex1(), ml.comb_ex2()):
-        for M in ml.TruncationSchedule(count=30).radii():
+        for M in [*ml.TruncationSchedule(count=30).radii(), 3.0, 6.0, 10.0, 18.0, 34.0]:
             _decomposition_check(measure, c1, c2, M, exact_tol=0.0)
 
 
@@ -243,11 +249,6 @@ def test_tail_curve_comb_ex2_oscillates_in_band():
     assert np.all(inner >= 1.0 - 1e-12)
     assert np.all(inner < 2.0)
     assert not curve.tends_to_zero
-
-
-def test_tail_schedule_validation():
-    with pytest.raises(ValueError):
-        ml.tail_mass_curve(ml.gaussian(), n_schedule=[10, 5])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import meanlab as ml
-from meanlab import maxent
 from meanlab.maxent import FEAS_TOL, dual_gradient, dual_objective
 
 
@@ -332,23 +331,10 @@ def test_solution_matches_a_40_digit_newton(problem):
     assert _oracle_error(problem) <= 1e-14
 
 
-# A solve that stops at a gap just under feas_tol is only that close to p*:
+# A solve that stops at a gap just under FEAS_TOL is only that close to p*:
 # 4.4e-12 on problem 1 and 1.4e-11 on problem 106, both k = 3.
 @pytest.mark.parametrize("i", [1, 106])
 def test_solution_stopping_at_feas_tol_is_that_close(i):
     assert _oracle_error(_drawn_problem(i)) <= 1e-10
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"feas_tol": float("nan")}, {"feas_tol": -1.0}, {"feas_tol": 0.0},
-    {"feas_tol": float("inf")}, {"feas_tol": "1e-10"},
-    {"max_steps": 0}, {"max_steps": -3}, {"max_steps": 2.0}, {"max_steps": True},
-], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
-def test_bad_solver_parameters_are_refused_before_any_step(kwargs, monkeypatch):
-    def no_step(*args):
-        raise AssertionError("a Newton step ran")
-
-    monkeypatch.setattr(maxent, "_log_partition", no_step)
-    with pytest.raises(ValueError, match=next(iter(kwargs))) as err:
-        ml.maxent_solve(PINNED, **kwargs)
-    assert type(err.value) is ValueError

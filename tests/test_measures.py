@@ -164,10 +164,12 @@ def test_integer_power_comb_matches_explicit_sums():
     explicit_mom = sum(n ** (1 - p) for n in range(2, 8)) / z
     assert m.window_stats(2, 7)[0] == pytest.approx(explicit_mass, rel=1e-9)
     assert m.window_stats(2, 7)[1] == pytest.approx(explicit_mom, rel=1e-9)
-    # endpoint flags drop the boundary integers
+    # a point window on an integer holds its atom, so the open window (2, 7)
+    # is the closed one minus the point windows at both ends
+    assert m.window_stats(2, 2)[0] == pytest.approx(2 ** -p / z, rel=1e-9)
     open_mass = sum(n ** -p for n in range(3, 7)) / z
-    assert m.window_stats(2, 7, include_lo=False, include_hi=False)[0] == \
-        pytest.approx(open_mass, rel=1e-9)
+    points = m.window_stats([2, 7], [2, 7])[0].sum()
+    assert m.window_stats(2, 7)[0] - points == pytest.approx(open_mass, rel=1e-9)
 
 
 def test_integer_power_comb_tail_probability():
@@ -184,7 +186,9 @@ def test_integer_power_comb_tail_probability():
 def test_empirical_window_ops():
     m = ml.EmpiricalMeasure([3.0, -1.0, 2.0, 2.0])
     assert m.window_stats(-1, 2)[0] == pytest.approx(0.75)
-    assert m.window_stats(-1, 2, include_lo=False)[0] == pytest.approx(0.5)
+    # point windows count the samples on them, repeats included
+    assert m.window_stats(-1, -1)[0] == 0.25
+    assert m.window_stats(2, 2)[0] == 0.5
     assert m.window_stats(0, 3)[1] == pytest.approx((2 + 2 + 3) / 4)
 
 
@@ -268,11 +272,11 @@ def test_plain_density_quadrature():
 def test_quadrature_failure_carries_partial_estimate(monkeypatch):
     # three subdivisions fail fast; the default limit fails the same way, slowly
     monkeypatch.setattr(measures, "_QUAD_LIMIT", 3)
-    rough = ml.DensityMeasure(
-        "rough", lambda x: (1 + math.sin(500.0 / (abs(x) + 1e-3))) / 2.774631637,
-        support=(-1.0, 1.0), validate=False)
+    # construction integrates the density over its support, and fails there
     with pytest.raises(ml.QuadratureError) as err:
-        rough.window_stats(-1, 1)[0]
+        ml.DensityMeasure(
+            "rough", lambda x: (1 + math.sin(500.0 / (abs(x) + 1e-3))) / 2.774631637,
+            support=(-1.0, 1.0))
     assert math.isfinite(err.value.estimate)
 
 
@@ -370,12 +374,26 @@ def test_nonfinite_parameters_rejected_at_construction(build):
         build()
 
 
-def test_negative_scale_swaps_endpoint_flags():
-    # comb_ex2 atom at 2 (weight 1/4) sits at -6 under x -> -3x
+def test_negative_scale_counts_a_mapped_atom_on_either_endpoint():
+    # under x -> -3x the comb_ex2 atoms at 2 (weight 1/4) and 4 (weight 1/8)
+    # sit at -6 and -12: one on a lower endpoint, one on an upper endpoint
     m = ml.comb_ex2().scale(-3.0)
-    assert m.window_stats(-6.0, -1.0, include_lo=False)[0] == 0.0
-    assert m.window_stats(-6.0, -1.0, include_hi=False)[0] == 0.25
+    assert m.window_stats(-6.0, -1.0)[0] == 0.25
+    assert m.window_stats(-20.0, -12.0)[0] == 0.125
+    assert m.window_stats(-6.0, -6.0)[0] == 0.25
     assert m.window_stats(-6.0, -1.0)[1] == -1.5
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ml.comb_ex2().window_stats(-math.inf, 1.0),
+    lambda: ml.comb_ex4().atoms_within(math.inf),
+    lambda: ml.comb_ex1().tail_probability(math.inf),
+    lambda: ml.asym_partial_mean(ml.comb_ex2(), 0.0, 0.0, 1.0, math.inf),
+], ids=["window", "atoms_within", "tail_probability", "asym_partial_mean"])
+def test_infinite_radius_on_an_infinite_comb_is_refused(call):
+    # enumeration would run until the atom locations overflow
+    with pytest.raises(ml.MeasureError, match="radius inf"):
+        call()
 
 
 def test_tail_probability_is_elementwise():
