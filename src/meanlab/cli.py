@@ -4,8 +4,8 @@ Subcommands: classify, weakmean, multiplier, lln, maxent, axioms, spectral.
 Every run echoes its configuration and seed into the report; identical
 configuration reproduces identical result payloads.  Exit status is 0 on
 success, 2 when the only findings are undetermined verdicts, and 1 on
-errors (with a machine-readable error object written to the output
-directory and stdout).
+errors, with a machine-readable error object on stdout and, once the
+command line has parsed, in the output directory.
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ __all__ = ["main"]
 
 class SchemaError(ValueError):
     """Input document violates the strict schema."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage on stderr, then SchemaError: status 2 means undetermined findings."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SchemaError(message)
 
 
 def _json(*types, of=None):
@@ -439,7 +447,7 @@ def _apply_tols(policy: VerdictPolicy, pairs: list[str]) -> VerdictPolicy:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meanlab",
         description="Generalized means of heavy-tailed probability measures")
     parser.add_argument("--emit-examples", action="store_true",
@@ -471,7 +479,12 @@ def exit_code_for(undetermined_only: bool) -> int:
 
 def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SchemaError as exc:  # --out may be what failed, so stdout only
+        print(_json_text({"error": {"type": "SchemaError", "message": str(exc)},
+                          "subcommand": None}))
+        return 1
     out_dir = Path(args.out)
 
     if args.emit_examples:

@@ -140,9 +140,6 @@ class VerdictPolicy:
         for name in ("conv_scale", "div_threshold", "tail_tol"):
             _number(f"policy {name}", getattr(self, name), gt=0)
 
-    def conv_tol(self, last: np.ndarray) -> float:
-        return self.conv_scale * max(1.0, abs(float(np.median(last))))
-
 
 @dataclass
 class PartialMeanSeries:
@@ -189,17 +186,6 @@ class LimitVerdict:
 _PROBE_ATOM_CAP = 50_000
 
 
-def _atom_locations(measure: Measure, max_abs: float) -> np.ndarray:
-    """Atom locations within max_abs; empty for continuous measures and for
-    combs with more than _PROBE_ATOM_CAP atoms there."""
-    if not measure.is_atomic:
-        return np.empty(0)
-    try:
-        return measure.atom_arrays(max_abs, max_atoms=_PROBE_ATOM_CAP)[0]
-    except MeasureError:
-        return np.empty(0)
-
-
 def _scan_radii(locations: np.ndarray, center: float, base: np.ndarray,
                 max_probes: int) -> tuple[np.ndarray, np.ndarray]:
     """The schedule's radii plus probe radii, sorted; returns (radii, is_probe).
@@ -232,13 +218,17 @@ def _scan(measure: Measure, center: float, schedule: TruncationSchedule,
     ``side`` "both" gives the closed windows [c - M, c + M]; "plus" and
     "minus" give the one-sided windows [c, c + M] and [c - M, c], probed only
     at the atoms on their own side.  The radii are the schedule's, plus the
-    midpoints of the gaps between atom crossings when ``probe_atoms`` is set;
-    only then are the atom locations looked up.
+    midpoints of the gaps between atom crossings when ``probe_atoms`` is set
+    and the measure is atomic; only then are the atom locations looked up.
     """
     radii = schedule.radii()
     is_probe = np.zeros(len(radii), bool)
-    if probe_atoms:
-        locations = _atom_locations(measure, radii[-1] + abs(center) + 1.0)
+    if probe_atoms and measure.is_atomic:
+        try:
+            locations = measure.atom_arrays(radii[-1] + abs(center) + 1.0,
+                                            max_atoms=_PROBE_ATOM_CAP)[0]
+        except MeasureError:  # more than _PROBE_ATOM_CAP atoms: no probes
+            locations = np.empty(0)
         if side != "both":
             sign = 1.0 if side == "plus" else -1.0
             locations = locations[sign * (locations - center) > 0]
@@ -262,63 +252,55 @@ def limit_scan(measure: Measure, center: float,
 def _classify_values(values: np.ndarray, policy: VerdictPolicy,
                      horizon: Optional[float] = None,
                      monotone: Optional[str] = None) -> LimitVerdict:
-    W = policy.window
-    if len(values) < 2 * W:
-        raise ValueError(f"series too short to classify: {len(values)} < {2 * W}")
+    W, n = policy.window, len(values)
+    if n < 2 * W:
+        raise ValueError(f"series too short to classify: {n} < {2 * W}")
     if not np.all(np.isfinite(values)):
         # A NaN or infinite value makes the spread and tolerance NaN, which
         # compares false against every threshold: no rule below can be read.
         return LimitVerdict(UNDETERMINED, window=W, horizon=horizon)
     last = values[-W:]
-    tol = policy.conv_tol(last)
-    spread = float(last.max() - last.min())
-    if spread <= tol:
-        return LimitVerdict(CONVERGED, value=float(np.median(last)), spread=spread,
-                            conv_tol=tol, window=W, horizon=horizon)
+    median = float(np.median(last))
+    tol = policy.conv_scale * max(1.0, abs(median))
+    lo, hi = float(last.min()), float(last.max())
+    verdict = functools.partial(LimitVerdict, spread=hi - lo, conv_tol=tol,
+                                window=W, horizon=horizon)
+    if hi - lo <= tol:
+        return verdict(CONVERGED, value=median)
     if monotone is not None:
         # One-sided moment scans are monotone by construction, so a series
         # that has not settled by the horizon is diverging in its known
         # direction; the generic envelope rules below would misread slow
         # logarithmic growth as bounded oscillation.
-        kind = DIVERGES_PLUS if monotone == "increasing" else DIVERGES_MINUS
-        return LimitVerdict(kind, spread=spread, conv_tol=tol, window=W,
-                            horizon=horizon)
+        return verdict(DIVERGES_PLUS if monotone == "increasing" else DIVERGES_MINUS)
 
-    blocks = [values[-3 * W:-2 * W], values[-2 * W:-W], last]
-    if len(values) < 3 * W:
-        blocks = [values[:-W][: max(1, len(values) - 2 * W)],
-                  values[-2 * W:-W], last]
-    mins = [float(b.min()) for b in blocks]
-    maxs = [float(b.max()) for b in blocks]
+    # The last three W-blocks; below 3W values the first block is shorter.
+    blocks = (values[max(0, n - 3 * W):max(1, n - 2 * W)], values[-2 * W:-W])
+    mins = [float(b.min()) for b in blocks] + [lo]
+    maxs = [float(b.max()) for b in blocks] + [hi]
     final = float(values[-1])
-    tail3 = values[-3 * W:]
 
     def rising(x):  # every block-to-block step clears the tolerance
         return x[1] - x[0] > tol and x[2] - x[1] > tol
 
-    neg_mins, neg_maxs = [-m for m in mins], [-m for m in maxs]
     if rising(mins) and final > policy.div_threshold:
-        return LimitVerdict(DIVERGES_PLUS, liminf_est=mins[2], spread=spread,
-                            conv_tol=tol, window=W, horizon=horizon)
-    if rising(neg_maxs) and final < -policy.div_threshold:
-        return LimitVerdict(DIVERGES_MINUS, limsup_est=maxs[2], spread=spread,
-                            conv_tol=tol, window=W, horizon=horizon)
+        return verdict(DIVERGES_PLUS, liminf_est=mins[2])
+    if rising([-m for m in maxs]) and final < -policy.div_threshold:
+        return verdict(DIVERGES_MINUS, limsup_est=maxs[2])
 
-    spread_persists = all(b.max() - b.min() > tol for b in blocks)
+    spread_persists = all(b - a > tol for a, b in zip(mins, maxs))
+    # One pass, not min(mins), which can return the other signed zero.
+    tail3 = values[-3 * W:]
     lo3, hi3 = float(tail3.min()), float(tail3.max())
     if (spread_persists and rising(maxs)
             and maxs[2] > policy.div_threshold and abs(lo3) <= policy.div_threshold):
-        return LimitVerdict(OSC_UNBOUNDED_ABOVE, liminf_est=lo3, spread=spread,
-                            conv_tol=tol, window=W, horizon=horizon)
-    if (spread_persists and rising(neg_mins)
+        return verdict(OSC_UNBOUNDED_ABOVE, liminf_est=lo3)
+    if (spread_persists and rising([-m for m in mins])
             and mins[2] < -policy.div_threshold and abs(hi3) <= policy.div_threshold):
-        return LimitVerdict(OSC_UNBOUNDED_BELOW, limsup_est=hi3, spread=spread,
-                            conv_tol=tol, window=W, horizon=horizon)
+        return verdict(OSC_UNBOUNDED_BELOW, limsup_est=hi3)
     if spread_persists and max(abs(lo3), abs(hi3)) <= policy.div_threshold:
-        return LimitVerdict(OSC_BOUNDED, liminf_est=lo3, limsup_est=hi3,
-                            spread=spread, conv_tol=tol, window=W, horizon=horizon)
-    return LimitVerdict(UNDETERMINED, spread=spread, conv_tol=tol, window=W,
-                        horizon=horizon)
+        return verdict(OSC_BOUNDED, liminf_est=lo3, limsup_est=hi3)
+    return verdict(UNDETERMINED)
 
 
 def classify_series(series: PartialMeanSeries,
@@ -518,6 +500,13 @@ class MeanLadder:
                                  "doubly weak mean")
 
 
+# The ordinary mean by (plus side, minus side) verdict; other pairs: undetermined.
+_ORDINARY_KINDS = {(CONVERGED, CONVERGED): "finite",
+                   (DIVERGES_PLUS, CONVERGED): "plus_inf",
+                   (CONVERGED, DIVERGES_MINUS): "minus_inf",
+                   (DIVERGES_PLUS, DIVERGES_MINUS): "none"}
+
+
 def mean_ladder(measure: Measure,
                 schedule: TruncationSchedule = TruncationSchedule(),
                 policy: VerdictPolicy = VerdictPolicy()) -> MeanLadder:
@@ -527,16 +516,8 @@ def mean_ladder(measure: Measure,
     minus = _classify_values(_scan(measure, 0.0, schedule, policy, side="minus").values,
                              policy, schedule.horizon, monotone="decreasing")
 
-    if plus.kind == CONVERGED and minus.kind == CONVERGED:
-        ordinary_kind, ordinary_value = "finite", plus.value + minus.value
-    elif plus.kind == DIVERGES_PLUS and minus.kind == CONVERGED:
-        ordinary_kind, ordinary_value = "plus_inf", None
-    elif plus.kind == CONVERGED and minus.kind == DIVERGES_MINUS:
-        ordinary_kind, ordinary_value = "minus_inf", None
-    elif plus.kind == DIVERGES_PLUS and minus.kind == DIVERGES_MINUS:
-        ordinary_kind, ordinary_value = "none", None
-    else:
-        ordinary_kind, ordinary_value = "undetermined", None
+    ordinary_kind = _ORDINARY_KINDS.get((plus.kind, minus.kind), "undetermined")
+    ordinary_value = plus.value + minus.value if ordinary_kind == "finite" else None
 
     tail = tail_mass_curve(measure, policy=policy)
     taxonomy = classify_taxonomy(measure, DEFAULT_C_GRID, schedule, policy)

@@ -273,8 +273,6 @@ def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
             f"Newton did not reach tolerance {FEAS_TOL:g} in {_MAX_NEWTON_STEPS} steps; "
             f"remaining moment gap {best_grad_norm:.3g}")
 
-    logZ, p = _log_partition(G, beta)
-    m = G @ p
     h_nats = logZ + float(beta @ m) if k else math.log(n)
     h = h_nats / math.log(2) if problem.base == "bits" else h_nats
     residuals = tuple((m - alpha).tolist()) if k else ()

@@ -240,10 +240,14 @@ class Measure:
 
 def _anchor(lo: np.ndarray, hi: np.ndarray) -> float:
     """A point inside every window when the windows share one, else their
-    median center."""
-    a, b = lo.max(), hi.min()
-    mid = 0.5 * a + 0.5 * b if a <= b else np.median(0.5 * lo + 0.5 * hi)
-    return float(np.nan_to_num(mid))
+    median center; NaN (from -inf + inf) reads as 0, +-inf as +-float max."""
+    a, b = float(lo.max()), float(hi.min())
+    if a <= b:
+        mid = 0.5 * a + 0.5 * b
+    else:
+        with np.errstate(invalid="ignore"):
+            mid = float(np.median(0.5 * lo + 0.5 * hi))
+    return 0.0 if math.isnan(mid) else max(-sys.float_info.max, min(mid, sys.float_info.max))
 
 
 def _atom_window_sums(locs: np.ndarray, values: np.ndarray, lo: np.ndarray,
@@ -252,7 +256,7 @@ def _atom_window_sums(locs: np.ndarray, values: np.ndarray, lo: np.ndarray,
     sorted ``locs`` inside each closed window, with cumulative sums anchored
     inside the windows (see the module docstring)."""
     il = np.searchsorted(locs, lo, side="left")
-    ir = np.maximum(il, np.searchsorted(locs, hi, side="right"))
+    ir = np.searchsorted(locs, hi, side="right")
     k0 = int(np.searchsorted(locs, _anchor(lo, hi)))
     # anchored[:, k] = sum(values[:, k0:k]) for k >= k0, -sum(values[:, k:k0]) below
     right = np.cumsum(values[:, k0:], axis=1)

@@ -381,6 +381,31 @@ def test_schedule_and_tol_are_refused_where_they_are_not_read(tmp_path, subcomma
         assert flag in error["message"] and subcommand in error["message"]
 
 
+@pytest.mark.parametrize("argv,fragment", [
+    (["classify"], "--input"),
+    (["classify", "--input", "x.json", "--seed", "abc"], "--seed"),
+    (["bogus"], "bogus"),
+], ids=["no-input", "bad-seed", "unknown-subcommand"])
+def test_command_line_errors_exit_1_not_the_undetermined_status(tmp_path, monkeypatch,
+                                                                capsys, argv, fragment):
+    monkeypatch.chdir(tmp_path)  # the default --out, which gets no error file
+    assert _run(argv) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)
+    assert error["subcommand"] is None
+    assert error["error"]["type"] == "SchemaError"
+    assert fragment in error["error"]["message"]
+    assert captured.err.startswith("usage: meanlab")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        _run(["--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: meanlab")
+
+
 def test_exit_code_mapping():
     assert cli.exit_code_for(False) == 0
     assert cli.exit_code_for(True) == 2

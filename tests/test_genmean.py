@@ -111,6 +111,76 @@ def test_classify_undetermined_on_isolated_spike():
     assert _classify_values(vals, POLICY).kind == "undetermined"
 
 
+def _shaped_series(shape, n):
+    k = np.arange(n, dtype=float)
+    if shape == "constant":
+        return np.full(n, 2.5)
+    if shape == "rising":
+        return 10.0 ** (k / 2)
+    if shape == "alternating":
+        return np.where(k % 2 == 0, 1.0, -1.0)
+    spike = np.zeros(n)
+    spike[n // 2] = 1e5
+    return spike
+
+
+# Verdicts at the lengths where the first of the three W-blocks is shorter
+# than W (2W <= n < 3W) or just full (n = 3W), pinned bitwise:
+# (shape, W, n, kind, value, liminf_est, limsup_est, spread, conv_tol).
+_SHORT_SERIES_VERDICTS = [
+    ("constant", 1, 2, "converged", 2.5, None, None, 0.0, 2.4999999999999998e-06),
+    ("constant", 1, 3, "converged", 2.5, None, None, 0.0, 2.4999999999999998e-06),
+    ("constant", 3, 6, "converged", 2.5, None, None, 0.0, 2.4999999999999998e-06),
+    ("constant", 3, 7, "converged", 2.5, None, None, 0.0, 2.4999999999999998e-06),
+    ("constant", 3, 8, "converged", 2.5, None, None, 0.0, 2.4999999999999998e-06),
+    ("constant", 3, 9, "converged", 2.5, None, None, 0.0, 2.4999999999999998e-06),
+    ("constant", 8, 16, "converged", 2.5, None, None, 0.0, 2.4999999999999998e-06),
+    ("constant", 8, 17, "converged", 2.5, None, None, 0.0, 2.4999999999999998e-06),
+    ("constant", 8, 23, "converged", 2.5, None, None, 0.0, 2.4999999999999998e-06),
+    ("constant", 8, 24, "converged", 2.5, None, None, 0.0, 2.4999999999999998e-06),
+    ("rising", 1, 2, "converged", 3.1622776601683795, None, None, 0.0, 3.162277660168379e-06),
+    ("rising", 1, 3, "converged", 10.0, None, None, 0.0, 9.999999999999999e-06),
+    ("rising", 3, 6, "undetermined", None, None, None, 284.60498941515414, 9.999999999999999e-05),
+    ("rising", 3, 7, "undetermined", None, None, None, 900.0, 0.0003162277660168379),
+    ("rising", 3, 8, "oscillates_bounded", None, 1.0, 3162.2776601683795, 2846.0498941515416, 0.001),
+    ("rising", 3, 9, "oscillates_bounded", None, 1.0, 10000.0, 9000.0, 0.0031622776601683794),
+    ("rising", 8, 16, "undetermined", None, None, None, 31612776.60168379, 0.6581138830084189),
+    ("rising", 8, 17, "diverges_plus", None, 31622.776601683792, None, 99968377.22339831, 2.0811388300841895),
+    ("rising", 8, 23, "diverges_plus", None, 31622776.60168379, None, 99968377223.39832, 2081.1388300841895),
+    ("rising", 8, 24, "diverges_plus", None, 100000000.0, None, 316127766016.83795, 6581.138830084189),
+    ("alternating", 1, 2, "converged", -1.0, None, None, 0.0, 1e-06),
+    ("alternating", 1, 3, "converged", 1.0, None, None, 0.0, 1e-06),
+    ("alternating", 3, 6, "undetermined", None, None, None, 2.0, 1e-06),
+    ("alternating", 3, 7, "undetermined", None, None, None, 2.0, 1e-06),
+    ("alternating", 3, 8, "oscillates_bounded", None, -1.0, 1.0, 2.0, 1e-06),
+    ("alternating", 3, 9, "oscillates_bounded", None, -1.0, 1.0, 2.0, 1e-06),
+    ("alternating", 8, 16, "undetermined", None, None, None, 2.0, 1e-06),
+    ("alternating", 8, 17, "undetermined", None, None, None, 2.0, 1e-06),
+    ("alternating", 8, 23, "oscillates_bounded", None, -1.0, 1.0, 2.0, 1e-06),
+    ("alternating", 8, 24, "oscillates_bounded", None, -1.0, 1.0, 2.0, 1e-06),
+    ("spike", 1, 2, "converged", 100000.0, None, None, 0.0, 0.09999999999999999),
+    ("spike", 1, 3, "converged", 0.0, None, None, 0.0, 1e-06),
+    ("spike", 3, 6, "undetermined", None, None, None, 100000.0, 1e-06),
+    ("spike", 3, 7, "converged", 0.0, None, None, 0.0, 1e-06),
+    ("spike", 3, 8, "converged", 0.0, None, None, 0.0, 1e-06),
+    ("spike", 3, 9, "converged", 0.0, None, None, 0.0, 1e-06),
+    ("spike", 8, 16, "undetermined", None, None, None, 100000.0, 1e-06),
+    ("spike", 8, 17, "converged", 0.0, None, None, 0.0, 1e-06),
+    ("spike", 8, 23, "converged", 0.0, None, None, 0.0, 1e-06),
+    ("spike", 8, 24, "converged", 0.0, None, None, 0.0, 1e-06),
+]
+
+
+@pytest.mark.parametrize("shape,W,n,kind,value,liminf,limsup,spread,tol",
+                         _SHORT_SERIES_VERDICTS)
+def test_block_rule_verdicts_near_two_and_three_windows(shape, W, n, kind, value,
+                                                       liminf, limsup, spread, tol):
+    verdict = _classify_values(_shaped_series(shape, n), ml.VerdictPolicy(window=W),
+                               horizon=1e3)
+    assert verdict == ml.LimitVerdict(kind, value, liminf, limsup, spread, tol,
+                                      window=W, horizon=1e3)
+
+
 # ---------------------------------------------------------------------------
 # Five-case taxonomy
 # ---------------------------------------------------------------------------

@@ -239,6 +239,22 @@ def _drawn_problem(i):
         targets=tuple((obs @ q).tolist()))
 
 
+def test_solve_evaluates_the_log_partition_once_per_point(monkeypatch):
+    # The tilted die takes 5 Newton steps, each of whose first 4 accepts its
+    # first line-search candidate: 5 + 4 evaluations.  The solution is read
+    # from the last step's, with no evaluation after the loop.
+    calls = []
+    original = ml.maxent._log_partition
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ml.maxent, "_log_partition", counted)
+    assert ml.maxent_solve(_die_problem(4.5)).newton_steps == 5
+    assert len(calls) == 9
+
+
 def test_pinned_problem_solves_past_the_armijo_roundoff():
     sol = ml.maxent_solve(PINNED)
     assert max(abs(r) for r in sol.residuals) <= FEAS_TOL

@@ -174,3 +174,24 @@ def test_window_stats_shapes_and_order_check():
     assert np.allclose(masses, 0.5)
     with pytest.raises(ml.MeasureError):
         m.window_stats([0.0, 2.0], [1.0, 1.0])
+
+
+# Windows with infinite ends on atomic measures: the cumulative sums' anchor
+# is -inf + inf there, which must resolve without a RuntimeWarning (the
+# suite turns warnings into errors).
+
+def test_infinite_radius_tail_of_a_finite_spectral_measure_is_zero():
+    measure = ml.induced_measure(np.diag([1.0, 2.0]), [0.6, 0.8])
+    assert measure.tail_probability(math.inf) == 0.0
+
+
+def test_whole_line_window_on_an_empirical_measure():
+    masses, moments = ml.EmpiricalMeasure([1.0, 2.0]).window_stats(-math.inf, math.inf)
+    assert (float(masses), float(moments)) == (1.0, 1.5)
+
+
+def test_disjoint_windows_with_infinite_ends():
+    m = ml.EmpiricalMeasure([1.0, 2.0, 5.0])
+    masses, moments = m.window_stats([-math.inf, 3.0], [0.5, math.inf])
+    assert masses.tolist() == [0.0, 1.0 / 3.0]
+    assert moments.tolist() == [0.0, 5.0 / 3.0]
