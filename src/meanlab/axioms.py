@@ -54,6 +54,13 @@ class SampleStatistic:
             raise ValueError(f"{self.name}: statistic of an empty tuple")
         return self.fn(xs)
 
+    def _rows(self, xs: np.ndarray) -> np.ndarray:
+        """The exact row form: ``fn`` of each row of ``xs`` as a tuple of
+        floats.  Every reported residual and witness value comes from it."""
+        return np.array([self.fn(tuple(row)) for row in xs.tolist()])
+
+    _screen_rows = _rows  # the form that screens trials
+
 
 def _mean(xs: tuple[float, ...]) -> float:
     return math.fsum(xs) / len(xs)
@@ -74,11 +81,14 @@ def _midrange(xs: tuple[float, ...]) -> float:
 
 @dataclass(frozen=True)
 class _RowwiseStatistic(SampleStatistic):
-    """A built-in statistic with a row-wise form: ``rows`` maps an (r, n)
+    """A built-in statistic with a numpy row form: ``rows`` maps an (r, n)
     array to the r statistics of its rows.  The harness uses it only to
-    screen trials; every reported value comes from ``fn``."""
+    screen trials."""
 
     rows: Callable[[np.ndarray], np.ndarray]
+
+    def _screen_rows(self, xs: np.ndarray) -> np.ndarray:
+        return self.rows(xs)
 
 
 def _mean_rows(xs: np.ndarray) -> np.ndarray:
@@ -103,8 +113,9 @@ max_statistic = _RowwiseStatistic("max", lambda xs: max(xs), lambda xs: xs.max(a
 
 def convex_combination(t: float) -> SampleStatistic:
     """t * mean + (1 - t) * median for t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"convex weight must lie in [0, 1], got {t}")
+    t = _number("convex weight", t, ge=0.0)
+    if t > 1.0:
+        raise ValueError(f"convex weight must be <= 1, got {t!r}")
     return _RowwiseStatistic(
         f"convex({t:g})", lambda xs: t * _mean(xs) + (1.0 - t) * _median(xs),
         lambda xs: t * _mean_rows(xs) + (1.0 - t) * _median_rows(xs))
@@ -169,7 +180,7 @@ _EDGE_TUPLES = [
 # the first t trials are the same for every budget of at least t.
 _BLOCK_ROWS = (64, 512, 2048)
 
-# The screen re-scores a row with ``_score`` when its batched residual comes
+# The screen flags a row for the exact form when its numpy residual comes
 # within this band of the tolerance (or its margin, for the order axioms).
 # Drawn entries, scale factors and shifts are at most 30 in size, so a
 # row-wise mean over at most 8 of them differs from the ``math.fsum`` mean
@@ -222,93 +233,66 @@ def _witness(block: dict[str, np.ndarray], i: int) -> dict:
             for key, col in block.items() if key != "n"}
 
 
-def _screen(rows: Callable[[np.ndarray], np.ndarray], axiom: AxiomId,
-            block: dict[str, np.ndarray], tol: float) -> np.ndarray:
-    """Rows that may violate ``axiom``, judged tuple size by tuple size with
-    the row-wise form ``rows``; every other row satisfies it."""
-    flagged = np.zeros(len(block["n"]), dtype=bool)
-    for n in np.unique(block["n"]):
-        idx = np.flatnonzero(block["n"] == n)
-        cols = {key: col[idx, :n] if col.ndim == 2 else col[idx, None]
-                for key, col in block.items() if key != "n"}
-        xs = cols["xs"]
-        if axiom in (AxiomId.P, AxiomId.SP):  # the increase must be clearly positive
-            flagged[idx] = rows(cols["ys"]) - rows(xs) <= tol + _SCREEN_BAND
-            continue
-        if axiom is AxiomId.NN:
-            resid = rows(xs) - rows(cols["ys"])
-        elif axiom in (AxiomId.H, AxiomId.PH):
-            lam = cols["lam"]
-            resid = np.abs(rows(lam * xs) - lam[:, 0] * rows(xs))
-        elif axiom is AxiomId.S:
-            resid = np.abs(rows(np.take_along_axis(xs, cols["perm"], axis=1)) - rows(xs))
-        elif axiom is AxiomId.T:
-            c = cols["c"]
-            resid = np.abs(rows(xs + c) - (rows(xs) + c[:, 0]))
-        elif axiom is AxiomId.ADD:
-            ys = cols["ys"]
-            resid = np.abs(rows(xs + ys) - (rows(xs) + rows(ys)))
-        else:
-            whole = rows(xs)
-            resid = np.zeros(len(idx))
-            for m in range(2, n):
-                sub = np.repeat(rows(xs[:, :m])[:, None], m, axis=1)
-                condensed = np.concatenate([sub, xs[:, m:]], axis=1)
-                resid = np.maximum(resid, np.abs(rows(condensed) - whole))
-        flagged[idx] = resid > tol - _SCREEN_BAND
-    return flagged
+def _cut(block: dict[str, np.ndarray], idx, n: int) -> dict[str, np.ndarray]:
+    """The witness columns of rows ``idx``, all of size ``n``: tuples cut to
+    (r, n), scalars as (r, 1)."""
+    return {key: col[idx, :n] if col.ndim == 2 else col[idx, None]
+            for key, col in block.items() if key != "n"}
 
 
-def _confirm(stat: SampleStatistic, axiom: AxiomId, witness: dict,
-             tol: float) -> tuple[bool, float, dict]:
-    """Score one drawn instance with ``_score``; returns (violated,
-    residual, witness).  Condensation reports its worst split point m."""
-    if axiom is AxiomId.COND:
-        worst = 0.0
-        for m in range(2, len(witness["xs"])):
-            candidate = {**witness, "m": m}
-            resid = _score(stat, axiom, candidate, tol)
-            if resid > worst:
-                worst, witness = resid, candidate
-        return worst > tol, worst, witness
-    resid = _score(stat, axiom, witness, tol)
-    if axiom in (AxiomId.P, AxiomId.SP):
-        # strict variants: the increase must be clearly positive
-        return witness["margin"] <= tol, resid, witness
-    return resid > tol, resid, witness
-
-
-def _score(stat: SampleStatistic, axiom: AxiomId, witness: dict, tol: float) -> float:
-    """The residual of one axiom instance.  Stores in ``witness`` the
-    statistic values a report keeps with it: ``substat`` for COND and
-    ``margin`` for P and SP."""
-    xs = tuple(witness["xs"])
+def _judge(rows: Callable[[np.ndarray], np.ndarray], axiom: AxiomId, cols: dict,
+           band: float) -> tuple[np.ndarray, np.ndarray, Callable[[int], dict]]:
+    """Judge ``axiom`` on r instances of one tuple size with the row form
+    ``rows`` (an (r, n) array in, r statistics out); ``cols`` holds their
+    columns as ``_cut`` gives them, and a condensation witness may fix its
+    split ``m``.  Returns the residuals, whether each violates AXIOM_TOL or
+    comes within ``band`` of it (positivity: a margin not above the
+    tolerance), and ``keep``: keep(i) is the dict of values the witness of
+    instance i keeps, the first worst split ``m`` and its ``substat`` for
+    COND and the ``margin`` for P and SP."""
+    xs = cols["xs"]
+    keep = lambda i: {}
     if axiom in (AxiomId.H, AxiomId.PH):
-        lam = witness["lam"]
-        return abs(stat(tuple(lam * x for x in xs)) - lam * stat(xs))
-    if axiom is AxiomId.S:
-        perm = witness["perm"]
-        return abs(stat(tuple(xs[i] for i in perm)) - stat(xs))
-    if axiom is AxiomId.T:
-        c = witness["c"]
-        return abs(stat(tuple(x + c for x in xs)) - (stat(xs) + c))
-    if axiom is AxiomId.COND:
-        m = witness["m"]
-        sub = witness["substat"] = stat(xs[:m])
-        return abs(stat((sub,) * m + xs[m:]) - stat(xs))
-    ys = tuple(witness["ys"])
-    if axiom is AxiomId.ADD:
-        return abs(stat(tuple(x + y for x, y in zip(xs, ys))) - (stat(xs) + stat(ys)))
-    margin = stat(ys) - stat(xs)
-    if axiom is AxiomId.NN:
-        return max(0.0, -margin)
-    witness["margin"] = margin
-    return max(0.0, tol - margin) + (tol if margin <= tol else 0.0)
+        lam = cols["lam"]
+        resid = np.abs(rows(lam * xs) - lam[:, 0] * rows(xs))
+    elif axiom is AxiomId.S:
+        resid = np.abs(rows(np.take_along_axis(xs, cols["perm"], axis=1)) - rows(xs))
+    elif axiom is AxiomId.T:
+        c = cols["c"]
+        resid = np.abs(rows(xs + c) - (rows(xs) + c[:, 0]))
+    elif axiom is AxiomId.ADD:
+        ys = cols["ys"]
+        resid = np.abs(rows(xs + ys) - (rows(xs) + rows(ys)))
+    elif axiom is AxiomId.COND:
+        whole = rows(xs)
+        splits = [cols["m"]] if "m" in cols else range(2, xs.shape[1])
+        subs, gaps, resid = [], [], np.zeros(len(xs))  # vacuous below n = 3
+        for m in splits:
+            subs.append(rows(xs[:, :m]))
+            condensed = np.concatenate([np.repeat(subs[-1][:, None], m, axis=1),
+                                        xs[:, m:]], axis=1)
+            gaps.append(np.abs(rows(condensed) - whole))
+            resid = np.fmax(resid, gaps[-1])  # a NaN gap is no violation
+
+        def keep(i):
+            j = next(j for j, gap in enumerate(gaps) if gap[i] == resid[i])
+            return {"m": int(splits[j]), "substat": subs[j][i].item()}
+    elif axiom is AxiomId.NN:
+        resid = np.maximum(0.0, rows(xs) - rows(cols["ys"]))
+    else:  # P, SP: the increase must be clearly positive
+        margin = rows(cols["ys"]) - rows(xs)
+        resid = (np.maximum(0.0, AXIOM_TOL - margin)
+                 + np.where(margin <= AXIOM_TOL, AXIOM_TOL, 0.0))
+        return resid, margin <= AXIOM_TOL + band, lambda i: {"margin": margin[i].item()}
+    return resid, resid > AXIOM_TOL - band, keep
 
 
 def recheck(stat: SampleStatistic, axiom: AxiomId, counterexample: dict) -> float:
-    """Re-evaluate a stored counterexample; returns its residual."""
-    return _score(stat, axiom, dict(counterexample), AXIOM_TOL)
+    """Re-evaluate a stored counterexample (condensation at its stored
+    split ``m``); returns its residual."""
+    cols = {key: value if key == "m" else np.atleast_2d(value)
+            for key, value in counterexample.items()}
+    return _judge(stat._rows, axiom, cols, 0.0)[0][0].item()
 
 
 def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
@@ -320,11 +304,12 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
     below that), preceded by the deterministic edge tuples.  One generator,
     ``np.random.default_rng(seed)``, draws the trials in blocks of a fixed
     schedule, so the first t trials do not depend on ``trials``; a block is
-    drawn only when the trials before it pass.  A built-in statistic screens
-    each block row-wise and re-scores the rows that may violate the axiom;
-    any other statistic scores every row.  Either way the first violation
-    of AXIOM_TOL in trial order is reported, with its residual from
-    ``_score``, which ``recheck`` reproduces exactly.
+    drawn only when the trials before it pass.  ``_judge`` screens each
+    block tuple size by tuple size, with a built-in's numpy row form or
+    else the exact form, and judges the flagged rows again in trial order
+    with the exact form (``fn`` of each tuple).  The first violation of
+    AXIOM_TOL is reported, with its residual from the exact form, which
+    ``recheck`` reproduces exactly.
     """
     trials = _number("trials", trials, integer=True, ge=1)
     min_n = 3 if axiom in (AxiomId.COND, AxiomId.ADD) else 1
@@ -334,15 +319,19 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
         size = _BLOCK_ROWS[min(k, len(_BLOCK_ROWS) - 1)]
         block = _draw_block(rng, axiom, start, size, min_n)
         block = {key: col[:trials - start] for key, col in block.items()}
-        candidates = block["n"] >= min_n  # too-short edge tuples are skipped
-        if isinstance(stat, _RowwiseStatistic):
-            candidates &= _screen(stat.rows, axiom, block, AXIOM_TOL)
-        for i in np.flatnonzero(candidates):
-            violated, resid, witness = _confirm(stat, axiom, _witness(block, i), AXIOM_TOL)
-            if violated:
+        flagged = np.zeros(len(block["n"]), dtype=bool)
+        for n in np.unique(block["n"][block["n"] >= min_n]):  # short edge tuples skip
+            idx = np.flatnonzero(block["n"] == n)
+            flagged[idx] = _judge(stat._screen_rows, axiom, _cut(block, idx, n),
+                                  _SCREEN_BAND)[1]
+        for i in np.flatnonzero(flagged):
+            resid, violated, keep = _judge(stat._rows, axiom,
+                                           _cut(block, slice(i, i + 1), block["n"][i]), 0.0)
+            if violated[0]:
                 return AxiomReport(statistic=stat.name, axiom=axiom, passed=False,
                                    trials=start + int(i) + 1, seed=seed,
-                                   counterexample=witness, residual=resid)
+                                   counterexample={**_witness(block, i), **keep(0)},
+                                   residual=resid[0].item())
         start, k = start + size, k + 1
     return AxiomReport(statistic=stat.name, axiom=axiom, passed=True,
                        trials=trials, seed=seed)

@@ -457,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="JSON document path")
-        p.add_argument("--out", default=".", help="output directory")
+        # no default here, so a top-level --out survives when this one is absent
+        p.add_argument("--out", default=argparse.SUPPRESS, help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--schedule", default=None, metavar="M0,r,K",
                        help="truncation schedule (verdict subcommands only)")
@@ -481,6 +482,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not (args.subcommand or args.emit_examples):
+            parser.error(f"a subcommand is required: one of {', '.join(_HANDLERS)}")
     except SchemaError as exc:  # --out may be what failed, so stdout only
         print(_json_text({"error": {"type": "SchemaError", "message": str(exc)},
                           "subcommand": None}))
@@ -491,9 +494,6 @@ def run(argv: Optional[list[str]] = None) -> int:
         _emit_examples(out_dir)
         print(f"wrote {len(_example_documents())} example documents to {out_dir}")
         return 0
-    if not args.subcommand:
-        parser.print_help()
-        return 1
 
     started = time.perf_counter()
     try:

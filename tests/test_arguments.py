@@ -59,6 +59,7 @@ PARAMETERS = [
     ("trials", lambda v: ml.check_axiom(ml.mean_statistic, ml.AxiomId.T, trials=v),
      ValueError),
     ("power_law bridge p", lambda v: ml.build_bridge("power_law_integer", p=v), ValueError),
+    ("convex weight", ml.convex_combination, ValueError),
 ]
 
 # Row numbers 31 and 32 are retired: they checked maxent_solve's feas_tol and
@@ -77,6 +78,12 @@ def test_bad_scalar_is_refused_naming_the_parameter(name, call, error, value):
         call(value)
     assert type(err.value) is error
     assert f"{name} must be" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [None, "0.5", 1.5])
+def test_convex_weight_outside_the_unit_interval_is_refused(value):
+    with pytest.raises(ValueError, match="convex weight must be"):
+        ml.convex_combination(value)
 
 
 def test_good_values_pass_the_checker_unchanged():

@@ -128,27 +128,70 @@ def test_user_wrapped_statistic_gives_the_builtin_report(name):
 
 @pytest.mark.parametrize("name", _BUILTINS)
 def test_screen_flags_exactly_the_violating_rows(name):
-    # the scalar scoring of every row is the reference for the row-wise screen
+    # the exact form, judged row by row, is the reference for the numpy screen
     stat = ml.builtin_statistic(name)
     for ax in ml.AxiomId:
         min_n = 3 if ax in (ml.AxiomId.COND, ml.AxiomId.ADD) else 1
         block = axioms._draw_block(np.random.default_rng(5), ax, 0, 256, min_n)
-        flagged = axioms._screen(stat.rows, ax, block, AXIOM_TOL)
-        violated = [axioms._confirm(stat, ax, axioms._witness(block, i), AXIOM_TOL)[0]
+        flagged = np.zeros(256, dtype=bool)
+        for n in np.unique(block["n"]):
+            idx = np.flatnonzero(block["n"] == n)
+            flagged[idx] = axioms._judge(stat._screen_rows, ax, axioms._cut(block, idx, n),
+                                         axioms._SCREEN_BAND)[1]
+        violated = [bool(axioms._judge(stat._rows, ax, axioms._cut(block, [i], block["n"][i]),
+                                       0.0)[1][0])
                     for i in range(256)]
         assert flagged.tolist() == violated, ax
 
 
 def test_screen_flags_a_margin_equal_to_the_tolerance():
     # positivity needs a margin above the tolerance, so a margin equal to it
-    # violates the axiom and the screen must pass the row on to ``_score``
+    # violates the axiom and the screen must pass the row on to the exact form
     xs, ys = np.zeros((1, 8)), np.zeros((1, 8))
     ys[0, 0] = AXIOM_TOL
-    block = {"n": np.array([1]), "xs": xs, "ys": ys}
+    cols = axioms._cut({"n": np.array([1]), "xs": xs, "ys": ys}, [0], 1)
     for ax in (ml.AxiomId.P, ml.AxiomId.SP):
-        assert axioms._confirm(ml.mean_statistic, ax, axioms._witness(block, 0),
-                               AXIOM_TOL)[0]
-        assert axioms._screen(ml.mean_statistic.rows, ax, block, AXIOM_TOL).tolist() == [True]
+        assert axioms._judge(ml.mean_statistic._rows, ax, cols, 0.0)[1].tolist() == [True]
+        assert axioms._judge(ml.mean_statistic._screen_rows, ax, cols,
+                             axioms._SCREEN_BAND)[1].tolist() == [True]
+
+
+_FIRST = ml.SampleStatistic("first", lambda xs: xs[0])
+
+# One witness per axiom with its residual worked out by hand; every value is
+# exact in binary, so ``recheck`` must return the residual exactly.
+HAND_WITNESSES = [
+    # min(-1, -2) = -2 against -1 * min(1, 2) = -1
+    (ml.builtin_statistic("min"), "H", {"xs": (1.0, 2.0), "lam": -1.0}, 1.0),
+    # first(4, 1) = 4 against first(1, 4) = 1
+    (_FIRST, "S", {"xs": (1.0, 4.0), "perm": (1, 0)}, 3.0),
+    # max |x| of (0, 1.5) = 1.5 against max |x| of (-1, 0.5) + 1 = 2
+    (ml.SampleStatistic("max abs", lambda xs: max(abs(x) for x in xs)), "T",
+     {"xs": (-1.0, 0.5), "c": 1.0}, 0.5),
+    # the stored split m = 2 condenses (0, 1) to 0.5: median(0.5, 0.5, 5, 6)
+    # = 2.75 against median(0, 1, 5, 6) = 3; the worst split, m = 3, gives 2
+    (ml.median_statistic, "COND", {"xs": (0.0, 1.0, 5.0, 6.0), "m": 2, "substat": 0.5},
+     0.25),
+    # 1 + 4 = 5 against 2 * (1 + 2) = 6
+    (ml.SampleStatistic("shifted", lambda xs: 1.0 + xs[0]), "PH",
+     {"xs": (2.0,), "lam": 2.0}, 1.0),
+    # -first falls by 2 when the entry rises from 1 to 3
+    (ml.SampleStatistic("first negated", lambda xs: -xs[0]), "NN",
+     {"xs": (1.0,), "ys": (3.0,)}, 2.0),
+    # raising the larger entry leaves the min at 0: margin 0, residual 2 tol
+    (ml.builtin_statistic("min"), "P", {"xs": (0.0, 1.0), "ys": (0.0, 2.0), "margin": 0.0},
+     2 * AXIOM_TOL),
+    (ml.SampleStatistic("zero", lambda xs: 0.0), "SP",
+     {"xs": (0.0, 1.0), "ys": (0.5, 1.5), "margin": 0.0}, 2 * AXIOM_TOL),
+    # median(5, 2, 5) = 5 against median(0, 1, 5) + median(5, 1, 0) = 2
+    (ml.median_statistic, "ADD", {"xs": (0.0, 1.0, 5.0), "ys": (5.0, 1.0, 0.0)}, 3.0),
+]
+
+
+@pytest.mark.parametrize("stat, axiom, witness, residual", HAND_WITNESSES,
+                         ids=[row[1] for row in HAND_WITNESSES])
+def test_recheck_gives_the_hand_computed_residual(stat, axiom, witness, residual):
+    assert recheck(stat, ml.AxiomId[axiom], witness) == residual
 
 
 def test_edge_tuples_below_the_minimum_size_are_skipped():

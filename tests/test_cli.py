@@ -399,6 +399,30 @@ def test_command_line_errors_exit_1_not_the_undetermined_status(tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+def test_no_subcommand_is_a_command_line_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert _run([]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)
+    assert error["subcommand"] is None
+    assert error["error"]["type"] == "SchemaError"
+    assert "subcommand" in error["error"]["message"]
+    assert captured.err.startswith("usage: meanlab")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("before, after, used", [
+    ("top", None, "top"), (None, "sub", "sub"), ("top", "sub", "sub")])
+def test_the_out_given_last_wins(tmp_path, monkeypatch, before, after, used):
+    monkeypatch.chdir(tmp_path)
+    doc = _write(tmp_path, "m.json", {"n": 4, "observables": [], "targets": []})
+    argv = ["--out", before] if before else []
+    argv += ["maxent", "--input", doc] + (["--out", after] if after else [])
+    assert _run(argv) == 0
+    assert (tmp_path / used / "maxent_report.json").exists()
+    assert not (tmp_path / "maxent_report.json").exists()
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as stop:
         _run(["--help"])
