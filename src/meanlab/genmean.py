@@ -37,8 +37,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import (_QUAD_ABS_TOL, Measure, MeasureError, QuadratureError, _number,
-                       checked_quad)
+from .measures import (_QUAD_ABS_TOL, Measure, MeasureError, _log_trapezoid, _number,
+                       _resolved_quad)
 
 __all__ = [
     "TruncationSchedule",
@@ -563,6 +563,10 @@ class WindowMultiplier:
         return policy
 
 
+# The exp-tilt trapezoid rule reaches |x| = _TILT_REACH / lam at the smallest lam.
+_TILT_REACH = 60.0
+
+
 class ExpTiltMultiplier:
     """Exponential damping with a linear tilt on the negative side.
 
@@ -582,8 +586,16 @@ class ExpTiltMultiplier:
     Measures whose ``location_scale()`` names the Cauchy or Gaussian family
     use their closed forms (``_TILT_MEANS``).  Atomic
     measures enumerate their atoms once, at the widest cutoff.  Any other
-    density is integrated by quadrature over |x| <= X(lam), refused when
-    it does not converge or misses mass (``_resolved_quad``).
+    density on the whole line is integrated by one trapezoid rule in
+    u = log|x| (``measures._log_trapezoid``), whose nodes serve every lam as
+    one (lam x nodes) product.  On an integrand analytic in |Im u| < d its
+    error is about exp(-2 pi d / h) at step h (Trefethen & Weideman, SIAM
+    Review 56, 2014).  The rule is used only when the nodes' pdf mass on
+    each half-line matches ``window_stats`` to ``_MASS_GAP`` and the rule at
+    step 2h agrees with it to quad's tolerances at every lam.  Otherwise,
+    and on a support short of the whole line, each lam is integrated by
+    adaptive quadrature over |x| <= X(lam), refused when it does not
+    converge or misses mass (``measures._resolved_quad``).
     """
 
     kind = "exp_tilt"
@@ -634,6 +646,10 @@ class ExpTiltMultiplier:
         if law is not None and law[0] in _TILT_MEANS:
             family, loc, scale = law
             return _TILT_MEANS[family](loc, scale, self.c, lams)
+        if measure.pdf is not None and measure.support == (-math.inf, math.inf):
+            means = self._trapezoid_means(measure, lams)
+            if means is not None:
+                return means
         cutoffs = np.array([self._cutoff(lam) for lam in lams])
         if measure.is_atomic:
             locs, weights = measure.atom_arrays(float(cutoffs.max()))
@@ -650,6 +666,25 @@ class ExpTiltMultiplier:
                              for f, u, v in ((neg, a, min(0.0, b)), (pos, max(0.0, a), b))
                              if u < v))
         return np.array(means)
+
+    def _trapezoid_means(self, measure: Measure, lams: np.ndarray) -> Optional[np.ndarray]:
+        """All means by one trapezoid rule in u = log|x|, or None to fall back.
+
+        The nodes reach X = _TILT_REACH / min(lam), past which
+        |weight(x) x| <= X e^-60 (1 + 60 pi |c|).  The step-2h rule on the
+        same nodes checks each mean: the two must agree to quad's
+        tolerances, _QUAD_ABS_TOL plus 1e-12 relative.
+        """
+        rule = _log_trapezoid(measure, _TILT_REACH / float(lams.min()))
+        if rule is None:
+            return None
+        x, weights, (neg, pos) = rule
+        damp = np.exp(-lams[:, None] * x) * x
+        tilt = 1.0 - math.pi * self.c * lams[:, None] * x
+        fine, coarse = (damp @ (weights * pos).T - (damp * tilt) @ (weights * neg).T).T
+        if np.all(np.abs(fine - coarse) <= _QUAD_ABS_TOL + 1e-12 * np.abs(fine)):
+            return fine
+        return None
 
     def default_lambdas(self, schedule: TruncationSchedule) -> np.ndarray:
         return np.geomspace(1e-2, 1e-4, 25)
@@ -753,57 +788,6 @@ def _gaussian_tilt_means(mu: float, sigma: float, c: float, lams: np.ndarray) ->
 
 # closed forms of E(weight_lam(X) X) by location-scale family
 _TILT_MEANS = {"cauchy": _cauchy_tilt_means, "gaussian": _gaussian_tilt_means}
-
-
-_MASS_GAP = 1e-5
-_MAX_SPLITS = 60
-
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # computed on first use: the eigensolver behind it costs a fresh process
-    # about 1 MB of resident memory
-    return np.polynomial.legendre.leggauss(10)
-
-
-def _resolved_quad(measure: Measure, f: Callable[[float], float], a: float, b: float,
-                   depth: int = 0) -> float:
-    """``checked_quad`` of f over [a, b], refused when it never saw the mass.
-
-    Adaptive quadrature learns of a feature only by sampling it: GK21 on
-    [0, 4e5] never samples a Gaussian bump of width 2 at 1 and returns 0
-    with a tiny error estimate.  So the density's mass is integrated by a
-    10-point Gauss-Legendre rule on quad's own final subintervals and
-    compared with the window mass over [a, b].  A gap above _MASS_GAP, or a
-    quadrature that does not converge, splits the range in two and
-    integrates each half the same way.  A piece is not split past
-    _MAX_SPLITS levels, nor below 1e-9 of its distance from 0, where float
-    spacing leaves quadrature nothing to resolve; QuadratureError instead.
-    """
-    try:
-        value, info = checked_quad(f, a, b, measure.family)
-        n = info["last"]
-        left, right = info["alist"][:n], info["blist"][:n]
-        half = 0.5 * (right - left)
-        rule, weights = _gauss_legendre()
-        nodes = (0.5 * (left + right))[:, None] + half[:, None] * rule
-        dens = np.fromiter(map(measure.pdf, nodes.ravel()), float, nodes.size)
-        seen = float(half @ (dens.reshape(nodes.shape) @ weights))
-        mass = float(measure.window_stats(a, b)[0])
-        if abs(seen - mass) <= _MASS_GAP:
-            return value
-        failure = QuadratureError(
-            f"{measure.family}: quadrature on [{a:.17g}, {b:.17g}] resolves "
-            f"mass {seen:.6g} of {mass:.6g}", estimate=value,
-            error_estimate=abs(seen - mass))
-    except QuadratureError as exc:
-        failure = exc
-    mid = 0.5 * a + 0.5 * b
-    if depth == _MAX_SPLITS or mid - a < 1e-9 * max(abs(a), abs(b)):
-        raise QuadratureError(f"{failure} after {depth} splits",
-                              failure.estimate, failure.error_estimate)
-    return (_resolved_quad(measure, f, a, mid, depth + 1)
-            + _resolved_quad(measure, f, mid, b, depth + 1))
 
 
 @dataclass

@@ -46,6 +46,7 @@ exact.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -155,6 +156,103 @@ def checked_quad(f: Callable[[float], float], a: float, b: float,
             f"(estimate {value:.6g}, error estimate {abserr:.3g})",
             estimate=value, error_estimate=abserr)
     return value, info
+
+
+_MASS_GAP = 1e-5
+_MAX_SPLITS = 60
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    # computed on first use: the eigensolver behind it costs a fresh process
+    # about 1 MB of resident memory
+    return np.polynomial.legendre.leggauss(10)
+
+
+def _resolved_quad(measure: Measure, f: Callable[[float], float], a: float, b: float,
+                   depth: int = 0) -> float:
+    """``checked_quad`` of f over [a, b], refused when it never saw the mass.
+
+    Adaptive quadrature learns of a feature only by sampling it: GK21 on
+    [0, 4e5] never samples a Gaussian bump of width 2 at 1 and returns 0
+    with a tiny error estimate.  So the density's mass is integrated by a
+    10-point Gauss-Legendre rule on quad's own final subintervals and
+    compared with the window mass over [a, b].  A gap above _MASS_GAP, or a
+    quadrature that does not converge, splits the range in two and
+    integrates each half the same way.  A piece is not split past
+    _MAX_SPLITS levels, nor below 1e-9 of its distance from 0, where float
+    spacing leaves quadrature nothing to resolve; QuadratureError instead.
+    """
+    try:
+        value, info = checked_quad(f, a, b, measure.family)
+        n = info["last"]
+        left, right = info["alist"][:n], info["blist"][:n]
+        half = 0.5 * (right - left)
+        rule, weights = _gauss_legendre()
+        nodes = (0.5 * (left + right))[:, None] + half[:, None] * rule
+        dens = np.fromiter(map(measure.pdf, nodes.ravel()), float, nodes.size)
+        seen = float(half @ (dens.reshape(nodes.shape) @ weights))
+        mass = float(measure.window_stats(a, b)[0])
+        if abs(seen - mass) <= _MASS_GAP:
+            return value
+        failure = QuadratureError(
+            f"{measure.family}: quadrature on [{a:.17g}, {b:.17g}] resolves "
+            f"mass {seen:.6g} of {mass:.6g}", estimate=value,
+            error_estimate=abs(seen - mass))
+    except QuadratureError as exc:
+        failure = exc
+    mid = 0.5 * a + 0.5 * b
+    if depth == _MAX_SPLITS or mid - a < 1e-9 * max(abs(a), abs(b)):
+        raise QuadratureError(f"{failure} after {depth} splits",
+                              failure.estimate, failure.error_estimate)
+    return (_resolved_quad(measure, f, a, mid, depth + 1)
+            + _resolved_quad(measure, f, mid, b, depth + 1))
+
+
+# The trapezoid rule in u = log|x| (``_log_trapezoid``): its step and its
+# lowest node.  On an integrand analytic in the strip |Im u| < d the rule's
+# error is about exp(-2 pi d / h) (Trefethen & Weideman, "The exponentially
+# convergent trapezoidal rule", SIAM Review 56, 2014).  The poles of
+# power_tail(a, b)'s pdf sit at Im u = +-pi / max(a, b), so its mass is
+# resolved to about exp(-2 pi^2 / (h max(a, b))), below 1e-85 at h = 0.05;
+# the exp-tilt damping e^(-lam e^u) narrows the strip of the means to
+# d < pi / 2, which still leaves about exp(-pi^2 / h).  A bump of width w at
+# distance x0 from 0 leaves d of order w / x0: N(5, 1) passes the callers'
+# checks and N(10, 1) fails them.  Below u = -40 an integrand x^k pdf(x),
+# k >= 0, carries at most e^-40 times the largest pdf value.
+_LOG_STEP = 0.05
+_LOG_LOW = -40.0
+
+
+def _log_trapezoid(measure: Measure, reach: float):
+    """Shared nodes for integrals of a density over [-reach, 0] and [0, reach].
+
+    With x = +-e^u, int_0^reach g(+-x) dx = int g(+-e^u) e^u du over
+    u <= log(reach).  The nodes are u_j = _LOG_LOW + j h, h = _LOG_STEP, for
+    j = 0..2n, the first even count to pass log(reach).
+
+    Returns ``(x, weights, dens)``: the magnitudes x_j = e^(u_j); the
+    trapezoid weights for dx at step h (``weights[0]``) and at step 2h on
+    the even nodes (``weights[1]``, zero on the odd ones), so that
+    ``weights @ g(x)`` integrates g over [0, x_2n] at both steps; and the pdf
+    at -x (``dens[0]``) and at x (``dens[1]``), one scalar call per node.
+    Returns None when the nodes miss mass: the step-h mass on each
+    half-line must match ``window_stats`` over the same range to _MASS_GAP,
+    which a feature narrower than the step at its distance from 0 fails.
+    """
+    n = math.ceil((math.log(reach) - _LOG_LOW) / (2.0 * _LOG_STEP))
+    x = np.exp(_LOG_LOW + _LOG_STEP * np.arange(2 * n + 1))
+    weights = np.zeros((2, x.size))
+    weights[0] = _LOG_STEP
+    weights[1, ::2] = 2.0 * _LOG_STEP
+    weights[:, [0, -1]] *= 0.5
+    weights *= x
+    dens = np.fromiter(map(measure.pdf, np.concatenate([-x, x]).tolist()),
+                       float, 2 * x.size).reshape(2, x.size)
+    masses = measure.window_stats([-x[-1], 0.0], [0.0, x[-1]])[0]
+    if np.all(np.abs(dens @ weights[0] - masses) <= _MASS_GAP):
+        return x, weights, dens
+    return None
 
 
 class Measure:

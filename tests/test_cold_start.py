@@ -3,7 +3,8 @@
 Only the families whose closed forms call scipy.special load it (gaussian,
 power_tail and integer_power_comb when built; the Gaussian sampler and the
 power-law bridge at their call), and scipy.integrate loads only for
-quadrature.  The import checks run in fresh interpreters, because the
+quadrature: user-density windows and the exp-tilt multiplier's fallback.
+The import checks run in fresh interpreters, because the
 ``filterwarnings`` setting in pyproject.toml names
 ``scipy.integrate.IntegrationWarning`` and so loads scipy.integrate into the
 test process itself.
@@ -38,9 +39,11 @@ def _scipy_after(body: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
-def _scipy_after_main(tmp_path, name: str, sub: str) -> set[str]:
+def _scipy_after_main(tmp_path, name: str, sub: str, document=None) -> set[str]:
+    """The scipy modules a fresh ``meanlab sub`` loads on the example document
+    ``name``, or on ``document`` when given."""
     doc = tmp_path / name
-    doc.write_text(json.dumps(cli._example_documents()[name]))
+    doc.write_text(json.dumps(document or cli._example_documents()[name]))
     argv = ["meanlab", sub, "--input", str(doc), "--out", str(tmp_path / "out")]
     return _scipy_after(
         f"sys.argv = {argv!r}\n"
@@ -74,6 +77,17 @@ def test_gaussian_classify_loads_special_but_not_integrate(tmp_path):
                    for m in loaded)
 
 
+def test_power_tail_exp_tilt_loads_special_but_not_integrate(tmp_path):
+    # the trapezoid rule needs no quadrature on a power tail centred at 0
+    document = {"measure": {"family": "power_tail", "a": 1.5, "b": 1.8},
+                "multiplier": {"kind": "exp_tilt", "c": 0.7}}
+    loaded = _scipy_after_main(tmp_path, "multiplier_exp_tilt_power_tail.json",
+                               "multiplier", document)
+    assert "scipy.special" in loaded
+    assert not any(m == "scipy.integrate" or m.startswith("scipy.integrate.")
+                   for m in loaded)
+
+
 def test_quadrature_looks_up_quad_on_the_module(monkeypatch):
     # a tracer that wraps scipy.integrate.quad must see every quadrature call
     calls = []
@@ -84,9 +98,11 @@ def test_quadrature_looks_up_quad_on_the_module(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "quad", counted)
-    ml.multiplier_mean(ml.power_tail(1.5, 1.8), ml.ExpTiltMultiplier(0.0),
+    # far and narrow, so the exp-tilt trapezoid rule falls back to quadrature
+    narrow = ml.power_tail(1.5, 1.7).scale(1e-3).shift(1e3)
+    ml.multiplier_mean(narrow, ml.ExpTiltMultiplier(0.0),
                        lam_schedule=np.geomspace(1e-1, 1e-3, 16))
-    assert calls, "power_tail exp-tilt quadrature bypassed scipy.integrate.quad"
+    assert calls, "exp-tilt fallback quadrature bypassed scipy.integrate.quad"
 
     triangle = ml.DensityMeasure("triangle", lambda x: max(0.0, 1.0 - abs(x)),
                                  support=(-1.0, 1.0))

@@ -5,7 +5,9 @@ evaluates Im[z e^(-lam z) E1(-lam z) - z (1 + k z) e^(lam z) E1(lam z)] / pi
 + c scale (z = loc + i scale, k = pi c lam) with mpmath's own E1; the
 Gaussian oracle evaluates the completed-square half-line moments with
 mpmath's normal cdf and pdf.  The library evaluates neither expression: it
-uses a series or continued fraction for w e^w E1(w) - 1 and erfcx.
+uses a series or continued fraction for w e^w E1(w) - 1 and erfcx.  The
+power_tail means, a trapezoid rule in log|x| with an adaptive fallback, are
+checked against 30-digit mpmath quadrature.
 """
 
 import math
@@ -111,12 +113,18 @@ def test_cauchy_closed_form_agrees_with_quadrature(c):
 
 
 def test_quadrature_finds_a_bump_it_never_samples():
-    # GK21 on [0, 4e5] never samples N(1, 2); the mass check splits the range
+    # the trapezoid rule sees N(1, 2) on the whole line; on a bounded support
+    # the adaptive fallback runs, where GK21 on [0, 4e5] never samples the
+    # bump and the mass check splits the range
     fam = ml.ExpTiltMultiplier(0.5)
     lams = fam.default_lambdas(ml.TruncationSchedule())
     closed = _gaussian_tilt_means(1.0, 2.0, 0.5, lams)
-    quadrature = fam.regularized_means(_plain(ml.gaussian(1.0, 2.0)), lams)
-    np.testing.assert_allclose(quadrature, closed, rtol=1e-9, atol=1e-10)
+    bump = ml.gaussian(1.0, 2.0)
+    for support in ((-math.inf, math.inf), (-1e7, 1e7)):
+        plain = ml.DensityMeasure("plain", bump.pdf, support,
+                                  stats_between=lambda a, b: bump.window_stats(a, b))
+        quadrature = fam.regularized_means(plain, lams)
+        np.testing.assert_allclose(quadrature, closed, rtol=1e-9, atol=1e-10)
 
 
 @pytest.mark.parametrize("build", [lambda: ml.gaussian(1.0, 2.0),
@@ -161,16 +169,107 @@ def test_unresolvable_bump_raises_instead_of_answering():
         ml.ExpTiltMultiplier(0.0).regularized_means(m, np.array([1e-4]))
 
 
-def test_power_tail_keeps_its_quadrature_values():
-    # the scalar-math integrand against the array weight() in an integrand
-    fam = ml.ExpTiltMultiplier(1.5)
-    m = ml.power_tail(1.3, 1.8)
-    for lam in (1e-2, 1e-4):
-        X = fam._cutoff(lam)
-        want = sum(integrate.quad(lambda x: float(fam.weight(x, lam)) * x * m.pdf(x), a, b,
-                                  epsabs=1e-10, epsrel=1e-12, limit=10_000)[0]
-                   for a, b in ((-X, 0.0), (0.0, X)))
-        assert fam.regularized_means(m, [lam])[0] == pytest.approx(want, rel=1e-14, abs=1e-15)
+def _power_tail_oracle(a, b, c, lam):
+    """E(weight_lam(X) X) for power_tail(a, b) by 30-digit mpmath quadrature,
+    with C and D solved from the half-line masses C^(-1/e) (pi/e) / sin(pi/e)
+    = 1/2 independently of the library."""
+    with mp.workdps(30):
+        def constant(e):
+            return (2 * (mp.pi / e) / mp.sin(mp.pi / e)) ** e
+
+        a, b, lam = mp.mpf(a), mp.mpf(b), mp.mpf(lam)
+        C, D, k = constant(a), constant(b), mp.pi * mp.mpf(c) * lam
+        pts = [0] + [mp.mpf(10) ** j for j in range(-2, 8)] + [mp.inf]
+        pos = mp.quad(lambda x: mp.exp(-lam * x) * x / (1 + C * x ** a), pts)
+        neg = mp.quad(lambda x: mp.exp(-lam * x) * (1 - k * x) * x / (1 + D * x ** b), pts)
+        return float(pos - neg)
+
+
+@pytest.mark.parametrize("a,b,c", [(1.5, 1.8, 0.7), (1.3, 1.3, -2.0), (1.9, 1.1, 0.0),
+                                   (1.05, 1.95, 2.5)])
+def test_power_tail_matches_mpmath(a, b, c):
+    got = ml.ExpTiltMultiplier(c).regularized_means(ml.power_tail(a, b), np.array(LAMS))
+    for value, lam in zip(got, LAMS):
+        want = _power_tail_oracle(a, b, c, lam)
+        assert abs(value - want) <= 1e-13 * max(1.0, abs(want))
+
+
+# ExpTiltMultiplier(c) at lam = 1e-2, 1e-3, 1e-4, as recorded from the
+# per-lam adaptive quadrature before the trapezoid rule replaced it
+PINNED_POWER_TAIL_MEANS = {
+    (1.2, 1.9, 0.0): [2.1095032286413957, 16.40035400583717, 108.59328106389034],
+    (1.5, 1.8, 0.7): [1.3060010185950268, 4.52227171370664, 15.301734387926375],
+    (1.6, 1.6, -2.0): [-3.4703506082245124, -8.723784625610406, -21.913949482990752],
+}
+
+
+@pytest.mark.parametrize("params", sorted(PINNED_POWER_TAIL_MEANS))
+def test_pinned_power_tail_means(params):
+    a, b, c = params
+    got = ml.ExpTiltMultiplier(c).regularized_means(ml.power_tail(a, b), np.array(LAMS))
+    np.testing.assert_allclose(got, PINNED_POWER_TAIL_MEANS[params], rtol=1e-12, atol=0)
+
+
+def _counting_quad(monkeypatch):
+    calls = []
+    original = integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counted)
+    return calls
+
+
+# ExpTiltMultiplier(0.0) at lam = 1e-2, 1e-3, 1e-4: the trapezoid nodes are
+# too coarse where the density's features sit far from 0 relative to their
+# width, so these take the per-lam quadrature, with the values it gave before
+FALLBACK_MEANS = {
+    "shift": (lambda: ml.power_tail(1.5, 1.7).shift(50.0), [
+        29.517332563112525, 49.71979190413163, 61.45396291123234]),
+    "far_shift": (lambda: ml.power_tail(1.5, 1.7).shift(1e4), [
+        1.0952176785380388e-05, 0.4646699995494012, 3671.0982932017437]),
+    "far_narrow": (lambda: ml.power_tail(1.5, 1.7).scale(1e-3).shift(1e3), [
+        0.04541521750774423, 367.8119077743499, 905.1801000318113]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_MEANS))
+def test_off_centre_power_tails_fall_back_to_quadrature(monkeypatch, name):
+    calls = _counting_quad(monkeypatch)
+    build, means = FALLBACK_MEANS[name]
+    got = ml.ExpTiltMultiplier(0.0).regularized_means(build(), np.array(LAMS))
+    assert calls
+    np.testing.assert_array_equal(got, means)
+
+
+def test_centred_power_tail_makes_no_quadrature_call(monkeypatch):
+    calls = _counting_quad(monkeypatch)
+    ml.multiplier_mean(ml.power_tail(1.5, 1.8), ml.ExpTiltMultiplier(0.7))
+    assert calls == []
+
+
+def test_step_halving_sends_an_under_resolved_bump_to_quadrature(monkeypatch):
+    # N(10, 1) is about 0.1 wide in u = log x: the nodes still see its mass
+    # (to 2e-15), but the step-h and step-2h means differ by about 1e-5
+    calls = _counting_quad(monkeypatch)
+    fam = ml.ExpTiltMultiplier(0.5)
+    lams = fam.default_lambdas(ml.TruncationSchedule())
+    got = fam.regularized_means(_plain(ml.gaussian(10.0, 1.0)), lams)
+    assert calls
+    np.testing.assert_allclose(got, _gaussian_tilt_means(10.0, 1.0, 0.5, lams), rtol=1e-9)
+
+
+def test_mass_check_sends_a_bump_between_the_nodes_to_quadrature(monkeypatch):
+    # nodes near 1e4 are about 500 apart, so both steps miss N(1e4, 1) and
+    # agree on 0; only the window mass shows what they missed
+    calls = _counting_quad(monkeypatch)
+    got = ml.ExpTiltMultiplier(0.5).regularized_means(_plain(ml.gaussian(1e4, 1.0)),
+                                                      np.array(LAMS))
+    assert calls
+    np.testing.assert_allclose(got, _gaussian_tilt_means(1e4, 1.0, 0.5, np.array(LAMS)),
+                               rtol=1e-9, atol=1e-10)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.5, 4.0])
