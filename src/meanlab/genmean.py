@@ -563,7 +563,13 @@ class WindowMultiplier:
         return policy
 
 
-# The exp-tilt trapezoid rule reaches |x| = _TILT_REACH / lam at the smallest lam.
+# The one reach of every exp-tilt branch: at lam, the atoms, the trapezoid
+# nodes and the quadrature all stop at |x| = X = _TILT_REACH / lam.  Past X,
+# |weight(x) x| falls with |x| and is at most X e^-60 (1 + 60 pi |c|), so the
+# mass beyond X moves a mean by at most that much times the mass.  e^-60 is
+# about 9e-27: at the default smallest lam, 1e-4, the bound is below
+# 6e-21 (1 + 190 |c|), far under quad's 1e-10, and it grows with |c| as the
+# tilt term of the mean does, so the relative remainder does not grow.
 _TILT_REACH = 60.0
 
 
@@ -582,26 +588,25 @@ class ExpTiltMultiplier:
     (Abramowitz & Stegun, section 5.2).  f(lam) -> pi/2, so lam f(lam) -> 0
     and the limit is c whatever c is.
 
-    ``regularized_means`` takes the whole damping schedule in one pass.
-    Measures whose ``location_scale()`` names the Cauchy or Gaussian family
-    use their closed forms (``_TILT_MEANS``).  Atomic
-    measures enumerate their atoms once, at the widest cutoff.  Any other
-    density on the whole line is integrated by one trapezoid rule in
-    u = log|x| (``measures._log_trapezoid``), whose nodes serve every lam as
-    one (lam x nodes) product.  On an integrand analytic in |Im u| < d its
-    error is about exp(-2 pi d / h) at step h (Trefethen & Weideman, SIAM
-    Review 56, 2014).  The rule is used only when the nodes' pdf mass on
-    each half-line matches ``window_stats`` to ``_MASS_GAP`` and the rule at
-    step 2h agrees with it to quad's tolerances at every lam.  Otherwise,
-    and on a support short of the whole line, each lam is integrated by
-    adaptive quadrature over |x| <= X(lam), refused when it does not
-    converge or misses mass (``measures._resolved_quad``).
+    ``regularized_means`` takes the whole damping schedule in one pass, by
+    one of three branches, each stopping at |x| = _TILT_REACH / lam:
+
+    * closed form: measures whose ``location_scale()`` names the Cauchy or
+      Gaussian family (``_TILT_MEANS``);
+    * one discrete rule: magnitudes x >= 0 carrying masses at -x and +x,
+      summed for every lam as one (lam x nodes) product.  The nodes are the
+      atoms of an atomic measure, enumerated once at the widest reach, or
+      the trapezoid nodes in u = log|x| of a density on the whole line
+      (``measures._log_trapezoid``, which refuses nodes that miss mass).
+      On an integrand analytic in |Im u| < d the trapezoid error is about
+      exp(-2 pi d / h) at step h (Trefethen & Weideman, SIAM Review 56,
+      2014); its means are used only when the rule at step 2h agrees with
+      them to quad's tolerances at every lam;
+    * quadrature: any other density, one lam at a time, refused when it
+      does not converge or misses mass (``measures._resolved_quad``).
     """
 
     kind = "exp_tilt"
-
-    # integrate |x| <= cutoff_factor / lam; the remainder is certified below
-    cutoff_factor = 40.0
 
     def __init__(self, c: float = 0.0):
         self.c = _number("multiplier c", c)
@@ -611,17 +616,6 @@ class ExpTiltMultiplier:
         pos = np.exp(-lam * np.clip(x, 0.0, None))
         neg = np.exp(lam * np.clip(x, None, 0.0)) * (1.0 + math.pi * self.c * lam * np.clip(x, None, 0.0))
         return np.where(x >= 0.0, pos, neg)
-
-    def _remainder_bound(self, lam: float, X: float) -> float:
-        # |weight(x) * x| <= X e^{-lam X} (1 + pi |c| lam X) for |x| >= X
-        # (the bound is decreasing there once X >= 2 / lam)
-        return X * math.exp(-lam * X) * (1.0 + math.pi * abs(self.c) * lam * X)
-
-    def _cutoff(self, lam: float) -> float:
-        X = self.cutoff_factor / lam
-        while self._remainder_bound(lam, X) >= _QUAD_ABS_TOL / 2 and X < 1e306:
-            X *= 1.5
-        return X
 
     def _integrands(self, pdf: Callable[[float], float], lam: float):
         """weight * x * pdf on x <= 0 and on x >= 0, in scalar math."""
@@ -646,45 +640,33 @@ class ExpTiltMultiplier:
         if law is not None and law[0] in _TILT_MEANS:
             family, loc, scale = law
             return _TILT_MEANS[family](loc, scale, self.c, lams)
-        if measure.pdf is not None and measure.support == (-math.inf, math.inf):
-            means = self._trapezoid_means(measure, lams)
-            if means is not None:
-                return means
-        cutoffs = np.array([self._cutoff(lam) for lam in lams])
+        reach = _TILT_REACH / float(lams.min())
+        rule = None
         if measure.is_atomic:
-            locs, weights = measure.atom_arrays(float(cutoffs.max()))
-            inside = np.abs(locs) <= cutoffs[:, None]
-            return np.where(inside, self.weight(locs, lams[:, None]), 0.0) @ (locs * weights)
+            locs, weights = measure.atom_arrays(reach)
+            rule = (np.abs(locs), np.where(locs < 0.0, weights, 0.0)[None],
+                    np.where(locs > 0.0, weights, 0.0)[None])
+        elif measure.pdf is not None and measure.support == (-math.inf, math.inf):
+            rule = _log_trapezoid(measure, reach)
+        if rule is not None:
+            # rows of masses: one for atoms; steps h and 2h for trapezoid nodes
+            x, neg, pos = rule
+            damp = np.exp(-lams[:, None] * x) * x
+            tilt = 1.0 - math.pi * self.c * lams[:, None] * x
+            means = (damp @ pos.T - (damp * tilt) @ neg.T).T
+            if np.all(np.abs(means[0] - means[-1]) <= _QUAD_ABS_TOL + 1e-12 * np.abs(means[0])):
+                return means[0]
         if measure.pdf is None:
             raise MeasureError("exp_tilt needs an atomic or density measure")
         lo, hi = measure.support
         means = []
-        for lam, X in zip(lams.tolist(), cutoffs.tolist()):
+        for lam in lams.tolist():
             neg, pos = self._integrands(measure.pdf, lam)
-            a, b = max(-X, lo), min(X, hi)
+            a, b = max(-_TILT_REACH / lam, lo), min(_TILT_REACH / lam, hi)
             means.append(sum(_resolved_quad(measure, f, u, v)
                              for f, u, v in ((neg, a, min(0.0, b)), (pos, max(0.0, a), b))
                              if u < v))
         return np.array(means)
-
-    def _trapezoid_means(self, measure: Measure, lams: np.ndarray) -> Optional[np.ndarray]:
-        """All means by one trapezoid rule in u = log|x|, or None to fall back.
-
-        The nodes reach X = _TILT_REACH / min(lam), past which
-        |weight(x) x| <= X e^-60 (1 + 60 pi |c|).  The step-2h rule on the
-        same nodes checks each mean: the two must agree to quad's
-        tolerances, _QUAD_ABS_TOL plus 1e-12 relative.
-        """
-        rule = _log_trapezoid(measure, _TILT_REACH / float(lams.min()))
-        if rule is None:
-            return None
-        x, weights, (neg, pos) = rule
-        damp = np.exp(-lams[:, None] * x) * x
-        tilt = 1.0 - math.pi * self.c * lams[:, None] * x
-        fine, coarse = (damp @ (weights * pos).T - (damp * tilt) @ (weights * neg).T).T
-        if np.all(np.abs(fine - coarse) <= _QUAD_ABS_TOL + 1e-12 * np.abs(fine)):
-            return fine
-        return None
 
     def default_lambdas(self, schedule: TruncationSchedule) -> np.ndarray:
         return np.geomspace(1e-2, 1e-4, 25)

@@ -231,14 +231,15 @@ def _log_trapezoid(measure: Measure, reach: float):
     u <= log(reach).  The nodes are u_j = _LOG_LOW + j h, h = _LOG_STEP, for
     j = 0..2n, the first even count to pass log(reach).
 
-    Returns ``(x, weights, dens)``: the magnitudes x_j = e^(u_j); the
-    trapezoid weights for dx at step h (``weights[0]``) and at step 2h on
-    the even nodes (``weights[1]``, zero on the odd ones), so that
-    ``weights @ g(x)`` integrates g over [0, x_2n] at both steps; and the pdf
-    at -x (``dens[0]``) and at x (``dens[1]``), one scalar call per node.
-    Returns None when the nodes miss mass: the step-h mass on each
-    half-line must match ``window_stats`` over the same range to _MASS_GAP,
-    which a feature narrower than the step at its distance from 0 fails.
+    Returns ``(x, neg, pos)``: the magnitudes x_j = e^(u_j), and the masses
+    the nodes carry at -x_j (``neg``) and at x_j (``pos``), the pdf there
+    times the trapezoid weight for dx, one scalar pdf call per node.  Row 0
+    of each is the rule at step h; row 1 the rule at step 2h on the even
+    nodes (zero on the odd ones), so that ``pos @ g(x)`` integrates g over
+    [0, x_2n] at both steps.  Returns None when the nodes miss mass: the
+    step-h mass on each half-line must match ``window_stats`` over the same
+    range to _MASS_GAP, which a feature narrower than the step at its
+    distance from 0 fails.
     """
     n = math.ceil((math.log(reach) - _LOG_LOW) / (2.0 * _LOG_STEP))
     x = np.exp(_LOG_LOW + _LOG_STEP * np.arange(2 * n + 1))
@@ -251,7 +252,7 @@ def _log_trapezoid(measure: Measure, reach: float):
                        float, 2 * x.size).reshape(2, x.size)
     masses = measure.window_stats([-x[-1], 0.0], [0.0, x[-1]])[0]
     if np.all(np.abs(dens @ weights[0] - masses) <= _MASS_GAP):
-        return x, weights, dens
+        return x, weights * dens[0], weights * dens[1]
     return None
 
 
@@ -422,8 +423,10 @@ class AtomicComb(Measure):
         MASS_TOL/2.  A radius the atom locations overflow before reaching
         (an infinite one on an infinite comb) is refused.  The sorted cache
         is a stable sort of the enumeration, so atoms at one location keep
-        their enumeration order.  A refused request keeps what it
-        enumerated, so no atom is built twice."""
+        their enumeration order.  A request refused at ``max_atoms`` keeps
+        what it enumerated, so no atom is built twice; one refused for
+        overflow leaves the cache as it was, not holding atoms out to the
+        end of float range."""
         n, new = self._blocks_done, []
         try:
             while True:
@@ -440,6 +443,8 @@ class AtomicComb(Measure):
                         f"{self.family}: enumeration needs more than {max_atoms} atoms "
                         "or blocks; supply closed forms for this family")
         except OverflowError:  # atom locations leave float range first
+            n, new = self._blocks_done, []
+            del self._ends[n + 1:]
             raise MeasureError(f"{self.family}: enumeration overflows before "
                                f"covering radius {max_abs:g}") from None
         finally:

@@ -18,7 +18,7 @@ import pytest
 from scipy import integrate, special
 
 import meanlab as ml
-from meanlab.genmean import _cauchy_tilt_means, _gaussian_tilt_means
+from meanlab.genmean import _TILT_REACH, _cauchy_tilt_means, _gaussian_tilt_means
 
 LAMS = (1e-2, 1e-3, 1e-4)
 
@@ -114,7 +114,7 @@ def test_cauchy_closed_form_agrees_with_quadrature(c):
 
 def test_quadrature_finds_a_bump_it_never_samples():
     # the trapezoid rule sees N(1, 2) on the whole line; on a bounded support
-    # the adaptive fallback runs, where GK21 on [0, 4e5] never samples the
+    # the adaptive fallback runs, where GK21 on [0, 6e5] never samples the
     # bump and the mass check splits the range
     fam = ml.ExpTiltMultiplier(0.5)
     lams = fam.default_lambdas(ml.TruncationSchedule())
@@ -169,20 +169,26 @@ def test_unresolvable_bump_raises_instead_of_answering():
         ml.ExpTiltMultiplier(0.0).regularized_means(m, np.array([1e-4]))
 
 
-def _power_tail_oracle(a, b, c, lam):
-    """E(weight_lam(X) X) for power_tail(a, b) by 30-digit mpmath quadrature,
+def _power_tail_oracle(a, b, c, lam, s=1.0, t=0.0):
+    """E(weight_lam(Y) Y) for Y = s X + t, X ~ power_tail(a, b), by 30-digit
+    mpmath quadrature in x, split at 0, at the kink x = -t/s and by decades,
     with C and D solved from the half-line masses C^(-1/e) (pi/e) / sin(pi/e)
     = 1/2 independently of the library."""
     with mp.workdps(30):
         def constant(e):
             return (2 * (mp.pi / e) / mp.sin(mp.pi / e)) ** e
 
-        a, b, lam = mp.mpf(a), mp.mpf(b), mp.mpf(lam)
+        a, b, s, t, lam = map(mp.mpf, (a, b, s, t, lam))
         C, D, k = constant(a), constant(b), mp.pi * mp.mpf(c) * lam
-        pts = [0] + [mp.mpf(10) ** j for j in range(-2, 8)] + [mp.inf]
-        pos = mp.quad(lambda x: mp.exp(-lam * x) * x / (1 + C * x ** a), pts)
-        neg = mp.quad(lambda x: mp.exp(-lam * x) * (1 - k * x) * x / (1 + D * x ** b), pts)
-        return float(pos - neg)
+
+        def f(x):
+            y = s * x + t
+            w = mp.exp(-lam * y) if y >= 0 else mp.exp(lam * y) * (1 + k * y)
+            return w * y / (1 + (C * x ** a if x > 0 else D * (-x) ** b))
+
+        pts = {mp.mpf(0), -t / s} | {sign * mp.mpf(10) ** j
+                                     for j in range(-2, 13) for sign in (1, -1)}
+        return float(mp.quad(f, [-mp.inf, *sorted(pts), mp.inf]))
 
 
 @pytest.mark.parametrize("a,b,c", [(1.5, 1.8, 0.7), (1.3, 1.3, -2.0), (1.9, 1.1, 0.0),
@@ -224,24 +230,29 @@ def _counting_quad(monkeypatch):
 
 # ExpTiltMultiplier(0.0) at lam = 1e-2, 1e-3, 1e-4: the trapezoid nodes are
 # too coarse where the density's features sit far from 0 relative to their
-# width, so these take the per-lam quadrature, with the values it gave before
+# width, so these take the per-lam quadrature over |x| <= _TILT_REACH / lam.
+# Each is power_tail(1.5, 1.7) scaled by s and shifted by t.
 FALLBACK_MEANS = {
-    "shift": (lambda: ml.power_tail(1.5, 1.7).shift(50.0), [
-        29.517332563112525, 49.71979190413163, 61.45396291123234]),
-    "far_shift": (lambda: ml.power_tail(1.5, 1.7).shift(1e4), [
-        1.0952176785380388e-05, 0.4646699995494012, 3671.0982932017437]),
-    "far_narrow": (lambda: ml.power_tail(1.5, 1.7).scale(1e-3).shift(1e3), [
-        0.04541521750774423, 367.8119077743499, 905.1801000318113]),
+    "shift": ((1.0, 50.0), [
+        29.517332563112735, 49.719791904273265, 61.45396291123279]),
+    "far_shift": ((1.0, 1e4), [
+        1.0952176785380415e-05, 0.4646699995494386, 3671.098293201379]),
+    "far_narrow": ((1e-3, 1e3), [
+        0.045415217507502346, 367.8119077741471, 905.1801000320131]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FALLBACK_MEANS))
 def test_off_centre_power_tails_fall_back_to_quadrature(monkeypatch, name):
     calls = _counting_quad(monkeypatch)
-    build, means = FALLBACK_MEANS[name]
-    got = ml.ExpTiltMultiplier(0.0).regularized_means(build(), np.array(LAMS))
+    (s, t), means = FALLBACK_MEANS[name]
+    measure = ml.power_tail(1.5, 1.7).scale(s).shift(t)
+    got = ml.ExpTiltMultiplier(0.0).regularized_means(measure, np.array(LAMS))
     assert calls
     np.testing.assert_array_equal(got, means)
+    for value, lam in zip(means, LAMS):
+        want = _power_tail_oracle(1.5, 1.7, 0.0, lam, s, t)
+        assert abs(value - want) <= 1e-11 * max(1.0, abs(want))
 
 
 def test_centred_power_tail_makes_no_quadrature_call(monkeypatch):
@@ -283,8 +294,8 @@ def test_scalar_integrand_weight_equals_array_weight(c):
 
 
 def _atom_loop(fam, measure, lam):
-    """Reference: the atoms within the cutoff, summed one lam at a time."""
-    atoms = measure.atoms_within(fam._cutoff(lam))
+    """Reference: the atoms within the reach, summed one lam at a time."""
+    atoms = measure.atoms_within(_TILT_REACH / lam)
     x = np.array([a.location for a in atoms])
     w = np.array([a.weight for a in atoms])
     return math.fsum(fam.weight(x, lam) * x * w)
@@ -301,6 +312,18 @@ def test_atomic_schedule_in_one_pass_matches_the_loop(build):
     want = [_atom_loop(fam, build(), lam) for lam in lams]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
     assert fam.regularized_means(build(), [lams[3]])[0] == pytest.approx(got[3], rel=1e-14)
+
+
+@pytest.mark.parametrize("c", [-2.0, 0.7, 3.0])
+def test_two_atoms_leave_only_the_tilt_term(c):
+    # mass 1/2 at -x and at x: the damped halves cancel, and the tilt term
+    # pi c lam x of the atom at -x leaves (x^2 / 2) pi c lam e^(-lam x)
+    x = 250.0
+    m = ml.finite_comb([ml.Atom(-x, 0.5), ml.Atom(x, 0.5)])
+    lams = np.array([4.4e-3, 4e-3, 3.6e-3])
+    got = ml.ExpTiltMultiplier(c).regularized_means(m, lams)
+    want = [x * x / 2 * math.pi * c * lam * math.exp(-lam * x) for lam in lams.tolist()]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_integer_power_comb_fails_fast_at_the_atom_cap(atom_builds):

@@ -6,6 +6,9 @@ wrong answer produces, so an unrelated crash does not count.  A change that
 fixes a row turns its xfail into a failing XPASS; it then drops the mark.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 import meanlab as ml
@@ -29,3 +32,93 @@ def test_narrow_off_centre_cauchy_exp_tilt_converges():
     series = ml.multiplier_mean(ml.cauchy(100.0, 1e-3), ml.ExpTiltMultiplier(0.0))
     assert series.verdict.kind == "converged"
     assert series.verdict.value == pytest.approx(100.0, rel=1e-3)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the windows at the horizon hold almost none "
+                          "of the mass, and the still-moving partial means are "
+                          "read as bounded oscillation")
+def test_far_shifted_cauchy_has_a_common_value():
+    # every center's windows converge to the location 1e12; today: case I
+    report = ml.classify_taxonomy(ml.cauchy().shift(1e12))
+    assert report.case in ("III_finite", "Undetermined")
+    if report.case == "III_finite":
+        assert report.common_value == pytest.approx(1e12, rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: slow convergence at rate M^(2-p) is "
+                          "read as divergence")
+@pytest.mark.parametrize("p", [2.3, 2.5])
+def test_integer_power_comb_mean_is_finite_past_two(p):
+    # mean zeta(p - 1) / zeta(p); today: plus_inf
+    from scipy.special import zeta
+    ladder = ml.mean_ladder(ml.integer_power_comb(p))
+    assert ladder.ordinary_kind in ("finite", "undetermined")
+    if ladder.ordinary_kind == "finite":
+        assert ladder.ordinary_value == pytest.approx(zeta(p - 1) / zeta(p), rel=1e-3)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                   reason="ROADMAP item 4: the Hurwitz-zeta moment is inf - inf "
+                          "at p = 2")
+def test_integer_power_comb_at_two_warns_nothing():
+    # the mean is +inf and n P(X > n) -> 1 / zeta(2), so there is no weak mean;
+    # today the window moments warn (an error under the test filters)
+    ladder = ml.mean_ladder(ml.integer_power_comb(2.0))
+    assert ladder.ordinary_kind in ("plus_inf", "undetermined")
+    assert ladder.weak_value is None
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 3: the tail curve's horizon of 1e6 stops "
+                          "short of a Gaussian centred at 1e6")
+def test_far_gaussian_ladder_gives_a_verdict():
+    # mean 1e6; today the ladder's own consistency check raises
+    ladder = ml.mean_ladder(ml.gaussian(1e6, 1.0))
+    assert ladder.ordinary_kind in ("finite", "undetermined")
+    if ladder.ordinary_kind == "finite":
+        assert ladder.ordinary_value == pytest.approx(1e6, rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: the shifted threshold center lies outside "
+                          "the default center grid, which then sees one side of it")
+@pytest.mark.parametrize("shift", [-50.0, 50.0])
+@pytest.mark.parametrize("build", [ml.comb_ex4, ml.comb_ex5], ids=["comb_ex4", "comb_ex5"])
+def test_shifted_triadic_comb_keeps_case_iv(build, shift):
+    # a shift only moves the threshold center (-0.5 unshifted); today
+    # III_plus_inf at -50 and I at +50
+    assert ml.classify_taxonomy(build().shift(shift)).case == "IV"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: a window mass near 1 at the horizon "
+                          "is taken to mean nothing is left")
+def test_far_atom_is_not_silently_dropped():
+    # mass 1e-11 at 1e12 carries the whole mean, 10; today: finite 0.0
+    ladder = ml.mean_ladder(ml.finite_comb([ml.Atom(0.0, 1 - 1e-11), ml.Atom(1e12, 1e-11)]))
+    assert ladder.ordinary_kind in ("finite", "undetermined")
+    if ladder.ordinary_kind == "finite":
+        assert ladder.ordinary_value == pytest.approx(10.0, rel=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=ml.MeasureError,
+                   reason="ROADMAP item 4: a user density's construction check "
+                          "runs one quad with no mass check")
+def test_off_centre_user_density_is_accepted():
+    # N(1e4, 1); today: "density integrates to 0.0, not 1"
+    m = ml.DensityMeasure("bump", lambda x: math.exp(-0.5 * (x - 1e4) ** 2)
+                          / math.sqrt(2.0 * math.pi))
+    mass, moment = m.window_stats(9e3, 1.1e4)
+    assert mass == pytest.approx(1.0, abs=1e-9)
+    assert moment == pytest.approx(1e4, rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=ml.MeasureError,
+                   reason="ROADMAP item 9: the block sampler's tail bound never "
+                          "falls below its cutoff")
+def test_integer_power_comb_can_be_sampled():
+    # today: "tail bound never fell below the sampling cutoff 1e-12"
+    draws = ml.build_sampler(ml.integer_power_comb(3.0), seed=0).draw(1000)
+    assert np.all(draws >= 1) and np.array_equal(draws, np.round(draws))

@@ -137,6 +137,27 @@ def test_comb_sampler_extends_the_one_enumeration(atom_builds, build):
         assert (built, atom_builds["atoms"]) == (106, 138)
 
 
+def test_overflow_refusal_leaves_the_cached_enumeration_as_it_was():
+    # comb_ex4's locations 3^n overflow near block 646; the refusal used to
+    # keep all 1,290 atoms and 646 block ends
+    m = ml.comb_ex4()
+    cached = (m._sorted[0].size, m._enumerated[0].size, len(m._ends))
+    with pytest.raises(ml.MeasureError, match="radius inf"):
+        m.atoms_within(math.inf)
+    assert cached == (m._sorted[0].size, m._enumerated[0].size, len(m._ends)) == (106, 106, 54)
+    radii = ml.TruncationSchedule().radii()
+    assert m.window_stats(-radii, radii)[1].tobytes() == \
+        ml.comb_ex4().window_stats(-radii, radii)[1].tobytes()
+
+
+def test_atom_cap_refusal_keeps_the_atoms_it_built():
+    m = ml.comb_ex2()
+    assert (m._sorted[0].size, len(m._ends)) == (62, 32)
+    with pytest.raises(ml.MeasureError, match="more than 68 atoms"):
+        m.atom_arrays(1e30, max_atoms=68)
+    assert (m._sorted[0].size, len(m._ends)) == (70, 36)  # four more blocks of two
+
+
 def test_comb_enumeration_resumes_at_a_block_that_raised():
     failed = []
 
