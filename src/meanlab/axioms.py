@@ -360,6 +360,7 @@ def two_point_coincidence(stat_a: SampleStatistic, stat_b: SampleStatistic,
                           trials: int = 200, seed: int = 0) -> CoincidenceReport:
     """Trials draw a point, a pair and a triple from one generator,
     ``np.random.default_rng(seed)``; the first triple is (0, 1, 5)."""
+    trials = _number("trials", trials, integer=True, ge=1)
     rng = np.random.default_rng(seed)
     points = rng.uniform(-10, 10, size=trials).tolist()
     pairs = rng.uniform(-10, 10, size=(trials, 2)).tolist()

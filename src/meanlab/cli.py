@@ -251,16 +251,8 @@ def _run_maxent(doc, args, schedule, policy):
         targets=tuple(doc["targets"]),
         base=doc.get("base", "bits"),
     )
-    solution = maxent_solve(problem)
-    results = {
-        "betas": list(solution.betas),
-        "log_partition": solution.log_partition,
-        "distribution": list(solution.distribution.probabilities),
-        "entropy": solution.entropy,
-        "base": solution.base,
-        "residuals": list(solution.residuals),
-        "newton_steps": solution.newton_steps,
-    }
+    results = asdict(maxent_solve(problem))
+    results["distribution"] = results["distribution"]["probabilities"]
     return results, [], {}, False
 
 

@@ -132,9 +132,7 @@ class MaxEntProblem:
                     f"attainable range [{v.min():g}, {v.max():g}]")
 
     def matrix(self) -> np.ndarray:
-        if not self.observables:
-            return np.empty((0, self.n))
-        return np.vstack([g.as_array() for g in self.observables])
+        return np.array([g.values for g in self.observables], dtype=float).reshape(-1, self.n)
 
 
 def entropy(p: FiniteDistribution | Sequence[float], base: str = "bits") -> float:
@@ -157,7 +155,7 @@ def expected_value(p: FiniteDistribution | Sequence[float],
 
 def _log_partition(G: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
     """log Z and the exponential-family distribution, max-shift stabilized."""
-    w = -(beta @ G) if G.size else np.zeros(G.shape[1])
+    w = -(beta @ G)
     shift = w.max()
     e = np.exp(w - shift)
     Z = e.sum()
@@ -214,25 +212,24 @@ def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
     Backtracking halves the step until the Armijo condition with constant
     1e-4 holds.  Once the predicted decrease is within 16 ulps of psi, that
     test is roundoff, and backtracking instead takes the longest step that
-    strictly shrinks the moment gap ||alpha - E_p[g]||_inf.  The iteration
-    starts at beta = 0 (the uniform distribution) and stops when the moment
-    gap drops to FEAS_TOL; a problem not solved in _MAX_NEWTON_STEPS (200)
-    steps is refused.  A dual norm beyond 1e3 with a non-improving gap
-    signals a target on or outside the attainable boundary.
+    strictly shrinks the moment gap ||alpha - E_p[g]||_inf.  Each point's
+    log Z and p are computed once: the accepted candidate's serve the next
+    step.  The iteration starts at beta = 0 (the uniform distribution) and
+    stops when the moment gap drops to FEAS_TOL; a problem not solved in
+    _MAX_NEWTON_STEPS (200) steps is refused.  A dual norm beyond 1e3 with a
+    non-improving gap signals a target on or outside the attainable boundary.
     """
     G = problem.matrix()
     alpha = np.asarray(problem.targets, dtype=float)
-    k, n = G.shape
     _check_affine_independence(G)
 
-    beta = np.zeros(k)
+    beta = np.zeros(len(alpha))
+    logZ, p = _log_partition(G, beta)
     best_grad_norm = math.inf
-    steps = 0
     for steps in range(1, _MAX_NEWTON_STEPS + 1):
-        logZ, p = _log_partition(G, beta)
         m = G @ p
         grad = alpha - m
-        grad_norm = float(np.linalg.norm(grad, ord=np.inf)) if k else 0.0
+        grad_norm = float(np.abs(grad).max(initial=0.0))
         if grad_norm <= FEAS_TOL:
             break
         if float(np.linalg.norm(beta, ord=np.inf)) > _BETA_GUARD \
@@ -252,7 +249,7 @@ def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
                 raise InfeasibleTargetError(
                     f"covariance became singular while |beta| grew beyond "
                     f"{_BETA_GUARD:g}; targets {alpha.tolist()} are not interior")
-            direction = -np.linalg.solve(cov + 1e-12 * np.eye(k), grad)
+            direction = -np.linalg.solve(cov + 1e-12 * np.eye(len(beta)), grad)
 
         psi0 = logZ + float(beta @ alpha)
         slope = float(grad @ direction)
@@ -260,23 +257,23 @@ def maxent_solve(problem: MaxEntProblem) -> MaxEntSolution:
         t = 1.0
         while t > 1e-12:
             candidate = beta + t * direction
-            if roundoff:
-                gap = float(np.linalg.norm(dual_gradient(G, alpha, candidate), ord=np.inf))
-                if gap < grad_norm:
-                    break
-            elif dual_objective(G, alpha, candidate) <= psi0 + 1e-4 * t * slope:
+            logZ_t, p_t = _log_partition(G, candidate)
+            if (float(np.abs(alpha - G @ p_t).max()) < grad_norm if roundoff
+                    else logZ_t + float(candidate @ alpha) <= psi0 + 1e-4 * t * slope):
                 break
             t *= 0.5
-        beta = beta + t * direction
+        else:  # backtracking ran out: take the last, unevaluated, halving
+            candidate = beta + t * direction
+            logZ_t, p_t = _log_partition(G, candidate)
+        beta, logZ, p = candidate, logZ_t, p_t
     else:
         raise InfeasibleTargetError(
             f"Newton did not reach tolerance {FEAS_TOL:g} in {_MAX_NEWTON_STEPS} steps; "
             f"remaining moment gap {best_grad_norm:.3g}")
 
-    h_nats = logZ + float(beta @ m) if k else math.log(n)
+    h_nats = logZ + float(beta @ m)
     h = h_nats / math.log(2) if problem.base == "bits" else h_nats
-    residuals = tuple((m - alpha).tolist()) if k else ()
     return MaxEntSolution(betas=tuple(beta.tolist()), log_partition=logZ,
                           distribution=FiniteDistribution(tuple(p.tolist())),
-                          entropy=h, base=problem.base, residuals=residuals,
+                          entropy=h, base=problem.base, residuals=tuple((m - alpha).tolist()),
                           newton_steps=steps)

@@ -489,8 +489,7 @@ class AtomicComb(Measure):
         return draw, float(self.tail_mass_bound(n))
 
 
-def finite_comb(atoms: Sequence[Atom], family: str = "finite",
-                validate: bool = True) -> AtomicComb:
+def finite_comb(atoms: Sequence[Atom], family: str = "finite") -> AtomicComb:
     """Comb with a fixed finite list of atoms (tail mass is exactly zero)."""
     atoms = list(atoms)
     if not atoms:
@@ -505,7 +504,6 @@ def finite_comb(atoms: Sequence[Atom], family: str = "finite",
         block,
         tail_mass_bound=lambda n: 0.0 if n >= 1 else 1.0,
         location_floor=lambda n: math.inf if n >= 1 else max_loc,
-        validate=validate,
     )
 
 

@@ -128,7 +128,7 @@ def induced_measure(A, psi) -> AtomicComb:
             lam = float(np.average(lams[i:j + 1], weights=np.maximum(weights[i:j + 1], 1e-300)))
             atoms.append(Atom(lam, w))
         i = j + 1
-    return finite_comb(atoms, family="spectral", validate=False)
+    return finite_comb(atoms, family="spectral")
 
 
 def qm_mean(A, psi) -> float:

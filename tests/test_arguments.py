@@ -60,6 +60,8 @@ PARAMETERS = [
      ValueError),
     ("power_law bridge p", lambda v: ml.build_bridge("power_law_integer", p=v), ValueError),
     ("convex weight", ml.convex_combination, ValueError),
+    ("trials", lambda v: ml.two_point_coincidence(ml.mean_statistic, ml.median_statistic,
+                                                  trials=v), ValueError),
 ]
 
 # Row numbers 31 and 32 are retired: they checked maxent_solve's feas_tol and
@@ -86,6 +88,13 @@ def test_convex_weight_outside_the_unit_interval_is_refused(value):
         ml.convex_combination(value)
 
 
+@pytest.mark.parametrize("value", [0, -3, 2.5])
+def test_coincidence_needs_a_whole_positive_trial_count(value):
+    # 0 returned an empty report and -3 raised numpy's "negative dimensions"
+    with pytest.raises(ValueError, match="trials must be >= 1 and an integer"):
+        ml.two_point_coincidence(ml.mean_statistic, ml.median_statistic, trials=value)
+
+
 def test_good_values_pass_the_checker_unchanged():
     # ints are numbers, and numpy scalars are too
     assert ml.gaussian(mu=np.float64(2.0), sigma=3).location_scale() == ("gaussian", 2.0, 3.0)
@@ -95,7 +104,8 @@ def test_good_values_pass_the_checker_unchanged():
 
 # Options that no caller set are constants now: the windows are closed, the
 # solver, harness, tail curve and trajectory settings are fixed, and every
-# user density is checked.  Passing one of the old keywords is a TypeError.
+# user density and finite comb is checked.  Passing one of the old keywords is
+# a TypeError.
 _PROBLEM = ml.MaxEntProblem(n=3, observables=(ml.FiniteObservable((1.0, 2.0, 3.0)),),
                             targets=(2.5,))
 
@@ -113,6 +123,7 @@ REMOVED_KEYWORDS = {
     "n_schedule": lambda: ml.tail_mass_curve(ml.cauchy(), n_schedule=[1.0, 10.0]),
     "stream": lambda: ml.running_mean_trajectory(_sampler(), 10, stream=(4,)),
     "max_atoms": lambda: ml.comb_ex2().atoms_within(10.0, max_atoms=5),
+    "finite_comb validate": lambda: ml.finite_comb([ml.Atom(0.0, 1.0)], validate=False),
     "validate": lambda: ml.DensityMeasure("uniform", lambda x: 0.5, support=(-1.0, 1.0),
                                           validate=False),
 }
