@@ -199,8 +199,11 @@ def _scan_radii(locations: np.ndarray, center: float, base: np.ndarray,
     schedule's radii are kept exactly as given.
     """
     crossings = np.abs(locations - center)
-    crossings = np.unique(crossings[(base[0] <= crossings) & (crossings <= base[-1])])
-    probes = 0.5 * (crossings[:-1] + crossings[1:])
+    crossings = np.sort(crossings[(base[0] <= crossings) & (crossings <= base[-1])])
+    # No probe between radii within 4 ulps: equal radii count once, and so do
+    # those of atoms that cross together, which an affine image splits by an ulp.
+    apart = crossings[1:] - crossings[:-1] > 4 * np.spacing(crossings[1:])
+    probes = 0.5 * (crossings[:-1] + crossings[1:])[apart]
     if len(probes) > max_probes:
         idx = np.linspace(0, len(probes) - 1, max_probes).round().astype(int)
         probes = probes[np.unique(idx)]
@@ -278,27 +281,29 @@ def _classify_values(values: np.ndarray, policy: VerdictPolicy,
     blocks = (values[max(0, n - 3 * W):max(1, n - 2 * W)], values[-2 * W:-W])
     mins = [float(b.min()) for b in blocks] + [lo]
     maxs = [float(b.max()) for b in blocks] + [hi]
-    final = float(values[-1])
+    final, thr = float(values[-1]), policy.div_threshold
 
     def rising(x):  # every block-to-block step clears the tolerance
         return x[1] - x[0] > tol and x[2] - x[1] > tol
 
-    if rising(mins) and final > policy.div_threshold:
-        return verdict(DIVERGES_PLUS, liminf_est=mins[2])
-    if rising([-m for m in maxs]) and final < -policy.div_threshold:
-        return verdict(DIVERGES_MINUS, limsup_est=maxs[2])
+    # Each rule is stated upward.  A downward verdict is the upward one of the
+    # negated series, whose block minima are the negated maxima, with its
+    # estimate negated back.
+    sides = ((1.0, mins, maxs, "liminf_est"),
+             (-1.0, [-m for m in maxs], [-m for m in mins], "limsup_est"))
+    for (sign, lows, _, est), kind in zip(sides, (DIVERGES_PLUS, DIVERGES_MINUS)):
+        if rising(lows) and sign * final > thr:
+            return verdict(kind, **{est: sign * lows[2]})
 
     spread_persists = all(b - a > tol for a, b in zip(mins, maxs))
     # One pass, not min(mins), which can return the other signed zero.
     tail3 = values[-3 * W:]
     lo3, hi3 = float(tail3.min()), float(tail3.max())
-    if (spread_persists and rising(maxs)
-            and maxs[2] > policy.div_threshold and abs(lo3) <= policy.div_threshold):
-        return verdict(OSC_UNBOUNDED_ABOVE, liminf_est=lo3)
-    if (spread_persists and rising([-m for m in mins])
-            and mins[2] < -policy.div_threshold and abs(hi3) <= policy.div_threshold):
-        return verdict(OSC_UNBOUNDED_BELOW, limsup_est=hi3)
-    if spread_persists and max(abs(lo3), abs(hi3)) <= policy.div_threshold:
+    for (sign, _, highs, est), kind, low in zip(sides, (OSC_UNBOUNDED_ABOVE, OSC_UNBOUNDED_BELOW),
+                                                (lo3, -hi3)):
+        if spread_persists and rising(highs) and highs[2] > thr and abs(low) <= thr:
+            return verdict(kind, **{est: sign * low})
+    if spread_persists and max(abs(lo3), abs(hi3)) <= thr:
         return verdict(OSC_BOUNDED, liminf_est=lo3, limsup_est=hi3)
     return verdict(UNDETERMINED)
 
@@ -385,25 +390,21 @@ def classify_taxonomy(measure: Measure,
                      f"div+={div_plus}, div-={div_minus}, osc={osc}")
         return report("Undetermined")
 
-    if len(div_plus) == len(grid):
-        return report("III_plus_inf")
-    if len(div_minus) == len(grid):
-        return report("III_minus_inf")
-
-    if div_plus and osc and not div_minus:
-        if min(div_plus) > max(osc):
-            lo, hi = max(osc), min(div_plus)
-            return report("IV", c_threshold=0.5 * (lo + hi),
-                          threshold_uncertainty=0.5 * (hi - lo))
-        diags.append("divergent-up centers are not an upper tail of the grid")
-        return report("Undetermined")
-    if div_minus and osc and not div_plus:
-        if max(div_minus) < min(osc):
-            lo, hi = max(div_minus), min(osc)
-            return report("V", c_threshold=0.5 * (lo + hi),
-                          threshold_uncertainty=0.5 * (hi - lo))
-        diags.append("divergent-down centers are not a lower tail of the grid")
-        return report("Undetermined")
+    # III_plus_inf and IV read upward; III_minus_inf and V are the same rule
+    # on the negated grid, where the centers diverging down diverge up.  Each
+    # reading needs a center diverging its way and the other reading none.
+    for sign, up, down, (all_up, tail), side in (
+            (1.0, div_plus, div_minus, ("III_plus_inf", "IV"), "up centers are not an upper"),
+            (-1.0, div_minus, div_plus, ("III_minus_inf", "V"), "down centers are not a lower")):
+        if len(up) == len(grid):
+            return report(all_up)
+        if up and osc and not down:
+            lo, hi = max(sign * c for c in osc), min(sign * c for c in up)
+            if hi > lo:
+                return report(tail, c_threshold=sign * 0.5 * (lo + hi),
+                              threshold_uncertainty=0.5 * (hi - lo))
+            diags.append(f"divergent-{side} tail of the grid")
+            return report("Undetermined")
 
     if len(osc) == len(grid):
         return report("I")
@@ -545,11 +546,6 @@ class WindowMultiplier:
 
     def __init__(self, c: float = 0.0):
         self.c = _number("multiplier c", c)
-
-    def weight(self, x: np.ndarray, lam: float) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        half = 1.0 / lam
-        return ((x >= self.c - half) & (x <= self.c + half)).astype(float)
 
     def regularized_means(self, measure: Measure, lams: np.ndarray) -> np.ndarray:
         """All windows of the damping schedule in one window_stats call."""

@@ -2,8 +2,9 @@
 
 Every function takes the observable as a square matrix and the state as a
 vector (any array-like, converted to complex).  A matrix that is not square,
-finite and Hermitian within HERM_TOL, or a state that is empty, not finite
-or not of unit norm, is refused with a ValueError.
+finite and Hermitian within HERM_TOL, or a state that is empty, not finite,
+not of unit norm or not of the matrix's dimension, is refused with a
+ValueError.
 
 A Hermitian matrix A and a unit state vector psi induce a probability
 measure on the real line: the weight of eigenvalue lam_i is the squared
@@ -71,15 +72,17 @@ def _as_matrix(A) -> np.ndarray:
     return a
 
 
-def _as_state(psi) -> np.ndarray:
-    """psi as a flat complex vector, refused unless nonempty, finite and of
-    unit norm."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
+def _as_pair(A, psi) -> tuple[np.ndarray, np.ndarray]:
+    """(A, psi) with A as by _as_matrix and psi as a flat complex vector,
+    refused unless nonempty, finite, of unit norm and of A's dimension."""
+    mat, v = _as_matrix(A), np.asarray(psi, dtype=complex).reshape(-1)
     if v.size == 0 or not (np.all(np.isfinite(v.real)) and np.all(np.isfinite(v.imag))):
         raise ValueError("state needs finite amplitudes")
     if abs(_norm(v) - 1.0) > 1e-12:
         raise ValueError(f"state norm is {_norm(v)!r}, not 1")
-    return v
+    if mat.shape[0] != v.size:
+        raise ValueError(f"dimension mismatch: {mat.shape[0]} vs {v.size}")
+    return mat, v
 
 
 @dataclass(frozen=True)
@@ -110,9 +113,7 @@ def induced_measure(A, psi) -> AtomicComb:
     1e-8 * ||A|| of each other are merged into one atom so numerical
     degeneracy cannot split a spectral point.
     """
-    mat, v = _as_matrix(A), _as_state(psi)
-    if mat.shape[0] != v.size:
-        raise ValueError(f"dimension mismatch: {mat.shape[0]} vs {v.size}")
+    mat, v = _as_pair(A, psi)
     dec = eigendecompose(mat)
     weights = np.abs(dec.eigenvectors.conj().T @ v) ** 2
     merge_tol = _MERGE_SCALE * max(1.0, _norm(mat))
@@ -133,7 +134,7 @@ def induced_measure(A, psi) -> AtomicComb:
 
 def qm_mean(A, psi) -> float:
     """<A psi, psi>; the imaginary part must vanish and is asserted away."""
-    mat, v = _as_matrix(A), _as_state(psi)
+    mat, v = _as_pair(A, psi)
     val = complex(np.vdot(v, mat @ v))  # vdot conjugates its first argument
     if abs(val.imag) > 1e-10 * max(1.0, _norm(mat)):
         raise ArithmeticError(f"quadratic form has imaginary part {val.imag:g}")
@@ -142,7 +143,7 @@ def qm_mean(A, psi) -> float:
 
 def qm_variance(A, psi) -> float:
     """||(A - mu I) psi||^2 with mu the quadratic-form mean."""
-    mat, v = _as_matrix(A), _as_state(psi)
+    mat, v = _as_pair(A, psi)
     mu = qm_mean(mat, v)
     resid = mat @ v - mu * v
     return float(np.real(np.vdot(resid, resid)))
@@ -169,7 +170,7 @@ def window_projection_probability(A, psi, lo: float, hi: float) -> float:
 
     Independent of the induced measure's window mass; the two must agree.
     """
-    mat, v = _as_matrix(A), _as_state(psi)
+    mat, v = _as_pair(A, psi)
     dec = eigendecompose(mat)
     sel = (dec.eigenvalues >= lo) & (dec.eigenvalues <= hi)
     proj = dec.eigenvectors[:, sel].conj().T @ v

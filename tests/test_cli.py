@@ -248,6 +248,10 @@ _MALFORMED = [
      "matrix-big"),
     ("spectral", {"matrix": [[[1.0, 0.0]]], "state": [[1.0, _BIG]]}, "state[0]",
      "ValueError", "state-big"),
+    # a state of another dimension than the matrix
+    ("spectral", {"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+                  "state": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, "dimension mismatch: 2 vs 3",
+     "ValueError", "state-dimension"),
 ]
 
 

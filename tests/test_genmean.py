@@ -457,6 +457,24 @@ def test_taxonomy_of_combs_shifted_toward_the_diverging_side(build, case, thresh
     assert report.c_threshold == threshold
 
 
+def test_atoms_crossing_together_are_probed_once_in_an_affine_image():
+    # The shift by 0.37 is inexact, so the crossing radii of each pair of
+    # atoms -2^k, 2^k differ by an ulp; the scan counts each pair once.
+    base = ml.limit_scan(ml.comb_ex2(), 0.0)
+    image = ml.limit_scan(ml.comb_ex2().shift(0.37), 0.37)
+    assert np.array_equal(image.radii, base.radii)
+    assert np.array_equal(image.is_probe, base.is_probe)
+
+
+@pytest.mark.parametrize("shift, case", [(-50.0, "III_plus_inf"), (50.0, "I")])
+@pytest.mark.parametrize("build", [ml.comb_ex4, ml.comb_ex5], ids=["comb_ex4", "comb_ex5"])
+def test_far_shifted_triadic_comb_reads_one_side_of_its_threshold(build, shift, case):
+    # A shift moves the threshold center (-0.5 for comb_ex4, 0.5 for comb_ex5)
+    # with it, off the default grid, which then sees one side of it only:
+    # every center diverges at -50, and none does at +50.
+    assert ml.classify_taxonomy(build().shift(shift)).case == case
+
+
 def test_schedule_refuses_a_fractional_count():
     # count=2.5 used to scan 3 radii and report the horizon of 2.5 of them
     with pytest.raises(ValueError, match="schedule count"):

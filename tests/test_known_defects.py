@@ -82,17 +82,6 @@ def test_far_gaussian_ladder_gives_a_verdict():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: the shifted threshold center lies outside "
-                          "the default center grid, which then sees one side of it")
-@pytest.mark.parametrize("shift", [-50.0, 50.0])
-@pytest.mark.parametrize("build", [ml.comb_ex4, ml.comb_ex5], ids=["comb_ex4", "comb_ex5"])
-def test_shifted_triadic_comb_keeps_case_iv(build, shift):
-    # a shift only moves the threshold center (-0.5 unshifted); today
-    # III_plus_inf at -50 and I at +50
-    assert ml.classify_taxonomy(build().shift(shift)).case == "IV"
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 3: a window mass near 1 at the horizon "
                           "is taken to mean nothing is left")
 def test_far_atom_is_not_silently_dropped():

@@ -26,7 +26,8 @@ from the nonzero points of the default grid, inward for comb_ex4/5; scale
 factors log-uniform in [0.25, 4]; Cauchy with |loc| / scale in [1e-3, 1e5];
 Gaussian with |mu| in [1e-2, 1e4]; power tails with a = b in [1.65, 1.95] or
 a != b whose one-sided partial means part by at least 1e5 at the horizon.
-Inputs from the defect strata are strict-xfail examples at the end.
+Inputs from the defect strata that still break an invariant are strict-xfail
+examples at the end.
 """
 
 import math
@@ -208,6 +209,18 @@ def test_far_shifted_triadic_comb_moves_its_verdicts(build, a):
     _check_image(build(), 1.0, a)
 
 
+# Affine maps that split the crossing radii of two atoms crossing together by
+# an ulp; the scan counts the pair once, so its probes see both atoms.
+@pytest.mark.parametrize("build, s, a", [
+    pytest.param(lambda: ml.comb_ex4().shift(2.0), 0.3, 0.0, id="comb_ex4-outward-scale"),
+    pytest.param(lambda: ml.comb_ex4().shift(-2.0), 3.907456874991027, 0.0,
+                 id="comb_ex4-inward-scale"),
+    pytest.param(ml.comb_ex2, 1.0, 0.37, id="comb_ex2-inexact-shift"),
+])
+def test_atoms_crossing_together_keep_the_image_invariant(build, s, a):
+    _check_image(build(), s, a)
+
+
 def _defect(build, s, a, reason, name):
     return pytest.param(build, s, a, id=name, marks=pytest.mark.xfail(
         strict=True, raises=AssertionError, reason=reason))
@@ -215,23 +228,17 @@ def _defect(build, s, a, reason, name):
 
 _SLOW = ("ROADMAP item 3: a partial-mean series still moving at the horizon is read "
          "as bounded oscillation or divergence, so its verdict depends on the radii")
-_SPLIT = ("the crossing radii |z - c| of an affine image's atoms split a pair of atoms "
-          "that cross together by an ulp, and a probe between them sees one of the two")
 
-# Inputs from the defect strata; then two pass-stratum inputs and an inexact
-# shift found failing, each a FOUND line in CHANGES.md.
+# Inputs from the defect strata, then a pass-stratum input found failing (a
+# FOUND line in CHANGES.md).
 DEFECTS = [
     _defect(lambda: ml.power_tail(1.3, 1.3), 1.0, 4.0, _SLOW, "power_tail-equal-slow-shift"),
     _defect(lambda: ml.power_tail(1.1, 1.1), 3.0, 0.0, _SLOW, "power_tail-equal-slow-scale"),
     _defect(lambda: ml.power_tail(1.5, 1.52), 0.3, 0.0, _SLOW, "power_tail-small-gap-scale"),
-    _defect(lambda: ml.comb_ex4().shift(2.0), 0.3, 0.0, _SPLIT, "comb_ex4-outward-scale"),
     _defect(lambda: ml.cauchy(4.706344983495525, 758.518148579366), 1.0, -2.0,
             "ROADMAP item 3: the tolerance 1e-6 max(1, |median|) shrinks with the "
             "value, so a shift toward 0 turns a slowly converging series into "
             "bounded oscillation", "cauchy-wide-shift"),
-    _defect(lambda: ml.comb_ex4().shift(-2.0), 3.907456874991027, 0.0, _SPLIT,
-            "comb_ex4-inward-scale"),
-    _defect(ml.comb_ex2, 1.0, 0.37, _SPLIT, "comb_ex2-inexact-shift"),
 ]
 
 

@@ -106,6 +106,15 @@ def test_dimension_mismatch_rejected():
         ml.induced_measure(np.eye(3), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("call", [
+    ml.induced_measure, ml.qm_mean, ml.qm_variance,
+    lambda A, psi: ml.window_projection_probability(A, psi, 0.0, 1.0)],
+    ids=["induced_measure", "qm_mean", "qm_variance", "window_projection_probability"])
+def test_every_matrix_and_state_function_names_a_dimension_mismatch(call):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+        call(np.eye(2), np.ones(3) / math.sqrt(3.0))
+
+
 # ---------------------------------------------------------------------------
 # Mean and variance identities
 # ---------------------------------------------------------------------------
