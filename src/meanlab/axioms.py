@@ -307,9 +307,10 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
     drawn only when the trials before it pass.  ``_judge`` screens each
     block tuple size by tuple size, with a built-in's numpy row form or
     else the exact form, and judges the flagged rows again in trial order
-    with the exact form (``fn`` of each tuple).  The first violation of
-    AXIOM_TOL is reported, with its residual from the exact form, which
-    ``recheck`` reproduces exactly.
+    with the exact form (``fn`` of each tuple); the first block's edge
+    tuples are screened and judged before its drawn rows.  The first
+    violation of AXIOM_TOL is reported, with its residual from the exact
+    form, which ``recheck`` reproduces exactly.
     """
     trials = _number("trials", trials, integer=True, ge=1)
     min_n = 3 if axiom in (AxiomId.COND, AxiomId.ADD) else 1
@@ -319,19 +320,23 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
         size = _BLOCK_ROWS[min(k, len(_BLOCK_ROWS) - 1)]
         block = _draw_block(rng, axiom, start, size, min_n)
         block = {key: col[:trials - start] for key, col in block.items()}
-        flagged = np.zeros(len(block["n"]), dtype=bool)
-        for n in np.unique(block["n"][block["n"] >= min_n]):  # short edge tuples skip
-            idx = np.flatnonzero(block["n"] == n)
-            flagged[idx] = _judge(stat._screen_rows, axiom, _cut(block, idx, n),
-                                  _SCREEN_BAND)[1]
-        for i in np.flatnonzero(flagged):
-            resid, violated, keep = _judge(stat._rows, axiom,
-                                           _cut(block, slice(i, i + 1), block["n"][i]), 0.0)
-            if violated[0]:
-                return AxiomReport(statistic=stat.name, axiom=axiom, passed=False,
-                                   trials=start + int(i) + 1, seed=seed,
-                                   counterexample={**_witness(block, i), **keep(0)},
-                                   residual=resid[0].item())
+        rows = len(block["n"])
+        edges = min(max(len(_EDGE_TUPLES) - start, 0), rows)
+        for lo, hi in ((0, edges), (edges, rows)):  # a failing edge tuple screens no drawn row
+            sizes = block["n"][lo:hi]
+            flagged = np.zeros(hi - lo, dtype=bool)
+            for n in np.unique(sizes[sizes >= min_n]):  # short edge tuples skip
+                idx = np.flatnonzero(sizes == n)
+                flagged[idx] = _judge(stat._screen_rows, axiom, _cut(block, lo + idx, n),
+                                      _SCREEN_BAND)[1]
+            for i in lo + np.flatnonzero(flagged):
+                resid, violated, keep = _judge(stat._rows, axiom,
+                                               _cut(block, slice(i, i + 1), block["n"][i]), 0.0)
+                if violated[0]:
+                    return AxiomReport(statistic=stat.name, axiom=axiom, passed=False,
+                                       trials=start + int(i) + 1, seed=seed,
+                                       counterexample={**_witness(block, i), **keep(0)},
+                                       residual=resid[0].item())
         start, k = start + size, k + 1
     return AxiomReport(statistic=stat.name, axiom=axiom, passed=True,
                        trials=trials, seed=seed)

@@ -345,7 +345,7 @@ def classify_taxonomy(measure: Measure,
                       schedule: TruncationSchedule = TruncationSchedule(),
                       policy: VerdictPolicy = VerdictPolicy()) -> TaxonomyReport:
     """Scan every center in the grid and map the verdicts to the five cases."""
-    grid = sorted(float(c) for c in c_grid)
+    grid = sorted({float(c) for c in c_grid})  # a repeated center (-0.0 is 0.0) counts once
     if not all(map(math.isfinite, grid)):
         raise ValueError(f"center grid needs finite centers, got {list(c_grid)}")
     if len(grid) < 5 or 0.0 not in grid or min(grid) >= 0 or max(grid) <= 0:

@@ -24,6 +24,7 @@ corroborate but never decide, since slowly divergent sums look convergent).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -97,7 +98,11 @@ class SpectralDecomposition:
 def eigendecompose(A) -> SpectralDecomposition:
     """Dense Hermitian eigendecomposition meeting the residual contract
     ||A v - lam v|| <= EIG_TOL-scale * ||A|| for every pair."""
-    mat = _as_matrix(A)
+    return _eigh(_as_matrix(A))
+
+
+def _eigh(mat: np.ndarray) -> SpectralDecomposition:
+    """eigendecompose of a matrix that _as_matrix has already checked."""
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     scale = max(1.0, _norm(mat))
     residual = _norm(mat @ eigenvectors - eigenvectors * eigenvalues)
@@ -109,43 +114,52 @@ def eigendecompose(A) -> SpectralDecomposition:
 def induced_measure(A, psi) -> AtomicComb:
     """The spectral measure of A in state psi as a finite atomic comb.
 
-    Weights are squared overlaps with the eigenvectors; eigenvalues within
-    1e-8 * ||A|| of each other are merged into one atom so numerical
-    degeneracy cannot split a spectral point.
+    Weights are squared overlaps with the eigenvectors.  Ascending
+    eigenvalues within 1e-8 * max(1, ||A||) of the first of their group
+    merge into one atom at the group's weighted mean, so numerical
+    degeneracy cannot split a spectral point; a weightless group gives none.
     """
     mat, v = _as_pair(A, psi)
-    dec = eigendecompose(mat)
+    dec = _eigh(mat)
     weights = np.abs(dec.eigenvectors.conj().T @ v) ** 2
     merge_tol = _MERGE_SCALE * max(1.0, _norm(mat))
-    atoms: list[Atom] = []
-    i = 0
     lams = dec.eigenvalues
-    while i < len(lams):
-        j = i
-        while j + 1 < len(lams) and lams[j + 1] - lams[i] <= merge_tol:
-            j += 1
-        w = float(weights[i:j + 1].sum())
-        if w > 0.0:
-            lam = float(np.average(lams[i:j + 1], weights=np.maximum(weights[i:j + 1], 1e-300)))
-            atoms.append(Atom(lam, w))
-        i = j + 1
-    return finite_comb(atoms, family="spectral")
+    starts, anchor = [], -math.inf
+    for k, lam in enumerate(lams.tolist()):
+        if lam - anchor > merge_tol:
+            starts.append(k)
+            anchor = lam
+    # reduceat adds the rest of a segment to its first element, so a +0.0 put
+    # before every group makes each group sum bitwise ndarray.sum of the
+    # group, signed zeros included, as np.average takes it
+    at = np.arange(len(starts)) + starts
+    slots = np.ones(len(lams) + len(starts), dtype=bool)
+    slots[at] = False
+    floored = np.maximum(weights, 1e-300)
+    padded = np.zeros((3, slots.size))
+    padded[:, slots] = lams * floored, floored, weights
+    moment, floor_mass, mass = np.add.reduceat(padded, at, axis=1)
+    return finite_comb([Atom(lam, w) for lam, w in zip((moment / floor_mass).tolist(),
+                                                       mass.tolist()) if w > 0.0],
+                       family="spectral")
 
 
-def qm_mean(A, psi) -> float:
-    """<A psi, psi>; the imaginary part must vanish and is asserted away."""
-    mat, v = _as_pair(A, psi)
+def _qm_mean(mat: np.ndarray, v: np.ndarray) -> float:
     val = complex(np.vdot(v, mat @ v))  # vdot conjugates its first argument
     if abs(val.imag) > 1e-10 * max(1.0, _norm(mat)):
         raise ArithmeticError(f"quadratic form has imaginary part {val.imag:g}")
     return float(val.real)
 
 
+def qm_mean(A, psi) -> float:
+    """<A psi, psi>; the imaginary part must vanish and is asserted away."""
+    return _qm_mean(*_as_pair(A, psi))
+
+
 def qm_variance(A, psi) -> float:
     """||(A - mu I) psi||^2 with mu the quadratic-form mean."""
     mat, v = _as_pair(A, psi)
-    mu = qm_mean(mat, v)
-    resid = mat @ v - mu * v
+    resid = mat @ v - _qm_mean(mat, v) * v
     return float(np.real(np.vdot(resid, resid)))
 
 
@@ -155,8 +169,7 @@ def pos_neg_split(A) -> tuple[np.ndarray, np.ndarray]:
     Zero eigenvalues belong to neither factor; A = E^2 - F^2 holds anyway
     because they contribute nothing.
     """
-    mat = _as_matrix(A)
-    dec = eigendecompose(mat)
+    dec = _eigh(_as_matrix(A))
     V = dec.eigenvectors
     pos = np.where(dec.eigenvalues > 0.0, np.sqrt(np.maximum(dec.eigenvalues, 0.0)), 0.0)
     neg = np.where(dec.eigenvalues < 0.0, np.sqrt(np.maximum(-dec.eigenvalues, 0.0)), 0.0)
@@ -171,7 +184,7 @@ def window_projection_probability(A, psi, lo: float, hi: float) -> float:
     Independent of the induced measure's window mass; the two must agree.
     """
     mat, v = _as_pair(A, psi)
-    dec = eigendecompose(mat)
+    dec = _eigh(mat)
     sel = (dec.eigenvalues >= lo) & (dec.eigenvalues <= hi)
     proj = dec.eigenvectors[:, sel].conj().T @ v
     return float(np.real(np.vdot(proj, proj)))

@@ -225,6 +225,15 @@ def test_taxonomy_rejects_bad_grid():
             ml.classify_taxonomy(ml.cauchy(), c_grid=(bad, -1.0, 0.0, 1.0, 2.0))
 
 
+def test_taxonomy_counts_a_repeated_center_once():
+    # -0.0 is the center 0.0, so this grid has 3 distinct centers
+    with pytest.raises(ValueError, match=">= 5 points"):
+        ml.classify_taxonomy(ml.cauchy(), c_grid=(-1.0, 0.0, 0.0, -0.0, 1.0))
+    rep = ml.classify_taxonomy(ml.comb_ex2(), c_grid=(-2.0, -1.0, 0.0, 0.0, 1.0, 2.0))
+    assert (rep.case, rep.c_star) == ("II", 0.0)
+    assert sorted(rep.per_center) == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
 # ---------------------------------------------------------------------------
 # Window decomposition identity (split at shifted boundaries)
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Spectral measures, quadratic-form identities, and the diagonal bridge."""
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +118,44 @@ def test_dimension_mismatch_rejected():
 def test_every_matrix_and_state_function_names_a_dimension_mismatch(call):
     with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
         call(np.eye(2), np.ones(3) / math.sqrt(3.0))
+
+
+def test_merge_groups_are_anchored_at_their_first_eigenvalue():
+    # merge_tol is 1e-8 here: 0.6e-8 joins 0, and 1.2e-8, beyond 0 + 1e-8,
+    # starts the next group, which 1.8e-8 joins
+    comb = ml.induced_measure(np.diag([0.0, 0.6e-8, 1.2e-8, 1.8e-8]), np.full(4, 0.5))
+    atoms = comb.atoms_within(math.inf)
+    assert [a.weight for a in atoms] == [0.5, 0.5]
+    assert [a.location for a in atoms] == pytest.approx([0.3e-8, 1.5e-8], rel=1e-12)
+
+
+_CALLS = {
+    "eigendecompose": (lambda a, psi: ml.eigendecompose(a), 1),
+    "induced_measure": (ml.induced_measure, 1),
+    "qm_mean": (ml.qm_mean, 0),
+    "qm_variance": (ml.qm_variance, 0),
+    "pos_neg_split": (lambda a, psi: ml.pos_neg_split(a), 1),
+    "window_projection_probability":
+        (lambda a, psi: window_projection_probability(a, psi, -1.0, 1.0), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CALLS))
+def test_each_call_validates_once_and_decomposes_at_most_once(monkeypatch, name):
+    call, eighs = _CALLS[name]
+    counts = {"_as_matrix": 0, "eigh": 0}
+
+    def counted(key, original):
+        def wrapper(*args):
+            counts[key] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(ml.spectral, "_as_matrix", counted("_as_matrix", ml.spectral._as_matrix))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    rng = np.random.default_rng(3)
+    call(_random_hermitian(rng, 6), _random_state(rng, 6))
+    assert counts == {"_as_matrix": 1, "eigh": eighs}
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +276,101 @@ def test_unitary_invariance():
     for (l1, m1), (l2, m2) in zip(w1, w2):
         assert l1 == pytest.approx(l2, abs=1e-9)
         assert m1 == pytest.approx(m2, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Bitwise gate
+# ---------------------------------------------------------------------------
+
+def _gate_cases():
+    """About 200 seeded Hermitian matrices of dimension 1 to 128 with states
+    and windows, then the degenerate cases: identities (one merged group of
+    every eigenvalue), clusters closer than the merge tolerance (groups of 3,
+    5 and 12 with unequal members, and a chain the greedy rule splits at its
+    anchor) and zero matrices (signed-zero eigenvalues)."""
+    rng = np.random.default_rng(20)
+    for _ in range(200):
+        n = int(rng.integers(1, 129))
+        lo = float(rng.normal(0.0, 2.0))
+        a, psi = _random_hermitian(rng, n), _random_state(rng, n)
+        yield a, psi, lo, lo + float(rng.exponential(3.0))
+    for n in (1, 3, 8, 20):
+        yield np.eye(n), _random_state(rng, n), 0.5, 1.0
+    m = 1e-8  # the merge tolerance is m * max(1, ||A||), here about 10 m
+    lams = np.concatenate([0.5 + m * np.arange(12) / 12, -1.0 + m * np.arange(5) / 5,
+                           2.0 + m * np.arange(3) / 3, [-3.0, 3.0, 8.0]])
+    chain = 8.0 + 0.6 * m * np.linalg.norm(lams) * np.arange(1, 4)
+    lams = np.concatenate([lams, chain])
+    u = _random_unitary(rng, lams.size)
+    yield (u * lams) @ u.conj().T, _random_state(rng, lams.size), 0.0, 2.5
+    for n in (1, 4, 9):
+        yield np.zeros((n, n)), _random_state(rng, n), -1.0, 0.0
+    yield -np.zeros((4, 4)), _random_state(rng, 4), -1.0, 0.0
+    yield np.diag([-0.0, -0.0, 1.0]), _random_state(rng, 3), -0.0, 0.0
+
+
+def _loop_atoms(a, psi):
+    """The induced measure's atoms by the per-group loop that the vectorised
+    merge replaced: greedy groups anchored at their first eigenvalue, each
+    weight a slice sum and each location an ``np.average``."""
+    dec = ml.eigendecompose(a)
+    v = np.asarray(psi, dtype=complex)
+    weights = np.abs(dec.eigenvectors.conj().T @ v) ** 2
+    merge_tol = 1e-8 * max(1.0, float(np.linalg.norm(np.asarray(a, dtype=complex))))
+    lams, atoms, i = dec.eigenvalues, [], 0
+    while i < len(lams):
+        j = i
+        while j + 1 < len(lams) and lams[j + 1] - lams[i] <= merge_tol:
+            j += 1
+        w = float(weights[i:j + 1].sum())
+        if w > 0.0:
+            atoms.append(ml.Atom(float(np.average(
+                lams[i:j + 1], weights=np.maximum(weights[i:j + 1], 1e-300))), w))
+        i = j + 1
+    return atoms
+
+
+def test_vectorised_merge_matches_the_per_group_loop():
+    # sums of 8 or more terms are pairwise and of more than 128 recursive:
+    # the 200-eigenvalue cluster is one group of each kind
+    rng = np.random.default_rng(21)
+    cluster = np.diag(np.sort(1.0 + 1e-10 * rng.random(200)))
+    cases = [(a, psi) for a, psi, _, _ in _gate_cases()]
+    cases.append((cluster, _random_state(rng, 200)))
+    for a, psi in cases:
+        atoms = ml.induced_measure(a, psi).atoms_within(math.inf)
+        assert repr(atoms) == repr(_loop_atoms(a, psi))
+
+
+def _gate_digest() -> str:
+    """sha256 over the reprs of every output below and the bytes of E and F."""
+    h = hashlib.sha256()
+    for a, psi, lo, hi in _gate_cases():
+        atoms = ml.induced_measure(a, psi).atoms_within(math.inf)
+        e, f = ml.pos_neg_split(a)
+        h.update(repr((atoms, ml.qm_mean(a, psi), ml.qm_variance(a, psi),
+                       window_projection_probability(a, psi, lo, hi))).encode())
+        h.update(e.tobytes())
+        h.update(f.tobytes())
+    return h.hexdigest()
+
+
+# Recorded from the per-eigenvalue merge loop with its repeated validation,
+# on OpenBLAS 0.3.31 (Haswell kernels) with one thread: the blocked
+# eigensolver's last bits depend on the BLAS kernels and thread count, so the
+# digest is computed in a child process pinned to one thread.
+SPECTRAL_SHA256 = "a8f352eab55cdc21071709804d0024f7ae1aae109f2fdcb140ff9dc45532acb3"
+
+
+def test_spectral_outputs_are_bitwise_unchanged():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    code = (f"import sys; sys.path[:0] = [{str(here.parent / 'src')!r}, {str(here)!r}]\n"
+            "import test_spectral; print(test_spectral._gate_digest())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [SPECTRAL_SHA256]
 
 
 # ---------------------------------------------------------------------------
