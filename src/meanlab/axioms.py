@@ -325,7 +325,7 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
         for lo, hi in ((0, edges), (edges, rows)):  # a failing edge tuple screens no drawn row
             sizes = block["n"][lo:hi]
             flagged = np.zeros(hi - lo, dtype=bool)
-            for n in np.unique(sizes[sizes >= min_n]):  # short edge tuples skip
+            for n in sorted(set(sizes[sizes >= min_n].tolist())):  # short edge tuples skip
                 idx = np.flatnonzero(sizes == n)
                 flagged[idx] = _judge(stat._screen_rows, axiom, _cut(block, lo + idx, n),
                                       _SCREEN_BAND)[1]

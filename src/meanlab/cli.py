@@ -21,19 +21,7 @@ from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from . import __version__
-from .axioms import AxiomId, builtin_statistic, check_axiom
-from .genmean import (DEFAULT_C_GRID, ExpTiltMultiplier, TruncationSchedule,
-                      VerdictPolicy, WindowMultiplier, classify_taxonomy,
-                      mean_ladder, multiplier_mean)
-from .lln import (build_sampler, cauchy_stability_demo, running_mean_trajectory,
-                  wlln_experiment)
-from .maxent import FiniteObservable, MaxEntProblem, maxent_solve
-from .measures import _number, measure_from_document
-from .spectral import (build_bridge, bridge_analyze, induced_measure,
-                       pos_neg_split, qm_mean, qm_variance)
+import meanlab as ml
 
 __all__ = ["main"]
 
@@ -86,7 +74,7 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str,
 
 def _numbers(name: str, values: list) -> tuple[float, ...]:
     """A JSON number list as floats; a bad entry is refused as ``name[i]``."""
-    return tuple(_number(f"{name}[{i}]", v) for i, v in enumerate(values))
+    return tuple(ml.measures._number(f"{name}[{i}]", v) for i, v in enumerate(values))
 
 
 def _atomic_write(path: Path, text: str):
@@ -108,6 +96,7 @@ def _write_json(path: Path, payload: dict):
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    import numpy as np  # loaded already by the handler that made the rows
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(repr(float(x)) if isinstance(x, (float, np.floating))
@@ -140,12 +129,12 @@ def _ladder_dict(ladder) -> dict:
 
 def _load_measure(doc: dict, where: str = "document"):
     _require_keys(doc, {"measure"}, set(), where)
-    return measure_from_document(doc["measure"])
+    return ml.measure_from_document(doc["measure"])
 
 
 def _run_classify(doc, args, schedule, policy):
     measure = _load_measure(doc, "classify document")
-    report = classify_taxonomy(measure, args.c_grid or DEFAULT_C_GRID, schedule, policy)
+    report = ml.classify_taxonomy(measure, args.c_grid or ml.DEFAULT_C_GRID, schedule, policy)
     results = {
         "case": report.case,
         "per_center": {repr(c): _verdict_dict(v) for c, v in report.per_center.items()},
@@ -165,7 +154,7 @@ def _run_classify(doc, args, schedule, policy):
 
 def _run_weakmean(doc, args, schedule, policy):
     measure = _load_measure(doc, "weakmean document")
-    ladder = mean_ladder(measure, schedule, policy)
+    ladder = ml.mean_ladder(measure, schedule, policy)
     tail = ladder.tail
     results = {
         "ladder": _ladder_dict(ladder),
@@ -184,19 +173,19 @@ def _run_weakmean(doc, args, schedule, policy):
 def _run_multiplier(doc, args, schedule, policy):
     _require_keys(doc, {"measure", "multiplier"}, {"lambdas"}, "multiplier document",
                   {"lambdas": "a list of numbers"})
-    measure = measure_from_document(doc["measure"])
+    measure = ml.measure_from_document(doc["measure"])
     mdoc = doc["multiplier"]
     _require_keys(mdoc, {"kind"}, {"c"}, "multiplier object")
     kind = mdoc["kind"]
     c = mdoc.get("c", 0.0)
     if kind == "window":
-        family = WindowMultiplier(c)
+        family = ml.WindowMultiplier(c)
     elif kind == "exp_tilt":
-        family = ExpTiltMultiplier(c)
+        family = ml.ExpTiltMultiplier(c)
     else:
         raise SchemaError(f"multiplier kind must be 'window' or 'exp_tilt', got {kind!r}")
     lams = doc.get("lambdas")
-    series = multiplier_mean(measure, family, lams, schedule, policy)
+    series = ml.multiplier_mean(measure, family, lams, schedule, policy)
     results = {
         "family": series.family_kind,
         "c": series.c,
@@ -221,18 +210,18 @@ def _run_lln(doc, args, schedule, policy):
                           f"got {experiment!r}")
     _require_keys(doc, {"measure", "experiment"} | _LLN_KEYS[experiment], set(),
                   f"lln {experiment} document")
-    measure = measure_from_document(doc["measure"])
-    sampler = build_sampler(measure, seed=args.seed)
+    measure = ml.measure_from_document(doc["measure"])
+    sampler = ml.build_sampler(measure, seed=args.seed)
     csvs = {}
     if experiment == "wlln":
-        rep = wlln_experiment(sampler, doc["m"], doc["epsilon"],
-                              doc["n_values"], doc["replications"])
+        rep = ml.wlln_experiment(sampler, doc["m"], doc["epsilon"],
+                                 doc["n_values"], doc["replications"])
         results = asdict(rep)
     elif experiment == "stability":
-        rep = cauchy_stability_demo(sampler, doc["n"], doc["replications"])
+        rep = ml.cauchy_stability_demo(sampler, doc["n"], doc["replications"])
         results = asdict(rep)
     else:
-        ns, means = running_mean_trajectory(sampler, doc["n"])
+        ns, means = ml.running_mean_trajectory(sampler, doc["n"])
         results = {"n": doc["n"], "final_running_mean": float(means[-1]),
                    "seed": sampler.master_seed}
         csvs["trajectory.csv"] = (["n", "running_mean"], list(zip(ns, means)))
@@ -244,14 +233,14 @@ def _run_lln(doc, args, schedule, policy):
 def _run_maxent(doc, args, schedule, policy):
     _require_keys(doc, {"n", "observables", "targets"}, {"base"}, "maxent document",
                   {"observables": "a list of number lists", "targets": "a list of numbers"})
-    problem = MaxEntProblem(
+    problem = ml.MaxEntProblem(
         n=doc["n"],
-        observables=tuple(FiniteObservable(_numbers(f"observables[{j}]", g))
-                          for j, g in enumerate(doc["observables"])),
+        observables=tuple(ml.FiniteObservable(_numbers(f"observables[{j}]", g))
+                             for j, g in enumerate(doc["observables"])),
         targets=tuple(doc["targets"]),
         base=doc.get("base", "bits"),
     )
-    results = asdict(maxent_solve(problem))
+    results = asdict(ml.maxent_solve(problem))
     results["distribution"] = results["distribution"]["probabilities"]
     return results, [], {}, False
 
@@ -259,19 +248,18 @@ def _run_maxent(doc, args, schedule, policy):
 def _run_axioms(doc, args, schedule, policy):
     _require_keys(doc, {"statistics"}, {"axioms", "trials"}, "axioms document",
                   {"statistics": "a list of strings", "axioms": "a list of strings"})
-    unknown = sorted(set(doc.get("axioms", ())) - set(AxiomId.__members__))
+    unknown = sorted(set(doc.get("axioms", ())) - set(ml.AxiomId.__members__))
     if unknown:
         raise SchemaError(f"axioms document: unknown 'axioms' {unknown}; "
-                          f"known: {list(AxiomId.__members__)}")
-    axioms = ([AxiomId[a] for a in doc["axioms"]] if "axioms" in doc
-              else list(AxiomId))
+                          f"known: {list(ml.AxiomId.__members__)}")
+    axioms = [ml.AxiomId[a] for a in doc["axioms"]] if "axioms" in doc else list(ml.AxiomId)
     trials = doc.get("trials", 1000)
     results = {}
     for name in doc["statistics"]:
-        stat = builtin_statistic(name)
+        stat = ml.builtin_statistic(name)
         per = {}
         for ax in axioms:
-            rep = check_axiom(stat, ax, trials=trials, seed=args.seed)
+            rep = ml.check_axiom(stat, ax, trials=trials, seed=args.seed)
             entry = {"passed": rep.passed, "trials": rep.trials}
             if not rep.passed:
                 entry["residual"] = rep.residual
@@ -284,13 +272,14 @@ def _run_axioms(doc, args, schedule, policy):
 
 
 def _run_spectral(doc, args, schedule, policy):
+    import numpy as np
     if "bridge" in doc:
         _require_keys(doc, {"bridge"}, set(), "spectral document")
         bdoc = doc["bridge"]
         _require_keys(bdoc, {"family"}, {"params"}, "bridge object")
         _require_keys(bdoc.get("params", {}), set(), {"p"}, "bridge params")
-        bridge = build_bridge(bdoc["family"], **bdoc.get("params", {}))
-        report = bridge_analyze(bridge, schedule, policy)
+        bridge = ml.build_bridge(bdoc["family"], **bdoc.get("params", {}))
+        report = ml.bridge_analyze(bridge, schedule, policy)
         results = {
             "family": bridge.family,
             "params": bridge.params,
@@ -310,20 +299,20 @@ def _run_spectral(doc, args, schedule, policy):
     matrix = np.array([[complex(*_numbers(f"matrix[{i}][{j}]", z)) for j, z in enumerate(row)]
                        for i, row in enumerate(doc["matrix"])])
     state = np.array([complex(*_numbers(f"state[{i}]", z)) for i, z in enumerate(doc["state"])])
-    mu = qm_mean(matrix, state)
-    var = qm_variance(matrix, state)
-    comb = induced_measure(matrix, state)
-    E, F = pos_neg_split(matrix)
+    mu = ml.qm_mean(matrix, state)
+    var = ml.qm_variance(matrix, state)
+    comb = ml.induced_measure(matrix, state)
+    E, F = ml.pos_neg_split(matrix)
     e_term = float(np.linalg.norm(E @ state) ** 2)
     f_term = float(np.linalg.norm(F @ state) ** 2)
-    atoms = comb.atoms_within(float("inf"))
+    locations, weights = comb.atom_arrays(math.inf)
     results = {
         "mean": mu,
         "variance": var,
         "split_mean": e_term - f_term,
         "split_identity_residual": abs(mu - (e_term - f_term)),
-        "induced_measure": [{"location": a.location, "weight": a.weight}
-                            for a in atoms],
+        "induced_measure": [{"location": x, "weight": w}
+                            for x, w in zip(locations.tolist(), weights.tolist())],
     }
     return results, [], {}, False
 
@@ -399,10 +388,12 @@ def _emit_examples(out_dir: Path) -> None:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _parse_schedule(text: str) -> TruncationSchedule:
+def _parse_schedule(text: Optional[str]):
+    if not text:
+        return ml.TruncationSchedule()
     try:
         m0, ratio, count = text.split(",")
-        return TruncationSchedule(m0=float(m0), ratio=float(ratio), count=int(count))
+        return ml.TruncationSchedule(m0=float(m0), ratio=float(ratio), count=int(count))
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"--schedule expects M0,r,K (got {text!r}): {exc}")
 
@@ -417,22 +408,20 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-# Each tolerance name with the type of its default, which parses its value.
-_POLICY_FIELDS = {f.name: type(f.default) for f in fields(VerdictPolicy)}
-
-
-def _apply_tols(policy: VerdictPolicy, pairs: list[str]) -> VerdictPolicy:
+def _apply_tols(pairs: list[str]):
+    """The default policy with each NAME=VALUE applied, typed as its default."""
+    kinds = {f.name: type(f.default) for f in fields(ml.VerdictPolicy)}
+    policy = ml.VerdictPolicy()
     for pair in pairs:
         if "=" not in pair:
             raise SchemaError(f"--tol expects NAME=VALUE, got {pair!r}")
         name, value = pair.split("=", 1)
-        if name not in _POLICY_FIELDS:
-            raise SchemaError(f"unknown tolerance {name!r}; "
-                              f"known: {sorted(_POLICY_FIELDS)}")
+        if name not in kinds:
+            raise SchemaError(f"unknown tolerance {name!r}; known: {sorted(kinds)}")
         try:
-            value = _POLICY_FIELDS[name](value)
+            value = kinds[name](value)
         except ValueError:
-            raise SchemaError(f"--tol {name} expects {_POLICY_FIELDS[name].__name__}, "
+            raise SchemaError(f"--tol {name} expects {kinds[name].__name__}, "
                               f"got {value!r}") from None
         policy = replace(policy, **{name: value})
     return policy
@@ -465,6 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
 # policy; the others refuse --schedule and --tol.
 _VERDICT_SUBCOMMANDS = {"classify", "weakmean", "multiplier", "spectral"}
 
+# The library module each subcommand runs, which loads the ones it imports.
+# run() loads it before the handler's clock starts: wall_time_s times no import.
+_MODULES = {"classify": "genmean", "weakmean": "genmean", "multiplier": "genmean",
+            "lln": "lln", "maxent": "maxent", "axioms": "axioms", "spectral": "spectral"}
+
 
 def exit_code_for(undetermined_only: bool) -> int:
     return 2 if undetermined_only else 0
@@ -487,6 +481,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         print(f"wrote {len(_example_documents())} example documents to {out_dir}")
         return 0
 
+    getattr(ml, _MODULES[args.subcommand])  # loads the handler's modules
     started = time.perf_counter()
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -499,9 +494,9 @@ def run(argv: Optional[list[str]] = None) -> int:
                 raise SchemaError(f"{flag} is read only by "
                                   f"{', '.join(sorted(_VERDICT_SUBCOMMANDS))}, "
                                   f"not by {args.subcommand}")
-        schedule = _parse_schedule(args.schedule) if args.schedule \
-            else TruncationSchedule()
-        policy = _apply_tols(VerdictPolicy(), args.tol)
+        schedule = policy = None
+        if args.subcommand in _VERDICT_SUBCOMMANDS:
+            schedule, policy = _parse_schedule(args.schedule), _apply_tols(args.tol)
         if args.c_grid is not None:
             if args.subcommand != "classify":
                 raise SchemaError(f"--c-grid is read only by classify, "
@@ -510,7 +505,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         results, warnings, csvs, undetermined = _HANDLERS[args.subcommand](
             doc, args, schedule, policy)
         report = {
-            "tool": {"name": "meanlab", "version": __version__},
+            "tool": {"name": "meanlab", "version": ml.__version__},
             "subcommand": args.subcommand,
             "config": {
                 "input": str(args.input),

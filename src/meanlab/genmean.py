@@ -37,8 +37,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import (_QUAD_ABS_TOL, Measure, MeasureError, _log_trapezoid, _number,
-                       _resolved_quad)
+from .measures import (_QUAD_ABS_TOL, Measure, MeasureError, _log_trapezoid, _median,
+                       _number, _resolved_quad)
 
 __all__ = [
     "TruncationSchedule",
@@ -206,7 +206,7 @@ def _scan_radii(locations: np.ndarray, center: float, base: np.ndarray,
     probes = 0.5 * (crossings[:-1] + crossings[1:])[apart]
     if len(probes) > max_probes:
         idx = np.linspace(0, len(probes) - 1, max_probes).round().astype(int)
-        probes = probes[np.unique(idx)]
+        probes = probes[idx]  # steps above 1: no index repeats
     radii = np.concatenate([base, probes])
     is_probe = np.concatenate([np.zeros(len(base), bool), np.ones(len(probes), bool)])
     order = np.argsort(radii, kind="stable")
@@ -263,7 +263,7 @@ def _classify_values(values: np.ndarray, policy: VerdictPolicy,
         # compares false against every threshold: no rule below can be read.
         return LimitVerdict(UNDETERMINED, window=W, horizon=horizon)
     last = values[-W:]
-    median = float(np.median(last))
+    median = _median(last)
     tol = policy.conv_scale * max(1.0, abs(median))
     lo, hi = float(last.min()), float(last.max())
     verdict = functools.partial(LimitVerdict, spread=hi - lo, conv_tol=tol,
@@ -374,7 +374,7 @@ def classify_taxonomy(measure: Measure,
         vals = np.array([verdicts[c].value for c in grid])
         tol = 2.0 * max(verdicts[c].conv_tol for c in grid)
         if vals.max() - vals.min() <= tol:
-            return report("III_finite", common_value=float(np.median(vals)))
+            return report("III_finite", common_value=_median(vals))
         diags.append(
             f"finite limits at all centers disagree beyond {tol:g}: "
             f"spread {vals.max() - vals.min():g}")
@@ -431,8 +431,8 @@ def asym_partial_mean(measure: Measure, a: float, b: float, M: float, K: float) 
     return float(measure.window_stats(a - M, b + K)[1])
 
 
-# The tail curve's n: 10^(k/6) for k = 0..36 rounded to integers, so 1 to 1e6.
-_TAIL_SCHEDULE = np.unique(np.round(10.0 ** np.arange(0.0, 6.0 + 1e-9, 1.0 / 6.0)))
+# The tail curve's n, 1 to 1e6: 10^(k/6) for k = 1..36 (k = 0 rounds to 1 too), rounded.
+_TAIL_SCHEDULE = np.round(10.0 ** np.arange(0.0, 6.0 + 1e-9, 1.0 / 6.0))[1:]
 
 
 @dataclass

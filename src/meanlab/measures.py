@@ -337,6 +337,15 @@ class Measure:
 # Window sums over sorted atoms
 # ---------------------------------------------------------------------------
 
+def _median(values: np.ndarray) -> float:
+    """np.median bit for bit without loading numpy.ma: the middle is summed
+    from +0.0 as numpy's is (so -0.0 reads 0.0), and a NaN sorts last."""
+    h = len(values) // 2
+    part = np.partition(values, [h - 1, h, -1]).tolist()
+    middle = 0.0 + part[h] if len(part) % 2 else (0.0 + part[h - 1] + part[h]) / 2
+    return math.nan if math.isnan(part[-1]) else middle
+
+
 def _anchor(lo: np.ndarray, hi: np.ndarray) -> float:
     """A point inside every window when the windows share one, else their
     median center; NaN (from -inf + inf) reads as 0, +-inf as +-float max."""
@@ -345,7 +354,7 @@ def _anchor(lo: np.ndarray, hi: np.ndarray) -> float:
         mid = 0.5 * a + 0.5 * b
     else:
         with np.errstate(invalid="ignore"):
-            mid = float(np.median(0.5 * lo + 0.5 * hi))
+            mid = _median(0.5 * lo + 0.5 * hi)
     return 0.0 if math.isnan(mid) else max(-sys.float_info.max, min(mid, sys.float_info.max))
 
 

@@ -1,4 +1,6 @@
-"""Where scipy loads: ``import meanlab`` needs none of it.
+"""What a cold process loads: ``import meanlab`` needs no scipy, and a
+``meanlab <subcommand>`` process loads only the meanlab modules, and the
+numpy parts, that its subcommand runs.
 
 Only the families whose closed forms call scipy.special load it (gaussian,
 power_tail and integer_power_comb when built; the Gaussian sampler and the
@@ -14,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,29 +32,45 @@ _REPORT_SCIPY = ("\nprint(json.dumps(sorted(m for m in sys.modules"
                  " if m == 'scipy' or m.startswith('scipy.'))))\n")
 
 
-def _scipy_after(body: str) -> set[str]:
-    """The scipy modules loaded once ``body`` has run in a fresh interpreter."""
+def _fresh(body: str, report: str):
+    """The JSON value ``report`` prints once ``body`` has run in a fresh
+    interpreter (both run with json and sys imported)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + body + _REPORT_SCIPY],
+    proc = subprocess.run([sys.executable, "-c", "import json, sys\n" + body + report],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _scipy_after(body: str) -> set[str]:
+    """The scipy modules loaded once ``body`` has run in a fresh interpreter."""
+    return set(_fresh(body, _REPORT_SCIPY))
+
+
+def _main_code(argv: list[str], statuses=(0, 2)) -> str:
+    """Code that runs ``meanlab.cli.main`` on ``argv`` and expects an exit
+    status in ``statuses``."""
+    return (f"sys.argv = {argv!r}\n"
+            "from meanlab.cli import main\n"
+            "try:\n"
+            "    main()\n"
+            "except SystemExit as stop:\n"
+            f"    assert stop.code in {statuses!r}, stop.code\n")
+
+
+def _main_body(tmp_path, name: str, sub: str, document=None) -> str:
+    """Code that runs ``meanlab sub`` on the example document ``name``, or on
+    ``document`` when given."""
+    doc = tmp_path / name
+    doc.write_text(json.dumps(document or cli._example_documents()[name]))
+    return _main_code(["meanlab", sub, "--input", str(doc), "--out", str(tmp_path / "out")])
 
 
 def _scipy_after_main(tmp_path, name: str, sub: str, document=None) -> set[str]:
     """The scipy modules a fresh ``meanlab sub`` loads on the example document
     ``name``, or on ``document`` when given."""
-    doc = tmp_path / name
-    doc.write_text(json.dumps(document or cli._example_documents()[name]))
-    argv = ["meanlab", sub, "--input", str(doc), "--out", str(tmp_path / "out")]
-    return _scipy_after(
-        f"sys.argv = {argv!r}\n"
-        "from meanlab.cli import main\n"
-        "try:\n"
-        "    main()\n"
-        "except SystemExit as stop:\n"
-        "    assert stop.code in (0, 2), stop.code\n")
+    return _scipy_after(_main_body(tmp_path, name, sub, document))
 
 
 def test_import_loads_no_scipy():
@@ -109,3 +128,100 @@ def test_quadrature_looks_up_quad_on_the_module(monkeypatch):
     calls.clear()
     triangle.window_stats(-0.5, 0.25)
     assert calls, "a user density window bypassed scipy.integrate.quad"
+
+
+# ---------------------------------------------------------------------------
+# meanlab modules and numpy.ma
+# ---------------------------------------------------------------------------
+
+_REPORT_LOADED = ("\nprint(json.dumps({'meanlab': sorted(m for m in sys.modules"
+                  " if m.startswith('meanlab.')), 'numpy': 'numpy' in sys.modules,"
+                  " 'numpy.ma': 'numpy.ma' in sys.modules,"
+                  " 'at_clock': globals().get('at_clock', [None])[0]}))\n")
+
+# Records the meanlab modules loaded when run() reads its clock, which starts
+# the handler time that the report writes as wall_time_s.
+_CLOCK_SPY = """
+import time
+import meanlab.cli
+at_clock = []
+def perf_counter(real=time.perf_counter):
+    at_clock.append(sorted(m for m in sys.modules if m.startswith("meanlab.")))
+    return real()
+meanlab.cli.time = type(time)("time")
+meanlab.cli.time.perf_counter = perf_counter
+"""
+
+# The meanlab modules each subcommand runs; its process loads no others.
+_SUBCOMMAND_MODULES = {
+    "classify": {"cli", "genmean", "measures"},
+    "weakmean": {"cli", "genmean", "measures"},
+    "multiplier": {"cli", "genmean", "measures"},
+    "lln": {"cli", "lln", "measures"},
+    "maxent": {"cli", "maxent", "measures"},
+    "axioms": {"cli", "axioms", "measures"},
+    "spectral": {"cli", "spectral", "genmean", "measures"},
+}
+
+# Example documents whose families load scipy.special, which loads numpy.ma
+# itself; every other example must load no numpy.ma.
+_SCIPY_SPECIAL_DOCUMENTS = {"measure_gaussian.json", "measure_power_tail.json",
+                            "spectral_bridge_power_law_p3.json"}
+
+# Measure documents run under classify and weakmean, every other document
+# under the subcommand its name starts with.
+_EXAMPLE_RUNS = [(name, sub) for name in cli._example_documents()
+                 for sub in (("classify", "weakmean") if name.startswith("measure_")
+                             else (name.split("_")[0],))]
+
+
+@pytest.fixture(scope="module")
+def example_runs(tmp_path_factory):
+    """What each example run's fresh process loaded, by (document, subcommand)."""
+    def one(run):
+        body = _main_body(tmp_path_factory.mktemp("cold"), *run)
+        return run, _fresh(_CLOCK_SPY + body, _REPORT_LOADED)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(pool.map(one, _EXAMPLE_RUNS))
+
+
+def test_import_cli_loads_no_library_module_and_no_numpy():
+    loaded = _fresh("import meanlab.cli", _REPORT_LOADED)
+    assert loaded["meanlab"] == ["meanlab.cli"]
+    assert not loaded["numpy"]
+
+
+def test_import_meanlab_loads_no_submodule_until_first_use():
+    loaded = _fresh("import meanlab\nassert meanlab.__all__ and dir(meanlab)", _REPORT_LOADED)
+    assert loaded["meanlab"] == [] and not loaded["numpy"]
+    loaded = _fresh("import meanlab\nmeanlab.qm_mean", _REPORT_LOADED)
+    assert loaded["meanlab"] == ["meanlab.genmean", "meanlab.measures", "meanlab.spectral"]
+    assert not loaded["numpy.ma"]
+
+
+def test_emit_examples_help_and_usage_errors_load_no_numpy(tmp_path):
+    for argv in (["meanlab", "--emit-examples", "--out", str(tmp_path)], ["meanlab", "--help"],
+                 ["meanlab", "classify"], ["meanlab", "lln", "--input", "x", "--bogus"]):
+        loaded = _fresh(_main_code(argv, (0, 1)), _REPORT_LOADED)
+        assert loaded["meanlab"] == ["meanlab.cli"] and not loaded["numpy"], argv
+    assert len(list(tmp_path.glob("*.json"))) == len(cli._example_documents())
+
+
+@pytest.mark.parametrize("name,sub", _EXAMPLE_RUNS)
+def test_example_loads_only_its_subcommands_modules(example_runs, name, sub):
+    assert set(example_runs[name, sub]["meanlab"]) == {
+        f"meanlab.{m}" for m in _SUBCOMMAND_MODULES[sub]}
+
+
+@pytest.mark.parametrize("name,sub", _EXAMPLE_RUNS)
+def test_wall_time_excludes_module_loading(example_runs, name, sub):
+    # every meanlab module the run loads is loaded before the handler clock starts
+    run = example_runs[name, sub]
+    assert run["at_clock"] == run["meanlab"]
+
+
+@pytest.mark.parametrize("name,sub", [run for run in _EXAMPLE_RUNS
+                                      if run[0] not in _SCIPY_SPECIAL_DOCUMENTS])
+def test_example_without_scipy_special_loads_no_numpy_ma(example_runs, name, sub):
+    assert not example_runs[name, sub]["numpy.ma"]
