@@ -305,10 +305,9 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
     ``np.random.default_rng(seed)``, draws the trials in blocks of a fixed
     schedule, so the first t trials do not depend on ``trials``; a block is
     drawn only when the trials before it pass.  ``_judge`` screens each
-    block tuple size by tuple size, with a built-in's numpy row form or
-    else the exact form, and judges the flagged rows again in trial order
-    with the exact form (``fn`` of each tuple); the first block's edge
-    tuples are screened and judged before its drawn rows.  The first
+    block tuple size by tuple size, once per size, with a built-in's numpy
+    row form or else the exact form, and judges the flagged rows again in
+    trial order with the exact form (``fn`` of each tuple).  The first
     violation of AXIOM_TOL is reported, with its residual from the exact
     form, which ``recheck`` reproduces exactly.
     """
@@ -320,23 +319,20 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
         size = _BLOCK_ROWS[min(k, len(_BLOCK_ROWS) - 1)]
         block = _draw_block(rng, axiom, start, size, min_n)
         block = {key: col[:trials - start] for key, col in block.items()}
-        rows = len(block["n"])
-        edges = min(max(len(_EDGE_TUPLES) - start, 0), rows)
-        for lo, hi in ((0, edges), (edges, rows)):  # a failing edge tuple screens no drawn row
-            sizes = block["n"][lo:hi]
-            flagged = np.zeros(hi - lo, dtype=bool)
-            for n in sorted(set(sizes[sizes >= min_n].tolist())):  # short edge tuples skip
-                idx = np.flatnonzero(sizes == n)
-                flagged[idx] = _judge(stat._screen_rows, axiom, _cut(block, lo + idx, n),
-                                      _SCREEN_BAND)[1]
-            for i in lo + np.flatnonzero(flagged):
-                resid, violated, keep = _judge(stat._rows, axiom,
-                                               _cut(block, slice(i, i + 1), block["n"][i]), 0.0)
-                if violated[0]:
-                    return AxiomReport(statistic=stat.name, axiom=axiom, passed=False,
-                                       trials=start + int(i) + 1, seed=seed,
-                                       counterexample={**_witness(block, i), **keep(0)},
-                                       residual=resid[0].item())
+        sizes = block["n"]
+        flagged = np.zeros(len(sizes), dtype=bool)
+        for n in sorted(set(sizes[sizes >= min_n].tolist())):  # short edge tuples skip
+            idx = np.flatnonzero(sizes == n)
+            flagged[idx] = _judge(stat._screen_rows, axiom, _cut(block, idx, n),
+                                  _SCREEN_BAND)[1]
+        for i in np.flatnonzero(flagged):
+            resid, violated, keep = _judge(stat._rows, axiom,
+                                           _cut(block, slice(i, i + 1), sizes[i]), 0.0)
+            if violated[0]:
+                return AxiomReport(statistic=stat.name, axiom=axiom, passed=False,
+                                   trials=start + int(i) + 1, seed=seed,
+                                   counterexample={**_witness(block, i), **keep(0)},
+                                   residual=resid[0].item())
         start, k = start + size, k + 1
     return AxiomReport(statistic=stat.name, axiom=axiom, passed=True,
                        trials=trials, seed=seed)

@@ -213,35 +213,47 @@ def _scan_radii(locations: np.ndarray, center: float, base: np.ndarray,
     return radii[order], is_probe[order]
 
 
-def _scan(measure: Measure, center: float, schedule: TruncationSchedule,
-          policy: VerdictPolicy, probe_atoms: bool = True,
-          side: str = "both") -> PartialMeanSeries:
-    """Every window of one scan in one ``window_stats`` call.
+def _scan(measure: Measure, rows: Sequence[tuple[float, str]],
+          schedule: TruncationSchedule, policy: VerdictPolicy,
+          probe_atoms: bool = True) -> list[PartialMeanSeries]:
+    """The scans ``rows``, (center, side) pairs, one series per row.
 
-    ``side`` "both" gives the closed windows [c - M, c + M]; "plus" and
-    "minus" give the one-sided windows [c, c + M] and [c - M, c], probed only
-    at the atoms on their own side.  The radii are the schedule's, plus the
+    Side "both" gives the closed windows [c - M, c + M]; "plus" and "minus"
+    give the one-sided windows [c, c + M] and [c - M, c], probed only at the
+    atoms on their own side.  The radii are the schedule's, plus the
     midpoints of the gaps between atom crossings when ``probe_atoms`` is set
     and the measure is atomic; only then are the atom locations looked up.
+
+    A measure without atoms answers every row in one ``window_stats`` call,
+    as the rows of one (rows x radii) array: it computes each window on its
+    own, so every row is bitwise the scan of that row alone.  An atomic
+    measure makes one call per row, since it anchors a call's cumulative
+    sums inside that call's windows (README, "Accuracy of atomic windows").
     """
-    radii = schedule.radii()
-    is_probe = np.zeros(len(radii), bool)
-    if probe_atoms and measure.is_atomic:
-        try:
-            locations = measure.atom_arrays(radii[-1] + abs(center) + 1.0,
-                                            max_atoms=_PROBE_ATOM_CAP)[0]
-        except MeasureError:  # more than _PROBE_ATOM_CAP atoms: no probes
-            locations = np.empty(0)
-        if side != "both":
-            sign = 1.0 if side == "plus" else -1.0
-            locations = locations[sign * (locations - center) > 0]
-        radii, is_probe = _scan_radii(locations, center, radii, policy.max_probes)
-    lo = center if side == "plus" else center - radii
-    hi = center if side == "minus" else center + radii
-    masses, values = measure.window_stats(lo, hi)
-    return PartialMeanSeries(center=float(center), radii=radii, values=values,
-                             masses=masses, is_probe=is_probe,
-                             horizon=schedule.horizon)
+    grids, los, his = [], [], []
+    for center, side in rows:
+        radii = schedule.radii()
+        is_probe = np.zeros(len(radii), bool)
+        if probe_atoms and measure.is_atomic:
+            try:
+                locations = measure.atom_arrays(radii[-1] + abs(center) + 1.0,
+                                                max_atoms=_PROBE_ATOM_CAP)[0]
+            except MeasureError:  # more than _PROBE_ATOM_CAP atoms: no probes
+                locations = np.empty(0)
+            if side != "both":
+                sign = 1.0 if side == "plus" else -1.0
+                locations = locations[sign * (locations - center) > 0]
+            radii, is_probe = _scan_radii(locations, center, radii, policy.max_probes)
+        grids.append((center, radii, is_probe))
+        los.append(np.full(len(radii), center) if side == "plus" else center - radii)
+        his.append(np.full(len(radii), center) if side == "minus" else center + radii)
+    if measure.is_atomic:
+        stats = [measure.window_stats(lo, hi) for lo, hi in zip(los, his)]
+    else:
+        stats = zip(*measure.window_stats(np.array(los), np.array(his)))
+    return [PartialMeanSeries(center=float(center), radii=radii, values=values,
+                              masses=masses, is_probe=is_probe, horizon=schedule.horizon)
+            for (center, radii, is_probe), (masses, values) in zip(grids, stats)]
 
 
 def limit_scan(measure: Measure, center: float,
@@ -249,7 +261,7 @@ def limit_scan(measure: Measure, center: float,
                policy: VerdictPolicy = VerdictPolicy(),
                probe_atoms: bool = True) -> PartialMeanSeries:
     """Partial means over [c - M, c + M] for every M in the (augmented) schedule."""
-    return _scan(measure, center, schedule, policy, probe_atoms)
+    return _scan(measure, [(center, "both")], schedule, policy, probe_atoms)[0]
 
 
 def _classify_values(values: np.ndarray, policy: VerdictPolicy,
@@ -351,7 +363,7 @@ def classify_taxonomy(measure: Measure,
     if len(grid) < 5 or 0.0 not in grid or min(grid) >= 0 or max(grid) <= 0:
         raise ValueError("center grid needs >= 5 points including 0 and both signs")
 
-    series = {c: limit_scan(measure, c, schedule, policy) for c in grid}
+    series = dict(zip(grid, _scan(measure, [(c, "both") for c in grid], schedule, policy)))
     verdicts = {c: classify_series(s, policy) for c, s in series.items()}
     horizon = schedule.horizon
     diags: list[str] = []
@@ -512,10 +524,9 @@ def mean_ladder(measure: Measure,
                 schedule: TruncationSchedule = TruncationSchedule(),
                 policy: VerdictPolicy = VerdictPolicy()) -> MeanLadder:
     """Decide the ordinary, weak, and doubly weak means at the schedule horizon."""
-    plus = _classify_values(_scan(measure, 0.0, schedule, policy, side="plus").values,
-                            policy, schedule.horizon, monotone="increasing")
-    minus = _classify_values(_scan(measure, 0.0, schedule, policy, side="minus").values,
-                             policy, schedule.horizon, monotone="decreasing")
+    sides = _scan(measure, [(0.0, "plus"), (0.0, "minus")], schedule, policy)
+    plus, minus = (_classify_values(s.values, policy, schedule.horizon, monotone=m)
+                   for s, m in zip(sides, ("increasing", "decreasing")))
 
     ordinary_kind = _ORDINARY_KINDS.get((plus.kind, minus.kind), "undetermined")
     ordinary_value = plus.value + minus.value if ordinary_kind == "finite" else None

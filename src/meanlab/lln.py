@@ -155,12 +155,13 @@ def running_mean_trajectory(s: Sampler, n: int) -> tuple[np.ndarray, np.ndarray]
     Kahan compensation to keep the trajectory bit-stable across platforms."""
     n = _number("n", n, integer=True, ge=1)
     x = s.draw(n, stream=(3,))
-    means = []
+    totals = []
     total, comp = 0.0, 0.0
-    for k, v in enumerate(x.tolist(), 1):
+    for v in x.tolist():
         y = v - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        means.append(total / k)
-    return np.arange(1, n + 1), np.array(means)
+        totals.append(total)
+    ks = np.arange(1, n + 1)
+    return ks, np.array(totals) / ks  # one IEEE division per k, as total / k

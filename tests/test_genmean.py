@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import meanlab as ml
+from meanlab import genmean
 from meanlab.genmean import _classify_values
 
 SCHED = ml.TruncationSchedule()
@@ -512,10 +513,72 @@ def test_taxonomy_keeps_the_scan_behind_each_verdict():
 
 def test_ladder_scans_each_window_once(scan_counts):
     lad = ml.mean_ladder(ml.cauchy())
-    # the grid's centers plus the two one-sided scans, and one tail curve
-    assert scan_counts == {"window_stats": len(ml.DEFAULT_C_GRID) + 2,
-                           "tail_probability": 1}
+    # a density answers the grid's centers in one call and the two one-sided
+    # scans in another; one tail curve
+    assert scan_counts == {"window_stats": 2, "tail_probability": 1}
     assert lad.tail.ns[-1] == 1e6
+
+
+def _logistic(x):
+    e = math.exp(-abs(x))
+    return e / (1.0 + e) ** 2
+
+
+# Measures without atoms: the closed forms, a user density on the whole line
+# (one quadrature per window) and one on a bounded support, where windows
+# that miss the support read zero.
+_DENSITIES = {
+    "gaussian": lambda: ml.gaussian(0.5, 2.0),
+    "cauchy": lambda: ml.cauchy(-0.25, 1.5),
+    "power_tail": lambda: ml.power_tail(1.3, 1.6),
+    "user_quad": lambda: ml.DensityMeasure("logistic", _logistic),
+    "bounded": lambda: ml.DensityMeasure("triangle", lambda x: max(0.0, 1.0 - abs(x)),
+                                         support=(-1.0, 1.0)),
+}
+_WRAPPERS = {
+    "plain": lambda m: m,
+    "shift": lambda m: m.shift(0.37),
+    "scale": lambda m: m.scale(3.5),
+    "negate": lambda m: m.negate(),
+    "affine": lambda m: ml.measures.Affine(m, -1.25, -0.4),
+}
+# a 9-point grid as ``--c-grid`` passes it: floats parsed from the text
+_GRID_9 = tuple(float(v) for v in "-8,-3,-1.5,-0.5,0,0.5,1.5,3,8".split(","))
+
+
+def _lone_scan(m, c, side="both"):
+    """The scan of one row as one window_stats call on 1-d endpoints."""
+    radii = SCHED.radii()
+    masses, values = m.window_stats(c if side == "plus" else c - radii,
+                                    c if side == "minus" else c + radii)
+    return ml.PartialMeanSeries(c, radii, values, masses, np.zeros(len(radii), bool),
+                                SCHED.horizon)
+
+
+def _same_series(got, want):
+    assert got.center == want.center and got.horizon == want.horizon
+    for name in ("radii", "values", "masses", "is_probe"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("wrap", _WRAPPERS)
+@pytest.mark.parametrize("family", _DENSITIES)
+def test_density_scans_in_one_call_are_bitwise_the_lone_scans(family, wrap):
+    m = _WRAPPERS[wrap](_DENSITIES[family]())
+    assert not m.is_atomic
+    for grid in (ml.DEFAULT_C_GRID, _GRID_9):
+        report = ml.classify_taxonomy(m, grid)
+        assert sorted(report.series) == sorted(grid)
+        for c in grid:
+            _same_series(report.series[c], ml.limit_scan(m, c))
+            _same_series(report.series[c], _lone_scan(m, c))
+    both = genmean._scan(m, [(0.0, "plus"), (0.0, "minus")], SCHED, POLICY)
+    for series, side, mode in zip(both, ("plus", "minus"), ("increasing", "decreasing")):
+        alone = _lone_scan(m, 0.0, side)
+        _same_series(series, alone)
+        assert (_classify_values(series.values, POLICY, SCHED.horizon, monotone=mode)
+                == _classify_values(alone.values, POLICY, SCHED.horizon, monotone=mode))
 
 
 def test_nonfinite_values_classify_as_undetermined():

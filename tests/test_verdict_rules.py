@@ -139,7 +139,7 @@ def stubbed_centers(monkeypatch):
     """classify_taxonomy reads the verdict at each center from the returned
     dict, which the test fills; no scan runs."""
     table = {}
-    monkeypatch.setattr(genmean, "limit_scan", lambda measure, c, *args: c)
+    monkeypatch.setattr(genmean, "_scan", lambda measure, rows, *args: [c for c, _ in rows])
     monkeypatch.setattr(genmean, "classify_series", lambda c, policy: table[c])
     return table
 

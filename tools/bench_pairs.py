@@ -7,7 +7,10 @@ host's speed does not favour either side.  Prints each pair's end-to-end
 metrics, then per metric the median of each side, the parent's
 interquartile range and in how many pairs the change was better.  A
 metric's better direction comes from the change checkout's
-``BENCHMARK.json``.
+``BENCHMARK.json``.  Each run's completed operation runs (the ``runs=``
+field of the harness's report line) are printed beside ``peak_rss_mb``:
+the harness keeps state per completed run, so a faster side also reads a
+higher peak RSS.
 
     python tools/bench_pairs.py --parent ../parent --change . \\
         --workload experiments --seed 7 --pairs 10 --seconds 15
@@ -27,14 +30,19 @@ import sys
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """The last stdout line of one benchmark run (its JSON summary)."""
+    """The JSON summary of one benchmark run (its last stdout line), with
+    ``runs``, the completed operation runs of its ``ops=`` report line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", f"{seconds:g}"],
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    out = json.loads(lines[-1])
+    report = next(line for line in lines if line.startswith("ops="))
+    out["runs"] = int(next(f for f in report.split() if f.startswith("runs="))[len("runs="):])
+    return out
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -71,7 +79,8 @@ def main(argv=None) -> int:
             f"{name}={runs['parent'][-1]['metrics'][name]['value']:.4g}"
             f"->{runs['change'][-1]['metrics'][name]['value']:.4g}"
             for name in better)
-        print(f"pair {k} ({order[0]} first): {line}", flush=True)
+        print(f"pair {k} ({order[0]} first): {line}  "
+              f"runs={runs['parent'][-1]['runs']}->{runs['change'][-1]['runs']}", flush=True)
 
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
     print(f"{'metric':18s} {'parent':>10s} {'IQR':>9s} {'change':>10s} {'change %':>9s}  better")
@@ -86,6 +95,13 @@ def main(argv=None) -> int:
         beyond = " (median gain beyond the parent IQR)" if sign * (mc - mp) > q3 - q1 else ""
         print(f"{name:18s} {mp:10.4g} {q3 - q1:9.3g} {mc:10.4g} {pct:+8.1f}%  "
               f"change better in {wins} of {args.pairs}{beyond}")
+    par = [r["runs"] for r in runs["parent"]]
+    chg = [r["runs"] for r in runs["change"]]
+    q1, q3 = quartiles(par)
+    mp, mc = statistics.median(par), statistics.median(chg)
+    pct = 100.0 * (mc - mp) / mp if mp else float("nan")
+    print(f"{'runs':18s} {mp:10.4g} {q3 - q1:9.3g} {mc:10.4g} {pct:+8.1f}%  "
+          f"completed operation runs (peak_rss_mb grows with them)")
     print("attempted/failed per run: " + ", ".join(f"{a}/{f}" for a, f in sorted(counts)))
     return 0 if len(counts) == 1 else 1
 
