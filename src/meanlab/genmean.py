@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .measures import (_QUAD_ABS_TOL, Measure, MeasureError, _log_trapezoid, _median,
-                       _number, _resolved_quad)
+                       _middle, _number, _resolved_quad)
 
 __all__ = [
     "TruncationSchedule",
@@ -208,9 +208,8 @@ def _scan_radii(locations: np.ndarray, center: float, base: np.ndarray,
         idx = np.linspace(0, len(probes) - 1, max_probes).round().astype(int)
         probes = probes[idx]  # steps above 1: no index repeats
     radii = np.concatenate([base, probes])
-    is_probe = np.concatenate([np.zeros(len(base), bool), np.ones(len(probes), bool)])
     order = np.argsort(radii, kind="stable")
-    return radii[order], is_probe[order]
+    return radii[order], order >= len(base)
 
 
 def _scan(measure: Measure, rows: Sequence[tuple[float, str]],
@@ -222,38 +221,51 @@ def _scan(measure: Measure, rows: Sequence[tuple[float, str]],
     give the one-sided windows [c, c + M] and [c - M, c], probed only at the
     atoms on their own side.  The radii are the schedule's, plus the
     midpoints of the gaps between atom crossings when ``probe_atoms`` is set
-    and the measure is atomic; only then are the atom locations looked up.
+    and the measure is atomic; only then are the atom locations looked up,
+    once, out to the widest row's reach.
 
-    A measure without atoms answers every row in one ``window_stats`` call,
-    as the rows of one (rows x radii) array: it computes each window on its
-    own, so every row is bitwise the scan of that row alone.  An atomic
-    measure makes one call per row, since it anchors a call's cumulative
-    sums inside that call's windows (README, "Accuracy of atomic windows").
+    Every row is answered by one ``window_stats`` call on a (rows x radii)
+    array, each row padded to the widest by repeating its widest window.  A
+    measure without atoms computes each window on its own; an atomic one
+    anchors each row's cumulative sums inside that row's windows, which all
+    hold its center, so the repeats move no anchor (README, "Accuracy of
+    atomic windows").  Either way every row is bitwise the scan of that row
+    alone.
     """
-    grids, los, his = [], [], []
+    base = schedule.radii()
+    locations = None
+    if probe_atoms and measure.is_atomic:
+        reach = base[-1] + max(abs(center) for center, _ in rows) + 1.0
+        try:
+            locations = measure.atom_arrays(reach, max_atoms=_PROBE_ATOM_CAP)[0]
+        except MeasureError:  # more than _PROBE_ATOM_CAP atoms: no probes
+            locations = np.empty(0)
+    grids = []
     for center, side in rows:
-        radii = schedule.radii()
-        is_probe = np.zeros(len(radii), bool)
-        if probe_atoms and measure.is_atomic:
-            try:
-                locations = measure.atom_arrays(radii[-1] + abs(center) + 1.0,
-                                                max_atoms=_PROBE_ATOM_CAP)[0]
-            except MeasureError:  # more than _PROBE_ATOM_CAP atoms: no probes
-                locations = np.empty(0)
-            if side != "both":
-                sign = 1.0 if side == "plus" else -1.0
-                locations = locations[sign * (locations - center) > 0]
-            radii, is_probe = _scan_radii(locations, center, radii, policy.max_probes)
-        grids.append((center, radii, is_probe))
-        los.append(np.full(len(radii), center) if side == "plus" else center - radii)
-        his.append(np.full(len(radii), center) if side == "minus" else center + radii)
-    if measure.is_atomic:
-        stats = [measure.window_stats(lo, hi) for lo, hi in zip(los, his)]
-    else:
-        stats = zip(*measure.window_stats(np.array(los), np.array(his)))
-    return [PartialMeanSeries(center=float(center), radii=radii, values=values,
-                              masses=masses, is_probe=is_probe, horizon=schedule.horizon)
-            for (center, radii, is_probe), (masses, values) in zip(grids, stats)]
+        if locations is None:
+            grids.append((base, np.zeros(len(base), bool)))
+            continue
+        here = locations
+        if side != "both":
+            sign = 1.0 if side == "plus" else -1.0
+            here = locations[sign * (locations - center) > 0]
+        grids.append(_scan_radii(here, center, base, policy.max_probes))
+    # one (rows x radii) array, each row padded by repeating its widest radius
+    radii = np.empty((len(rows), max(len(r) for r, _ in grids)))
+    for row, (r, _) in zip(radii, grids):
+        row[:len(r)] = r
+        row[len(r):] = r[-1]
+    centers = np.array([center for center, _ in rows], dtype=float)[:, None]
+    lo, hi = centers - radii, centers + radii
+    for ends, side in ((lo, "plus"), (hi, "minus")):
+        at = [i for i, (_, s) in enumerate(rows) if s == side]
+        if at:
+            ends[at] = centers[at]
+    masses, values = measure.window_stats(lo, hi)
+    return [PartialMeanSeries(center=float(center), radii=radii[i, :len(probes)],
+                              values=values[i, :len(probes)], masses=masses[i, :len(probes)],
+                              is_probe=probes, horizon=schedule.horizon)
+            for i, ((center, _), (_, probes)) in enumerate(zip(rows, grids))]
 
 
 def limit_scan(measure: Measure, center: float,
@@ -264,22 +276,69 @@ def limit_scan(measure: Measure, center: float,
     return _scan(measure, [(center, "both")], schedule, policy, probe_atoms)[0]
 
 
-def _classify_values(values: np.ndarray, policy: VerdictPolicy,
-                     horizon: Optional[float] = None,
-                     monotone: Optional[str] = None) -> LimitVerdict:
-    W, n = policy.window, len(values)
-    if n < 2 * W:
-        raise ValueError(f"series too short to classify: {n} < {2 * W}")
-    if not np.all(np.isfinite(values)):
-        # A NaN or infinite value makes the spread and tolerance NaN, which
-        # compares false against every threshold: no rule below can be read.
-        return LimitVerdict(UNDETERMINED, window=W, horizon=horizon)
-    last = values[-W:]
-    median = _median(last)
+def _classify_rows(rows: Sequence[np.ndarray], policy: VerdictPolicy,
+                   horizon: Optional[float] = None,
+                   monotone: Optional[Sequence[Optional[str]]] = None) -> list[LimitVerdict]:
+    """One verdict per series of ``rows`` (``monotone``: each row's known
+    direction, or None), by the rules of ``VerdictPolicy``.
+
+    The rules read a series' last three W-blocks (below 3W values the first
+    block is shorter).  One layout holds every row's last block, then each
+    row followed by a copy of its first two blocks, and one ``reduceat``
+    pass each of np.minimum and np.maximum over it gives, per row, the
+    extrema of the values before the blocks, of all three blocks in one
+    pass and of each block.  The rules read these and the last block as
+    Python floats.  Each reduction runs over one row's own values, so a
+    verdict does not depend on the rows classified with it.
+    """
+    W, count = policy.window, len(rows)
+    sizes = [len(values) for values in rows]
+    if min(sizes) < 2 * W:
+        raise ValueError(f"series too short to classify: {min(sizes)} < {2 * W}")
+    pieces = [values[-W:] for values in rows]
+    cuts, start = list(range(0, count * W, W)), count * W
+    for values, n in zip(rows, sizes):
+        L = min(n, 3 * W)
+        pieces += [values, values[-L:-W]]
+        # segments: the head, the tail (all three blocks in one pass), then
+        # the copy's first and second block; an empty head reads one tail
+        # value, and so does the first block of a 2W series, which is values[0]
+        end = start + n
+        cuts += [start, end - L, end, end + L - 2 * W]
+        start = end + L - W
+    layout, cuts = np.concatenate(pieces, dtype=float), np.array(cuts)
+    mins = np.minimum.reduceat(layout, cuts).tolist()
+    maxs = np.maximum.reduceat(layout, cuts).tolist()
+    lasts = layout[:count * W].tolist()
+    verdicts = []
+    for i in range(count):
+        j = count + 4 * i  # this row's head, tail and first two blocks
+        lo3, hi3 = mins[j + 1], maxs[j + 1]
+        # the extrema are finite exactly when every value is (NaN compares false)
+        if -math.inf < mins[j] and maxs[j] < math.inf and -math.inf < lo3 and hi3 < math.inf:
+            verdicts.append(_rules([mins[j + 2], mins[j + 3], mins[i]],
+                                   [maxs[j + 2], maxs[j + 3], maxs[i]], lo3, hi3,
+                                   lasts[i * W:(i + 1) * W], policy, horizon,
+                                   monotone and monotone[i]))
+        else:
+            # A NaN or infinite value makes the spread and tolerance NaN, which
+            # compares false against every threshold: no rule can be read.
+            verdicts.append(LimitVerdict(UNDETERMINED, window=W, horizon=horizon))
+    return verdicts
+
+
+def _rules(mins: list[float], maxs: list[float], lo3: float, hi3: float, last: list[float],
+           policy: VerdictPolicy, horizon: Optional[float],
+           monotone: Optional[str]) -> LimitVerdict:
+    """The verdict of one finite series from the minima and maxima of its
+    last three W-blocks, the extrema over those blocks in one pass (not
+    min(mins), which can return the other signed zero) and its last W
+    values."""
+    median = _middle(sorted(last))
     tol = policy.conv_scale * max(1.0, abs(median))
-    lo, hi = float(last.min()), float(last.max())
+    lo, hi = mins[2], maxs[2]
     verdict = functools.partial(LimitVerdict, spread=hi - lo, conv_tol=tol,
-                                window=W, horizon=horizon)
+                                window=policy.window, horizon=horizon)
     if hi - lo <= tol:
         return verdict(CONVERGED, value=median)
     if monotone is not None:
@@ -289,11 +348,7 @@ def _classify_values(values: np.ndarray, policy: VerdictPolicy,
         # logarithmic growth as bounded oscillation.
         return verdict(DIVERGES_PLUS if monotone == "increasing" else DIVERGES_MINUS)
 
-    # The last three W-blocks; below 3W values the first block is shorter.
-    blocks = (values[max(0, n - 3 * W):max(1, n - 2 * W)], values[-2 * W:-W])
-    mins = [float(b.min()) for b in blocks] + [lo]
-    maxs = [float(b.max()) for b in blocks] + [hi]
-    final, thr = float(values[-1]), policy.div_threshold
+    final, thr = last[-1], policy.div_threshold
 
     def rising(x):  # every block-to-block step clears the tolerance
         return x[1] - x[0] > tol and x[2] - x[1] > tol
@@ -308,9 +363,6 @@ def _classify_values(values: np.ndarray, policy: VerdictPolicy,
             return verdict(kind, **{est: sign * lows[2]})
 
     spread_persists = all(b - a > tol for a, b in zip(mins, maxs))
-    # One pass, not min(mins), which can return the other signed zero.
-    tail3 = values[-3 * W:]
-    lo3, hi3 = float(tail3.min()), float(tail3.max())
     for (sign, _, highs, est), kind, low in zip(sides, (OSC_UNBOUNDED_ABOVE, OSC_UNBOUNDED_BELOW),
                                                 (lo3, -hi3)):
         if spread_persists and rising(highs) and highs[2] > thr and abs(low) <= thr:
@@ -318,6 +370,12 @@ def _classify_values(values: np.ndarray, policy: VerdictPolicy,
     if spread_persists and max(abs(lo3), abs(hi3)) <= thr:
         return verdict(OSC_BOUNDED, liminf_est=lo3, limsup_est=hi3)
     return verdict(UNDETERMINED)
+
+
+def _classify_values(values: np.ndarray, policy: VerdictPolicy,
+                     horizon: Optional[float] = None,
+                     monotone: Optional[str] = None) -> LimitVerdict:
+    return _classify_rows([values], policy, horizon, [monotone])[0]
 
 
 def classify_series(series: PartialMeanSeries,
@@ -363,9 +421,16 @@ def classify_taxonomy(measure: Measure,
     if len(grid) < 5 or 0.0 not in grid or min(grid) >= 0 or max(grid) <= 0:
         raise ValueError("center grid needs >= 5 points including 0 and both signs")
 
-    series = dict(zip(grid, _scan(measure, [(c, "both") for c in grid], schedule, policy)))
-    verdicts = {c: classify_series(s, policy) for c, s in series.items()}
-    horizon = schedule.horizon
+    series = _scan(measure, [(c, "both") for c in grid], schedule, policy)
+    verdicts = _classify_rows([s.values for s in series], policy, schedule.horizon)
+    return _taxonomy(grid, series, verdicts, schedule.horizon)
+
+
+def _taxonomy(grid: list[float], series: list[PartialMeanSeries],
+              verdicts: list[LimitVerdict], horizon: float) -> TaxonomyReport:
+    """The five-case report from the scan and verdict at each center of the
+    sorted, checked ``grid``."""
+    series, verdicts = dict(zip(grid, series)), dict(zip(grid, verdicts))
     diags: list[str] = []
 
     conv = [c for c in grid if verdicts[c].kind == CONVERGED]
@@ -524,15 +589,19 @@ def mean_ladder(measure: Measure,
                 schedule: TruncationSchedule = TruncationSchedule(),
                 policy: VerdictPolicy = VerdictPolicy()) -> MeanLadder:
     """Decide the ordinary, weak, and doubly weak means at the schedule horizon."""
-    sides = _scan(measure, [(0.0, "plus"), (0.0, "minus")], schedule, policy)
-    plus, minus = (_classify_values(s.values, policy, schedule.horizon, monotone=m)
-                   for s, m in zip(sides, ("increasing", "decreasing")))
+    # the two one-sided scans of the ordinary mean and the taxonomy's centers, together
+    grid = list(DEFAULT_C_GRID)
+    series = _scan(measure, [(0.0, "plus"), (0.0, "minus")] + [(c, "both") for c in grid],
+                   schedule, policy)
+    plus, minus, *verdicts = _classify_rows(
+        [s.values for s in series], policy, schedule.horizon,
+        ["increasing", "decreasing"] + [None] * len(grid))
 
     ordinary_kind = _ORDINARY_KINDS.get((plus.kind, minus.kind), "undetermined")
     ordinary_value = plus.value + minus.value if ordinary_kind == "finite" else None
 
     tail = tail_mass_curve(measure, policy=policy)
-    taxonomy = classify_taxonomy(measure, DEFAULT_C_GRID, schedule, policy)
+    taxonomy = _taxonomy(grid, series[2:], verdicts, schedule.horizon)
     center_verdict = taxonomy.per_center[0.0]
     weak_value = (center_verdict.value
                   if center_verdict.kind == CONVERGED and tail.tends_to_zero

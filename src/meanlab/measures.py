@@ -41,7 +41,10 @@ middle of their common part when they share one, as every scan's windows
 do) and grow outward from it in both directions.  A window that contains
 the anchor then adds only its own atoms, so its rounding error is relative
 to the atoms inside it; integer contributions such as comb_ex1's +-1 stay
-exact.
+exact.  A 2-d request is a stack of rows, and each row is anchored inside
+its own windows, with one pair of cumulative sums per distinct anchor: the
+scans of several centers share one call, and each row is bitwise the same
+request made alone.  Any other shape is one row.
 """
 
 from __future__ import annotations
@@ -259,8 +262,9 @@ def _log_trapezoid(measure: Measure, reach: float):
 class Measure:
     """Common interface for all measure representations.
 
-    Subclasses implement ``_window_stats`` on validated 1-d endpoint arrays;
-    the public ``window_stats`` broadcasts and checks the endpoints.
+    Subclasses implement ``_window_stats`` on validated (rows x windows)
+    endpoint arrays, returning one entry per window in row order; the public
+    ``window_stats`` broadcasts and checks the endpoints.
     Densities set ``pdf`` and ``support``.
     """
 
@@ -271,7 +275,9 @@ class Measure:
 
     def window_stats(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """(masses, moments) over the closed windows [lo, hi], elementwise
-        over the broadcast endpoint arrays."""
+        over the broadcast endpoint arrays.  A 2-d request is a stack of
+        rows, each anchored apart on an atomic measure (see the module
+        docstring); any other shape is one row."""
         lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
         ordered = lo <= hi
         if not ordered.all():
@@ -280,7 +286,8 @@ class Measure:
                 f"window requires lo <= hi, got [{lo.flat[i]}, {hi.flat[i]}]")
         if lo.size == 0:
             return np.zeros(lo.shape), np.zeros(lo.shape)
-        masses, moments = self._window_stats(lo.ravel(), hi.ravel())
+        rows = (len(lo), -1) if lo.ndim == 2 else (1, -1)
+        masses, moments = self._window_stats(lo.reshape(rows), hi.reshape(rows))
         return masses.reshape(lo.shape), moments.reshape(lo.shape)
 
     def _window_stats(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,8 +300,8 @@ class Measure:
         return float(out) if out.ndim == 0 else out
 
     def _tail(self, t: np.ndarray) -> np.ndarray:
-        r = np.abs(t)
-        masses, _ = self._window_stats(-r, r)
+        r = np.abs(t)[None]
+        masses = self._window_stats(-r, r)[0].reshape(t.shape)
         return np.where(t < 0, 1.0, np.maximum(0.0, 1.0 - masses))
 
     def atoms_within(self, max_abs: float) -> list[Atom]:
@@ -337,40 +344,52 @@ class Measure:
 # Window sums over sorted atoms
 # ---------------------------------------------------------------------------
 
+def _middle(part: list[float]) -> float:
+    """The median of floats whose middle one or two are in sorted position
+    (a sorted or partitioned list), summed from +0.0 as np.median's is (so
+    -0.0 reads 0.0)."""
+    h = len(part) // 2
+    return 0.0 + part[h] if len(part) % 2 else (0.0 + part[h - 1] + part[h]) / 2
+
+
 def _median(values: np.ndarray) -> float:
-    """np.median bit for bit without loading numpy.ma: the middle is summed
-    from +0.0 as numpy's is (so -0.0 reads 0.0), and a NaN sorts last."""
+    """np.median bit for bit without loading numpy.ma; a NaN sorts last."""
     h = len(values) // 2
     part = np.partition(values, [h - 1, h, -1]).tolist()
-    middle = 0.0 + part[h] if len(part) % 2 else (0.0 + part[h - 1] + part[h]) / 2
-    return math.nan if math.isnan(part[-1]) else middle
+    return math.nan if math.isnan(part[-1]) else _middle(part)
 
 
-def _anchor(lo: np.ndarray, hi: np.ndarray) -> float:
-    """A point inside every window when the windows share one, else their
-    median center; NaN (from -inf + inf) reads as 0, +-inf as +-float max."""
-    a, b = float(lo.max()), float(hi.min())
-    if a <= b:
+def _anchors(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row: a point inside every window of the row when they share one,
+    else the row's median center; NaN (from -inf + inf) reads as 0, +-inf as
+    +-float max."""
+    a, b = lo.max(axis=1), hi.min(axis=1)
+    with np.errstate(invalid="ignore"):
         mid = 0.5 * a + 0.5 * b
-    else:
-        with np.errstate(invalid="ignore"):
-            mid = _median(0.5 * lo + 0.5 * hi)
-    return 0.0 if math.isnan(mid) else max(-sys.float_info.max, min(mid, sys.float_info.max))
+        apart = ~(a <= b)
+        if apart.any():
+            mid[apart] = [_median(row) for row in 0.5 * lo[apart] + 0.5 * hi[apart]]
+    return np.nan_to_num(mid, nan=0.0)
 
 
 def _atom_window_sums(locs: np.ndarray, values: np.ndarray, lo: np.ndarray,
                       hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Atom counts and sums of each row of ``values`` over the atoms at the
-    sorted ``locs`` inside each closed window, with cumulative sums anchored
-    inside the windows (see the module docstring)."""
+    sorted ``locs`` inside each closed window of the (rows x windows)
+    endpoints, with cumulative sums anchored inside each row's windows (see
+    the module docstring); sums have shape (len(values), *lo.shape)."""
     il = np.searchsorted(locs, lo, side="left")
     ir = np.searchsorted(locs, hi, side="right")
-    k0 = int(np.searchsorted(locs, _anchor(lo, hi)))
-    # anchored[:, k] = sum(values[:, k0:k]) for k >= k0, -sum(values[:, k:k0]) below
-    right = np.cumsum(values[:, k0:], axis=1)
-    left = np.cumsum(values[:, :k0][:, ::-1], axis=1)[:, ::-1]
-    anchored = np.concatenate([-left, np.zeros((len(values), 1)), right], axis=1)
-    return ir - il, anchored[:, ir] - anchored[:, il]
+    starts = np.searchsorted(locs, _anchors(lo, hi))
+    sums = np.empty((len(values), *lo.shape))
+    for k0 in set(starts.tolist()):
+        # anchored[:, k] = sum(values[:, k0:k]) for k >= k0, -sum(values[:, k:k0]) below
+        right = np.cumsum(values[:, k0:], axis=1)
+        left = np.cumsum(values[:, :k0][:, ::-1], axis=1)[:, ::-1]
+        anchored = np.concatenate([-left, np.zeros((len(values), 1)), right], axis=1)
+        rows = starts == k0
+        sums[:, rows] = anchored[:, ir[rows]] - anchored[:, il[rows]]
+    return ir - il, sums
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +735,9 @@ class DensityMeasure(Measure):
             for a, b in zip(lo.tolist(), hi.tolist())]).T
 
     def _window_stats(self, lo, hi):
-        lo = np.maximum(lo, self.support[0])
-        hi = np.minimum(hi, self.support[1])
+        # each window on its own: the rows need no anchor
+        lo = np.maximum(lo, self.support[0]).ravel()
+        hi = np.minimum(hi, self.support[1]).ravel()
         inside = lo < hi
         if inside.all():
             return self._stats_between(lo, hi)

@@ -510,9 +510,10 @@ def test_nonfinite_result_is_refused_not_written(tmp_path, monkeypatch):
 
 
 def test_classify_scans_each_center_once(tmp_path, scan_counts):
+    # an atomic measure answers every center in one call, each row anchored apart
     doc = _write(tmp_path, "m.json", {"measure": {"family": "comb_ex4"}})
     assert _run(["classify", "--input", doc, "--out", str(tmp_path / "out")]) == 0
-    assert scan_counts == {"window_stats": len(ml.DEFAULT_C_GRID)}
+    assert scan_counts == {"window_stats": 1}
 
 
 def test_density_classify_scans_every_center_in_one_call(tmp_path, scan_counts):
@@ -522,11 +523,11 @@ def test_density_classify_scans_every_center_in_one_call(tmp_path, scan_counts):
 
 
 def test_weakmean_scans_once_and_builds_one_tail_curve(tmp_path, scan_counts):
-    # one call for the grid's centers, one for the two one-sided scans of the
+    # one call for the grid's centers and the two one-sided scans of the
     # ordinary mean
     doc = _write(tmp_path, "m.json", {"measure": {"family": "cauchy"}})
     assert _run(["weakmean", "--input", doc, "--out", str(tmp_path / "out")]) == 0
-    assert scan_counts == {"window_stats": 2, "tail_probability": 1}
+    assert scan_counts == {"window_stats": 1, "tail_probability": 1}
 
 
 def test_classify_series_csvs_match_an_independent_scan(tmp_path):

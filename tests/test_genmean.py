@@ -513,9 +513,8 @@ def test_taxonomy_keeps_the_scan_behind_each_verdict():
 
 def test_ladder_scans_each_window_once(scan_counts):
     lad = ml.mean_ladder(ml.cauchy())
-    # a density answers the grid's centers in one call and the two one-sided
-    # scans in another; one tail curve
-    assert scan_counts == {"window_stats": 2, "tail_probability": 1}
+    # the grid's centers and the two one-sided scans in one call; one tail curve
+    assert scan_counts == {"window_stats": 1, "tail_probability": 1}
     assert lad.tail.ns[-1] == 1e6
 
 
@@ -579,6 +578,58 @@ def test_density_scans_in_one_call_are_bitwise_the_lone_scans(family, wrap):
         _same_series(series, alone)
         assert (_classify_values(series.values, POLICY, SCHED.horizon, monotone=mode)
                 == _classify_values(alone.values, POLICY, SCHED.horizon, monotone=mode))
+
+
+# Atomic measures: the combs under every wrapper of _WRAPPERS, plus measures
+# whose scans thin their probes (5,000 samples), refuse them (the dense
+# integer combs) or come from the spectral side.
+_ATOMIC = {
+    "comb_ex1": ml.comb_ex1,
+    "comb_ex2": ml.comb_ex2,
+    "comb_ex4": ml.comb_ex4,
+    "comb_ex5": ml.comb_ex5,
+}
+_ATOMIC_PLAIN = {
+    "empirical_50": lambda: ml.EmpiricalMeasure(np.random.default_rng(4).standard_cauchy(50)),
+    "empirical_5000": lambda: ml.EmpiricalMeasure(
+        np.random.default_rng(5).standard_cauchy(5000)),
+    "integer_power_2.5": lambda: ml.integer_power_comb(2.5),
+    "integer_power_4": lambda: ml.integer_power_comb(4.0),
+    "induced": lambda: ml.induced_measure(np.diag([-3.0, -0.5, 1.0, 2.5, 40.0]),
+                                          np.array([0.3, 0.2, 0.5, 0.6, 0.5]) / math.sqrt(0.99)),
+    "bridge_dyadic": lambda: ml.build_bridge("dyadic_symmetric").comb,
+    "bridge_power": lambda: ml.build_bridge("power_law_integer", p=3.0).comb,
+}
+_ATOMIC_CASES = ([(f, w) for f in _ATOMIC for w in _WRAPPERS]
+                 + [(f, "plain") for f in _ATOMIC_PLAIN])
+
+
+@pytest.mark.parametrize("family, wrap", _ATOMIC_CASES,
+                         ids=[f"{f}-{w}" for f, w in _ATOMIC_CASES])
+def test_atomic_rows_in_one_call_are_bitwise_the_lone_scans(family, wrap):
+    m = _WRAPPERS[wrap]({**_ATOMIC, **_ATOMIC_PLAIN}[family]())
+    assert m.is_atomic
+    rows = [(0.0, "plus"), (0.0, "minus")] + [(c, "both") for c in ml.DEFAULT_C_GRID]
+    batched = genmean._scan(m, rows, SCHED, POLICY)  # the ladder's one call
+    report = ml.classify_taxonomy(m)
+    for series, (c, side) in zip(batched, rows):
+        alone = genmean._scan(m, [(c, side)], SCHED, POLICY)[0]
+        _same_series(series, alone)
+        if side == "both":
+            _same_series(series, ml.limit_scan(m, c))
+            _same_series(report.series[c], alone)
+        # a 1-d request on the lone scan's radii is answered as before
+        masses, values = m.window_stats(c if side == "plus" else c - alone.radii,
+                                        c if side == "minus" else c + alone.radii)
+        assert values.tobytes() == alone.values.tobytes()
+        assert masses.tobytes() == alone.masses.tobytes()
+    probes = [int(s.is_probe.sum()) for s in batched]
+    if family.startswith("integer_power") or family == "bridge_power":
+        assert probes == [0] * len(rows)  # more atoms than _PROBE_ATOM_CAP
+    elif family == "empirical_5000":
+        assert max(probes) == POLICY.max_probes  # thinned
+    else:
+        assert max(probes) > 0
 
 
 def test_nonfinite_values_classify_as_undetermined():

@@ -104,6 +104,21 @@ def test_off_centre_user_density_is_accepted():
     assert moment == pytest.approx(1e4, rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 4: a user density's wide windows run one "
+                          "quad that misses the mass near 0")
+def test_centred_user_density_has_a_ladder():
+    # the standard logistic law: mean 0 and P(|X| > n) = 2 / (1 + e^n); today
+    # tail_probability(1e5) reads 1.0, the taxonomy says III_finite, and the
+    # ladder raises "finite ordinary mean without matching weak mean"
+    m = ml.DensityMeasure("logistic", lambda x: math.exp(-abs(x)) / (1.0 + math.exp(-abs(x))) ** 2)
+    ladder = ml.mean_ladder(m)
+    assert ladder.ordinary_kind == "finite"
+    for value in (ladder.ordinary_value, ladder.weak_value, ladder.doubly_weak_value):
+        assert value == pytest.approx(0.0, abs=1e-6)
+    assert m.tail_probability(1e5) <= 1e-12
+
+
 @pytest.mark.xfail(strict=True, raises=ml.MeasureError,
                    reason="ROADMAP item 9: the block sampler's tail bound never "
                           "falls below its cutoff")

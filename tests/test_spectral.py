@@ -413,8 +413,8 @@ def test_power_law_p3_bridge_mean_without_variance():
 
 def test_bridge_partial_sums_are_one_window_call(scan_counts):
     report = ml.bridge_analyze(ml.build_bridge("power_law_integer", p=3.0))
-    # the ladder's grid and one-sided scans, plus one call for both sums
-    assert scan_counts["window_stats"] == len(ml.DEFAULT_C_GRID) + 2 + 1
+    # one call for the ladder's grid and one-sided scans, one for both sums
+    assert scan_counts["window_stats"] == 2
     comb = report.bridge.comb
     assert report.partial_sums["pos_abs_moment"] == float(comb.window_stats(0.0, 1e6)[1])
     assert report.partial_sums["neg_abs_moment"] == -float(comb.window_stats(-1e6, 0.0)[1])

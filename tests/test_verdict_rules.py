@@ -12,6 +12,7 @@ each diagnostic of ``classify_taxonomy`` through stubbed per-center verdicts.
 
 import hashlib
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -86,6 +87,26 @@ def test_series_verdicts_are_bitwise_unchanged():
     assert hashlib.sha256(text.encode()).hexdigest() == VERDICTS_SHA256
 
 
+def test_rows_classified_together_get_their_one_row_verdicts():
+    # mixed groups: lengths 2W..4W+2, NaN, +-inf and signed-zero rows together
+    rng = np.random.default_rng(29)
+    by_window = {}
+    for W, v in _drawn_series(3000, seed=19):
+        by_window.setdefault(W, []).append(v)
+    for W, rows in by_window.items():
+        policy = ml.VerdictPolicy(window=W)
+        modes = [MODES[k] for k in rng.integers(len(MODES), size=len(rows))]
+        start = 0
+        while start < len(rows):
+            stop = start + int(rng.integers(1, 40))
+            group, group_modes = rows[start:stop], modes[start:stop]
+            got = genmean._classify_rows(group, policy, 7.0, group_modes)
+            assert [repr(v) for v in got] == [
+                repr(_classify_values(v, policy, horizon=7.0, monotone=mode))
+                for v, mode in zip(group, group_modes)]
+            start = stop
+
+
 _MIRROR = {genmean.DIVERGES_PLUS: genmean.DIVERGES_MINUS,
            genmean.OSC_UNBOUNDED_ABOVE: genmean.OSC_UNBOUNDED_BELOW,
            "increasing": "decreasing"}
@@ -137,10 +158,13 @@ STUB_KINDS = ("converged", "converged_far", genmean.DIVERGES_PLUS, genmean.DIVER
 @pytest.fixture
 def stubbed_centers(monkeypatch):
     """classify_taxonomy reads the verdict at each center from the returned
-    dict, which the test fills; no scan runs."""
+    dict, which the test fills; no scan runs, and each stub series holds its
+    center in place of its values."""
     table = {}
-    monkeypatch.setattr(genmean, "_scan", lambda measure, rows, *args: [c for c, _ in rows])
-    monkeypatch.setattr(genmean, "classify_series", lambda c, policy: table[c])
+    monkeypatch.setattr(genmean, "_scan", lambda measure, rows, *args: [
+        types.SimpleNamespace(values=c) for c, _ in rows])
+    monkeypatch.setattr(genmean, "_classify_rows",
+                        lambda rows, *args: [table[c] for c in rows])
     return table
 
 
