@@ -222,7 +222,9 @@ def _scan(measure: Measure, rows: Sequence[tuple[float, str]],
     atoms on their own side.  The radii are the schedule's, plus the
     midpoints of the gaps between atom crossings when ``probe_atoms`` is set
     and the measure is atomic; only then are the atom locations looked up,
-    once, out to the widest row's reach.
+    once, out to the widest row's reach.  A lookup refused for holding more
+    than ``_PROBE_ATOM_CAP`` atoms leaves the schedule's radii, as a measure
+    without atoms has, with no probe pass.
 
     Every row is answered by one ``window_stats`` call on a (rows x radii)
     array, each row padded to the widest by repeating its widest window.  A
@@ -238,23 +240,24 @@ def _scan(measure: Measure, rows: Sequence[tuple[float, str]],
         reach = base[-1] + max(abs(center) for center, _ in rows) + 1.0
         try:
             locations = measure.atom_arrays(reach, max_atoms=_PROBE_ATOM_CAP)[0]
-        except MeasureError:  # more than _PROBE_ATOM_CAP atoms: no probes
-            locations = np.empty(0)
-    grids = []
-    for center, side in rows:
-        if locations is None:
-            grids.append((base, np.zeros(len(base), bool)))
-            continue
-        here = locations
-        if side != "both":
-            sign = 1.0 if side == "plus" else -1.0
-            here = locations[sign * (locations - center) > 0]
-        grids.append(_scan_radii(here, center, base, policy.max_probes))
-    # one (rows x radii) array, each row padded by repeating its widest radius
-    radii = np.empty((len(rows), max(len(r) for r, _ in grids)))
-    for row, (r, _) in zip(radii, grids):
-        row[:len(r)] = r
-        row[len(r):] = r[-1]
+        except MeasureError:  # more than _PROBE_ATOM_CAP atoms: no probes, as without atoms
+            pass
+    if locations is None:
+        grids = [(base, np.zeros(len(base), bool)) for _ in rows]
+        radii = np.tile(base, (len(rows), 1))
+    else:
+        grids = []
+        for center, side in rows:
+            here = locations
+            if side != "both":
+                sign = 1.0 if side == "plus" else -1.0
+                here = locations[sign * (locations - center) > 0]
+            grids.append(_scan_radii(here, center, base, policy.max_probes))
+        # one (rows x radii) array, each row padded by repeating its widest radius
+        radii = np.empty((len(rows), max(len(r) for r, _ in grids)))
+        for row, (r, _) in zip(radii, grids):
+            row[:len(r)] = r
+            row[len(r):] = r[-1]
     centers = np.array([center for center, _ in rows], dtype=float)[:, None]
     lo, hi = centers - radii, centers + radii
     for ends, side in ((lo, "plus"), (hi, "minus")):

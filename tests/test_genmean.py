@@ -632,6 +632,45 @@ def test_atomic_rows_in_one_call_are_bitwise_the_lone_scans(family, wrap):
         assert max(probes) > 0
 
 
+# Dense combs hold more than _PROBE_ATOM_CAP atoms in reach, so their atom
+# lookup is refused and they scan the schedule's radii alone.
+_REFUSED = {
+    **{f"integer_power_{p:g}": (lambda p=p: ml.integer_power_comb(p))
+       for p in (1.5, 2.5, 3.3, 6.0)},
+    "bridge_power": lambda: ml.build_bridge("power_law_integer", p=3.0).comb,
+}
+
+
+@pytest.mark.parametrize("family", _REFUSED)
+def test_refused_probes_scan_the_schedule_without_a_probe_pass(family, monkeypatch):
+    m = _REFUSED[family]()
+    probe_passes = []
+    monkeypatch.setattr(genmean, "_scan_radii", lambda *args: probe_passes.append(args))
+    rows = [(0.0, "plus"), (0.0, "minus")] + [(c, "both") for c in ml.DEFAULT_C_GRID]
+    batched = genmean._scan(m, rows, SCHED, POLICY)  # the ladder's one call
+    for series, (c, side) in zip(batched, rows):
+        _same_series(series, genmean._scan(m, [(c, side)], SCHED, POLICY, probe_atoms=False)[0])
+        if side == "both":
+            _same_series(series, ml.limit_scan(m, c, probe_atoms=False))
+    ml.mean_ladder(m)
+    assert probe_passes == []
+
+
+def test_integer_power_ladder_evaluates_zeta_once_per_distinct_endpoint():
+    m = ml.integer_power_comb(3.3)
+    zeta, sizes = m._zeta, {}
+
+    def spy(s, x):
+        sizes.setdefault(s, []).append(np.size(x))
+        return zeta(s, x)
+
+    m._zeta = spy
+    ml.mean_ladder(m)
+    # 9 rows of 60 windows have 1,080 endpoints, a = 1 for every window
+    # wider than its center; the tail curve's 36 thresholds come last
+    assert sizes == {3.3: [388, 36], 2.3: [388]}
+
+
 def test_nonfinite_values_classify_as_undetermined():
     values = np.linspace(0.0, 1.0, 40)
     values[-3] = np.nan

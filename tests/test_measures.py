@@ -93,6 +93,23 @@ def test_power_tail_halves_carry_equal_mass():
     assert m.window_stats(0, 1e300)[0] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_power_tail_tail_curve_skips_the_moment_primitive(monkeypatch):
+    import scipy.special
+    hyp2f1, calls = scipy.special.hyp2f1, []
+
+    def spy(a, b, c, z):  # b = m / e for the primitive of x^(m-1) * pdf
+        calls.append(b)
+        return hyp2f1(a, b, c, z)
+
+    monkeypatch.setattr(scipy.special, "hyp2f1", spy)
+    m = ml.power_tail(1.5, 1.8)
+    m.tail_probability(np.geomspace(1.0, 1e6, 36))
+    assert calls == [1.0 / 1.5, 1.0 / 1.8]  # m = 1 on each half
+    calls.clear()
+    m.window_stats(-3.0, 5.0)
+    assert calls == [1.0 / 1.5, 2.0 / 1.5, 1.0 / 1.8, 2.0 / 1.8]
+
+
 def test_power_tail_rejects_bad_exponents():
     for a, b in ((1.0, 1.5), (2.0, 1.5), (1.5, 2.5)):
         with pytest.raises(ml.MeasureError):

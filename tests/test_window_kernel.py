@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meanlab as ml
+from meanlab import measures
 from meanlab.measures import Affine
 
 # Each family with the radius its windows are drawn from.  The integer power
@@ -216,3 +217,85 @@ def test_disjoint_windows_with_infinite_ends():
     masses, moments = m.window_stats([-math.inf, 3.0], [0.5, math.inf])
     assert masses.tolist() == [0.0, 1.0 / 3.0]
     assert moments.tolist() == [0.0, 5.0 / 3.0]
+
+
+# ---------------------------------------------------------------------------
+# The integer power comb's zeta closed form and the per-row anchors
+# ---------------------------------------------------------------------------
+
+def _zeta_windows(m, lo, hi):
+    """(masses, moments) as zeta(s, a) - zeta(s, b + 1) at every endpoint."""
+    from scipy.special import zeta
+    a, b = np.maximum(np.ceil(lo), 1.0), np.floor(hi)
+    empty = b < a
+    return tuple(np.where(empty, 0.0, zeta(s, a) - zeta(s, b + 1.0)) / m.zeta_p
+                 for s in (m.p, m.p - 1.0))
+
+
+def _dense_comb_windows(rng, shape):
+    """Windows over the integer comb's whole range: integer and fractional
+    ends, empty windows between integers, lo < 1, hi up to 1e15 and +-inf."""
+    pool = np.concatenate([np.arange(-3.0, 40.0), rng.uniform(-5.0, 60.0, 40),
+                           np.floor(10.0 ** rng.uniform(0.0, 15.0, 30)),
+                           10.0 ** rng.uniform(0.0, 15.0, 30), [1e15, -math.inf, math.inf]])
+    ends = np.sort(rng.choice(pool, (2, *shape)), axis=0)
+    lo, hi = ends
+    gap = rng.random(shape) < 0.15  # [k + 0.2, k + 0.7] holds no integer
+    lo[gap], hi[gap] = np.floor(lo[gap]) + 0.2, np.floor(lo[gap]) + 0.7
+    edges = [(-math.inf, math.inf), (-math.inf, 2.5), (0.5, math.inf),
+             (-math.inf, -math.inf), (math.inf, math.inf), (3.0, 1e15)]
+    lo.reshape(-1)[:len(edges)], hi.reshape(-1)[:len(edges)] = np.array(edges).T
+    return lo, hi
+
+
+@pytest.mark.parametrize("shape", [(40,), (6, 30)], ids=["1d", "rows"])
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.3, 6.0])
+def test_integer_power_windows_are_bitwise_the_zeta_difference(p, shape):
+    m = ml.integer_power_comb(p)
+    rng = np.random.default_rng([int(10 * p), len(shape)])
+    for _ in range(5):
+        lo, hi = _dense_comb_windows(rng, shape)
+        assert (np.floor(hi) < np.maximum(np.ceil(lo), 1.0)).any()
+        # at p <= 2 scipy's zeta of the moment's order p - 1 is NaN or inf
+        # (ROADMAP item 4), so NaNs are compared by position
+        with np.errstate(all="ignore"):
+            got, want = m.window_stats(lo, hi), _zeta_windows(m, lo, hi)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == shape
+            nan = np.isnan(w)
+            assert (np.isnan(g) == nan).all()
+            assert g[~nan].tobytes() == w[~nan].tobytes()
+
+
+def _anchors_reference(lo, hi):
+    """The anchors before np.nan_to_num and after it."""
+    raw = []
+    for row_lo, row_hi in zip(lo, hi):
+        a, b = row_lo.max(), row_hi.min()
+        if a <= b:
+            raw.append(0.5 * a + 0.5 * b)
+        else:
+            raw.append(float(np.median(0.5 * row_lo + 0.5 * row_hi)))
+    raw = np.array(raw)
+    return raw, np.nan_to_num(raw, nan=0.0)
+
+
+def test_anchors_are_the_nan_to_num_form():
+    rng = np.random.default_rng(17)
+    pool = np.array([-math.inf, math.inf, -0.0, 0.0, -1e308, 1e308, -2.5, 1.0, 3.75, 1e15])
+    seen = {"nan": 0, "inf": 0, "-0.0": 0, "apart": 0}
+    for _ in range(400):
+        rows, width = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+        pick = rng.random((2, rows, width)) < 0.5
+        ends = np.where(pick, rng.choice(pool, (2, rows, width)),
+                        rng.normal(0.0, 10.0, (2, rows, width)))
+        lo, hi = np.sort(ends, axis=0)
+        with np.errstate(invalid="ignore"):
+            raw, want = _anchors_reference(lo, hi)
+            got = measures._anchors(lo, hi)
+        assert got.dtype == want.dtype and repr(got.tolist()) == repr(want.tolist())
+        seen["nan"] += int(np.isnan(raw).sum())
+        seen["inf"] += int(np.isinf(raw).sum())
+        seen["-0.0"] += sum(repr(x) == "-0.0" for x in want.tolist())
+        seen["apart"] += int((lo.max(axis=1) > hi.min(axis=1)).sum())
+    assert min(seen.values()) > 0, seen

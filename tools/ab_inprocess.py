@@ -1,0 +1,108 @@
+"""Interleaved in-process A/B of one library workload's operations.
+
+Loads ``src/meanlab`` from two checkouts into one process, under the package
+names ``meanlab_parent`` and ``meanlab_change``, and runs the distinct
+operations of one workload (``perfbench/workloads.py`` of the change
+checkout, imported and never modified) through each in alternating rounds:
+the parent goes first in odd rounds and the change first in even ones, so a
+drift of the host's speed favours neither side.  Every operation runs once
+on each side, untimed, before the first round.  Prints, per operation
+family (``workloads.family_key``) and over all operations, the median over
+rounds of the mean ms per operation on each side, the speed-up (parent time
+over change time) and in how many rounds the change was faster.
+
+    python tools/ab_inprocess.py --parent ../parent --change . \\
+        --workload verdicts --seed 7 --rounds 30
+
+This times the library calls alone, without the harness's process, set-up,
+checks or memory, so it is a quick look while writing a change.  A claimed
+speed-up still needs alternating runs of the benchmark itself
+(``tools/bench_pairs.py``).
+
+Uses only the standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import statistics
+import sys
+import time
+import warnings
+
+SIDES = ("parent", "change")
+
+
+def load_meanlab(checkout: str, name: str):
+    """``src/meanlab`` of ``checkout`` as the package ``name``."""
+    package = os.path.join(os.path.abspath(checkout), "src", "meanlab")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_round(workloads, ml, specs, families) -> dict[str, list[float]]:
+    """Seconds of each operation of ``specs``, by family."""
+    times: dict[str, list[float]] = {family: [] for family in families}
+    for spec, family in zip(specs, families):
+        t0 = time.perf_counter()
+        try:
+            workloads.run_op(ml, spec)
+        except Exception:  # a failing operation is timed like any other
+            pass
+        times[family].append(time.perf_counter() - t0)
+    return times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, help="checkout of the change")
+    parser.add_argument("--workload", required=True, choices=("verdicts", "experiments"))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--rounds", type=int, default=30)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    sys.path.insert(0, os.path.join(os.path.abspath(args.change), "perfbench"))
+    import workloads
+
+    libs = {side: load_meanlab(getattr(args, side), f"meanlab_{side}") for side in SIDES}
+    specs = [spec for r in range(workloads.DISTINCT_ROUNDS[args.workload])
+             for spec in workloads.ROUNDS[args.workload](args.seed, r)]
+    families = [workloads.family_key(spec) for spec in specs]
+    warnings.simplefilter("ignore")  # known defects warn on every run
+    for side in SIDES:
+        run_round(workloads, libs[side], specs, families)
+
+    # per side: {family: [mean ms per operation in each round]}
+    ms: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
+    for k in range(1, args.rounds + 1):
+        for side in SIDES if k % 2 else SIDES[::-1]:
+            times = run_round(workloads, libs[side], specs, families)
+            times["all"] = [t for ts in times.values() for t in ts]
+            for family, ts in times.items():
+                ms[side].setdefault(family, []).append(1e3 * sum(ts) / len(ts))
+
+    print(f"{args.workload} seed {args.seed}: {len(specs)} operations, "
+          f"{args.rounds} alternating rounds, median ms/op")
+    print(f"{'family':36s} {'ops':>4s} {'parent':>9s} {'change':>9s} {'speed-up':>9s}")
+    counts = {family: families.count(family) for family in families}
+    counts["all"] = len(specs)
+    for family in sorted(counts, key=lambda f: (f == "all", f)):
+        par, chg = ms["parent"][family], ms["change"][family]
+        wins = sum(c < p for p, c in zip(par, chg))
+        mp, mc = statistics.median(par), statistics.median(chg)
+        print(f"{family:36s} {counts[family]:4d} {mp:9.3f} {mc:9.3f} {mp / mc:8.2f}x  "
+              f"change faster in {wins} of {args.rounds}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
