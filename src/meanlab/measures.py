@@ -14,13 +14,13 @@ arrays.
 Representations:
 
 * ``AtomicComb``: a lazily enumerated sequence of weighted point masses with
-  a certified bound on the mass beyond any enumeration prefix.  Windows are
-  sums over the sorted atom locations, with ``searchsorted`` placing each
-  endpoint so that atoms on it count.
-* ``IntegerPowerComb``: a comb dense in the integers.  Its windows are
-  Hurwitz zeta closed forms, and it declares its atom count within any
-  radius, so no caller has to enumerate atoms to learn that there are too
-  many.
+  a certified bound on the mass beyond any enumeration prefix, each block a
+  pair of (locations, weights) sequences.  Windows are sums over the sorted
+  atom locations, with ``searchsorted`` placing each endpoint on its atoms.
+* ``IntegerPowerComb``: atoms dense in the integers, never enumerated.  Its
+  windows are Hurwitz zeta closed forms, and it declares its atom count
+  within any radius, so no caller has to enumerate atoms to learn that there
+  are too many.
 * ``DensityMeasure``: an absolutely continuous measure.  Built-in families
   evaluate closed forms over the whole window array; any other density
   falls back to adaptive quadrature, one window at a time.
@@ -126,6 +126,16 @@ def _number(name: str, value, *, gt: Optional[float] = None,
     return int(value) if integer else float(value)
 
 
+def _checked(locations: Sequence[float], weights: Sequence[float]):
+    """(locations, weights), refused unless every location is finite and every weight > 0."""
+    for x, w in zip(locations, weights, strict=True):
+        if not math.isfinite(x):
+            raise MeasureError(f"atom location must be finite, got {x}")
+        if not (w > 0.0):
+            raise MeasureError(f"atom weight must be positive, got {w}")
+    return locations, weights
+
+
 @dataclass(frozen=True)
 class Atom:
     """A point mass: ``weight`` at ``location``."""
@@ -134,10 +144,7 @@ class Atom:
     weight: float
 
     def __post_init__(self):
-        if not math.isfinite(self.location):
-            raise MeasureError(f"atom location must be finite, got {self.location}")
-        if not (self.weight > 0.0):
-            raise MeasureError(f"atom weight must be positive, got {self.weight}")
+        _checked((self.location,), (self.weight,))
 
 
 def checked_quad(f: Callable[[float], float], a: float, b: float,
@@ -313,8 +320,8 @@ class Measure:
     def atom_arrays(self, max_abs: float,
                     max_atoms: int = _MAX_ATOMS) -> tuple[np.ndarray, np.ndarray]:
         """(locations, weights) of the atoms with |location| <= max_abs, sorted
-        by location; raises MeasureError when there are more than
-        ``max_atoms`` of them."""
+        by location.  A comb refuses (MeasureError) more than ``max_atoms`` of
+        them, whatever it enumerated before; an empirical measure lists all."""
         return np.empty(0), np.empty(0)
 
     def sampler(self) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
@@ -400,15 +407,15 @@ def _atom_window_sums(locs: np.ndarray, values: np.ndarray, lo: np.ndarray,
 class AtomicComb(Measure):
     """Purely atomic measure enumerated in blocks with a certified tail bound.
 
-    ``block(n)`` returns the atoms of block n >= 1 (typically one positive
-    and one negative atom).  ``tail_mass_bound(n)`` bounds the total weight
-    of all blocks with index > n and must be nonincreasing.
+    ``block(n)`` returns the (locations, weights) of block n >= 1, typically
+    one positive and one negative atom.  ``tail_mass_bound(n)`` bounds the
+    total weight of all blocks with index > n and must be nonincreasing.
     ``location_floor(n)`` is a lower bound on |location| over all atoms in
     blocks with index > n and must be nondecreasing; it is what lets window
     enumeration stop once every remaining atom lies outside the window.
 
     One cached enumeration serves construction, windows, atom lists and the
-    sampler: validation enumerates until the tail bound falls below
+    sampler: construction enumerates until the tail bound falls below
     MASS_TOL/2 and checks the total mass, and later requests extend the same
     cache.  The cache keeps the atoms both sorted by location, for windows,
     and in enumeration order with the atom count after each block, for the
@@ -420,11 +427,9 @@ class AtomicComb(Measure):
     def __init__(
         self,
         family: str,
-        block: Callable[[int], tuple[Atom, ...]],
+        block: Callable[[int], tuple[Sequence[float], Sequence[float]]],
         tail_mass_bound: Callable[[int], float],
         location_floor: Callable[[int], float],
-        *,
-        validate: bool = True,
     ):
         self.family = family
         self._block = block
@@ -437,25 +442,24 @@ class AtomicComb(Measure):
         self._enumerated = (np.empty(0), np.empty(0))
         self._ends = [0]
         self._sorted = (np.empty(0), np.empty((2, 0)))
-        if validate:
-            self._ensure_blocks(-math.inf)
-            total = math.fsum(self._sorted[1][0]) + self.tail_mass_bound(self._blocks_done) / 2
-            if abs(total - 1.0) > MASS_TOL:
-                raise MeasureError(
-                    f"{family}: total mass {total:.12g} != 1 within {MASS_TOL:g}")
+        self._ensure_blocks(-math.inf)
+        total = math.fsum(self._sorted[1][0]) + self.tail_mass_bound(self._blocks_done) / 2
+        if abs(total - 1.0) > MASS_TOL:
+            raise MeasureError(
+                f"{family}: total mass {total:.12g} != 1 within {MASS_TOL:g}")
 
     def _ensure_blocks(self, max_abs: float, max_atoms: int = _MAX_ATOMS,
                        min_blocks: int = 0) -> None:
         """Extend the cached enumeration to at least ``min_blocks`` blocks and
         until it certifiably covers [-max_abs, max_abs]: every non-enumerated
         atom has |z| > max_abs and the non-enumerated mass is below
-        MASS_TOL/2.  A radius the atom locations overflow before reaching
-        (an infinite one on an infinite comb) is refused.  The sorted cache
-        is a stable sort of the enumeration, so atoms at one location keep
-        their enumeration order.  A request refused at ``max_atoms`` keeps
-        what it enumerated, so no atom is built twice; one refused for
-        overflow leaves the cache as it was, not holding atoms out to the
-        end of float range."""
+        MASS_TOL/2.  A block enters only once ``_checked`` passes its atoms.
+        A radius the atom locations overflow before reaching (an infinite one
+        on an infinite comb) is refused.  The sorted cache is a stable sort of
+        the enumeration, so atoms at one location keep their enumeration
+        order.  A request refused at ``max_atoms`` keeps what it enumerated, so
+        no atom is built twice; one refused for overflow leaves the cache as
+        it was, not holding atoms out to the end of float range."""
         n, new = self._blocks_done, []
         try:
             while True:
@@ -464,9 +468,9 @@ class AtomicComb(Measure):
                 covered = math.isinf(floor) or floor > max_abs
                 if n >= min_blocks and covered and self.tail_mass_bound(n) < MASS_TOL / 2:
                     return
-                new.extend(self._block(n + 1))
+                new.append(_checked(*self._block(n + 1)))
                 n += 1
-                self._ends.append(len(self._enumerated[0]) + len(new))
+                self._ends.append(self._ends[-1] + len(new[-1][0]))
                 if max(n, self._ends[-1]) > max_atoms:
                     raise MeasureError(
                         f"{self.family}: enumeration needs more than {max_atoms} atoms "
@@ -479,8 +483,8 @@ class AtomicComb(Measure):
         finally:
             self._blocks_done = n
             if new:
-                x = np.concatenate([self._enumerated[0], [a.location for a in new]])
-                w = np.concatenate([self._enumerated[1], [a.weight for a in new]])
+                x = np.concatenate([self._enumerated[0], [v for locs, _ in new for v in locs]])
+                w = np.concatenate([self._enumerated[1], [v for _, ws in new for v in ws]])
                 order = np.argsort(x, kind="stable")
                 self._enumerated = x, w
                 self._sorted = x[order], np.stack([w, w * x])[:, order]
@@ -489,6 +493,8 @@ class AtomicComb(Measure):
         self._ensure_blocks(max_abs, max_atoms)
         locs, values = self._sorted
         keep = np.abs(locs) <= max_abs
+        if np.count_nonzero(keep) > max_atoms:  # the cache may hold more than a fresh comb
+            raise MeasureError(f"{self.family}: more than {max_atoms} atoms within {max_abs:g}")
         return locs[keep], values[0][keep]
 
     def _window_stats(self, lo, hi):
@@ -496,41 +502,49 @@ class AtomicComb(Measure):
         _, sums = _atom_window_sums(*self._sorted, lo, hi)
         return sums[0], sums[1]
 
-    def sampler(self):
-        """Index inversion over the atoms of blocks 1..n in enumeration order,
-        the first n whose tail bound (the truncation bias) is below
-        _SAMPLING_CUTOFF; the cached enumeration is extended to block n."""
-        n = 1
-        while self.tail_mass_bound(n) >= _SAMPLING_CUTOFF:
-            n += 1
-            if n > 10_000:
-                raise MeasureError(
-                    f"{self.family}: tail bound never fell below the sampling "
-                    f"cutoff {_SAMPLING_CUTOFF:g}")
+    def _leading(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         self._ensure_blocks(-math.inf, min_blocks=n)
-        locations, weights = (arr[:self._ends[n]] for arr in self._enumerated)
-        cum = np.cumsum(weights / weights.sum())
+        return self._enumerated[0][:self._ends[n]], self._enumerated[1][:self._ends[n]]
 
-        def draw(u: np.ndarray) -> np.ndarray:
-            idx = np.searchsorted(cum, u, side="right")
-            return locations[np.minimum(idx, len(locations) - 1)]
+    def sampler(self):
+        return _truncated_sampler(self, self._leading)
 
-        return draw, float(self.tail_mass_bound(n))
+
+def _truncated_sampler(measure, leading: Callable[[int], tuple[np.ndarray, np.ndarray]]):
+    """Index inversion over ``leading(n)``, the atoms of blocks 1..n in
+    enumeration order, for the first n whose ``tail_mass_bound`` (the
+    truncation bias) is below _SAMPLING_CUTOFF."""
+    n = 1
+    while measure.tail_mass_bound(n) >= _SAMPLING_CUTOFF:
+        n += 1
+        if n > 10_000:
+            raise MeasureError(
+                f"{measure.family}: tail bound never fell below the sampling "
+                f"cutoff {_SAMPLING_CUTOFF:g}")
+    locations, weights = leading(n)
+    cum = np.cumsum(weights / weights.sum())
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        idx = np.searchsorted(cum, u, side="right")
+        return locations[np.minimum(idx, len(locations) - 1)]
+
+    return draw, float(measure.tail_mass_bound(n))
 
 
 def finite_comb(atoms: Sequence[Atom], family: str = "finite") -> AtomicComb:
     """Comb with a fixed finite list of atoms (tail mass is exactly zero)."""
     atoms = list(atoms)
-    if not atoms:
+    return _finite_comb([a.location for a in atoms], [a.weight for a in atoms], family)
+
+
+def _finite_comb(locations: list[float], weights: list[float], family: str) -> AtomicComb:
+    """``finite_comb`` of the atoms at ``locations`` with ``weights``."""
+    if not locations:
         raise MeasureError("finite comb needs at least one atom")
-    max_loc = max(abs(a.location) for a in atoms)
-
-    def block(n: int) -> tuple[Atom, ...]:
-        return tuple(atoms) if n == 1 else ()
-
+    max_loc = max(map(abs, locations))
     return AtomicComb(
         family,
-        block,
+        lambda n: (locations, weights) if n == 1 else ((), ()),
         tail_mass_bound=lambda n: 0.0 if n >= 1 else 1.0,
         location_floor=lambda n: math.inf if n >= 1 else max_loc,
     )
@@ -547,10 +561,10 @@ def comb_ex1() -> AtomicComb:
     centered partial means take only the values 0 and -1.
     """
 
-    def block(n: int) -> tuple[Atom, ...]:
+    def block(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         return (
-            Atom(2.0 ** (2 * n), 2.0 ** (-2 * n)),
-            Atom(-(2.0 ** (2 * n - 1)), 2.0 ** (-(2 * n - 1))),
+            (2.0 ** (2 * n), -(2.0 ** (2 * n - 1))),
+            (2.0 ** (-2 * n), 2.0 ** (-(2 * n - 1))),
         )
 
     return AtomicComb(
@@ -564,9 +578,9 @@ def comb_ex1() -> AtomicComb:
 def comb_ex2() -> AtomicComb:
     """Symmetric dyadic comb: weight 2^-(n+1) at both +2^n and -2^n."""
 
-    def block(n: int) -> tuple[Atom, ...]:
+    def block(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         w = 2.0 ** (-(n + 1))
-        return (Atom(2.0 ** n, w), Atom(-(2.0 ** n), w))
+        return (2.0 ** n, -(2.0 ** n)), (w, w)
 
     return AtomicComb(
         "comb_ex2",
@@ -584,10 +598,10 @@ def comb_ex4() -> AtomicComb:
     measure.
     """
 
-    def block(n: int) -> tuple[Atom, ...]:
+    def block(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         return (
-            Atom(3.0 ** n, 2.0 ** n / 3.0 ** (n + 1)),
-            Atom(-(3.0 ** n), 2.0 ** (n - 1) / 3.0 ** (n + 1)),
+            (3.0 ** n, -(3.0 ** n)),
+            (2.0 ** n / 3.0 ** (n + 1), 2.0 ** (n - 1) / 3.0 ** (n + 1)),
         )
 
     return AtomicComb(
@@ -598,6 +612,7 @@ def comb_ex4() -> AtomicComb:
     )
 
 
+@functools.cache
 def _comb_ex5_normalizer() -> float:
     # Partial sums of the raw weights plus half the geometric remainder
     # bound; terms decay like (2/3)^n so n = 220 leaves a negligible tail.
@@ -611,14 +626,14 @@ def _comb_ex5_normalizer() -> float:
 def comb_ex5() -> AtomicComb:
     """Triadic comb with positive atoms displaced to 3^n + 1/n.
 
-    The normalizer K is computed at construction from the raw weight sum
-    (K is about 0.3564, strictly between 1/3 and 1/2).
+    The normalizer K is computed once, at the first construction, from the
+    raw weight sum (K is about 0.3564, strictly between 1/3 and 1/2).
     """
     K = _comb_ex5_normalizer()
 
-    def block(n: int) -> tuple[Atom, ...]:
+    def block(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         zp = 3.0 ** n + 1.0 / n
-        return (Atom(zp, K * 2.0 ** n / zp), Atom(-(3.0 ** n), K * 2.0 ** (n - 1) / 3.0 ** n))
+        return (zp, -(3.0 ** n)), (K * 2.0 ** n / zp, K * 2.0 ** (n - 1) / 3.0 ** n)
 
     comb = AtomicComb(
         "comb_ex5",
@@ -632,29 +647,29 @@ def comb_ex5() -> AtomicComb:
     return comb
 
 
-class IntegerPowerComb(AtomicComb):
+class IntegerPowerComb(Measure):
     """Atoms at every positive integer n with weight n^-p / zeta(p), p > 1.
 
     Dense in the integers, so windows use Hurwitz zeta closed forms instead
     of enumeration:  sum_{n=a}^{b} n^-s = zeta(s, a) - zeta(s, b + 1), with
     zeta evaluated once per distinct endpoint of a call (a scan's windows
     wider than their center all start at a = 1).  The atom count within
-    |z| <= t is floor(t), so ``atom_arrays`` refuses a radius with too many
-    atoms before building any of them.
+    |z| <= t is floor(t), so ``atom_arrays`` refuses too many atoms before
+    building any, and the sampler inverts atoms 1..n as a comb's does.
     """
+
+    is_atomic = True
 
     def __init__(self, p: float):
         p = _number("integer power comb exponent p", p, gt=1, error=MeasureError)
         from scipy.special import zeta
-        z = float(zeta(p))
-        self.p, self.zeta_p, self._zeta = p, z, zeta
-        super().__init__(
-            f"integer_power(p={p:g})",
-            lambda n: (Atom(float(n), float(n) ** (-p) / z),),
-            tail_mass_bound=lambda n: (max(n, 1) ** (1.0 - p) / (p - 1.0)) / z,
-            location_floor=lambda n: float(n + 1),
-            validate=False,  # closed forms make the unit total exact by construction
-        )
+        self.p, self.zeta_p, self._zeta = p, float(zeta(p)), zeta
+        self.family = f"integer_power(p={p:g})"
+        self.tail_mass_bound = lambda n: (max(n, 1) ** (1.0 - p) / (p - 1.0)) / self.zeta_p
+
+    def sampler(self):
+        return _truncated_sampler(self, lambda n: (np.arange(1.0, n + 1.0), np.array(
+            [float(k) ** -self.p / self.zeta_p for k in range(1, n + 1)])))
 
     def _window_stats(self, lo, hi):
         a, b = np.maximum(np.ceil(lo), 1.0), np.floor(hi)

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .genmean import MeanLadder, TruncationSchedule, VerdictPolicy, mean_ladder
-from .measures import Atom, AtomicComb, _number, comb_ex2, finite_comb, integer_power_comb
+from .measures import AtomicComb, Measure, _finite_comb, _number, comb_ex2, integer_power_comb
 
 __all__ = [
     "SpectralDecomposition",
@@ -139,9 +139,8 @@ def induced_measure(A, psi) -> AtomicComb:
     padded = np.zeros((3, slots.size))
     padded[:, slots] = lams * floored, floored, weights
     moment, floor_mass, mass = np.add.reduceat(padded, at, axis=1)
-    return finite_comb([Atom(lam, w) for lam, w in zip((moment / floor_mass).tolist(),
-                                                       mass.tolist()) if w > 0.0],
-                       family="spectral")
+    kept = mass > 0.0
+    return _finite_comb((moment / floor_mass)[kept].tolist(), mass[kept].tolist(), "spectral")
 
 
 def _qm_mean(mat: np.ndarray, v: np.ndarray) -> float:
@@ -206,7 +205,7 @@ class DiagonalBridge:
 
     family: str
     params: dict
-    comb: AtomicComb
+    comb: Measure
     in_dom_a: bool
     in_dom_e: bool
     in_dom_f: bool

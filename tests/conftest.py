@@ -23,13 +23,17 @@ def scan_counts(monkeypatch):
 
 @pytest.fixture
 def atom_builds(monkeypatch):
-    """Counts Atom constructions (``atom_builds["atoms"]``)."""
+    """Counts atoms as they enter a comb's cache (``atom_builds["atoms"]``),
+    refused requests included."""
     counts = {"atoms": 0}
-    original = ml.Atom.__post_init__
+    original = ml.AtomicComb._ensure_blocks
 
-    def counted(self):
-        counts["atoms"] += 1
-        original(self)
+    def counted(self, *args, **kwargs):
+        before = self._enumerated[0].size
+        try:
+            return original(self, *args, **kwargs)
+        finally:
+            counts["atoms"] += self._enumerated[0].size - before
 
-    monkeypatch.setattr(ml.Atom, "__post_init__", counted)
+    monkeypatch.setattr(ml.AtomicComb, "_ensure_blocks", counted)
     return counts

@@ -124,6 +124,10 @@ REMOVED_KEYWORDS = {
     "stream": lambda: ml.running_mean_trajectory(_sampler(), 10, stream=(4,)),
     "max_atoms": lambda: ml.comb_ex2().atoms_within(10.0, max_atoms=5),
     "finite_comb validate": lambda: ml.finite_comb([ml.Atom(0.0, 1.0)], validate=False),
+    "AtomicComb validate": lambda: ml.AtomicComb(
+        "point", lambda n: ((0.0,), (1.0,)) if n == 1 else ((), ()),
+        tail_mass_bound=lambda n: 0.0 if n else 1.0,
+        location_floor=lambda n: math.inf if n else 0.0, validate=False),
     "validate": lambda: ml.DensityMeasure("uniform", lambda x: 0.5, support=(-1.0, 1.0),
                                           validate=False),
 }

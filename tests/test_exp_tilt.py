@@ -11,6 +11,7 @@ checked against 30-digit mpmath quadrature.
 """
 
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -326,12 +327,20 @@ def test_two_atoms_leave_only_the_tilt_term(c):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
-def test_integer_power_comb_fails_fast_at_the_atom_cap(atom_builds):
+def test_integer_power_comb_fails_fast_at_the_atom_cap():
     m = ml.integer_power_comb(3.0)
     with pytest.raises(ml.MeasureError, match="more than 200000 atoms"):
         ml.multiplier_mean(m, ml.ExpTiltMultiplier(0.0))
-    assert m.atoms_within(0.0) == []  # nothing was enumerated for the refusal
-    assert atom_builds["atoms"] == 0
+    # again, with every import done: refused from the count, before building
+    # 200,000 atoms (1.6 MB per array)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ml.MeasureError, match="more than 200000 atoms"):
+            ml.multiplier_mean(m, ml.ExpTiltMultiplier(0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 # ExpTiltMultiplier(2.5) at lam = 1e-2, 1e-3, 1e-4, as recorded before the

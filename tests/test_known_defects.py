@@ -92,6 +92,23 @@ def test_far_atom_is_not_silently_dropped():
         assert ladder.ordinary_value == pytest.approx(10.0, rel=1e-6)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: a monotone series still converging is "
+                          "read as oscillation")
+def test_squares_comb_has_a_common_value():
+    # atoms at n^2 with weight n^-4 / zeta(4), mean 15 / pi^2; more atoms than
+    # the probe cap lie within reach, so the scans take no probes; today: case
+    # I, every center oscillates_bounded
+    z4 = math.pi ** 4 / 90.0
+    comb = ml.AtomicComb("squares", lambda n: ((float(n * n),), (float(n) ** -4 / z4,)),
+                         tail_mass_bound=lambda n: (max(n, 1) ** -3.0 / 3.0) / z4 if n else 1.0,
+                         location_floor=lambda n: float((n + 1) ** 2))
+    report = ml.classify_taxonomy(comb)
+    assert report.case in ("III_finite", "Undetermined")
+    if report.case == "III_finite":
+        assert report.common_value == pytest.approx(15.0 / math.pi ** 2, rel=1e-4)
+
+
 @pytest.mark.xfail(strict=True, raises=ml.MeasureError,
                    reason="ROADMAP item 4: a user density's construction check "
                           "runs one quad with no mass check")

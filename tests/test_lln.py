@@ -269,15 +269,13 @@ def test_sampler_window_masses_within_five_sigma():
 
 
 def test_comb_sampler_cutoff_failure_is_a_construction_error():
-    from meanlab.measures import Atom, AtomicComb
-
-    heavy = AtomicComb(
+    # a valid comb of total mass 1 whose tail bound stops at 1e-10: below the
+    # MASS_TOL / 2 construction needs, never below the 1e-12 sampling cutoff
+    heavy = ml.AtomicComb(
         "plateau",
-        block=lambda n: (Atom(float(2 ** n), 0.5 ** n * 0.499999999),),
-        # never falls below the 1e-12 sampling cutoff
+        block=lambda n: ((float(2 ** n),), (0.5 ** n,)),
         tail_mass_bound=lambda n: max(1e-10, 0.5 ** n),
-        location_floor=lambda n: float(2 ** (n + 1)),
-        validate=False)
+        location_floor=lambda n: float(2 ** (n + 1)))
     with pytest.raises(ml.MeasureError, match="cutoff"):
         ml.build_sampler(heavy, seed=0)
 

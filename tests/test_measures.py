@@ -368,9 +368,9 @@ def test_tail_mass_bounds_are_nonincreasing_and_honest(family):
     assert all(b >= 0 for b in bounds)
     assert all(a >= b for a, b in zip(bounds, bounds[1:]))
     # the bound at n really covers the mass of all later blocks
-    atoms_by_block = [m._block(n) for n in range(1, 60)]
+    weights_by_block = [m._block(n)[1] for n in range(1, 60)]
     for n in (1, 5, 10):
-        later = sum(a.weight for blk in atoms_by_block[n:] for a in blk)
+        later = sum(w for weights in weights_by_block[n:] for w in weights)
         assert later <= m.tail_mass_bound(n) + 1e-15
 
 

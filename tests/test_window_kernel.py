@@ -1,6 +1,7 @@
 """The batched window kernel against exact sums over enumerated atoms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,13 +95,17 @@ def test_comb_ex1_partial_means_stay_exactly_zero_or_minus_one():
     assert set(ml.limit_scan(ml.comb_ex1().negate(), 0.0).values.tolist()) == {0.0, 1.0}
 
 
-def test_dense_comb_declares_its_atom_count(atom_builds):
+def test_dense_comb_declares_its_atom_count():
     m = ml.integer_power_comb(3.0)
     np.testing.assert_array_equal(m.atom_arrays(4.5)[0], [1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ml.MeasureError):
-        m.atom_arrays(2.7e10, max_atoms=50_000)
-    assert m.atoms_within(0.0) == []  # nothing was enumerated for the refusal
-    assert atom_builds["atoms"] == 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ml.MeasureError, match="more than 50000 atoms"):
+            m.atom_arrays(2.7e10, max_atoms=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000  # refused from the count: 50,000 atoms would take 400 kB
 
 
 def test_dense_comb_atoms_within_is_its_atom_arrays():
@@ -160,20 +165,27 @@ def test_atom_cap_refusal_keeps_the_atoms_it_built():
 
 
 def test_comb_enumeration_resumes_at_a_block_that_raised():
-    failed = []
+    calls, armed = [], []
 
     def block(n):
-        if n == 2 and not failed:
-            failed.append(n)
+        calls.append(n)
+        if n == 33 and armed:
+            armed.clear()
             raise ml.MeasureError("transient")
         w = 2.0 ** -(n + 1)
-        return (ml.Atom(2.0 ** n, w), ml.Atom(-(2.0 ** n), w))
+        return (2.0 ** n, -(2.0 ** n)), (w, w)
 
+    # construction enumerates blocks 1..31; the failure is armed after it
     m = ml.AtomicComb("ex2", block, tail_mass_bound=lambda n: 2.0 ** -n,
-                      location_floor=lambda n: 2.0 ** (n + 1), validate=False)
+                      location_floor=lambda n: 2.0 ** (n + 1))
+    assert calls == list(range(1, 32))
+    armed.append(True)
     with pytest.raises(ml.MeasureError, match="transient"):
-        m.atom_arrays(10.0)
-    np.testing.assert_array_equal(m.atom_arrays(10.0)[0], [-8.0, -4.0, -2.0, 2.0, 4.0, 8.0])
+        m.atom_arrays(2.0 ** 34)
+    locs = m.atom_arrays(2.0 ** 34)[0]
+    assert calls[31:] == [32, 33, 33, 34]  # block 32 was kept, 33 is tried again
+    powers = 2.0 ** np.arange(1, 35)
+    np.testing.assert_array_equal(locs, np.concatenate([-powers[::-1], powers]))
 
 
 @pytest.mark.parametrize("build", [
