@@ -510,7 +510,7 @@ class AtomicComb(Measure):
         return _truncated_sampler(self, self._leading)
 
 
-def _truncated_sampler(measure, leading: Callable[[int], tuple[np.ndarray, np.ndarray]]):
+def _truncated_sampler(measure: Measure, leading: Callable[[int], tuple[np.ndarray, np.ndarray]]):
     """Index inversion over ``leading(n)``, the atoms of blocks 1..n in
     enumeration order, for the first n whose ``tail_mass_bound`` (the
     truncation bias) is below _SAMPLING_CUTOFF."""
