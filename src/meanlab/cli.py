@@ -521,7 +521,8 @@ def run(argv: Optional[list[str]] = None) -> int:
         }
         report_text = _json_text(report, indent=2) + "\n"
         stdout_line = _json_text({"results": results, "warnings": warnings})
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
+        # RecursionError: a document nested too deep to parse, build or write
         error = {"error": {"type": type(exc).__name__, "message": str(exc)},
                  "subcommand": args.subcommand}
         _write_json(out_dir / f"{args.subcommand}_error.json", error)

@@ -21,9 +21,12 @@ Representations:
   windows are Hurwitz zeta closed forms, and it declares its atom count
   within any radius, so no caller has to enumerate atoms to learn that there
   are too many.
-* ``DensityMeasure``: an absolutely continuous measure.  Built-in families
-  evaluate closed forms over the whole window array; any other density
-  falls back to adaptive quadrature, one window at a time.
+* ``DensityMeasure``: an absolutely continuous measure from a user density,
+  integrated by adaptive quadrature one window at a time.
+* ``_ClosedForm``: the law of loc + scale * Z for the closed-form families
+  (gaussian, cauchy, power_tail).  Each states only its standard member Z:
+  a primitive of its pdf and of z * pdf(z), its two tails, and optionally
+  its quantile; the class maps every window array and tail through them.
 * ``EmpiricalMeasure``: equal-weight point masses on a finite sample.
 * ``Affine``: the law of s * X + a for any of the above.  Windows map back
   through the inverse map (a negative s swaps the endpoints), so wrapped
@@ -711,45 +714,26 @@ def integer_power_comb(p: float) -> IntegerPowerComb:
 # ---------------------------------------------------------------------------
 
 class DensityMeasure(Measure):
-    """Absolutely continuous measure given by a density.
+    """Absolutely continuous measure given by a user density ``pdf``.
 
-    Built-in families pass ``stats_between(a, b) -> (masses, moments)``, their
-    closed forms over arrays of windows with a < b inside the support, and
-    ``tail_probability_fn(t)`` over arrays.  Any other density falls back to
-    adaptive quadrature, one window at a time, and construction checks that
-    it integrates to 1 over its support.  ``loc_scale`` marks the law
-    of loc + scale * Z for the family's standard member Z, whose inverse CDF
-    ``standard_quantile`` the sampler applies.
+    Windows are adaptive quadrature, one window at a time, and construction
+    checks that the density integrates to 1 over its support.
     """
 
-    def __init__(
-        self,
-        family: str,
-        pdf: Callable[[float], float],
-        support: tuple[float, float] = (-math.inf, math.inf),
-        *,
-        stats_between: Optional[Callable[[np.ndarray, np.ndarray],
-                                         tuple[np.ndarray, np.ndarray]]] = None,
-        tail_probability_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        loc_scale: Optional[tuple[float, float]] = None,
-        standard_quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    ):
+    def __init__(self, family: str, pdf: Callable[[float], float],
+                 support: tuple[float, float] = (-math.inf, math.inf)):
         self.family = family
         self.pdf = pdf
         self.support = (float(support[0]), float(support[1]))
-        self._stats_between = stats_between or self._quad_stats
-        self._tail_probability_fn = tail_probability_fn
-        self._loc_scale = loc_scale
-        self._standard_quantile = standard_quantile
-        if stats_between is None:
-            total = float(self.window_stats(*self.support)[0])
-            if abs(total - 1.0) > max(MASS_TOL, 100 * _QUAD_ABS_TOL):
-                raise MeasureError(f"{family}: density integrates to {total}, not 1")
+        total = float(self.window_stats(*self.support)[0])
+        if abs(total - 1.0) > max(MASS_TOL, 100 * _QUAD_ABS_TOL):
+            raise MeasureError(f"{family}: density integrates to {total}, not 1")
 
     def _quad(self, f: Callable[[float], float], a: float, b: float) -> float:
         return checked_quad(f, a, b, self.family)[0]
 
-    def _quad_stats(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    def _stats_between(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """(masses, moments) of windows with lo < hi inside the support."""
         def xpdf(x: float) -> float:
             return x * self.pdf(x)
 
@@ -773,88 +757,94 @@ class DensityMeasure(Measure):
             masses[inside], moments[inside] = self._stats_between(lo[inside], hi[inside])
         return masses, moments
 
+
+class _ClosedForm(DensityMeasure):
+    """The law of loc + scale * Z on the whole line, from closed forms of Z.
+
+    ``pdf`` is Z's scalar density.  ``primitives(z)`` returns arrays (F, H)
+    over an array z: F a primitive of Z's pdf and H / ``unit`` one of
+    z * pdf(z).  ``tails(u, v)`` is P(Z > u) + P(Z < -v), asked at
+    u = (t - loc) / scale and v = (t + loc) / scale for t >= 0, so that it is
+    P(|X| > t).  ``quantile`` is Z's inverse CDF, when the sampler has one.
+    ``loc_scale`` is None for a law that is no member of a location-scale
+    family: then loc = 0, scale = 1 and ``location_scale()`` is None.
+    """
+
+    def __init__(self, family: str, pdf: Callable[[float], float],
+                 primitives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                 tails: Callable[[np.ndarray, np.ndarray], np.ndarray], unit: float = 1.0,
+                 loc_scale: Optional[tuple[float, float]] = None,
+                 quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+        self.family = family
+        self._loc_scale = loc_scale
+        loc, scale = self._map = loc_scale or (0.0, 1.0)
+        self.pdf = pdf if loc_scale is None else lambda x: pdf((x - loc) / scale) / scale
+        self._primitives, self._tails = primitives, tails
+        self._unit, self._quantile = unit, quantile
+
+    def _stats_between(self, lo, hi):
+        loc, scale = self._map
+        F, H = self._primitives((np.concatenate([lo, hi]) - loc) / scale)
+        n = len(lo)
+        mass = F[n:] - F[:n]
+        return mass, loc * mass + (scale / self._unit) * (H[n:] - H[:n])
+
     def _tail(self, t):
-        if self._tail_probability_fn is not None:
-            return self._tail_probability_fn(t)
-        return super()._tail(t)
+        (loc, scale), r = self._map, np.maximum(t, 0.0)
+        return np.where(t < 0, 1.0, self._tails((r - loc) / scale, (r + loc) / scale))
 
     def location_scale(self):
         return None if self._loc_scale is None else (self.family, *self._loc_scale)
 
     def sampler(self):
-        if self._loc_scale is None or self._standard_quantile is None:
+        if self._quantile is None:
             return super().sampler()
-        (loc, scale), quantile = self._loc_scale, self._standard_quantile
+        (loc, scale), quantile = self._map, self._quantile
         return (lambda u: loc + scale * quantile(u)), 0.0
 
 
 def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
-    """Normal distribution with closed-form window mass and moment."""
+    """Normal distribution: Z's CDF ndtr and z * pdf(z) = -phi'(z)."""
     mu = _number("gaussian mu", mu, error=MeasureError)
     sigma = _number("gaussian sigma", sigma, gt=0, error=MeasureError)
     from scipy.special import ndtr, ndtri
 
-    def pdf(x: float) -> float:
-        z = (x - mu) / sigma
-        return math.exp(-0.5 * z * z) / (sigma * math.sqrt(2 * math.pi))
+    def pdf(z: float) -> float:
+        return math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
-    def _phi(z: np.ndarray) -> np.ndarray:
-        return np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+    def primitives(z):
+        return ndtr(z), np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
-    def stats_between(a, b):
-        za, zb = (a - mu) / sigma, (b - mu) / sigma
-        mass = ndtr(zb) - ndtr(za)
-        return mass, mu * mass - sigma * (_phi(zb) - _phi(za))
+    return _ClosedForm("gaussian", pdf, primitives, lambda u, v: ndtr(-u) + ndtr(-v),
+                       unit=-1.0, loc_scale=(mu, sigma), quantile=ndtri)
 
-    def tail_probability(t):
-        return np.where(t < 0, 1.0,
-                        ndtr(-(t - mu) / sigma) + ndtr(-(t + mu) / sigma))
 
-    return DensityMeasure("gaussian", pdf,
-                          stats_between=stats_between,
-                          tail_probability_fn=tail_probability,
-                          loc_scale=(mu, sigma), standard_quantile=ndtri)
+def _log1p_sq(u: np.ndarray) -> np.ndarray:
+    """log(1 + u^2), stable for huge |u|."""
+    au = np.abs(u)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(au > 1.0, 2.0 * np.log(au) + np.log1p(au ** -2.0), np.log1p(u * u))
+
+
+def _cauchy_upper(u: np.ndarray) -> np.ndarray:
+    """P(Z > u) for standard Cauchy Z, by atan of 1/u at large u for precision."""
+    with np.errstate(divide="ignore"):
+        return np.where(u <= 1, 0.5 - np.arctan(u) / math.pi, np.arctan(1.0 / u) / math.pi)
 
 
 def cauchy(loc: float = 0.0, scale: float = 1.0) -> DensityMeasure:
-    """Cauchy distribution with closed-form window mass and moment."""
+    """Cauchy distribution: Z's CDF 1/2 + atan(z)/pi and z * pdf(z) the
+    derivative of log(1 + z^2) / (2 pi)."""
     loc = _number("cauchy loc", loc, error=MeasureError)
     scale = _number("cauchy scale", scale, gt=0, error=MeasureError)
 
-    def pdf(x: float) -> float:
-        u = (x - loc) / scale
-        return 1.0 / (math.pi * scale * (1.0 + u * u))
+    def pdf(z: float) -> float:
+        return 1.0 / (math.pi * (1.0 + z * z))
 
-    def _log1p_sq(u: np.ndarray) -> np.ndarray:
-        # log(1 + u^2), stable for huge |u|
-        au = np.abs(u)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return np.where(au > 1.0, 2.0 * np.log(au) + np.log1p(au ** -2.0),
-                            np.log1p(u * u))
-
-    def stats_between(a, b):
-        u = (np.concatenate([a, b]) - loc) / scale
-        cdf, log1p_sq = 0.5 + np.arctan(u) / math.pi, _log1p_sq(u)
-        n = len(a)
-        mass = cdf[n:] - cdf[:n]
-        even = (scale / (2 * math.pi)) * (log1p_sq[n:] - log1p_sq[:n])
-        return mass, loc * mass + even
-
-    def tail_probability(t):
-        # P(X > t) + P(X < -t) via atan of reciprocals for precision at large t.
-        def upper(u):
-            with np.errstate(divide="ignore"):
-                return np.where(u <= 1, 0.5 - np.arctan(u) / math.pi,
-                                np.arctan(1.0 / u) / math.pi)
-        return np.where(t < 0, 1.0, upper((t - loc) / scale) + upper((t + loc) / scale))
-
-    def standard_quantile(u):
-        return np.tan(np.pi * (u - 0.5))
-
-    return DensityMeasure("cauchy", pdf,
-                          stats_between=stats_between,
-                          tail_probability_fn=tail_probability,
-                          loc_scale=(loc, scale), standard_quantile=standard_quantile)
+    return _ClosedForm(
+        "cauchy", pdf, lambda z: (0.5 + np.arctan(z) / math.pi, _log1p_sq(z)),
+        lambda u, v: _cauchy_upper(u) + _cauchy_upper(v), unit=2 * math.pi,
+        loc_scale=(loc, scale), quantile=lambda u: np.tan(np.pi * (u - 0.5)))
 
 
 def _power_tail_constant(exponent: float) -> float:
@@ -907,24 +897,17 @@ def power_tail(a: float, b: float) -> DensityMeasure:
         h2[far] = np.exp((2.0 - e) * log_xf - math.log(coef)) / (2.0 - e) + const
         return h1, h2
 
-    def stats_between(lo, hi):
-        # primitives of pdf and x * pdf anchored at 0, at both endpoints at once
-        x = np.concatenate([lo, hi])
+    def primitives(x):
+        # primitives of pdf and x * pdf anchored at 0
         pos1, pos2 = _halves(C, a, np.maximum(x, 0.0))
         neg1, neg2 = _halves(D, b, np.maximum(-x, 0.0))
-        F, G = pos1 - neg1, pos2 + neg2
-        n = len(lo)
-        return F[n:] - F[:n], G[n:] - G[:n]
+        return pos1 - neg1, pos2 + neg2
 
-    def tail_probability(t):
-        r = np.maximum(t, 0.0)
-        return np.where(t <= 0, 1.0,
-                        (0.5 - _halves(C, a, r, moment=False)[0])
-                        + (0.5 - _halves(D, b, r, moment=False)[0]))
+    def tails(u, v):
+        return ((0.5 - _halves(C, a, u, moment=False)[0])
+                + (0.5 - _halves(D, b, v, moment=False)[0]))
 
-    return DensityMeasure("power_tail", pdf,
-                          stats_between=stats_between,
-                          tail_probability_fn=tail_probability)
+    return _ClosedForm("power_tail", pdf, primitives, tails)
 
 
 # ---------------------------------------------------------------------------

@@ -498,6 +498,35 @@ def test_unresolved_exp_tilt_quadrature_exits_1_with_error_json(tmp_path):
     _assert_error_contract(out, "multiplier", "QuadratureError")
 
 
+@pytest.mark.parametrize("depth", [900, 100_000])
+def test_a_document_nested_too_deep_exits_1_with_error_json(tmp_path, depth):
+    # in a fresh process: the recursion error may strike inside a lazy import
+    path = tmp_path / "m.json"
+    path.write_text('{"measure": ' + '{"family": "negate", "inner": ' * depth
+                    + '{"family": "gaussian"}' + "}" * (depth + 1))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "meanlab.cli", "classify",
+                           "--input", str(path), "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == ""
+    [line] = proc.stdout.splitlines()
+    assert json.loads(line)["error"]["type"] == "RecursionError"
+    _assert_error_contract(out, "classify", "RecursionError")
+
+
+def test_the_benchmark_affine_wrap_is_accepted(tmp_path):
+    # perfbench's "affine" wrap: negate, then scale, then shift
+    measure = {"family": "shift", "a": 1.5, "inner": {
+        "family": "scale", "factor": 2.3, "inner": {
+            "family": "negate", "inner": {"family": "gaussian"}}}}
+    doc = _write(tmp_path, "m.json", {"measure": measure})
+    out = tmp_path / "out"
+    assert _run(["weakmean", "--input", doc, "--out", str(out)]) == 0
+    report = json.loads((out / "weakmean_report.json").read_text())
+    assert report["results"]["ladder"]["ordinary_value"] == pytest.approx(1.5)
+
+
 def test_nonfinite_result_is_refused_not_written(tmp_path, monkeypatch):
     def nan_handler(doc, args, schedule, policy):
         return {"value": float("nan")}, [], {}, False

@@ -143,3 +143,24 @@ def test_integer_power_comb_can_be_sampled():
     # today: "tail bound never fell below the sampling cutoff 1e-12"
     draws = ml.build_sampler(ml.integer_power_comb(3.0), seed=0).draw(1000)
     assert np.all(draws >= 1) and np.array_equal(draws, np.round(draws))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 14: power_tail's tail is 0.5 minus a half-line "
+                          "mass, which cancels once that mass is within ulps of 0.5, "
+                          "where an accurate tail is needed; item 3's horizon capture "
+                          "reads M * P(|X| > M)")
+def test_power_tail_tail_probability_is_accurate_far_out():
+    # P(X > t) = t^(1-e) / (coef (e - 1)) + O(t^(1-2e)) on each side;
+    # today -3.8e-15 at t = 1e60 and -5.6e-17 at t = inf
+    a, b = 1.5, 1.8
+    m = ml.power_tail(a, b)
+    t = 10.0 ** np.arange(1.0, 309.0)
+    assert np.all(m.tail_probability(t) >= 0.0)
+    assert m.tail_probability(math.inf) == 0.0
+
+    def coef(e):
+        return (2.0 * (math.pi / e) / math.sin(math.pi / e)) ** e
+
+    want = sum(1e60 ** (1.0 - e) / (coef(e) * (e - 1.0)) for e in (a, b))
+    assert m.tail_probability(1e60) == pytest.approx(want, rel=1e-9)
