@@ -18,7 +18,7 @@ _HOME = {name: module for module, names in {
               "convex_combination mean_statistic median_statistic two_point_coincidence",
     "genmean": "DEFAULT_C_GRID ExpTiltMultiplier LimitVerdict MeanLadder MultiplierSeries "
                "PartialMeanSeries TaxonomyReport TruncationSchedule VerdictPolicy "
-               "WindowMultiplier asym_partial_mean classify_series classify_taxonomy "
+               "WindowMultiplier asym_partial_mean classify_taxonomy "
                "limit_scan mean_ladder multiplier_mean tail_mass_curve",
     "lln": "Sampler StabilityReport WllnReport build_sampler cauchy_stability_demo "
            "running_mean_trajectory wlln_experiment",

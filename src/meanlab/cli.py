@@ -460,10 +460,6 @@ _MODULES = {"classify": "genmean", "weakmean": "genmean", "multiplier": "genmean
             "lln": "lln", "maxent": "maxent", "axioms": "axioms", "spectral": "spectral"}
 
 
-def exit_code_for(undetermined_only: bool) -> int:
-    return 2 if undetermined_only else 0
-
-
 def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -533,7 +529,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     for name, (header, rows) in csvs.items():
         _write_csv(out_dir / name, header, rows)
     print(stdout_line)
-    return exit_code_for(undetermined)
+    return 2 if undetermined else 0
 
 
 def main() -> None:

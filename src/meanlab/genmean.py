@@ -53,7 +53,6 @@ __all__ = [
     "ExpTiltMultiplier",
     "DEFAULT_C_GRID",
     "limit_scan",
-    "classify_series",
     "classify_taxonomy",
     "asym_partial_mean",
     "tail_mass_curve",
@@ -373,18 +372,6 @@ def _rules(mins: list[float], maxs: list[float], lo3: float, hi3: float, last: l
     if spread_persists and max(abs(lo3), abs(hi3)) <= thr:
         return verdict(OSC_BOUNDED, liminf_est=lo3, limsup_est=hi3)
     return verdict(UNDETERMINED)
-
-
-def _classify_values(values: np.ndarray, policy: VerdictPolicy,
-                     horizon: Optional[float] = None,
-                     monotone: Optional[str] = None) -> LimitVerdict:
-    return _classify_rows([values], policy, horizon, [monotone])[0]
-
-
-def classify_series(series: PartialMeanSeries,
-                    policy: VerdictPolicy = VerdictPolicy()) -> LimitVerdict:
-    """Classify a partial-mean series into one limit verdict."""
-    return _classify_values(series.values, policy, horizon=series.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -872,7 +859,7 @@ def multiplier_mean(measure: Measure, family,
     if len(lams) < 2 or np.any(np.diff(lams) >= 0) or lams[-1] <= 0:
         raise ValueError("lambda schedule must be positive and strictly decreasing")
     values = family.regularized_means(measure, lams)
-    verdict = _classify_values(values, family.default_policy(policy),
-                               horizon=float(1.0 / lams[-1]))
+    verdict = _classify_rows([values], family.default_policy(policy),
+                             horizon=float(1.0 / lams[-1]))[0]
     return MultiplierSeries(family_kind=family.kind, c=family.c, lambdas=lams,
                             values=values, verdict=verdict)

@@ -37,8 +37,6 @@ __all__ = [
     "entropy",
     "expected_value",
     "maxent_solve",
-    "dual_objective",
-    "dual_gradient",
     "FEAS_TOL",
 ]
 
@@ -77,10 +75,6 @@ class FiniteDistribution:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.probabilities, dtype=float)
-
-    @property
-    def n(self) -> int:
-        return len(self.probabilities)
 
 
 @dataclass(frozen=True)
@@ -160,16 +154,6 @@ def _log_partition(G: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
     e = np.exp(w - shift)
     Z = e.sum()
     return float(shift + math.log(Z)), e / Z
-
-
-def dual_objective(G: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> float:
-    logZ, _ = _log_partition(G, beta)
-    return logZ + float(beta @ alpha)
-
-
-def dual_gradient(G: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    _, p = _log_partition(G, beta)
-    return alpha - G @ p
 
 
 def _check_affine_independence(G: np.ndarray) -> None:

@@ -72,7 +72,6 @@ __all__ = [
     "MeasureError",
     "QuadratureError",
     "MASS_TOL",
-    "checked_quad",
     "make_measure",
     "measure_from_document",
     "finite_comb",
@@ -150,8 +149,8 @@ class Atom:
         _checked((self.location,), (self.weight,))
 
 
-def checked_quad(f: Callable[[float], float], a: float, b: float,
-                 what: str) -> tuple[float, dict]:
+def _checked_quad(f: Callable[[float], float], a: float, b: float,
+                  what: str) -> tuple[float, dict]:
     """``integrate.quad`` of f over [a, b] that refuses an unconverged result.
 
     Returns the value and quad's info dict (its final subintervals are
@@ -184,7 +183,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 def _resolved_quad(measure: Measure, f: Callable[[float], float], a: float, b: float,
                    depth: int = 0) -> float:
-    """``checked_quad`` of f over [a, b], refused when it never saw the mass.
+    """``_checked_quad`` of f over [a, b], refused when it never saw the mass.
 
     Adaptive quadrature learns of a feature only by sampling it: GK21 on
     [0, 4e5] never samples a Gaussian bump of width 2 at 1 and returns 0
@@ -197,7 +196,7 @@ def _resolved_quad(measure: Measure, f: Callable[[float], float], a: float, b: f
     spacing leaves quadrature nothing to resolve; QuadratureError instead.
     """
     try:
-        value, info = checked_quad(f, a, b, measure.family)
+        value, info = _checked_quad(f, a, b, measure.family)
         n = info["last"]
         left, right = info["alist"][:n], info["blist"][:n]
         half = 0.5 * (right - left)
@@ -730,7 +729,7 @@ class DensityMeasure(Measure):
             raise MeasureError(f"{family}: density integrates to {total}, not 1")
 
     def _quad(self, f: Callable[[float], float], a: float, b: float) -> float:
-        return checked_quad(f, a, b, self.family)[0]
+        return _checked_quad(f, a, b, self.family)[0]
 
     def _stats_between(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """(masses, moments) of windows with lo < hi inside the support."""
@@ -813,7 +812,8 @@ def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
         return math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
 
     def primitives(z):
-        return ndtr(z), np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+        z2 = np.clip(z, -40.0, 40.0) ** 2  # z * z can overflow; phi is 0.0 past |z| ~ 38.6
+        return ndtr(z), np.exp(-0.5 * z2) / math.sqrt(2 * math.pi)
 
     return _ClosedForm("gaussian", pdf, primitives, lambda u, v: ndtr(-u) + ndtr(-v),
                        unit=-1.0, loc_scale=(mu, sigma), quantile=ndtri)
@@ -976,7 +976,8 @@ class Affine(Measure):
     def _tail(self, t):
         if self.a == 0.0:
             return self.inner._tail(t / abs(self.s))
-        return super()._tail(t)
+        with np.errstate(invalid="ignore"):  # t = inf: the unread moment is inf - inf
+            return super()._tail(t)
 
     def _inner_radius(self, max_abs: float) -> float:
         return (max_abs + abs(self.a)) / abs(self.s)

@@ -434,9 +434,13 @@ def test_help_still_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: meanlab")
 
 
-def test_exit_code_mapping():
-    assert cli.exit_code_for(False) == 0
-    assert cli.exit_code_for(True) == 2
+def test_an_undetermined_verdict_exits_2_and_writes_its_report(tmp_path):
+    assert _run(["--emit-examples", "--out", str(tmp_path)]) == 0
+    out = tmp_path / "out"
+    assert _run(["multiplier", "--input", str(tmp_path / "multiplier_exp_tilt_cauchy.json"),
+                 "--tol", "window=12", "--out", str(out)]) == 2
+    report = json.loads((out / "multiplier_report.json").read_text())
+    assert report["results"]["verdict"]["kind"] == "undetermined"
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -67,10 +67,9 @@ def _gate_digest() -> str:
             put(*m.window_stats(lo, hi))
         put(m.tail_probability(np.array([0.0, -0.0, -1.0])),
             [m.tail_probability(t) for t in (0.0, -0.0, -1.0)])
-        # moments inf - inf read NaN: the whole line, and a shifted law's tail at inf
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"):  # the whole line's moment inf - inf reads NaN
             put(*m.window_stats(-math.inf, math.inf))
-            put(m.tail_probability(np.array([math.inf, 0.0])), [m.tail_probability(math.inf)])
+        put(m.tail_probability(np.array([math.inf, 0.0])), [m.tail_probability(math.inf)])
         try:
             draw, bias = m.sampler()
             put(draw(u), [bias])
@@ -86,3 +85,21 @@ CLOSED_FORM_SHA256 = "e6f3d4dbfc1edd9839113c158eff6790b7c07e23ca11cea10c4d5d4846
 
 def test_closed_form_densities_are_bitwise_unchanged():
     assert _gate_digest() == CLOSED_FORM_SHA256
+
+
+def test_a_shifted_law_has_no_mass_beyond_infinity():
+    # the whole-line window behind a shifted law's tail has the moment inf - inf,
+    # which the tail does not read
+    for law in (ml.gaussian(), ml.cauchy(), ml.power_tail(1.5, 1.8)):
+        m = law.shift(1.0)
+        assert m.tail_probability(math.inf) == 0.0
+        assert m.tail_probability(np.array([math.inf, -math.inf])).tolist() == [0.0, 1.0]
+
+
+def test_gaussian_windows_far_out_are_finite():
+    # phi(z) once squared z, which overflows past |z| ~ 1.3e154
+    m = ml.gaussian()
+    assert [float(v) for v in m.window_stats(-1e200, 1e200)] == [1.0, 0.0]
+    assert m.shift(1.0).tail_probability(1e300) == 0.0
+    assert ml.asym_partial_mean(m, 0.0, 0.0, 1e200, 1e200) == 0.0
+    assert [float(v) for v in m.window_stats(1e300, math.inf)] == [0.0, 0.0]

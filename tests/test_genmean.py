@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 import meanlab as ml
 from meanlab import genmean
-from meanlab.genmean import _classify_values
+from meanlab.genmean import _classify_rows
 
 SCHED = ml.TruncationSchedule()
 POLICY = ml.VerdictPolicy()
@@ -69,24 +69,24 @@ def test_scan_keeps_the_schedule_radii_and_closed_windows(build, schedule):
 
 
 # ---------------------------------------------------------------------------
-# classify_series
+# Verdicts of one series
 # ---------------------------------------------------------------------------
 
 def test_classify_gaussian_converges_to_its_mean():
-    v = ml.classify_series(ml.limit_scan(ml.gaussian(2, 1), 0.0))
+    v = ml.classify_taxonomy(ml.gaussian(2, 1)).per_center[0.0]
     assert v.kind == "converged"
     assert v.value == pytest.approx(2.0, abs=1e-6)
 
 
 def test_classify_comb_ex1_oscillates_bounded():
-    v = ml.classify_series(ml.limit_scan(ml.comb_ex1(), 0.0))
+    v = ml.classify_taxonomy(ml.comb_ex1()).per_center[0.0]
     assert v.kind == "oscillates_bounded"
     assert v.liminf_est == pytest.approx(-1.0, abs=1e-9)
     assert v.limsup_est == pytest.approx(0.0, abs=1e-9)
 
 
 def test_classify_comb_ex4_diverges_at_positive_center():
-    v = ml.classify_series(ml.limit_scan(ml.comb_ex4(), 1.0))
+    v = ml.classify_taxonomy(ml.comb_ex4()).per_center[1.0]
     assert v.kind == "diverges_plus"
 
 
@@ -103,13 +103,13 @@ def test_policy_rejects_bad_fields(field, value):
 def test_classify_rejects_short_series():
     vals = np.zeros(7)
     with pytest.raises(ValueError):
-        _classify_values(vals, POLICY)
+        _classify_rows([vals], POLICY)
 
 
 def test_classify_undetermined_on_isolated_spike():
     vals = np.zeros(24)
     vals[20] = 1.0
-    assert _classify_values(vals, POLICY).kind == "undetermined"
+    assert _classify_rows([vals], POLICY)[0].kind == "undetermined"
 
 
 def _shaped_series(shape, n):
@@ -176,8 +176,8 @@ _SHORT_SERIES_VERDICTS = [
                          _SHORT_SERIES_VERDICTS)
 def test_block_rule_verdicts_near_two_and_three_windows(shape, W, n, kind, value,
                                                        liminf, limsup, spread, tol):
-    verdict = _classify_values(_shaped_series(shape, n), ml.VerdictPolicy(window=W),
-                               horizon=1e3)
+    verdict, = _classify_rows([_shaped_series(shape, n)], ml.VerdictPolicy(window=W),
+                              horizon=1e3)
     assert verdict == ml.LimitVerdict(kind, value, liminf, limsup, spread, tol,
                                       window=W, horizon=1e3)
 
@@ -508,7 +508,7 @@ def test_taxonomy_keeps_the_scan_behind_each_verdict():
     assert sorted(report.series) == sorted(ml.DEFAULT_C_GRID)
     for c, series in report.series.items():
         assert series.center == c
-        assert ml.classify_series(series) == report.per_center[c]
+        assert _classify_rows([series.values], POLICY, series.horizon) == [report.per_center[c]]
 
 
 def test_ladder_scans_each_window_once(scan_counts):
@@ -576,8 +576,8 @@ def test_density_scans_in_one_call_are_bitwise_the_lone_scans(family, wrap):
     for series, side, mode in zip(both, ("plus", "minus"), ("increasing", "decreasing")):
         alone = _lone_scan(m, 0.0, side)
         _same_series(series, alone)
-        assert (_classify_values(series.values, POLICY, SCHED.horizon, monotone=mode)
-                == _classify_values(alone.values, POLICY, SCHED.horizon, monotone=mode))
+        assert (_classify_rows([series.values], POLICY, SCHED.horizon, [mode])
+                == _classify_rows([alone.values], POLICY, SCHED.horizon, [mode]))
 
 
 # Atomic measures: the combs under every wrapper of _WRAPPERS, plus measures
@@ -674,11 +674,11 @@ def test_integer_power_ladder_evaluates_zeta_once_per_distinct_endpoint():
 def test_nonfinite_values_classify_as_undetermined():
     values = np.linspace(0.0, 1.0, 40)
     values[-3] = np.nan
-    verdict = _classify_values(values, POLICY, horizon=1e3)
+    verdict, = _classify_rows([values], POLICY, horizon=1e3)
     assert verdict.kind == "undetermined"
     assert verdict.spread is None and verdict.conv_tol is None
     values[-3] = np.inf
-    assert _classify_values(values, POLICY, monotone="increasing").kind == "undetermined"
+    assert _classify_rows([values], POLICY, monotone=["increasing"])[0].kind == "undetermined"
 
 
 def _ladder_and_taxonomy(p):

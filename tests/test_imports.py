@@ -59,7 +59,7 @@ _EXPORTS = {
     "genmean": ["DEFAULT_C_GRID", "ExpTiltMultiplier", "LimitVerdict", "MeanLadder",
                 "MultiplierSeries", "PartialMeanSeries", "TaxonomyReport",
                 "TruncationSchedule", "VerdictPolicy", "WindowMultiplier",
-                "asym_partial_mean", "classify_series", "classify_taxonomy", "limit_scan",
+                "asym_partial_mean", "classify_taxonomy", "limit_scan",
                 "mean_ladder", "multiplier_mean", "tail_mass_curve"],
     "lln": ["Sampler", "StabilityReport", "WllnReport", "build_sampler",
             "cauchy_stability_demo", "running_mean_trajectory", "wlln_experiment"],

@@ -138,7 +138,9 @@ def _check_image(m: ml.Measure, s: float, a: float) -> None:
         moved = ml.classify_taxonomy(image, grid)
         verdicts = moved.per_center
     else:
-        verdicts = {g: genmean.classify_series(genmean.limit_scan(image, g)) for g in grid}
+        series = [genmean.limit_scan(image, g) for g in grid]
+        verdicts = dict(zip(grid, genmean._classify_rows(
+            [s.values for s in series], ml.VerdictPolicy(), series[0].horizon)))
     mirror = MIRROR if s < 0 else {}
     for c in genmean.DEFAULT_C_GRID:
         v, w = base.per_center[c], verdicts[phi(c)]

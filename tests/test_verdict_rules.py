@@ -3,8 +3,8 @@
 The five-case taxonomy is symmetric under negation: a downward divergence or
 unbounded oscillation of a series is the upward one of the negated series,
 and on a center grid case V mirrors IV and III_minus_inf mirrors
-III_plus_inf.  These tests pin every ``_classify_values`` verdict on a seeded
-set of series, and every ``classify_taxonomy`` report over all assignments
+III_plus_inf.  These tests pin every one-row ``_classify_rows`` verdict on a
+seeded set of series, and every ``classify_taxonomy`` report over all assignments
 of six stub verdicts to a five-point grid, as sha256 digests of their reprs;
 they check the mirror symmetry of the series rules directly; and they reach
 each diagnostic of ``classify_taxonomy`` through stubbed per-center verdicts.
@@ -19,7 +19,7 @@ import pytest
 
 import meanlab as ml
 from meanlab import genmean
-from meanlab.genmean import _classify_values
+from meanlab.genmean import _classify_rows
 
 MODES = (None, "increasing", "decreasing")
 WINDOWS = (1, 3, 8)
@@ -69,7 +69,7 @@ def _verdicts(series):
     for W, v in series:
         policy = ml.VerdictPolicy(window=W)
         for mode in MODES:
-            yield _classify_values(v, policy, horizon=float(len(v)), monotone=mode)
+            yield _classify_rows([v], policy, float(len(v)), [mode])[0]
 
 
 # sha256 over the newline-joined reprs of the 9,000 verdicts below, recorded
@@ -102,7 +102,7 @@ def test_rows_classified_together_get_their_one_row_verdicts():
             group, group_modes = rows[start:stop], modes[start:stop]
             got = genmean._classify_rows(group, policy, 7.0, group_modes)
             assert [repr(v) for v in got] == [
-                repr(_classify_values(v, policy, horizon=7.0, monotone=mode))
+                repr(_classify_rows([v], policy, 7.0, [mode])[0])
                 for v, mode in zip(group, group_modes)]
             start = stop
 
@@ -122,8 +122,8 @@ def test_negated_series_gets_the_mirrored_verdict():
     for W, v in _drawn_series(1000, seed=23):
         policy = ml.VerdictPolicy(window=W)
         for mode in MODES:
-            got = _classify_values(-v, policy, monotone=_MIRROR.get(mode, mode))
-            want = _classify_values(v, policy, monotone=mode)
+            got, = _classify_rows([-v], policy, monotone=[_MIRROR.get(mode, mode)])
+            want, = _classify_rows([v], policy, monotone=[mode])
             assert got.kind == _MIRROR.get(want.kind, want.kind), (v, mode)
             assert (got.value, got.liminf_est, got.limsup_est) == (
                 _negated(want.value), _negated(want.limsup_est), _negated(want.liminf_est))
