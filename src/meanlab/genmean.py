@@ -541,9 +541,9 @@ class MeanLadder:
 
     ``ordinary_kind`` is one of finite, plus_inf, minus_inf, none,
     undetermined.  The weak mean exists when the centered partial means
-    settle to a finite value and n * P(|X| > n) -> 0; the doubly weak mean
-    is the common finite limit over all centers (taxonomy case III_finite).
-    ``tail`` is the curve n * P(|X| > n) behind the weak-mean verdict.
+    settle to a finite value and n * P(|X| > n) -> 0 (the curve ``tail``);
+    the doubly weak mean is the common finite limit over all centers of
+    ``taxonomy``, the report over DEFAULT_C_GRID (its case III_finite).
     The mathematically forced orderings (ordinary finite implies weak, weak
     implies doubly weak with equal values) are asserted at construction.
     """
@@ -552,10 +552,14 @@ class MeanLadder:
     ordinary_value: Optional[float]
     weak_value: Optional[float]
     doubly_weak_value: Optional[float]
-    taxonomy_case: str
+    taxonomy: TaxonomyReport
     tail: TailMassCurve
     horizon: float
     tolerance: float
+
+    @property
+    def taxonomy_case(self) -> str:
+        return self.taxonomy.case
 
     def __post_init__(self):
         if self.ordinary_kind == "finite":
@@ -601,7 +605,7 @@ def mean_ladder(measure: Measure,
     tol = 2.0 * max(center_verdict.conv_tol or 0.0, policy.conv_scale)
     return MeanLadder(ordinary_kind=ordinary_kind, ordinary_value=ordinary_value,
                       weak_value=weak_value, doubly_weak_value=doubly,
-                      taxonomy_case=taxonomy.case, tail=tail,
+                      taxonomy=taxonomy, tail=tail,
                       horizon=schedule.horizon, tolerance=tol)
 
 

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import meanlab as ml
-from meanlab import genmean
+from meanlab import cli, genmean
 from meanlab.genmean import _classify_rows
 
 SCHED = ml.TruncationSchedule()
@@ -380,8 +380,24 @@ def test_ladder_invariant_violation_raises():
     with pytest.raises(ValueError):
         ml.MeanLadder(ordinary_kind="finite", ordinary_value=1.0,
                       weak_value=None, doubly_weak_value=None,
-                      taxonomy_case="III_finite", tail=tail,
+                      taxonomy=ml.TaxonomyReport("III_finite", {}, {}), tail=tail,
                       horizon=1e5, tolerance=1e-6)
+
+
+_EXAMPLE_MEASURES = {name: doc["measure"] for name, doc in cli._example_documents().items()
+                     if name.startswith("measure_")}
+
+
+@pytest.mark.parametrize("name", sorted(_EXAMPLE_MEASURES))
+def test_ladder_keeps_the_taxonomy_report_it_builds(name):
+    m = ml.measure_from_document(_EXAMPLE_MEASURES[name])
+    ladder, report = ml.mean_ladder(m), ml.classify_taxonomy(m)
+    got = ladder.taxonomy
+    assert ladder.taxonomy_case == got.case == report.case
+    assert (got.common_value, got.c_star, got.c_threshold) == \
+        (report.common_value, report.c_star, report.c_threshold)
+    assert {c: repr(v) for c, v in got.per_center.items()} == \
+        {c: repr(v) for c, v in report.per_center.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -153,9 +154,150 @@ def test_each_call_validates_once_and_decomposes_at_most_once(monkeypatch, name)
 
     monkeypatch.setattr(ml.spectral, "_as_matrix", counted("_as_matrix", ml.spectral._as_matrix))
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    rng = np.random.default_rng(3)
+    # a matrix of its own per parameter, so no earlier call has decomposed it
+    rng = np.random.default_rng([3, sorted(_CALLS).index(name)])
     call(_random_hermitian(rng, 6), _random_state(rng, 6))
     assert counts == {"_as_matrix": 1, "eigh": eighs}
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts np.linalg.eigh calls (``eigh_calls[0]``)."""
+    calls, original = [0], np.linalg.eigh
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def _spectral_outputs(a, psi):
+    """The induced measure's atoms, E and F, and one window probability, in
+    the order a benchmark spectral operation asks for them."""
+    atoms = ml.induced_measure(a, psi).atoms_within(math.inf)
+    e, f = ml.pos_neg_split(a)
+    return atoms, e, f, window_projection_probability(a, psi, -0.5, 1.5)
+
+
+def test_calls_on_one_matrix_share_one_eigh(eigh_calls):
+    rng = np.random.default_rng(30)
+    a, psi = _random_hermitian(rng, 7), _random_state(rng, 7)
+    _spectral_outputs(a, psi)
+    assert eigh_calls[0] == 1
+    # the same values in another layout or as nested lists still hit
+    _spectral_outputs(np.asfortranarray(a), psi)
+    _spectral_outputs(a.tolist(), psi)
+    assert eigh_calls[0] == 1
+
+
+def test_a_changed_entry_or_zero_sign_decomposes_again(eigh_calls):
+    rng = np.random.default_rng(31)
+    a, psi = _random_hermitian(rng, 5), _random_state(rng, 5)
+    ml.induced_measure(a, psi)
+    b = a.copy()
+    b[1, 2] += 1e-15
+    b[2, 1] = b[1, 2].conjugate()
+    ml.pos_neg_split(b)
+    assert eigh_calls[0] == 2
+    ml.pos_neg_split(np.zeros((3, 3)))
+    ml.pos_neg_split(np.diag([-0.0, 0.0, 0.0]))
+    ml.pos_neg_split(-np.zeros((3, 3)))
+    assert eigh_calls[0] == 5
+    # the zero matrix of another size is another matrix, decomposed once
+    ml.pos_neg_split(np.zeros((1, 1)))
+    ml.pos_neg_split(np.zeros((1, 1)))
+    assert eigh_calls[0] == 6
+
+
+def test_eigendecompose_always_decomposes_afresh(eigh_calls):
+    rng = np.random.default_rng(32)
+    a, psi = _random_hermitian(rng, 6), _random_state(rng, 6)
+    first, second = ml.eigendecompose(a), ml.eigendecompose(a)
+    assert eigh_calls[0] == 2
+    assert not np.shares_memory(first.eigenvectors, second.eigenvectors)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_mutating_returned_arrays_changes_no_later_result(warm):
+    rng = np.random.default_rng(33)
+    a, psi = _random_hermitian(rng, 6), _random_state(rng, 6)
+    want = _spectral_outputs(a, psi)
+    if not warm:
+        ml.pos_neg_split(np.eye(2))  # the last decomposed matrix is another one
+    dec = ml.eigendecompose(a)
+    dec.eigenvalues[:] = 0.0
+    dec.eigenvectors[:] = 0.0
+    e, f = ml.pos_neg_split(a)
+    e[:] = f[:] = np.nan
+    got = _spectral_outputs(a, psi)
+    assert repr(got[0]) == repr(want[0]) and repr(got[3]) == repr(want[3])
+    assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+
+
+def test_threads_alternating_matrices_each_get_their_own_decomposition():
+    # more threads than cores, switching often, each alternating between two
+    # matrices: a torn or lost update of the remembered decomposition would
+    # hand one matrix the other's eigenvalues
+    rng = np.random.default_rng(34)
+    cases = [(_random_hermitian(rng, 4), _random_state(rng, 4)) for _ in range(4)]
+    want = [repr(ml.induced_measure(a, psi).atoms_within(math.inf)) for a, psi in cases]
+    bad, interval = [], sys.getswitchinterval()
+
+    def work(k):
+        for j in range(200):
+            i = (k + j) % 2 + 2 * (k % 2)
+            if repr(ml.induced_measure(*cases[i]).atoms_within(math.inf)) != want[i]:
+                bad.append((k, j))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
+
+
+# The cases of the bitwise gate below, each output computed by a fresh
+# interpreter either as usual, sharing decompositions between calls, or with
+# the remembered decomposition dropped before every call.
+_FRESH_CHILD = """
+import hashlib, math, sys
+sys.path[:0] = [{src!r}, {here!r}]
+import test_spectral as t
+from meanlab import spectral
+h = hashlib.sha256()
+for a, psi, lo, hi in t._gate_cases():
+    for call in (lambda: spectral.induced_measure(a, psi).atoms_within(math.inf),
+                 lambda: spectral.pos_neg_split(a),
+                 lambda: spectral.window_projection_probability(a, psi, lo, hi)):
+        if {fresh}:
+            spectral._LAST = (None, None)
+        out = call()
+        h.update(b"".join(x.tobytes() for x in out) if isinstance(out, tuple)
+                 else repr(out).encode())
+print(h.hexdigest())
+"""
+
+
+def test_shared_decompositions_give_the_outputs_of_fresh_ones():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    digests = []
+    for fresh in (False, True):
+        code = _FRESH_CHILD.format(src=str(here.parent / "src"), here=str(here), fresh=fresh)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.split())
+    assert digests[0] == digests[1] and len(digests[0]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +400,29 @@ def test_window_probability_duality():
         via_measure = comb.window_stats(lo, hi)[0]
         via_projection = window_projection_probability(A, psi, lo, hi)
         assert abs(via_measure - via_projection) <= 1e-10
+
+
+_DIAG_STATE = (np.diag([1.0, 2.0]), [0.6, 0.8])
+
+
+@pytest.mark.parametrize("lo, hi", [(math.nan, 5.0), (0.0, math.nan), (math.nan, math.nan),
+                                    (3.0, 0.0), (math.inf, -math.inf)])
+def test_window_probability_refuses_what_window_stats_refuses(lo, hi):
+    comb = ml.induced_measure(*_DIAG_STATE)
+    with pytest.raises(ValueError, match=r"^window requires lo <= hi, got \["):
+        comb.window_stats(lo, hi)
+    with pytest.raises(ValueError, match=rf"^window requires lo <= hi, got \[{lo}, {hi}\]$"):
+        window_projection_probability(*_DIAG_STATE, lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi, want", [(-math.inf, math.inf, 1.0), (-math.inf, 1.5, 0.36),
+                                          (1.5, math.inf, 0.64), (math.inf, math.inf, 0.0),
+                                          (1.0, 1.0, 0.36), (2.0, 2.0, 0.64)])
+def test_window_probability_takes_infinite_and_closed_windows(lo, hi, want):
+    got = window_projection_probability(*_DIAG_STATE, lo, hi)
+    assert got == pytest.approx(want, abs=1e-15)
+    assert got == pytest.approx(float(ml.induced_measure(*_DIAG_STATE).window_stats(lo, hi)[0]),
+                                abs=1e-15)
 
 
 def test_unitary_invariance():
