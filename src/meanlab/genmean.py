@@ -105,7 +105,8 @@ class TruncationSchedule:
 
     @property
     def horizon(self) -> float:
-        return self.m0 * self.ratio ** (self.count - 1)
+        """The last radius scanned."""
+        return float(self.radii()[-1])
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,7 @@ def _scan(measure: Measure, rows: Sequence[tuple[float, str]],
     masses, values = measure.window_stats(lo, hi)
     return [PartialMeanSeries(center=float(center), radii=radii[i, :len(probes)],
                               values=values[i, :len(probes)], masses=masses[i, :len(probes)],
-                              is_probe=probes, horizon=schedule.horizon)
+                              is_probe=probes, horizon=float(base[-1]))
             for i, ((center, _), (_, probes)) in enumerate(zip(rows, grids))]
 
 

@@ -303,15 +303,21 @@ class Measure:
         raise NotImplementedError
 
     def tail_probability(self, t):
-        """P(|X| > t), elementwise over an array ``t`` (a float for a scalar)."""
-        arr = np.asarray(t, dtype=float)
-        out = self._tail(arr.reshape(-1)).reshape(arr.shape)
-        return float(out) if out.ndim == 0 else out
+        """P(|X| > t), elementwise over an array ``t`` (a float for a scalar).
+        For every law a NaN t is refused, t < 0 reads 1 and t = inf reads 0
+        unasked, and values are clipped to [0, 1]; ``_tail`` gets the rest."""
+        flat = np.asarray(t, dtype=float).ravel()
+        if np.isnan(flat).any():
+            raise MeasureError("tail probability requires a number t, got nan")
+        out = (flat < 0).astype(float)
+        ask = (flat >= 0) & (flat < math.inf)
+        if ask.any():
+            out[ask] = np.clip(self._tail(flat[ask]), 0.0, 1.0)
+        return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
     def _tail(self, t: np.ndarray) -> np.ndarray:
-        r = np.abs(t)[None]
-        masses = self._window_stats(-r, r)[0].reshape(t.shape)
-        return np.where(t < 0, 1.0, np.maximum(0.0, 1.0 - masses))
+        """P(|X| > t) over a flat array of finite t >= 0."""
+        return 1.0 - self._window_stats(-t[None], t[None])[0].reshape(t.shape)
 
     def atoms_within(self, max_abs: float) -> list[Atom]:
         """Atoms with |location| <= max_abs, sorted by location, for every
@@ -676,15 +682,9 @@ class IntegerPowerComb(Measure):
     def _window_stats(self, lo, hi):
         a, b = np.maximum(np.ceil(lo), 1.0), np.floor(hi)
         empty = b < a
-        # the distinct values of (a, b + 1) by one argsort (np.unique loads numpy.ma)
-        ends = np.concatenate([a.ravel(), (b + 1.0).ravel()])
-        order = np.argsort(ends)
-        ranked = ends[order]
-        first = np.ones(len(ranked), bool)
-        first[1:] = ranked[1:] != ranked[:-1]  # NaNs sort last and each stays apart
-        inverse = np.empty(len(ends), np.intp)
-        inverse[order] = np.cumsum(first) - 1
-        distinct = ranked[first]
+        # zeta once per distinct value of a and of b + 1
+        distinct, inverse = np.unique(np.concatenate([a.ravel(), (b + 1.0).ravel()]),
+                                      return_inverse=True)
 
         def partial(s: float) -> np.ndarray:
             za, zb = self._zeta(s, distinct)[inverse].reshape(2, *a.shape)
@@ -693,7 +693,7 @@ class IntegerPowerComb(Measure):
         return partial(self.p), partial(self.p - 1.0)
 
     def _tail(self, t):
-        return self._zeta(self.p, np.floor(np.maximum(t, 0.0)) + 1.0) / self.zeta_p
+        return np.where(t < 1.0, 1.0, self._zeta(self.p, np.floor(t) + 1.0) / self.zeta_p)
 
     def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
         if max_abs >= max_atoms + 1:
@@ -716,7 +716,8 @@ class DensityMeasure(Measure):
     """Absolutely continuous measure given by a user density ``pdf``.
 
     Windows are adaptive quadrature, one window at a time, and construction
-    checks that the density integrates to 1 over its support.
+    checks that the pdf alone (not x * pdf, which a heavy tail makes
+    diverge) integrates to 1 over its support.
     """
 
     def __init__(self, family: str, pdf: Callable[[float], float],
@@ -724,24 +725,25 @@ class DensityMeasure(Measure):
         self.family = family
         self.pdf = pdf
         self.support = (float(support[0]), float(support[1]))
-        total = float(self.window_stats(*self.support)[0])
+        if not self.support[0] <= self.support[1]:
+            raise MeasureError(f"{family}: support requires lo <= hi, got {self.support}")
+        total = _checked_quad(pdf, *self.support, family)[0]
         if abs(total - 1.0) > max(MASS_TOL, 100 * _QUAD_ABS_TOL):
             raise MeasureError(f"{family}: density integrates to {total}, not 1")
 
-    def _quad(self, f: Callable[[float], float], a: float, b: float) -> float:
-        return _checked_quad(f, a, b, self.family)[0]
-
     def _stats_between(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """(masses, moments) of windows with lo < hi inside the support."""
+        def quad(f: Callable[[float], float], a: float, b: float) -> float:
+            return _checked_quad(f, a, b, self.family)[0]
+
         def xpdf(x: float) -> float:
             return x * self.pdf(x)
 
         # Windows straddling 0 integrate their halves separately so that
         # symmetric windows cancel bitwise rather than through quadrature error.
         return np.array([
-            (self._quad(self.pdf, a, b),
-             self._quad(xpdf, a, 0.0) + self._quad(xpdf, 0.0, b) if a < 0.0 < b
-             else self._quad(xpdf, a, b))
+            (quad(self.pdf, a, b),
+             quad(xpdf, a, 0.0) + quad(xpdf, 0.0, b) if a < 0.0 < b else quad(xpdf, a, b))
             for a, b in zip(lo.tolist(), hi.tolist())]).T
 
     def _window_stats(self, lo, hi):
@@ -789,8 +791,8 @@ class _ClosedForm(DensityMeasure):
         return mass, loc * mass + (scale / self._unit) * (H[n:] - H[:n])
 
     def _tail(self, t):
-        (loc, scale), r = self._map, np.maximum(t, 0.0)
-        return np.where(t < 0, 1.0, self._tails((r - loc) / scale, (r + loc) / scale))
+        loc, scale = self._map
+        return self._tails((t - loc) / scale, (t + loc) / scale)
 
     def location_scale(self):
         return None if self._loc_scale is None else (self.family, *self._loc_scale)
@@ -828,8 +830,8 @@ def _log1p_sq(u: np.ndarray) -> np.ndarray:
 
 def _cauchy_upper(u: np.ndarray) -> np.ndarray:
     """P(Z > u) for standard Cauchy Z, by atan of 1/u at large u for precision."""
-    with np.errstate(divide="ignore"):
-        return np.where(u <= 1, 0.5 - np.arctan(u) / math.pi, np.arctan(1.0 / u) / math.pi)
+    return np.where(u <= 1, 0.5 - np.arctan(u) / math.pi,
+                    np.arctan(1.0 / np.maximum(u, 1.0)) / math.pi)
 
 
 def cauchy(loc: float = 0.0, scale: float = 1.0) -> DensityMeasure:
@@ -877,8 +879,7 @@ def power_tail(a: float, b: float) -> DensityMeasure:
                 moment: bool = True) -> tuple[np.ndarray, ...]:
         # int_0^X x^(m-1)/(1 + coef x^e) dx for X >= 0 and m = 1, then m = 2 if ``moment``
         h1 = np.zeros(X.shape)
-        with np.errstate(divide="ignore"):
-            log_x = np.log(X)
+        log_x = np.log(np.maximum(X, 5e-324))  # X = 0 lies in neither region below
         log_z = math.log(coef) + e * log_x
         near = (X > 0.0) & (log_z < 230.0)  # coef * X^e representable; hyp2f1 is accurate
         far = (X > 0.0) & ~near
@@ -974,16 +975,12 @@ class Affine(Measure):
         return masses, self.s * moments + self.a * masses
 
     def _tail(self, t):
-        if self.a == 0.0:
-            return self.inner._tail(t / abs(self.s))
-        with np.errstate(invalid="ignore"):  # t = inf: the unread moment is inf - inf
-            return super()._tail(t)
-
-    def _inner_radius(self, max_abs: float) -> float:
-        return (max_abs + abs(self.a)) / abs(self.s)
+        if self.a == 0.0:  # in Python, t / |s| overflows to inf (read as 0) unwarned
+            return self.inner.tail_probability(np.array([x / abs(self.s) for x in t.tolist()]))
+        return super()._tail(t)
 
     def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
-        x, w = self.inner.atom_arrays(self._inner_radius(max_abs), max_atoms)
+        x, w = self.inner.atom_arrays((max_abs + abs(self.a)) / abs(self.s), max_atoms)
         y = self.s * x + self.a
         keep = np.abs(y) <= max_abs
         y, w = y[keep], w[keep]

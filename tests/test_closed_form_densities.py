@@ -79,8 +79,11 @@ def _gate_digest() -> str:
     return h.hexdigest()
 
 
-# Recorded before gaussian, cauchy and power_tail shared one closed-form class.
-CLOSED_FORM_SHA256 = "e6f3d4dbfc1edd9839113c158eff6790b7c07e23ca11cea10c4d5d4846799434"
+# Recorded before gaussian, cauchy and power_tail shared one closed-form class,
+# then re-recorded once when P(|X| > inf) became 0.0 for every law: 46 of the
+# power_tail-based measures read it as +-2.2e-16 before, and the old digest
+# with those values set to 0.0 is this one.
+CLOSED_FORM_SHA256 = "b0af6bd6540a61b5448003e13b907d6a651c79b35414cb467d7beab3577aa1b6"
 
 
 def test_closed_form_densities_are_bitwise_unchanged():
@@ -88,8 +91,8 @@ def test_closed_form_densities_are_bitwise_unchanged():
 
 
 def test_a_shifted_law_has_no_mass_beyond_infinity():
-    # the whole-line window behind a shifted law's tail has the moment inf - inf,
-    # which the tail does not read
+    # t = inf reads 0 without asking the law, whose whole-line window has the
+    # moment inf - inf
     for law in (ml.gaussian(), ml.cauchy(), ml.power_tail(1.5, 1.8)):
         m = law.shift(1.0)
         assert m.tail_probability(math.inf) == 0.0

@@ -515,6 +515,13 @@ def test_schedule_rejects_a_nonfinite_horizon():
     assert math.isfinite(ml.TruncationSchedule(m0=1.0, ratio=2.0, count=1000).horizon)
 
 
+def test_schedule_horizon_is_the_last_radius_scanned():
+    # m0 * ratio ** (count - 1) in Python reads 39.5307, one bit off numpy's radius
+    schedule = ml.TruncationSchedule(1.1, 3.3, 4)
+    assert schedule.horizon == schedule.radii()[-1] == 39.530699999999996
+    assert type(schedule.horizon) is float
+
+
 # ---------------------------------------------------------------------------
 # Scan reuse and non-finite evidence
 # ---------------------------------------------------------------------------

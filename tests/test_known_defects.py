@@ -8,6 +8,7 @@ fixes a row turns its xfail into a failing XPASS; it then drops the mark.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -152,7 +153,8 @@ def test_integer_power_comb_can_be_sampled():
                           "reads M * P(|X| > M)")
 def test_power_tail_tail_probability_is_accurate_far_out():
     # P(X > t) = t^(1-e) / (coef (e - 1)) + O(t^(1-2e)) on each side;
-    # today -3.8e-15 at t = 1e60 and -5.6e-17 at t = inf
+    # today 0.0 at t = 1e60, the clipped value of -3.8e-15 (abs=0: pytest's
+    # default abs=1e-12 would accept 0.0 for a want near 1e-30)
     a, b = 1.5, 1.8
     m = ml.power_tail(a, b)
     t = 10.0 ** np.arange(1.0, 309.0)
@@ -163,4 +165,20 @@ def test_power_tail_tail_probability_is_accurate_far_out():
         return (2.0 * (math.pi / e) / math.sin(math.pi / e)) ** e
 
     want = sum(1e60 ** (1.0 - e) / (coef(e) * (e - 1.0)) for e in (a, b))
-    assert m.tail_probability(1e60) == pytest.approx(want, rel=1e-9)
+    assert m.tail_probability(1e60) == pytest.approx(want, rel=1e-9, abs=0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 3 and 14: a shifted law's tail is 1 minus a "
+                          "window mass, which cancels once that mass is within ulps of 1; "
+                          "item 3's horizon capture reads M * P(|X| > M)")
+def test_one_law_built_two_ways_has_one_tail():
+    # cauchy().shift(0.5) is the law cauchy(0.5, 1); today at t = 1e15 the
+    # shifted one reads 4.44e-16 against 6.366e-16 (30% low), while
+    # cauchy(0.5, 1) matches 30-digit mpmath; at shift 1e6 and t = 1e12 the
+    # gap is 3.8e-4 relative
+    t = 1e15
+    with mp.workdps(30):
+        want = float((mp.atan(1 / (t - mp.mpf(0.5))) + mp.atan(1 / (t + mp.mpf(0.5)))) / mp.pi)
+    assert ml.cauchy(0.5, 1.0).tail_probability(t) == pytest.approx(want, rel=1e-12, abs=0)
+    assert ml.cauchy().shift(0.5).tail_probability(t) == pytest.approx(want, rel=1e-9, abs=0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import meanlab as ml
-from meanlab import measures
+from meanlab import genmean, measures
 from meanlab.measures import MASS_TOL, Affine
 
 # ---------------------------------------------------------------------------
@@ -404,13 +404,18 @@ def test_negative_scale_counts_a_mapped_atom_on_either_endpoint():
 @pytest.mark.parametrize("call", [
     lambda: ml.comb_ex2().window_stats(-math.inf, 1.0),
     lambda: ml.comb_ex4().atoms_within(math.inf),
-    lambda: ml.comb_ex1().tail_probability(math.inf),
     lambda: ml.asym_partial_mean(ml.comb_ex2(), 0.0, 0.0, 1.0, math.inf),
-], ids=["window", "atoms_within", "tail_probability", "asym_partial_mean"])
+], ids=["window", "atoms_within", "asym_partial_mean"])
 def test_infinite_radius_on_an_infinite_comb_is_refused(call):
     # enumeration would run until the atom locations overflow
     with pytest.raises(ml.MeasureError, match="radius inf"):
         call()
+
+
+def test_infinite_radius_tail_of_an_infinite_comb_reads_zero():
+    # P(|X| > inf) is 0 for every law, so the comb is not asked to enumerate
+    assert ml.comb_ex1().tail_probability(math.inf) == 0.0
+    assert ml.comb_ex2().tail_probability(np.array([math.inf, 2.0])).tolist() == [0.0, 0.5]
 
 
 def test_tail_probability_is_elementwise():
@@ -422,3 +427,78 @@ def test_tail_probability_is_elementwise():
         for t, p in zip(ts, batch):
             assert m.tail_probability(t) == p
         assert batch[0] == pytest.approx(1.0, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The tail contract: one set of edge rules for every law
+# ---------------------------------------------------------------------------
+
+_TAIL_LAWS = {
+    **{family: (lambda family=family: ml.make_measure(family))
+       for family in ("comb_ex1", "comb_ex2", "comb_ex4", "comb_ex5", "gaussian", "cauchy")},
+    "gaussian(2, 0.5)": lambda: ml.gaussian(2.0, 0.5),
+    "cauchy(-3, 2)": lambda: ml.cauchy(-3.0, 2.0),
+    "power_tail": lambda: ml.power_tail(1.5, 1.8),
+    "power_tail(a = b)": lambda: ml.power_tail(1.3, 1.3),
+    "empirical": lambda: ml.EmpiricalMeasure([-4.0, 0.0, 0.5, 1.0, 7.0, 1e3]),
+    "integer_power_comb": lambda: ml.integer_power_comb(2.5),
+    "finite_comb": lambda: ml.finite_comb([ml.Atom(-2.0, 0.25), ml.Atom(3.0, 0.75)]),
+    "user density": lambda: ml.DensityMeasure("triangle", lambda x: max(0.0, 1.0 - abs(x)),
+                                              support=(-1.0, 1.0)),
+}
+_TAIL_WRAPS = {
+    "plain": lambda m: m,
+    "shift": lambda m: m.shift(2.5),
+    "scale": lambda m: m.scale(0.3),
+    "negate": lambda m: m.negate(),
+}
+
+
+def test_the_tail_contract_covers_every_family():
+    assert set(measures._FAMILIES) - {"shift", "scale", "negate"} <= set(_TAIL_LAWS)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("wrap", sorted(_TAIL_WRAPS))
+@pytest.mark.parametrize("law", sorted(_TAIL_LAWS))
+def test_tail_contract(law, wrap):
+    m = _TAIL_WRAPS[wrap](_TAIL_LAWS[law]())
+    rng = np.random.default_rng(30)
+    ts = np.concatenate([[0.0, -0.0, 0.5, 1.0, 1e15, 1e300], 10.0 ** rng.uniform(-3.0, 12.0, 20)])
+    values = m.tail_probability(ts)
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    negative = np.concatenate([[-math.inf, -1e300, -1.0, -1e-300], -ts[2:]])
+    assert m.tail_probability(negative).tolist() == [1.0] * len(negative)
+    assert m.tail_probability(math.inf) == 0.0
+    assert m.tail_probability(np.array([[math.inf], [-1.0]])).tolist() == [[0.0], [1.0]]
+    for t in (math.nan, [1.0, math.nan]):
+        with pytest.raises(ml.MeasureError, match="got nan"):
+            m.tail_probability(t)
+    curve = m.tail_probability(genmean._TAIL_SCHEDULE)
+    assert np.all(np.diff(curve) <= 1e-15)
+
+
+def test_a_scale_that_overflows_t_reads_zero():
+    # t / s overflows to inf, where every law's tail is 0
+    for law in (ml.cauchy(), ml.comb_ex2(), ml.power_tail(1.5, 1.8)):
+        assert law.scale(1e-300).tail_probability(1e300) == 0.0
+
+
+def test_integer_power_comb_has_all_its_mass_beyond_any_t_below_one():
+    m = ml.integer_power_comb(3.0)
+    assert m.tail_probability(np.array([0.0, 0.5, 0.999])).tolist() == [1.0, 1.0, 1.0]
+    assert m.tail_probability(1.0) == pytest.approx(1.0 - 1.0 / m.zeta_p, rel=1e-12)
+
+
+def test_a_heavy_tailed_user_density_constructs():
+    # construction integrates the pdf alone; x * pdf diverges over the whole line
+    law = ml.power_tail(1.5, 1.8)
+    m = ml.DensityMeasure("pt", law.pdf)
+    for t in (10.0, 1e3):
+        assert m.tail_probability(t) == pytest.approx(law.tail_probability(t), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("support", [(math.nan, 1.0), (1.0, -1.0)])
+def test_a_user_density_refuses_a_nan_or_reversed_support(support):
+    with pytest.raises(ml.MeasureError, match="support requires lo <= hi"):
+        ml.DensityMeasure("uniform", lambda x: 0.5, support=support)

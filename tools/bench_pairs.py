@@ -5,8 +5,16 @@ checkouts, one after the other, for N pairs: the parent runs first in odd
 pairs (1, 3, ...) and the change first in even pairs, so a drift of the
 host's speed does not favour either side.  Prints each pair's end-to-end
 metrics, then per metric the median of each side, the parent's
-interquartile range and in how many pairs the change was better.  A
-metric's better direction comes from the change checkout's
+interquartile range, in how many pairs the change was better, and the
+no-regression verdict:
+
+* "worse beyond bound": the change's median is worse than the parent's by
+  more than the metric's ``bound`` times the parent's median;
+* "unresolved": otherwise, when the parent's IQR exceeds that margin and
+  not every run of the change is better than every run of the parent;
+* "within bound": otherwise.
+
+A metric's better direction and bound come from the change checkout's
 ``BENCHMARK.json``.  Each run's completed operation runs (the ``runs=``
 field of the harness's report line) are printed beside ``peak_rss_mb``:
 the harness keeps state per completed run, so a faster side also reads a
@@ -52,6 +60,20 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(par: list[float], chg: list[float], better: str, bound: float) -> str:
+    """The no-regression verdict of one metric's parent and change runs."""
+    sign = 1.0 if better == "higher" else -1.0
+    mp = statistics.median(par)
+    margin = bound * abs(mp)
+    if sign * (statistics.median(chg) - mp) < -margin:
+        return "worse beyond bound"
+    q1, q3 = quartiles(par)
+    every_run_better = min(sign * c for c in chg) > max(sign * p for p in par)
+    if q3 - q1 > margin and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -65,7 +87,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        end_to_end = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     counts = set()
@@ -78,23 +100,24 @@ def main(argv=None) -> int:
         line = "  ".join(
             f"{name}={runs['parent'][-1]['metrics'][name]['value']:.4g}"
             f"->{runs['change'][-1]['metrics'][name]['value']:.4g}"
-            for name in better)
+            for name in end_to_end)
         print(f"pair {k} ({order[0]} first): {line}  "
               f"runs={runs['parent'][-1]['runs']}->{runs['change'][-1]['runs']}", flush=True)
 
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s")
     print(f"{'metric':18s} {'parent':>10s} {'IQR':>9s} {'change':>10s} {'change %':>9s}  better")
-    for name, direction in better.items():
+    for name, metric in end_to_end.items():
         par = [r["metrics"][name]["value"] for r in runs["parent"]]
         chg = [r["metrics"][name]["value"] for r in runs["change"]]
-        sign = 1.0 if direction == "higher" else -1.0
+        sign = 1.0 if metric["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
         q1, q3 = quartiles(par)
         mp, mc = statistics.median(par), statistics.median(chg)
         pct = 100.0 * (mc - mp) / mp if mp else float("nan")
         beyond = " (median gain beyond the parent IQR)" if sign * (mc - mp) > q3 - q1 else ""
         print(f"{name:18s} {mp:10.4g} {q3 - q1:9.3g} {mc:10.4g} {pct:+8.1f}%  "
-              f"change better in {wins} of {args.pairs}{beyond}")
+              f"change better in {wins} of {args.pairs}{beyond}; "
+              f"{verdict(par, chg, metric['better'], metric['bound'])} (bound {metric['bound']:g})")
     par = [r["runs"] for r in runs["parent"]]
     chg = [r["runs"] for r in runs["change"]]
     q1, q3 = quartiles(par)
