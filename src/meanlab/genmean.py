@@ -33,12 +33,11 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import (_QUAD_ABS_TOL, Measure, MeasureError, _log_trapezoid, _median,
-                       _middle, _number, _resolved_quad)
+from .measures import Measure, MeasureError, _median, _middle, _number, _split_rule
 
 __all__ = [
     "TruncationSchedule",
@@ -634,13 +633,13 @@ class WindowMultiplier:
         return policy
 
 
-# The one reach of every exp-tilt branch: at lam, the atoms, the trapezoid
-# nodes and the quadrature all stop at |x| = X = _TILT_REACH / lam.  Past X,
-# |weight(x) x| falls with |x| and is at most X e^-60 (1 + 60 pi |c|), so the
-# mass beyond X moves a mean by at most that much times the mass.  e^-60 is
-# about 9e-27: at the default smallest lam, 1e-4, the bound is below
-# 6e-21 (1 + 190 |c|), far under quad's 1e-10, and it grows with |c| as the
-# tilt term of the mean does, so the relative remainder does not grow.
+# The one reach of the exp-tilt rule: at lam, the atoms and the density nodes
+# stop at |x| = X = _TILT_REACH / lam.  Past X, |weight(x) x| falls with |x|
+# and is at most X e^-60 (1 + 60 pi |c|), so the mass beyond X moves a mean
+# by at most that much times the mass.  e^-60 is about 9e-27: at the default
+# smallest lam, 1e-4, the bound is below 6e-21 (1 + 190 |c|), far under the
+# rule's 1e-10, and it grows with |c| as the tilt term of the mean does, so
+# the relative remainder does not grow.
 _TILT_REACH = 60.0
 
 
@@ -660,21 +659,17 @@ class ExpTiltMultiplier:
     and the limit is c whatever c is.
 
     ``regularized_means`` takes the whole damping schedule in one pass, by
-    one of three branches, each stopping at |x| = _TILT_REACH / lam:
+    one of two branches:
 
     * closed form: measures whose ``location_scale()`` names the Cauchy or
       Gaussian family (``_TILT_MEANS``);
     * one discrete rule: magnitudes x >= 0 carrying masses at -x and +x,
-      summed for every lam as one (lam x nodes) product.  The nodes are the
-      atoms of an atomic measure, enumerated once at the widest reach, or
-      the trapezoid nodes in u = log|x| of a density on the whole line
-      (``measures._log_trapezoid``, which refuses nodes that miss mass).
-      On an integrand analytic in |Im u| < d the trapezoid error is about
-      exp(-2 pi d / h) at step h (Trefethen & Weideman, SIAM Review 56,
-      2014); its means are used only when the rule at step 2h agrees with
-      them to quad's tolerances at every lam;
-    * quadrature: any other density, one lam at a time, refused when it
-      does not converge or misses mass (``measures._resolved_quad``).
+      summed for every lam as one (lam x nodes) product (``_kernel``), over
+      the atoms of an atomic measure, enumerated once at the widest reach,
+      or over the nodes of a density's pieces between its kinks: 0, where
+      the weight has its kink, the law's origin and its support ends
+      (``measures._split_rule``, which bisects a piece its nodes do not
+      resolve, up to a QuadratureError).
     """
 
     kind = "exp_tilt"
@@ -688,18 +683,6 @@ class ExpTiltMultiplier:
         neg = np.exp(lam * np.clip(x, None, 0.0)) * (1.0 + math.pi * self.c * lam * np.clip(x, None, 0.0))
         return np.where(x >= 0.0, pos, neg)
 
-    def _integrands(self, pdf: Callable[[float], float], lam: float):
-        """weight * x * pdf on x <= 0 and on x >= 0, in scalar math."""
-        k = math.pi * self.c * lam
-
-        def neg(x: float) -> float:
-            return math.exp(lam * x) * (1.0 + k * x) * x * pdf(x)
-
-        def pos(x: float) -> float:
-            return math.exp(-lam * x) * x * pdf(x)
-
-        return neg, pos
-
     def regularized_means(self, measure: Measure, lams: np.ndarray) -> np.ndarray:
         """E(weight_lam(X) X) for every lam of the damping schedule."""
         lams = np.asarray(lams, dtype=float)
@@ -712,32 +695,21 @@ class ExpTiltMultiplier:
             family, loc, scale = law
             return _TILT_MEANS[family](loc, scale, self.c, lams)
         reach = _TILT_REACH / float(lams.min())
-        rule = None
+        kernel = functools.partial(self._kernel, lams)
         if measure.is_atomic:
             locs, weights = measure.atom_arrays(reach)
-            rule = (np.abs(locs), np.where(locs < 0.0, weights, 0.0)[None],
-                    np.where(locs > 0.0, weights, 0.0)[None])
-        elif measure.pdf is not None and measure.support == (-math.inf, math.inf):
-            rule = _log_trapezoid(measure, reach)
-        if rule is not None:
-            # rows of masses: one for atoms; steps h and 2h for trapezoid nodes
-            x, neg, pos = rule
-            damp = np.exp(-lams[:, None] * x) * x
-            tilt = 1.0 - math.pi * self.c * lams[:, None] * x
-            means = (damp @ pos.T - (damp * tilt) @ neg.T).T
-            if np.all(np.abs(means[0] - means[-1]) <= _QUAD_ABS_TOL + 1e-12 * np.abs(means[0])):
-                return means[0]
+            return np.add(*kernel(np.abs(locs), np.where(locs < 0.0, weights, 0.0)[None],
+                                  np.where(locs > 0.0, weights, 0.0)[None]))[:, 0]
         if measure.pdf is None:
             raise MeasureError("exp_tilt needs an atomic or density measure")
-        lo, hi = measure.support
-        means = []
-        for lam in lams.tolist():
-            neg, pos = self._integrands(measure.pdf, lam)
-            a, b = max(-_TILT_REACH / lam, lo), min(_TILT_REACH / lam, hi)
-            means.append(sum(_resolved_quad(measure, f, u, v)
-                             for f, u, v in ((neg, a, min(0.0, b)), (pos, max(0.0, a), b))
-                             if u < v))
-        return np.array(means)
+        return _split_rule(measure, reach, kernel)
+
+    def _kernel(self, lams: np.ndarray, x: np.ndarray, neg: np.ndarray, pos: np.ndarray):
+        """Per lam and row of masses: the sums of weight(y) y over the masses
+        at y = -x (``neg``) and over those at y = x (``pos``)."""
+        damp = np.exp(-lams[:, None] * x) * x
+        tilted = damp * (1.0 - math.pi * self.c * lams[:, None] * x) if self.c else damp
+        return -(tilted @ neg.T), damp @ pos.T
 
     def default_lambdas(self, schedule: TruncationSchedule) -> np.ndarray:
         return np.geomspace(1e-2, 1e-4, 25)

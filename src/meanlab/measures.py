@@ -53,6 +53,7 @@ request made alone.  Any other shape is one row.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import sys
@@ -150,122 +151,144 @@ class Atom:
 
 
 def _checked_quad(f: Callable[[float], float], a: float, b: float,
-                  what: str) -> tuple[float, dict]:
+                  what: str) -> float:
     """``integrate.quad`` of f over [a, b] that refuses an unconverged result.
 
-    Returns the value and quad's info dict (its final subintervals are
-    ``alist[:last]``, ``blist[:last]``).  Raises QuadratureError when quad
-    reports a problem (it would otherwise only warn) or when its error
-    estimate exceeds max(100 * _QUAD_ABS_TOL, 1e-8 * |value|).
+    Raises QuadratureError when quad reports a problem (it would otherwise
+    only warn) or when its error estimate exceeds
+    max(100 * _QUAD_ABS_TOL, 1e-8 * |value|).
     """
     from scipy import integrate  # looked up per call, so a wrapped quad is seen
     out = integrate.quad(f, a, b, epsabs=_QUAD_ABS_TOL, epsrel=1e-12,
                          limit=_QUAD_LIMIT, full_output=True)
-    value, abserr, info = out[:3]
+    value, abserr = out[:2]
     if len(out) > 3 or abserr > max(100 * _QUAD_ABS_TOL, 1e-8 * abs(value)):
         raise QuadratureError(
             f"{what}: quadrature on [{a:g}, {b:g}] did not converge "
             f"(estimate {value:.6g}, error estimate {abserr:.3g})",
             estimate=value, error_estimate=abserr)
-    return value, info
+    return value
 
 
 _MASS_GAP = 1e-5
 _MAX_SPLITS = 60
 
-
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    # computed on first use: the eigensolver behind it costs a fresh process
-    # about 1 MB of resident memory
-    return np.polynomial.legendre.leggauss(10)
-
-
-def _resolved_quad(measure: Measure, f: Callable[[float], float], a: float, b: float,
-                   depth: int = 0) -> float:
-    """``_checked_quad`` of f over [a, b], refused when it never saw the mass.
-
-    Adaptive quadrature learns of a feature only by sampling it: GK21 on
-    [0, 4e5] never samples a Gaussian bump of width 2 at 1 and returns 0
-    with a tiny error estimate.  So the density's mass is integrated by a
-    10-point Gauss-Legendre rule on quad's own final subintervals and
-    compared with the window mass over [a, b].  A gap above _MASS_GAP, or a
-    quadrature that does not converge, splits the range in two and
-    integrates each half the same way.  A piece is not split past
-    _MAX_SPLITS levels, nor below 1e-9 of its distance from 0, where float
-    spacing leaves quadrature nothing to resolve; QuadratureError instead.
-    """
-    try:
-        value, info = _checked_quad(f, a, b, measure.family)
-        n = info["last"]
-        left, right = info["alist"][:n], info["blist"][:n]
-        half = 0.5 * (right - left)
-        rule, weights = _gauss_legendre()
-        nodes = (0.5 * (left + right))[:, None] + half[:, None] * rule
-        dens = np.fromiter(map(measure.pdf, nodes.ravel()), float, nodes.size)
-        seen = float(half @ (dens.reshape(nodes.shape) @ weights))
-        mass = float(measure.window_stats(a, b)[0])
-        if abs(seen - mass) <= _MASS_GAP:
-            return value
-        failure = QuadratureError(
-            f"{measure.family}: quadrature on [{a:.17g}, {b:.17g}] resolves "
-            f"mass {seen:.6g} of {mass:.6g}", estimate=value,
-            error_estimate=abs(seen - mass))
-    except QuadratureError as exc:
-        failure = exc
-    mid = 0.5 * a + 0.5 * b
-    if depth == _MAX_SPLITS or mid - a < 1e-9 * max(abs(a), abs(b)):
-        raise QuadratureError(f"{failure} after {depth} splits",
-                              failure.estimate, failure.error_estimate)
-    return (_resolved_quad(measure, f, a, mid, depth + 1)
-            + _resolved_quad(measure, f, mid, b, depth + 1))
-
-
-# The trapezoid rule in u = log|x| (``_log_trapezoid``): its step and its
-# lowest node.  On an integrand analytic in the strip |Im u| < d the rule's
-# error is about exp(-2 pi d / h) (Trefethen & Weideman, "The exponentially
-# convergent trapezoidal rule", SIAM Review 56, 2014).  The poles of
-# power_tail(a, b)'s pdf sit at Im u = +-pi / max(a, b), so its mass is
-# resolved to about exp(-2 pi^2 / (h max(a, b))), below 1e-85 at h = 0.05;
-# the exp-tilt damping e^(-lam e^u) narrows the strip of the means to
-# d < pi / 2, which still leaves about exp(-pi^2 / h).  A bump of width w at
-# distance x0 from 0 leaves d of order w / x0: N(5, 1) passes the callers'
-# checks and N(10, 1) fails them.  Below u = -40 an integrand x^k pdf(x),
-# k >= 0, carries at most e^-40 times the largest pdf value.
+# The node rules of ``_split_rule``.  An outer piece, from a kink k out to the
+# reach, takes the trapezoid rule in u = log|x - k| at u_j = _LOG_LOW + j h,
+# h = _LOG_STEP.  On an integrand analytic in the strip |Im u| < d its error is
+# about exp(-2 pi d / h) (Trefethen & Weideman, "The exponentially convergent
+# trapezoidal rule", SIAM Review 56, 2014).  The poles of power_tail(a, b)'s
+# pdf sit at Im u = +-pi / max(a, b), so its mass is resolved to about
+# exp(-2 pi^2 / (h max(a, b))), below 1e-85 at h = 0.05; the exp-tilt damping
+# e^(-lam e^u) narrows the strip of the means to d < pi / 2, which still
+# leaves about exp(-pi^2 / h).  A bump of width w at distance x0 from k leaves
+# d of order w / x0: N(5, 1) passes the checks from k = 0, and N(10, 1) fails
+# them, so that piece is bisected.  Below u = -40 an integrand x^k pdf(x),
+# k >= 0, carries at most e^-40 times the largest pdf value.  A finite piece
+# takes the tanh-sinh rule x = tanh(pi/2 sinh t) on (-1, 1) at t = j h,
+# |j| <= _SINH_NODES, whose nodes crowd double-exponentially at both ends
+# (Takahasi & Mori 1974); past |t| = 5.3 they would lie within e^-314 of them.
 _LOG_STEP = 0.05
 _LOG_LOW = -40.0
+_SINH_NODES = 106
 
 
-def _log_trapezoid(measure: Measure, reach: float):
-    """Shared nodes for integrals of a density over [-reach, 0] and [0, reach].
-
-    With x = +-e^u, int_0^reach g(+-x) dx = int g(+-e^u) e^u du over
-    u <= log(reach).  The nodes are u_j = _LOG_LOW + j h, h = _LOG_STEP, for
-    j = 0..2n, the first even count to pass log(reach).
-
-    Returns ``(x, neg, pos)``: the magnitudes x_j = e^(u_j), and the masses
-    the nodes carry at -x_j (``neg``) and at x_j (``pos``), the pdf there
-    times the trapezoid weight for dx, one scalar pdf call per node.  Row 0
-    of each is the rule at step h; row 1 the rule at step 2h on the even
-    nodes (zero on the odd ones), so that ``pos @ g(x)`` integrates g over
-    [0, x_2n] at both steps.  Returns None when the nodes miss mass: the
-    step-h mass on each half-line must match ``window_stats`` over the same
-    range to _MASS_GAP, which a feature narrower than the step at its
-    distance from 0 fails.
-    """
-    n = math.ceil((math.log(reach) - _LOG_LOW) / (2.0 * _LOG_STEP))
+@functools.lru_cache(maxsize=32)
+def _log_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets e^(u_j), j = 0..2n, and dx weights at steps h and 2h (shared: read only)."""
     x = np.exp(_LOG_LOW + _LOG_STEP * np.arange(2 * n + 1))
-    weights = np.zeros((2, x.size))
-    weights[0] = _LOG_STEP
-    weights[1, ::2] = 2.0 * _LOG_STEP
-    weights[:, [0, -1]] *= 0.5
-    weights *= x
-    dens = np.fromiter(map(measure.pdf, np.concatenate([-x, x]).tolist()),
-                       float, 2 * x.size).reshape(2, x.size)
-    masses = measure.window_stats([-x[-1], 0.0], [0.0, x[-1]])[0]
-    if np.all(np.abs(dens @ weights[0] - masses) <= _MASS_GAP):
-        return x, weights * dens[0], weights * dens[1]
-    return None
+    w = _LOG_STEP * x
+    w[[0, -1]] *= 0.5
+    return x, np.stack([w, 2.0 * w * (np.arange(w.size) % 2 == 0)])
+
+
+@functools.cache
+def _sinh_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which tanh-sinh nodes lie left of 0, their distance 1 - tanh|s| from the end they
+    crowd toward (s = pi/2 sinh t), and dx weights at steps h and 2h (shared: read only)."""
+    t = _LOG_STEP * np.arange(-_SINH_NODES, _SINH_NODES + 1)
+    s = 0.5 * math.pi * np.sinh(t)
+    w = _LOG_STEP * 0.5 * math.pi * np.cosh(t) / np.cosh(s) ** 2
+    even = np.arange(t.size) % 2 == _SINH_NODES % 2
+    return t < 0.0, 2.0 / (np.exp(2.0 * np.abs(s)) + 1.0), np.stack([w, 2.0 * w * even])
+
+
+def _piece_nodes(piece: tuple) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Nodes of a piece ``(k, end, outer, depth)``, their dx weights at steps h
+    and 2h, and its window.  An outer piece takes k +- e^(u_j) up to |end - k|,
+    a finite one tanh-sinh nodes placed from the nearer end, where they crowd."""
+    k, end, outer, _ = piece
+    if outer:
+        x, weights = _log_nodes(math.ceil((math.log(abs(end - k)) - _LOG_LOW)
+                                          / (2.0 * _LOG_STEP)))
+        y = k + x if end > k else k - x
+        return y, weights, (min(k, y[-1]), max(k, y[-1]))
+    left, gap, weights = _sinh_nodes()
+    half = 0.5 * (end - k)
+    return (np.where(left, k + half * gap, end - half * gap), abs(half) * weights,
+            (min(k, end), max(k, end)))
+
+
+def _bisect(piece: tuple) -> tuple[tuple, tuple]:
+    """A piece's halves, one level deeper: a finite piece splits at its
+    midpoint, an outer one at half its reach into a finite and an outer one."""
+    k, end, outer, depth = piece
+    mid = 0.5 * k + 0.5 * end
+    return (k, mid, False, depth + 1), (mid, end, outer, depth + 1)
+
+
+def _split_rule(measure: Measure, reach: float, kernel: Callable) -> np.ndarray:
+    """int g pdf over [-reach, reach] per column g of ``kernel(x, neg, pos)``:
+    the sums of g(-x) over the masses ``neg`` at -x and of g(x) over ``pos`` at x.
+
+    The line is split at the kinks 0, ``measure._origin`` and the support ends
+    (one within 2 reach, past the last trapezoid node, ends the range instead
+    of +-reach).  A piece is kept when its nodes' mass matches its window's to
+    _MASS_GAP and its integrals at steps h and 2h agree to 1e-10 plus 1e-12
+    relative in every column; else it is bisected, for up to _MAX_SPLITS
+    levels, _QUAD_LIMIT failing pieces at once and down to 1e-9 of its
+    distance from 0, past which QuadratureError names it."""
+    lo, hi = measure.support
+    a, b = (lo if lo > -2.0 * reach else -reach), (hi if hi < 2.0 * reach else reach)
+    if not a < b:  # the support lies past the reach: no nodes, zero integrals
+        return np.add(*kernel(np.zeros(0), np.zeros((1, 0)), np.zeros((1, 0))))[:, 0]
+    ends = sorted({a, b, *(k for k in (0.0, measure._origin, lo, hi) if a < k < b)})
+    # a piece out to +-reach is outer, anchored at its kink
+    pieces = [(q, p, True, 0) if p == -reach else (p, q, q == reach, 0)
+              for p, q in zip(ends[:-1], ends[1:])]
+    total = 0.0
+    while pieces:
+        parts = [(y, w * np.fromiter(map(measure.pdf, y.tolist()), float, y.size), span)
+                 for y, w, span in map(_piece_nodes, pieces)]
+        seen = np.array([masses[0].sum() for _, masses, _ in parts])
+        window = measure.window_stats(*zip(*(part[2] for part in parts)))[0]
+        # The i-th pieces left and right of 0 share a kernel call (rows h, 2h),
+        # and their columns when their nodes mirror each other, as at a kink at 0.
+        sums = {}
+        for pair in itertools.zip_longest(*([p for p, (_, _, span) in enumerate(parts)
+                                             if (sum(span) > 0.0) == right] for right in (0, 1))):
+            (yl, ml), (yr, mr) = (parts[p][:2] if p is not None
+                                  else (np.zeros(0), np.zeros((2, 0))) for p in pair)
+            x = yr if np.array_equal(yr, -yl) else np.concatenate([-yl, yr])
+            neg, pos = np.zeros((2, 2, x.size))
+            neg[:, :yl.size], pos[:, x.size - yr.size:] = ml, mr
+            sums.update(zip(pair, kernel(x, neg, pos)))
+        means, coarse = np.stack([sums[p].T for p in range(len(parts))], axis=-1)
+        gap = np.abs(means - coarse)
+        kept = ((np.abs(seen - window) <= _MASS_GAP)
+                & np.all(gap <= _QUAD_ABS_TOL + 1e-12 * np.abs(means), axis=0))
+        total = total + means[:, kept].sum(axis=1)
+        failed = np.flatnonzero(~kept).tolist()
+        for p in failed:
+            k, end, _, depth = pieces[p]
+            if (depth == _MAX_SPLITS or len(failed) > _QUAD_LIMIT
+                    or abs(end - k) < 1e-9 * max(abs(k), abs(end))):
+                raise QuadratureError(
+                    f"{measure.family}: nodes on [{min(k, end):.17g}, {max(k, end):.17g}] see "
+                    f"mass {seen[p]:.6g} of {window[p]:.6g}, steps h and 2h {gap[:, p].max():.3g} "
+                    f"apart, after {depth} splits", seen[p], gap[:, p].max())
+        pieces = [half for p in failed for half in _bisect(pieces[p])]
+    return total
 
 
 class Measure:
@@ -281,6 +304,7 @@ class Measure:
     is_atomic = False
     pdf: Optional[Callable[[float], float]] = None
     support = (-math.inf, math.inf)
+    _origin = 0.0  # where the law's standard member has its kinks, if it has any
 
     def window_stats(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """(masses, moments) over the closed windows [lo, hi], elementwise
@@ -727,14 +751,13 @@ class DensityMeasure(Measure):
         self.support = (float(support[0]), float(support[1]))
         if not self.support[0] <= self.support[1]:
             raise MeasureError(f"{family}: support requires lo <= hi, got {self.support}")
-        total = _checked_quad(pdf, *self.support, family)[0]
+        total = _checked_quad(pdf, *self.support, family)
         if abs(total - 1.0) > max(MASS_TOL, 100 * _QUAD_ABS_TOL):
             raise MeasureError(f"{family}: density integrates to {total}, not 1")
 
     def _stats_between(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """(masses, moments) of windows with lo < hi inside the support."""
-        def quad(f: Callable[[float], float], a: float, b: float) -> float:
-            return _checked_quad(f, a, b, self.family)[0]
+        quad = functools.partial(_checked_quad, what=self.family)
 
         def xpdf(x: float) -> float:
             return x * self.pdf(x)
@@ -779,6 +802,7 @@ class _ClosedForm(DensityMeasure):
         self.family = family
         self._loc_scale = loc_scale
         loc, scale = self._map = loc_scale or (0.0, 1.0)
+        self._origin = loc
         self.pdf = pdf if loc_scale is None else lambda x: pdf((x - loc) / scale) / scale
         self._primitives, self._tails = primitives, tails
         self._unit, self._quantile = unit, quantile
@@ -961,6 +985,7 @@ class Affine(Measure):
             raise MeasureError("scale factor must be nonzero")
         self.inner, self.a, self.s = inner, a, s
         self.is_atomic = inner.is_atomic
+        self._origin = s * inner._origin + a
         self.family = f"affine({inner.family}, a={a:g}, s={s:g})"
         if inner.pdf is not None:
             self.pdf = lambda x: inner.pdf((x - a) / s) / abs(s)

@@ -97,7 +97,7 @@ def test_gaussian_classify_loads_special_but_not_integrate(tmp_path):
 
 
 def test_power_tail_exp_tilt_loads_special_but_not_integrate(tmp_path):
-    # the trapezoid rule needs no quadrature on a power tail centred at 0
+    # the exp-tilt node rule needs no quadrature on a power tail
     document = {"measure": {"family": "power_tail", "a": 1.5, "b": 1.8},
                 "multiplier": {"kind": "exp_tilt", "c": 0.7}}
     loaded = _scipy_after_main(tmp_path, "multiplier_exp_tilt_power_tail.json",
@@ -117,17 +117,17 @@ def test_quadrature_looks_up_quad_on_the_module(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(scipy.integrate, "quad", counted)
-    # far and narrow, so the exp-tilt trapezoid rule falls back to quadrature
-    narrow = ml.power_tail(1.5, 1.7).scale(1e-3).shift(1e3)
-    ml.multiplier_mean(narrow, ml.ExpTiltMultiplier(0.0),
-                       lam_schedule=np.geomspace(1e-1, 1e-3, 16))
-    assert calls, "exp-tilt fallback quadrature bypassed scipy.integrate.quad"
-
     triangle = ml.DensityMeasure("triangle", lambda x: max(0.0, 1.0 - abs(x)),
                                  support=(-1.0, 1.0))
     calls.clear()
     triangle.window_stats(-0.5, 0.25)
     assert calls, "a user density window bypassed scipy.integrate.quad"
+
+    # the exp-tilt rule checks a user density's node mass against its windows
+    calls.clear()
+    ml.multiplier_mean(triangle, ml.ExpTiltMultiplier(0.0),
+                       lam_schedule=np.geomspace(1e-1, 1e-3, 16))
+    assert calls, "the exp-tilt mass check bypassed scipy.integrate.quad"
 
 
 # ---------------------------------------------------------------------------

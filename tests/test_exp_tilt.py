@@ -1,12 +1,17 @@
-"""The exponential-tilt multiplier: closed forms, quadrature and atoms.
+"""The exponential-tilt multiplier: closed forms, the split node rule and atoms.
 
 The closed forms are checked against mpmath at 40 digits.  The Cauchy oracle
 evaluates Im[z e^(-lam z) E1(-lam z) - z (1 + k z) e^(lam z) E1(lam z)] / pi
 + c scale (z = loc + i scale, k = pi c lam) with mpmath's own E1; the
 Gaussian oracle evaluates the completed-square half-line moments with
 mpmath's normal cdf and pdf.  The library evaluates neither expression: it
-uses a series or continued fraction for w e^w E1(w) - 1 and erfcx.  The
-power_tail means, a trapezoid rule in log|x| with an adaptive fallback, are
+uses a series or continued fraction for w e^w E1(w) - 1 and erfcx.  Every
+other density goes through ``measures._split_rule``: the line split at 0, at
+the law's origin and at its support ends, trapezoid nodes in log|x - kink| on
+the outer half-lines and tanh-sinh nodes on finite pieces, and a piece that
+fails its mass or step-halving check bisected.  "Quadrature" below means that
+rule; it makes no ``scipy.integrate.quad`` call on a closed-form law or an
+affine image of one.  The power_tail means, plain and under affine maps, are
 checked against 30-digit mpmath quadrature.
 """
 
@@ -19,6 +24,7 @@ import pytest
 from scipy import integrate, special
 
 import meanlab as ml
+from meanlab import measures
 from meanlab.genmean import _TILT_REACH, _cauchy_tilt_means, _gaussian_tilt_means
 
 LAMS = (1e-2, 1e-3, 1e-4)
@@ -119,9 +125,8 @@ def test_cauchy_closed_form_agrees_with_quadrature(c):
 
 
 def test_quadrature_finds_a_bump_it_never_samples():
-    # the trapezoid rule sees N(1, 2) on the whole line; on a bounded support
-    # the adaptive fallback runs, where GK21 on [0, 6e5] never samples the
-    # bump and the mass check splits the range
+    # N(1, 2) near the kink at 0, where the trapezoid nodes crowd; the
+    # support (-1e7, 1e7) lies past twice the reach, so it is cut there too
     fam = ml.ExpTiltMultiplier(0.5)
     lams = fam.default_lambdas(ml.TruncationSchedule())
     closed = _gaussian_tilt_means(1.0, 2.0, 0.5, lams)
@@ -129,6 +134,18 @@ def test_quadrature_finds_a_bump_it_never_samples():
     for support in ((-math.inf, math.inf), (-1e7, 1e7)):
         quadrature = fam.regularized_means(_Plain(bump, support), lams)
         np.testing.assert_allclose(quadrature, closed, rtol=1e-9, atol=1e-10)
+
+
+@pytest.mark.parametrize("t", [0.0, 3.0])
+def test_half_line_density_is_not_missed(t):
+    # Y = X + t, X ~ Exp(1) as a user density on [0, inf):
+    # E(e^(-lam Y) Y) = e^(-lam t) (1 / (1 + lam)^2 + t / (1 + lam)); a per-lam
+    # adaptive quad over [0, 60 / lam] read about 0 for lam <= 1e-3
+    m = ml.DensityMeasure("exponential", lambda x: math.exp(-x), (0.0, math.inf)).shift(t)
+    lams = np.geomspace(1e-1, 1e-4, 13)
+    got = ml.ExpTiltMultiplier(2.0).regularized_means(m, lams)
+    want = np.exp(-lams * t) * (1.0 / (1.0 + lams) ** 2 + t / (1.0 + lams))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("build", [lambda: ml.gaussian(1.0, 2.0),
@@ -152,7 +169,7 @@ def test_far_location_cauchy_is_finite():
 
 
 def test_far_narrow_power_tail_is_not_missed():
-    # Y = 1e3 + 1e-3 X: the old quadrature read 0.87 at lam = 1e-4, not 905
+    # Y = 1e3 + 1e-3 X: an adaptive quad over [0, 6e5] read 0.87 at lam = 1e-4, not 905
     inner = ml.power_tail(1.5, 1.7)
     fam = ml.ExpTiltMultiplier(0.0)
     got = fam.regularized_means(inner.scale(1e-3).shift(1e3), np.array(LAMS))
@@ -167,9 +184,10 @@ def test_far_narrow_power_tail_is_not_missed():
 
 
 def test_unresolvable_bump_raises_instead_of_answering():
-    # width 1e-6 at 3e4 is about 3e5 float spacings: quad cannot converge there
+    # width 1e-6 at 3e4 is about 3e5 float spacings: the nodes round onto the
+    # float grid there, and the pieces at the bump never pass their checks
     m = ml.power_tail(1.5, 1.7).scale(1e-6).shift(3e4)
-    with pytest.raises(ml.QuadratureError):
+    with pytest.raises(ml.QuadratureError, match="after .* splits"):
         ml.ExpTiltMultiplier(0.0).regularized_means(m, np.array([1e-4]))
 
 
@@ -205,7 +223,7 @@ def test_power_tail_matches_mpmath(a, b, c):
 
 
 # ExpTiltMultiplier(c) at lam = 1e-2, 1e-3, 1e-4, as recorded from the
-# per-lam adaptive quadrature before the trapezoid rule replaced it
+# per-lam adaptive quadrature before the shared trapezoid nodes replaced it
 PINNED_POWER_TAIL_MEANS = {
     (1.2, 1.9, 0.0): [2.1095032286413957, 16.40035400583717, 108.59328106389034],
     (1.5, 1.8, 0.7): [1.3060010185950268, 4.52227171370664, 15.301734387926375],
@@ -232,17 +250,18 @@ def _counting_quad(monkeypatch):
     return calls
 
 
-# ExpTiltMultiplier(0.0) at lam = 1e-2, 1e-3, 1e-4: the trapezoid nodes are
-# too coarse where the density's features sit far from 0 relative to their
-# width, so these take the per-lam quadrature over |x| <= _TILT_REACH / lam.
-# Each is power_tail(1.5, 1.7) scaled by s and shifted by t.
+# ExpTiltMultiplier(0.0) at lam = 1e-2, 1e-3, 1e-4 on power_tail(1.5, 1.7)
+# scaled by s and shifted by t.  Nodes around 0 alone are too coarse where
+# the density's kink sits far from 0 relative to its width, so the rule adds
+# the kink at t; these used to take a per-lam adaptive quad, and were
+# re-recorded from the split rule (within 4.4e-13 of the old values).
 FALLBACK_MEANS = {
     "shift": ((1.0, 50.0), [
-        29.517332563112735, 49.719791904273265, 61.45396291123279]),
+        29.51733256311268, 49.719791904131434, 61.45396291123265]),
     "far_shift": ((1.0, 1e4), [
-        1.0952176785380415e-05, 0.4646699995494386, 3671.098293201379]),
+        1.0952176785380442e-05, 0.46466999954939947, 3671.098293201514]),
     "far_narrow": ((1e-3, 1e3), [
-        0.045415217507502346, 367.8119077741471, 905.1801000320131]),
+        0.04541521750775602, 367.8119077738235, 905.18010003299]),
 }
 
 
@@ -252,11 +271,42 @@ def test_off_centre_power_tails_fall_back_to_quadrature(monkeypatch, name):
     (s, t), means = FALLBACK_MEANS[name]
     measure = ml.power_tail(1.5, 1.7).scale(s).shift(t)
     got = ml.ExpTiltMultiplier(0.0).regularized_means(measure, np.array(LAMS))
-    assert calls
+    assert calls == []
     np.testing.assert_array_equal(got, means)
     for value, lam in zip(means, LAMS):
         want = _power_tail_oracle(1.5, 1.7, 0.0, lam, s, t)
         assert abs(value - want) <= 1e-11 * max(1.0, abs(want))
+
+
+# power_tail(1.5, 1.7) under each wrap kind the benchmark draws (shift, scale,
+# negate, and negate-scale-shift), and under a negative scale and a shift
+AFFINE_IMAGES = {
+    "shift": (1.0, -2.0), "scale": (3.0, 0.0), "negate": (-1.0, 0.0),
+    "negate_scale_shift": (-0.5, 4.0), "scale_-2_shift_0.5": (-2.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_IMAGES))
+def test_affine_power_tails_match_mpmath_without_quad(monkeypatch, name):
+    calls = _counting_quad(monkeypatch)
+    s, t = AFFINE_IMAGES[name]
+    measure = ml.power_tail(1.5, 1.7)
+    measure = measure.negate().scale(-s) if s < 0 else measure.scale(s)
+    got = ml.ExpTiltMultiplier(0.7).regularized_means(measure.shift(t), np.array(LAMS))
+    assert calls == []
+    for value, lam in zip(got, LAMS):
+        want = _power_tail_oracle(1.5, 1.7, 0.7, lam, s, t)
+        assert abs(value - want) <= 1e-11 * max(1.0, abs(want))
+
+
+def test_shifted_power_tail_matches_mpmath_on_the_default_schedule(monkeypatch):
+    calls = _counting_quad(monkeypatch)
+    fam = ml.ExpTiltMultiplier(0.7)
+    lams = fam.default_lambdas(ml.TruncationSchedule())
+    got = fam.regularized_means(ml.power_tail(1.3, 1.6).scale(-2.0).shift(0.5), lams)
+    assert calls == []
+    want = [_power_tail_oracle(1.3, 1.6, 0.7, lam, -2.0, 0.5) for lam in lams.tolist()]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_centred_power_tail_makes_no_quadrature_call(monkeypatch):
@@ -265,36 +315,92 @@ def test_centred_power_tail_makes_no_quadrature_call(monkeypatch):
     assert calls == []
 
 
+def _counting_bisect(monkeypatch):
+    pieces = []
+    original = measures._bisect
+
+    def counted(piece):
+        pieces.append(piece)
+        return original(piece)
+
+    monkeypatch.setattr(measures, "_bisect", counted)
+    return pieces
+
+
 def test_step_halving_sends_an_under_resolved_bump_to_quadrature(monkeypatch):
-    # N(10, 1) is about 0.1 wide in u = log x: the nodes still see its mass
-    # (to 2e-15), but the step-h and step-2h means differ by about 1e-5
-    calls = _counting_quad(monkeypatch)
+    # N(10, 1) is about 0.1 wide in u = log x: the nodes from 0 still see its
+    # mass (to 2e-15), but the step-h and step-2h means differ by about
+    # 1e-5, so the half-line [0, 6e5] is bisected
+    split = _counting_bisect(monkeypatch)
     fam = ml.ExpTiltMultiplier(0.5)
     lams = fam.default_lambdas(ml.TruncationSchedule())
     got = fam.regularized_means(_Plain(ml.gaussian(10.0, 1.0)), lams)
-    assert calls
+    assert (0.0, 6e5, True, 0) in split
     np.testing.assert_allclose(got, _gaussian_tilt_means(10.0, 1.0, 0.5, lams), rtol=1e-9)
 
 
 def test_mass_check_sends_a_bump_between_the_nodes_to_quadrature(monkeypatch):
     # nodes near 1e4 are about 500 apart, so both steps miss N(1e4, 1) and
     # agree on 0; only the window mass shows what they missed
-    calls = _counting_quad(monkeypatch)
+    split = _counting_bisect(monkeypatch)
     got = ml.ExpTiltMultiplier(0.5).regularized_means(_Plain(ml.gaussian(1e4, 1.0)),
                                                       np.array(LAMS))
-    assert calls
+    assert (0.0, 6e5, True, 0) in split
     np.testing.assert_allclose(got, _gaussian_tilt_means(1e4, 1.0, 0.5, np.array(LAMS)),
                                rtol=1e-9, atol=1e-10)
 
 
+def _kernel_calls(monkeypatch):
+    calls = []
+    original = ml.ExpTiltMultiplier._kernel
+
+    def recorded(self, lams, x, neg, pos):
+        out = original(self, lams, x, neg, pos)
+        calls.append((self, lams, x, neg, pos, out))
+        return out
+
+    monkeypatch.setattr(ml.ExpTiltMultiplier, "_kernel", recorded)
+    return calls
+
+
+def test_centred_power_tail_takes_one_window_call_and_one_kernel_product(monkeypatch):
+    # the half-lines either side of the kink at 0 mirror each other, so they
+    # share the kernel call and one column per node pair
+    calls = _kernel_calls(monkeypatch)
+    measure = ml.power_tail(1.5, 1.8)
+    windows = []
+    original = measure.window_stats
+
+    def counted(lo, hi):
+        windows.append((lo, hi))
+        return original(lo, hi)
+
+    monkeypatch.setattr(measure, "window_stats", counted)
+    ml.ExpTiltMultiplier(0.0).regularized_means(measure, np.geomspace(1e-2, 1e-4, 25))
+    assert len(windows) == 1 and len(calls) == 1
+    _, _, x, neg, pos, _ = calls[0]
+    assert np.all(np.diff(x) > 0) and np.all(neg[0] > 0) and np.all(pos[0] > 0)
+
+
 @pytest.mark.parametrize("c", [0.0, -1.5, 4.0])
-def test_scalar_integrand_weight_equals_array_weight(c):
-    fam = ml.ExpTiltMultiplier(c)
-    xs = np.array([-3e4, -250.0, -7.5, -0.3, 0.0, 0.4, 12.0, 900.0, 5e4])
-    for lam in (1e-1, 1e-3, 1e-5):
-        neg, pos = fam._integrands(lambda x: 1.0, lam)
-        scalar = [(neg if x < 0 else pos)(x) / x if x else 1.0 for x in xs.tolist()]
-        np.testing.assert_allclose(scalar, fam.weight(xs, lam), rtol=1e-15, atol=0)
+@pytest.mark.parametrize("build", [
+    lambda: ml.finite_comb([ml.Atom(x, 0.125) for x in (-3e4, -250.0, -7.5, -0.3, 0.4, 12.0,
+                                                         900.0, 5e4)]),
+    lambda: ml.power_tail(1.5, 1.7).shift(50.0),
+], ids=["finite_comb", "power_tail_shift_50"])
+def test_kernel_sums_the_weight_over_the_rules_nodes(monkeypatch, build, c):
+    # the tilt weight is stated once: every kernel product equals the sum, over
+    # the rule's own nodes, of mass * weight(x, lam) * x
+    calls = _kernel_calls(monkeypatch)
+    ml.ExpTiltMultiplier(c).regularized_means(build(), np.geomspace(1e-1, 1e-5, 9))
+    assert calls
+    for fam, lams, x, neg, pos, (left, right) in calls:
+        for i, lam in enumerate(lams.tolist()):
+            for sign, masses, got in ((-1.0, neg, left[i]), (1.0, pos, right[i])):
+                terms = masses * fam.weight(sign * x, lam) * (sign * x)
+                want = [math.fsum(row) for row in terms]
+                np.testing.assert_allclose(got, want, rtol=1e-12,
+                                           atol=1e-14 * np.abs(terms).sum())
 
 
 def _atom_loop(fam, measure, lam):

@@ -36,6 +36,20 @@ def test_narrow_off_centre_cauchy_exp_tilt_converges():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: a series still rising to a negative limit is "
+                          "read as bounded oscillation")
+def test_negative_mean_gaussian_exp_tilt_converges():
+    # the 25 means rise monotonically to the mean -1 (the last four -0.99825,
+    # -0.99855, -0.99881, -0.99901); today both read oscillates_bounded, spread
+    # 2.8e-3 against a tolerance of 1e-3, while gaussian(1, 2) converges to 0.9996
+    for measure in (ml.gaussian(-1.0, 2.0), ml.gaussian(1.0, 2.0).negate()):
+        series = ml.multiplier_mean(measure, ml.ExpTiltMultiplier(0.5))
+        assert series.verdict.kind in ("converged", "undetermined")
+        if series.verdict.kind == "converged":
+            assert series.verdict.value == pytest.approx(-1.0, rel=1e-3)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="ROADMAP item 3: the windows at the horizon hold almost none "
                           "of the mass, and the still-moving partial means are "
                           "read as bounded oscillation")

@@ -9,17 +9,19 @@ digest covers its exit code, stdout, stderr, the warnings it raised
 ``config.input`` (a temporary path) removed from the report.  The last line
 is a digest over all the others.
 
-    PYTHONPATH=src python tools/example_digest.py > new.txt
+    python tools/example_digest.py > new.txt
     PYTHONPATH=../other-tree/src python tools/example_digest.py > old.txt
     diff old.txt new.txt
 
-Uses only the standard library and the meanlab found on the import path.
+Uses only the standard library and the meanlab found on the import path, or,
+when there is none, the one in this checkout's ``src/``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import sys
@@ -27,7 +29,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from meanlab import cli
+if importlib.util.find_spec("meanlab") is None:  # none on the path: this checkout's own
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from meanlab import cli  # noqa: E402
 
 SEED = "7"
 

@@ -11,7 +11,7 @@ statements none of them executed, grouped by the function that holds them:
   ``meanlab --emit-examples`` writes and subcommand that reads it;
 * ``demos``: every script under ``demos/``, run in this process.
 
-    PYTHONPATH=src python tools/traffic_lines.py --sources bench,cli,demos --seeds 7,11,23
+    python tools/traffic_lines.py --sources bench,cli,demos --seeds 7,11,23
 
 A statement is a line that starts an ``ast`` statement and carries bytecode
 (so a function's docstring is none); a function none of whose statements
@@ -21,7 +21,8 @@ since their lines also belong to the statement around them.  A traced pass
 over the CLI examples takes about 1.2 s, and all three sources at seeds
 7, 11 and 23 about 8 s, on a 2-vCPU VM.
 
-Uses only the standard library and the meanlab found on the import path.
+Uses only the standard library and the meanlab found on the import path, or,
+when there is none, the one in this checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = ("bench", "cli", "demos")
+if importlib.util.find_spec("meanlab") is None:  # none on the path: this checkout's own
+    sys.path.insert(0, str(ROOT / "src"))
 PACKAGE = os.path.dirname(importlib.util.find_spec("meanlab").origin)  # not imported yet
 
 class Tracer:
