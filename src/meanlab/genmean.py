@@ -37,7 +37,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import Measure, MeasureError, _median, _middle, _number, _split_rule
+from .measures import (Measure, MeasureError, _ClosedForm, _median, _middle, _number,
+                       _split_rule)
 
 __all__ = [
     "TruncationSchedule",
@@ -661,15 +662,19 @@ class ExpTiltMultiplier:
     ``regularized_means`` takes the whole damping schedule in one pass, by
     one of two branches:
 
-    * closed form: measures whose ``location_scale()`` names the Cauchy or
-      Gaussian family (``_TILT_MEANS``);
+    * closed form: a plain ``cauchy(loc, scale)`` or ``gaussian(mu, sigma)``,
+      read from the law's own loc and scale (``_TILT_MEANS``);
     * one discrete rule: magnitudes x >= 0 carrying masses at -x and +x,
       summed for every lam as one (lam x nodes) product (``_kernel``), over
       the atoms of an atomic measure, enumerated once at the widest reach,
       or over the nodes of a density's pieces between its kinks: 0, where
       the weight has its kink, the law's origin and its support ends
       (``measures._split_rule``, which bisects a piece its nodes do not
-      resolve, up to a QuadratureError).
+      resolve, up to a QuadratureError).  Every affine image, of a Cauchy
+      or a Gaussian too, takes this rule.  Its nodes round onto the float
+      grid at the origin, so its error grows with |loc| / scale, to about
+      1e-10 relative at 1e8, and a law narrower still against its distance
+      from 0, as ``cauchy().scale(1e-6).shift(3e4)``, is refused.
     """
 
     kind = "exp_tilt"
@@ -690,10 +695,8 @@ class ExpTiltMultiplier:
             raise ValueError(
                 "damping rate must be positive; lam <= 0 leaves both tails "
                 "of weight(x) * x unregularized")
-        law = measure.location_scale()
-        if law is not None and law[0] in _TILT_MEANS:
-            family, loc, scale = law
-            return _TILT_MEANS[family](loc, scale, self.c, lams)
+        if isinstance(measure, _ClosedForm) and measure.family in _TILT_MEANS:
+            return _TILT_MEANS[measure.family](*measure._map, self.c, lams)
         reach = _TILT_REACH / float(lams.min())
         kernel = functools.partial(self._kernel, lams)
         if measure.is_atomic:

@@ -32,8 +32,8 @@ Representations:
   through the inverse map (a negative s swaps the endpoints), so wrapped
   measures keep the accuracy of the wrapped one.
 
-Each class also defines its own draws (``sampler``) and says whether it is
-a location-scale law (``location_scale``); one table builds every family.
+Each class also defines its own draws (``sampler``); one table builds every
+family.
 
 Accuracy of atomic windows.  A window sum over sorted atoms is a difference
 of cumulative sums, and one global prefix sum would cancel every atom left
@@ -361,11 +361,6 @@ class Measure:
         from this measure; ``truncation_bias`` bounds the mass the draws
         leave out (combs draw from their leading atoms, renormalized)."""
         raise MeasureError(f"no sampler for measure family {self.family!r}")
-
-    def location_scale(self) -> Optional[tuple[str, float, float]]:
-        """(family, loc, scale) when this is the law of loc + scale * Z for
-        the standard member Z of a location-scale family, else None."""
-        return None
 
     # Affine combinators (precomposition with the inverse map).
 
@@ -791,7 +786,7 @@ class _ClosedForm(DensityMeasure):
     u = (t - loc) / scale and v = (t + loc) / scale for t >= 0, so that it is
     P(|X| > t).  ``quantile`` is Z's inverse CDF, when the sampler has one.
     ``loc_scale`` is None for a law that is no member of a location-scale
-    family: then loc = 0, scale = 1 and ``location_scale()`` is None.
+    family: then loc = 0 and scale = 1.
     """
 
     def __init__(self, family: str, pdf: Callable[[float], float],
@@ -800,7 +795,6 @@ class _ClosedForm(DensityMeasure):
                  loc_scale: Optional[tuple[float, float]] = None,
                  quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.family = family
-        self._loc_scale = loc_scale
         loc, scale = self._map = loc_scale or (0.0, 1.0)
         self._origin = loc
         self.pdf = pdf if loc_scale is None else lambda x: pdf((x - loc) / scale) / scale
@@ -817,9 +811,6 @@ class _ClosedForm(DensityMeasure):
     def _tail(self, t):
         loc, scale = self._map
         return self._tails((t - loc) / scale, (t + loc) / scale)
-
-    def location_scale(self):
-        return None if self._loc_scale is None else (self.family, *self._loc_scale)
 
     def sampler(self):
         if self._quantile is None:
@@ -1012,17 +1003,10 @@ class Affine(Measure):
         return (y[::-1], w[::-1]) if self.s < 0 else (y, w)
 
     def sampler(self):
-        # Composed level by level rather than through location_scale(): a
-        # negative s must map each draw, not mirror the uniforms.
+        # Composed level by level: a negative s must map each draw, not
+        # mirror the uniforms.
         draw, bias = self.inner.sampler()
         return (lambda u: self.s * draw(u) + self.a), bias
-
-    def location_scale(self):
-        law = self.inner.location_scale()
-        if law is None:
-            return None
-        family, loc, scale = law
-        return family, self.s * loc + self.a, abs(self.s) * scale
 
 
 # ---------------------------------------------------------------------------

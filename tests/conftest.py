@@ -1,8 +1,21 @@
 """Shared fixtures."""
 
+import contextlib
+import warnings
+
 import pytest
 
 import meanlab as ml
+
+# On a failing @given test, hypothesis's pytest plugin imports its patch
+# writer, and through it libcst, inside the report hook.  libcst's import
+# warns DeprecationWarning (mypy_extensions.TypedDict), which the ini turns
+# into an error there, and the run ends with INTERNALERROR.  Importing it once
+# here, with that warning ignored, keeps the filters as they are.  Without
+# libcst it does not import, and the plugin skips its patch writer too.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture

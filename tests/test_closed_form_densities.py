@@ -1,5 +1,5 @@
-"""A bitwise gate over the closed-form densities: windows, tails, draws and
-``location_scale()`` of gaussian, cauchy and power_tail, plain and wrapped."""
+"""A bitwise gate over the closed-form densities: windows, tails and draws of
+gaussian, cauchy and power_tail, plain and wrapped."""
 
 import hashlib
 import math
@@ -11,30 +11,39 @@ import meanlab as ml
 
 def _laws(rng):
     """Seeded gaussian, cauchy and power_tail laws (a != b and a = b), with
-    locations up to 1e13 in magnitude and scales from 1e-3 to 1e3."""
+    locations up to 1e13 in magnitude and scales from 1e-3 to 1e3, each with
+    its (loc, scale), or None for power_tail."""
     for _ in range(12):
         loc = float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 13.0))
         scale = float(10.0 ** rng.uniform(-3.0, 3.0))
         a, b = (float(v) for v in rng.uniform(1.01, 1.99, 2))
-        yield ml.gaussian(loc, scale)
-        yield ml.cauchy(loc, scale)
-        yield ml.power_tail(a, b)
-        yield ml.power_tail(a, a)
-    yield from (ml.gaussian(), ml.cauchy(), ml.gaussian(0.0, 1e-3), ml.cauchy(-0.0, 1e3))
+        yield ml.gaussian(loc, scale), (loc, scale)
+        yield ml.cauchy(loc, scale), (loc, scale)
+        yield ml.power_tail(a, b), None
+        yield ml.power_tail(a, a), None
+    for law in (ml.gaussian(), ml.cauchy()):
+        yield law, (0.0, 1.0)
+    yield ml.gaussian(0.0, 1e-3), (0.0, 1e-3)
+    yield ml.cauchy(-0.0, 1e3), (-0.0, 1e3)
 
 
 def _measures(rng):
-    """Each law plain, as ``.shift(3.7).scale(-2.5)`` and as ``.scale(0.3)``."""
-    for law in _laws(rng):
-        yield from (law, law.shift(3.7).scale(-2.5), law.scale(0.3))
+    """Each law plain, as ``.shift(3.7).scale(-2.5)`` and as ``.scale(0.3)``,
+    with the (loc, scale) its windows are placed at: the law's, mapped along
+    as s * loc + a level by level, or (0, 1) for power_tail, plain or wrapped."""
+    for law, loc_scale in _laws(rng):
+        loc, scale = loc_scale or (0.0, 1.0)
+        yield law, (loc, scale)
+        yield law.shift(3.7).scale(-2.5), (
+            (-2.5 * (loc + 3.7) + 0.0, 2.5 * scale) if loc_scale else (0.0, 1.0))
+        yield law.scale(0.3), (0.3 * loc + 0.0, 0.3 * scale) if loc_scale else (0.0, 1.0)
 
 
-def _requests(rng, measure):
-    """(lo, hi) window requests: a 1-d batch with degenerate, signed-zero and
-    infinite endpoints, a 9 x 60 stack of scan rows, and scalars.  The whole
-    line [-inf, inf] is ``_gate_digest``'s own request."""
-    law = measure.location_scale()
-    loc, scale = law[1:] if law else (0.0, 1.0)
+def _requests(rng, loc, scale):
+    """(lo, hi) window requests around ``loc`` at ``scale``: a 1-d batch with
+    degenerate, signed-zero and infinite endpoints, a 9 x 60 stack of scan
+    rows, and scalars.  The whole line [-inf, inf] is ``_gate_digest``'s own
+    request."""
     x = np.sort(loc + scale * rng.standard_normal((2, 40)) * 10.0 ** rng.uniform(-2, 3, 40), axis=0)
     edges = [0.0, -0.0, math.inf, -math.inf, loc, 1.0, -1.0]
     lo = np.concatenate([x[0], x[0], [-0.0, 0.0, -0.0, -math.inf, -math.inf, math.inf,
@@ -52,8 +61,7 @@ def _requests(rng, measure):
 
 
 def _gate_digest() -> str:
-    """sha256 over every window, tail, draw and ``location_scale()`` of
-    ``_measures``."""
+    """sha256 over every window, tail and draw of ``_measures``."""
     h = hashlib.sha256()
 
     def put(*arrays):
@@ -62,8 +70,8 @@ def _gate_digest() -> str:
 
     rng = np.random.default_rng(26)
     u = np.random.default_rng(27).random(50)
-    for m in _measures(rng):
-        for lo, hi in _requests(rng, m):
+    for m, (loc, scale) in _measures(rng):
+        for lo, hi in _requests(rng, loc, scale):
             put(*m.window_stats(lo, hi))
         put(m.tail_probability(np.array([0.0, -0.0, -1.0])),
             [m.tail_probability(t) for t in (0.0, -0.0, -1.0)])
@@ -75,15 +83,17 @@ def _gate_digest() -> str:
             put(draw(u), [bias])
         except ml.MeasureError as exc:
             h.update(str(exc).encode())
-        h.update(repr(m.location_scale()).encode())
     return h.hexdigest()
 
 
 # Recorded before gaussian, cauchy and power_tail shared one closed-form class,
-# then re-recorded once when P(|X| > inf) became 0.0 for every law: 46 of the
-# power_tail-based measures read it as +-2.2e-16 before, and the old digest
-# with those values set to 0.0 is this one.
-CLOSED_FORM_SHA256 = "b0af6bd6540a61b5448003e13b907d6a651c79b35414cb467d7beab3577aa1b6"
+# then re-recorded when P(|X| > inf) became 0.0 for every law (46 of the
+# power_tail-based measures read it as +-2.2e-16 before), and again when the
+# gate stopped asking each measure for its location-scale law: the windows
+# are placed at the (loc, scale) carried along, the same requests as before,
+# and the law is no longer hashed.  The earlier gate with only that hash
+# left out gives this digest too.
+CLOSED_FORM_SHA256 = "b67f21c5751b6c5c7fde9080d8ea14fc8b03a027c52b16a9c027b4ebfee5a7d0"
 
 
 def test_closed_form_densities_are_bitwise_unchanged():

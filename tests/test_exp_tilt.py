@@ -1,18 +1,21 @@
 """The exponential-tilt multiplier: closed forms, the split node rule and atoms.
 
-The closed forms are checked against mpmath at 40 digits.  The Cauchy oracle
-evaluates Im[z e^(-lam z) E1(-lam z) - z (1 + k z) e^(lam z) E1(lam z)] / pi
+The means of Cauchy and Gaussian laws are checked against closed forms
+evaluated by mpmath at 40 digits.  The Cauchy oracle evaluates
+Im[z e^(-lam z) E1(-lam z) - z (1 + k z) e^(lam z) E1(lam z)] / pi
 + c scale (z = loc + i scale, k = pi c lam) with mpmath's own E1; the
 Gaussian oracle evaluates the completed-square half-line moments with
-mpmath's normal cdf and pdf.  The library evaluates neither expression: it
-uses a series or continued fraction for w e^w E1(w) - 1 and erfcx.  Every
-other density goes through ``measures._split_rule``: the line split at 0, at
-the law's origin and at its support ends, trapezoid nodes in log|x - kink| on
-the outer half-lines and tanh-sinh nodes on finite pieces, and a piece that
-fails its mass or step-halving check bisected.  "Quadrature" below means that
-rule; it makes no ``scipy.integrate.quad`` call on a closed-form law or an
-affine image of one.  The power_tail means, plain and under affine maps, are
-checked against 30-digit mpmath quadrature.
+mpmath's normal cdf and pdf.  Only a plain ``cauchy(loc, scale)`` or
+``gaussian(mu, sigma)`` takes the library's closed form, which evaluates
+neither expression: it uses a series or continued fraction for
+w e^w E1(w) - 1 and erfcx.  Every other density, affine images of a Cauchy
+or a Gaussian included, goes through ``measures._split_rule``: the line split
+at 0, at the law's origin and at its support ends, trapezoid nodes in
+log|x - kink| on the outer half-lines and tanh-sinh nodes on finite pieces,
+and a piece that fails its mass or step-halving check bisected.
+"Quadrature" below means that rule; it makes no ``scipy.integrate.quad``
+call on a closed-form law or an affine image of one.  The power_tail means,
+plain and under affine maps, are checked against 30-digit mpmath quadrature.
 """
 
 import math
@@ -54,6 +57,20 @@ def _gaussian_oracle(mu, sigma, c, lam):
         return float(p1 - q1 + mp.pi * c * lam * q2)
 
 
+def _counting_quad(monkeypatch):
+    calls = []
+    original = integrate.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(integrate, "quad", counted)
+    return calls
+
+
+# Each row is the law and the (loc, scale) of its oracle.  Plain laws take the
+# closed forms, and affine images, here and in GAUSSIAN_CASES, the node rule.
 CAUCHY_CASES = [
     (lambda: ml.cauchy(0.0, 1.0), (0.0, 1.0), 2.5),
     (lambda: ml.cauchy(2.0, 1.0), (2.0, 1.0), 0.0),
@@ -70,8 +87,10 @@ CAUCHY_CASES = [
 
 
 @pytest.mark.parametrize("build,law,c", CAUCHY_CASES)
-def test_cauchy_closed_form_matches_mpmath(build, law, c):
+def test_cauchy_closed_form_matches_mpmath(monkeypatch, build, law, c):
+    calls = _counting_quad(monkeypatch)
     got = ml.ExpTiltMultiplier(c).regularized_means(build(), np.array(LAMS))
+    assert calls == []
     want = [_cauchy_oracle(*law, c, lam) for lam in LAMS]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -83,13 +102,17 @@ GAUSSIAN_CASES = [
     (lambda: ml.gaussian(1e4, 1e-2), (1e4, 1e-2)),
     (lambda: ml.gaussian(0.0, 1.0).shift(1.0), (1.0, 1.0)),
     (lambda: ml.gaussian(0.5, 2.0).shift(1.0).scale(-0.5), (-0.75, 1.0)),
+    # narrow far out: the node rule refuses the same law as an affine image
+    (lambda: ml.gaussian(-3e4, 1e-3), (-3e4, 1e-3)),
 ]
 
 
 @pytest.mark.parametrize("c", [0.0, 2.5])
 @pytest.mark.parametrize("build,law", GAUSSIAN_CASES)
-def test_gaussian_closed_form_matches_mpmath(build, law, c):
+def test_gaussian_closed_form_matches_mpmath(monkeypatch, build, law, c):
+    calls = _counting_quad(monkeypatch)
     got = ml.ExpTiltMultiplier(c).regularized_means(build(), np.array(LAMS))
+    assert calls == []
     want = [_gaussian_oracle(*law, c, lam) for lam in LAMS]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -191,6 +214,19 @@ def test_unresolvable_bump_raises_instead_of_answering():
         ml.ExpTiltMultiplier(0.0).regularized_means(m, np.array([1e-4]))
 
 
+def test_narrow_far_laws_on_the_default_schedule():
+    # a plain law of width 1e-6 at 3e4 takes its closed form; the same law as
+    # an affine image of the standard one takes the node rule, which refuses it
+    fam = ml.ExpTiltMultiplier(2.5)
+    lams = fam.default_lambdas(ml.TruncationSchedule())
+    for law, oracle in ((ml.gaussian, _gaussian_oracle), (ml.cauchy, _cauchy_oracle)):
+        got = fam.regularized_means(law(3e4, 1e-6), lams)
+        want = [oracle(3e4, 1e-6, 2.5, lam) for lam in lams.tolist()]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        with pytest.raises(ml.QuadratureError, match="after .* splits"):
+            fam.regularized_means(law().scale(1e-6).shift(3e4), lams)
+
+
 def _power_tail_oracle(a, b, c, lam, s=1.0, t=0.0):
     """E(weight_lam(Y) Y) for Y = s X + t, X ~ power_tail(a, b), by 30-digit
     mpmath quadrature in x, split at 0, at the kink x = -t/s and by decades,
@@ -236,18 +272,6 @@ def test_pinned_power_tail_means(params):
     a, b, c = params
     got = ml.ExpTiltMultiplier(c).regularized_means(ml.power_tail(a, b), np.array(LAMS))
     np.testing.assert_allclose(got, PINNED_POWER_TAIL_MEANS[params], rtol=1e-12, atol=0)
-
-
-def _counting_quad(monkeypatch):
-    calls = []
-    original = integrate.quad
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(integrate, "quad", counted)
-    return calls
 
 
 # ExpTiltMultiplier(0.0) at lam = 1e-2, 1e-3, 1e-4 on power_tail(1.5, 1.7)
@@ -452,8 +476,11 @@ def test_integer_power_comb_fails_fast_at_the_atom_cap():
     assert peak < 100_000
 
 
-# ExpTiltMultiplier(2.5) at lam = 1e-2, 1e-3, 1e-4, as recorded before the
-# closed forms were looked up through Measure.location_scale()
+# ExpTiltMultiplier(2.5) at lam = 1e-2, 1e-3, 1e-4.  The plain laws take the
+# closed forms, and their values are as recorded before those were looked up
+# by family.  The two affine images take the node rule, and were re-recorded
+# from it when an affine image stopped taking the closed form of its inner
+# law (within 4.5e-16 relative of that form's values).
 PINNED_TILT_MEANS = {
     "cauchy": (lambda: ml.cauchy(), [
         2.461989019517544, 2.4960913374921416, 2.4996075417483823]),
@@ -462,9 +489,9 @@ PINNED_TILT_MEANS = {
     "gaussian_mu_sigma": (lambda: ml.gaussian(1.0, 2.0), [
         1.0314748003399838, 1.0032513766017863, 1.0003261948896418]),
     "gaussian_scale_shift": (lambda: ml.gaussian(0.5, 2.0).scale(-3.0).shift(1.0), [
-        1.0077766012664147, -0.33563039714091036, -0.4834192910853729]),
+        1.0077766012664142, -0.3356303971409105, -0.48341929108537274]),
     "cauchy_3_levels": (lambda: ml.cauchy(0.3, 1.5).negate().scale(2.0).shift(-1.0), [
-        6.478640689046234, 6.024977481276217, 5.919406207347433]),
+        6.478640689046234, 6.024977481276219, 5.919406207347435]),
 }
 
 

@@ -6,22 +6,35 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_cli_examples_leave_the_quadrature_fallback_unrun():
-    # no example reaches a density piece the exp-tilt rule has to bisect
+@pytest.fixture(scope="module")
+def cli_lines():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, str(ROOT / "tools" / "traffic_lines.py"),
                            "--sources", "cli"], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_cli_examples_leave_the_quadrature_fallback_unrun(cli_lines):
+    # no example reaches a density piece the exp-tilt rule has to bisect
+    lines = cli_lines
     modules = [line.split(":")[0] for line in lines if not line.startswith(" ")]
     assert "measures.py" in modules and "cli.py" in modules
     assert "  _bisect: never called" in "\n".join(lines)
     # the examples classify gaussian and cauchy laws through the closed forms
     assert not any(line.startswith("  _ClosedForm._stats_between") for line in lines)
+
+
+def test_cli_examples_run_the_cauchy_tilt_closed_form(cli_lines):
+    # the Cauchy exp-tilt closed form runs for multiplier_exp_tilt_cauchy.json
+    assert not any(line.startswith(("  _cauchy_tilt_means: never called", "  _psi: never called"))
+                   for line in cli_lines)
 
 
 def test_finds_its_own_checkout_without_pythonpath(tmp_path):
