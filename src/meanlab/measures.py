@@ -25,12 +25,12 @@ Representations:
   integrated by adaptive quadrature one window at a time.
 * ``_ClosedForm``: the law of loc + scale * Z for the closed-form families
   (gaussian, cauchy, power_tail).  Each states only its standard member Z:
-  a primitive of its pdf and of z * pdf(z), its two tails, and optionally
-  its quantile; the class maps every window array and tail through them.
+  a primitive of its pdf and of z * pdf(z), its mass outside a window, and
+  optionally its quantile; the class maps every window and complement to Z.
 * ``EmpiricalMeasure``: equal-weight point masses on a finite sample.
-* ``Affine``: the law of s * X + a for any of the above.  Windows map back
-  through the inverse map (a negative s swaps the endpoints), so wrapped
-  measures keep the accuracy of the wrapped one.
+* ``Affine``: the law of s * X + a for any of the above.  Windows, and the
+  complements a tail asks for, map back through the inverse map (a negative
+  s swaps the endpoints), so wrapped measures keep the wrapped one's accuracy.
 
 Each class also defines its own draws (``sampler``); one table builds every
 family.
@@ -327,21 +327,21 @@ class Measure:
         raise NotImplementedError
 
     def tail_probability(self, t):
-        """P(|X| > t), elementwise over an array ``t`` (a float for a scalar).
-        For every law a NaN t is refused, t < 0 reads 1 and t = inf reads 0
-        unasked, and values are clipped to [0, 1]; ``_tail`` gets the rest."""
+        """P(|X| > t), the mass outside [-t, t], elementwise over an array ``t`` (a float
+        for a scalar).  Every law refuses a NaN t, reads 1 at t < 0 and 0 at t = inf
+        unasked, and is clipped to [0, 1]; ``_outside(-t, t)`` gets the rest."""
         flat = np.asarray(t, dtype=float).ravel()
         if np.isnan(flat).any():
             raise MeasureError("tail probability requires a number t, got nan")
         out = (flat < 0).astype(float)
         ask = (flat >= 0) & (flat < math.inf)
         if ask.any():
-            out[ask] = np.clip(self._tail(flat[ask]), 0.0, 1.0)
+            out[ask] = np.clip(self._outside(-flat[ask], flat[ask]), 0.0, 1.0)
         return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
-    def _tail(self, t: np.ndarray) -> np.ndarray:
-        """P(|X| > t) over a flat array of finite t >= 0."""
-        return 1.0 - self._window_stats(-t[None], t[None])[0].reshape(t.shape)
+    def _outside(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """P(X < lo) + P(X > hi) over flat arrays lo <= hi, either end maybe infinite."""
+        return 1.0 - self._window_stats(lo[None], hi[None])[0].reshape(lo.shape)
 
     def atoms_within(self, max_abs: float) -> list[Atom]:
         """Atoms with |location| <= max_abs, sorted by location, for every
@@ -711,8 +711,11 @@ class IntegerPowerComb(Measure):
 
         return partial(self.p), partial(self.p - 1.0)
 
-    def _tail(self, t):
-        return np.where(t < 1.0, 1.0, self._zeta(self.p, np.floor(t) + 1.0) / self.zeta_p)
+    def _outside(self, lo, hi):  # zeta(p, n) / zeta(p) is the mass at n and beyond
+        out = np.where(hi < 1.0, 1.0, self._zeta(self.p, np.floor(hi) + 1.0) / self.zeta_p)
+        if (below := lo > 1.0).any():  # no atom lies below 1
+            out[below] += 1.0 - self._zeta(self.p, np.ceil(lo[below])) / self.zeta_p
+        return out
 
     def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
         if max_abs >= max_atoms + 1:
@@ -782,9 +785,9 @@ class _ClosedForm(DensityMeasure):
 
     ``pdf`` is Z's scalar density.  ``primitives(z)`` returns arrays (F, H)
     over an array z: F a primitive of Z's pdf and H / ``unit`` one of
-    z * pdf(z).  ``tails(u, v)`` is P(Z > u) + P(Z < -v), asked at
-    u = (t - loc) / scale and v = (t + loc) / scale for t >= 0, so that it is
-    P(|X| > t).  ``quantile`` is Z's inverse CDF, when the sampler has one.
+    z * pdf(z).  ``tails(u, v)`` is P(Z > u) + P(Z < -v) for any real u, v,
+    asked at u = (hi - loc) / scale and v = (loc - lo) / scale, so that it is
+    P(X < lo) + P(X > hi).  ``quantile`` is Z's inverse CDF, if any.
     ``loc_scale`` is None for a law that is no member of a location-scale
     family: then loc = 0 and scale = 1.
     """
@@ -808,9 +811,9 @@ class _ClosedForm(DensityMeasure):
         mass = F[n:] - F[:n]
         return mass, loc * mass + (scale / self._unit) * (H[n:] - H[:n])
 
-    def _tail(self, t):
+    def _outside(self, lo, hi):
         loc, scale = self._map
-        return self._tails((t - loc) / scale, (t + loc) / scale)
+        return self._tails((hi - loc) / scale, (loc - lo) / scale)
 
     def sampler(self):
         if self._quantile is None:
@@ -919,9 +922,10 @@ def power_tail(a: float, b: float) -> DensityMeasure:
         neg1, neg2 = _halves(D, b, np.maximum(-x, 0.0))
         return pos1 - neg1, pos2 + neg2
 
-    def tails(u, v):
-        return ((0.5 - _halves(C, a, u, moment=False)[0])
-                + (0.5 - _halves(D, b, v, moment=False)[0]))
+    def tails(u, v):  # P(Z > u) + P(Z < -v); past 0 a side adds the other half out to -u (-v)
+        right = _halves(C, a, np.concatenate([u, -v]), moment=False)[0].reshape(2, -1)
+        left = _halves(D, b, np.concatenate([v, -u]), moment=False)[0].reshape(2, -1)
+        return (0.5 - right[0] + left[1]) + (0.5 - left[0] + right[1])
 
     return _ClosedForm("power_tail", pdf, primitives, tails)
 
@@ -983,17 +987,23 @@ class Affine(Measure):
             ends = [s * v + a for v in inner.support]
             self.support = (min(ends), max(ends))
 
-    def _window_stats(self, lo, hi):
+    def _inverse(self, lo, hi):  # the inner law's windows, or complements, behind [lo, hi]
         lo, hi = (lo - self.a) / self.s, (hi - self.a) / self.s
-        if self.s < 0:
-            lo, hi = hi, lo
-        masses, moments = self.inner._window_stats(lo, hi)
+        return (hi, lo) if self.s < 0 else (lo, hi)
+
+    def _window_stats(self, lo, hi):
+        masses, moments = self.inner._window_stats(*self._inverse(lo, hi))
         return masses, self.s * moments + self.a * masses
 
-    def _tail(self, t):
-        if self.a == 0.0:  # in Python, t / |s| overflows to inf (read as 0) unwarned
-            return self.inner.tail_probability(np.array([x / abs(self.s) for x in t.tolist()]))
-        return super()._tail(t)
+    def _outside(self, lo, hi):
+        with np.errstate(over="ignore"):  # an end past float range maps to +-inf
+            lo, hi = self._inverse(lo, hi)
+        if lo.min() > -math.inf or hi.max() < math.inf:  # no window is the whole line
+            return self.inner._outside(lo, hi)
+        out, part = np.zeros(lo.shape), (lo > -math.inf) | (hi < math.inf)
+        if part.any():  # nothing lies outside the whole line, which an infinite comb refuses
+            out[part] = self.inner._outside(lo[part], hi[part])
+        return out
 
     def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
         x, w = self.inner.atom_arrays((max_abs + abs(self.a)) / abs(self.s), max_atoms)

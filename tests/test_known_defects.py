@@ -182,17 +182,15 @@ def test_power_tail_tail_probability_is_accurate_far_out():
     assert m.tail_probability(1e60) == pytest.approx(want, rel=1e-9, abs=0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP items 3 and 14: a shifted law's tail is 1 minus a "
-                          "window mass, which cancels once that mass is within ulps of 1; "
-                          "item 3's horizon capture reads M * P(|X| > M)")
 def test_one_law_built_two_ways_has_one_tail():
-    # cauchy().shift(0.5) is the law cauchy(0.5, 1); today at t = 1e15 the
-    # shifted one reads 4.44e-16 against 6.366e-16 (30% low), while
-    # cauchy(0.5, 1) matches 30-digit mpmath; at shift 1e6 and t = 1e12 the
-    # gap is 3.8e-4 relative
+    # cauchy().shift(0.5) is the law cauchy(0.5, 1), and the shift maps the
+    # complement of [-t, t] to cauchy's own closed form, so both read one tail;
+    # 1 minus a window mass would read 4.44e-16 against 6.366e-16 at t = 1e15
     t = 1e15
     with mp.workdps(30):
         want = float((mp.atan(1 / (t - mp.mpf(0.5))) + mp.atan(1 / (t + mp.mpf(0.5)))) / mp.pi)
     assert ml.cauchy(0.5, 1.0).tail_probability(t) == pytest.approx(want, rel=1e-12, abs=0)
     assert ml.cauchy().shift(0.5).tail_probability(t) == pytest.approx(want, rel=1e-9, abs=0)
+    assert ml.cauchy().shift(0.5).tail_probability(t) == ml.cauchy(0.5, 1.0).tail_probability(t)
+    shifted = ml.cauchy().shift(1e6).tail_probability(1e12)
+    assert shifted == pytest.approx(ml.cauchy(1e6, 1.0).tail_probability(1e12), rel=1e-12, abs=0)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -462,9 +463,123 @@ def test_tail_contract(law, wrap):
 
 
 def test_a_scale_that_overflows_t_reads_zero():
-    # t / s overflows to inf, where every law's tail is 0
+    # t / s overflows to inf, where every law's tail is 0: [-t, t] maps to the
+    # whole line, which is not asked of the inner law (an infinite comb refuses
+    # it).  A scale inside a shift overflows the same way, warning nothing.
     for law in (ml.cauchy(), ml.comb_ex2(), ml.power_tail(1.5, 1.8)):
         assert law.scale(1e-300).tail_probability(1e300) == 0.0
+    for law in (ml.cauchy(), ml.gaussian(), ml.power_tail(1.5, 1.8)):
+        assert law.scale(1e-3).shift(1.0).tail_probability(1e307) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# One-sided tails: the mass outside (-inf, t] and outside [-t, inf)
+# ---------------------------------------------------------------------------
+
+def _one_sided(m, t):
+    """(P(Y > t), P(Y < -t)) of the law m over an array t, each the mass
+    outside a window with one infinite end."""
+    inf = np.full(t.shape, math.inf)
+    return m._outside(-inf, t), m._outside(-t, inf)
+
+
+# y = s * x + a: (wrap, s, a)
+_ONE_SIDED_WRAPS = {
+    "plain": (lambda m: m, 1.0, 0.0),
+    "shift": (lambda m: m.shift(2.5), 1.0, 2.5),
+    "scale": (lambda m: m.scale(-0.3), -0.3, 0.0),
+    "negate-scale-shift": (lambda m: m.negate().scale(1.7).shift(-2.0), -1.7, -2.0),
+}
+
+
+def _gaussian_upper(z):  # P(Z > 40) is about 4e-350, past any float tail asked here
+    return mp.erfc(z / mp.sqrt(2)) / 2 if z < 40 else mp.mpf(0)
+
+
+def _cauchy_upper(z):
+    return mp.atan(1 / z) / mp.pi if z > 0 else mp.mpf(0.5) - mp.atan(z) / mp.pi
+
+
+@pytest.mark.parametrize("wrap", sorted(_ONE_SIDED_WRAPS))
+@pytest.mark.parametrize("law, loc, scale, upper", [
+    pytest.param(ml.gaussian, 1.0, 2.0, _gaussian_upper, id="gaussian(1, 2)"),
+    pytest.param(ml.cauchy, -3.0, 0.5, _cauchy_upper, id="cauchy(-3, 0.5)")])
+def test_one_sided_tails_of_a_location_scale_law(law, loc, scale, upper, wrap):
+    # Y = s (loc + scale Z) + a for a symmetric Z, so P(Y > t) = P(Z > (t - loc') / scale')
+    # and P(Y < -t) = P(Z > (t + loc') / scale'), loc' = s loc + a, scale' = |s| scale
+    build, s, a = _ONE_SIDED_WRAPS[wrap]
+    # t = 10^k, k = 0..300, and a grid where a gaussian's tails are above 1e-300
+    t = np.concatenate([10.0 ** np.arange(301), np.linspace(0.5, 60.0, 120)])
+    got = _one_sided(build(law(loc, scale)), t)
+    with mp.workdps(30):
+        loc2, scale2 = mp.mpf(s) * loc + a, abs(mp.mpf(s)) * scale
+        want = [np.array([float(upper((mp.mpf(x) + sign * loc2) / scale2)) for x in t])
+                for sign in (-1, 1)]
+    for g, w in zip(got, want):
+        keep = w > 1e-300
+        assert keep.sum() >= 40
+        np.testing.assert_allclose(g[keep], w[keep], rtol=1e-12, atol=0)
+
+
+def _one_sided_reference(above, below, s, a, t):
+    """(P(Y > t), P(Y < -t)) over t for Y = s X + a, s = +-1, from mpmath
+    functions ``above(x)`` = P(X > x) and ``below(x)`` = P(X < x)."""
+    t = [mp.mpf(x) for x in t]
+    return ([float(above(x - a) if s > 0 else below(a - x)) for x in t],
+            [float(below(-x - a) if s > 0 else above(a + x)) for x in t])
+
+
+@pytest.mark.parametrize("s, a", [(1.0, 0.0), (1.0, 2.5), (1.0, -4.0), (-1.0, 0.0)])
+def test_one_sided_tails_of_the_integer_power_comb(s, a):
+    p = 2.5
+    m = ml.integer_power_comb(p)
+    t = np.array([0.5, 3.0, 1e3, 1e6])
+    got = _one_sided(m.negate() if s < 0 else m.shift(a), t)
+    with mp.workdps(30):
+        def above(x):  # P(X > x) for X on the positive integers, weight n^-p / zeta(p)
+            return mp.zeta(p, max(mp.floor(x) + 1, 1)) / mp.zeta(p)
+
+        def below(x):  # P(X < x)
+            return 1 - mp.zeta(p, max(mp.ceil(x), 1)) / mp.zeta(p)
+
+        want = _one_sided_reference(above, below, s, a, t)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("s, a", [(1.0, 2.5), (1.0, -2.5), (-1.0, 0.0)])
+def test_one_sided_tails_of_power_tail(s, a):
+    m = ml.power_tail(1.5, 1.8)
+    t = np.array([1.0, 2.5, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6])
+    got = _one_sided(m.negate() if s < 0 else m.shift(a), t)
+    with mp.workdps(30):
+        C, D = ((2 * (mp.pi / e) / mp.sin(mp.pi / e)) ** e for e in (mp.mpf(1.5), mp.mpf(1.8)))
+
+        def pdf(y):
+            return 1 / (1 + C * y ** 1.5) if y >= 0 else 1 / (1 + D * (-y) ** 1.8)
+
+        def above(x):  # P(X > x)
+            return mp.quad(pdf, [x, 0, mp.inf] if x < 0 else [x, mp.inf])
+
+        def below(x):  # P(X < x)
+            return mp.quad(pdf, [-mp.inf, 0, x] if x > 0 else [-mp.inf, x])
+
+        want = _one_sided_reference(above, below, s, a, t)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-9, atol=0)
+
+
+_ATOMIC_TAIL_LAWS = sorted(law for law, build in _TAIL_LAWS.items() if build().is_atomic)
+
+
+@pytest.mark.parametrize("wrap", sorted(_TAIL_WRAPS))
+@pytest.mark.parametrize("law", _ATOMIC_TAIL_LAWS)
+def test_the_mass_outside_a_window_completes_its_mass(law, wrap):
+    m = _TAIL_WRAPS[wrap](_TAIL_LAWS[law]())
+    lo = np.array([-3.0, 0.5, -1e3, 2.0, -0.25, 1.5, 7.0])
+    hi = np.array([5.0, 0.5, 2.0, 1e6, 7.0, 1e3, 7.0])
+    total = m._outside(lo, hi) + m.window_stats(lo, hi)[0]
+    np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-15)
 
 
 def test_integer_power_comb_has_all_its_mass_beyond_any_t_below_one():

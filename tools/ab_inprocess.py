@@ -6,10 +6,15 @@ operations of one workload (``perfbench/workloads.py`` of the change
 checkout, imported and never modified) through each in alternating rounds:
 the parent goes first in odd rounds and the change first in even ones, so a
 drift of the host's speed favours neither side.  Every operation runs once
-on each side, untimed, before the first round.  Prints, per operation
-family (``workloads.family_key``) and over all operations, the median over
-rounds of the mean ms per operation on each side, the speed-up (parent time
-over change time) and in how many rounds the change was faster.
+on each side, untimed, before the first round, and that pass compares the
+two sides' results: the sha256 of each operation's ``repr``, or of its
+exception's type and message.  Prints, per operation family
+(``workloads.family_key``) and over all operations, the median over rounds
+of the mean ms per operation on each side, the speed-up (parent time over
+change time) and in how many rounds the change was faster; then
+``results: K of N operations differ`` and the family of each operation
+whose result differs, so a refactor shows at once whether its traffic is
+bitwise unchanged.
 
     python tools/ab_inprocess.py --parent ../parent --change . \\
         --workload verdicts --seed 7 --rounds 30
@@ -25,6 +30,7 @@ Uses only the standard library and numpy.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import os
 import statistics
@@ -59,6 +65,18 @@ def run_round(workloads, ml, specs, families) -> dict[str, list[float]]:
     return times
 
 
+def digests(workloads, ml, specs) -> list[str]:
+    """sha256 of each operation's result, or of its exception's type and message."""
+    out = []
+    for spec in specs:
+        try:
+            text = repr(workloads.run_op(ml, spec))
+        except Exception as exc:  # a failing operation is compared like any other
+            text = f"{type(exc).__name__}: {exc}"
+        out.append(hashlib.sha256(text.encode()).hexdigest())
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -78,8 +96,7 @@ def main(argv=None) -> int:
              for spec in workloads.ROUNDS[args.workload](args.seed, r)]
     families = [workloads.family_key(spec) for spec in specs]
     warnings.simplefilter("ignore")  # known defects warn on every run
-    for side in SIDES:
-        run_round(workloads, libs[side], specs, families)
+    results = {side: digests(workloads, libs[side], specs) for side in SIDES}
 
     # per side: {family: [mean ms per operation in each round]}
     ms: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
@@ -101,6 +118,11 @@ def main(argv=None) -> int:
         mp, mc = statistics.median(par), statistics.median(chg)
         print(f"{family:36s} {counts[family]:4d} {mp:9.3f} {mc:9.3f} {mp / mc:8.2f}x  "
               f"change faster in {wins} of {args.rounds}")
+    differ = [family for family, par, chg in zip(families, results["parent"], results["change"])
+              if par != chg]
+    print(f"results: {len(differ)} of {len(specs)} operations differ")
+    for family in differ:
+        print(f"  differs: {family}")
     return 0
 
 
