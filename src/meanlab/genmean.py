@@ -662,19 +662,18 @@ class ExpTiltMultiplier:
     ``regularized_means`` takes the whole damping schedule in one pass, by
     one of two branches:
 
-    * closed form: a plain ``cauchy(loc, scale)`` or ``gaussian(mu, sigma)``,
-      read from the law's own loc and scale (``_TILT_MEANS``);
+    * closed form: a plain ``cauchy(loc, scale)``, read from the law's own
+      loc and scale (``_cauchy_tilt_means``);
     * one discrete rule: magnitudes x >= 0 carrying masses at -x and +x,
       summed for every lam as one (lam x nodes) product (``_kernel``), over
       the atoms of an atomic measure, enumerated once at the widest reach,
       or over the nodes of a density's pieces between its kinks: 0, where
       the weight has its kink, the law's origin and its support ends
       (``measures._split_rule``, which bisects a piece its nodes do not
-      resolve, up to a QuadratureError).  Every affine image, of a Cauchy
-      or a Gaussian too, takes this rule.  Its nodes round onto the float
-      grid at the origin, so its error grows with |loc| / scale, to about
-      1e-10 relative at 1e8, and a law narrower still against its distance
-      from 0, as ``cauchy().scale(1e-6).shift(3e4)``, is refused.
+      resolve, up to a QuadratureError).  Every other density, each
+      Gaussian and each affine image included, takes this rule, and reads
+      its pdf at each node's offset from its origin, in its own frame, so a
+      law narrow against its distance from 0 keeps its digits.
     """
 
     kind = "exp_tilt"
@@ -695,8 +694,8 @@ class ExpTiltMultiplier:
             raise ValueError(
                 "damping rate must be positive; lam <= 0 leaves both tails "
                 "of weight(x) * x unregularized")
-        if isinstance(measure, _ClosedForm) and measure.family in _TILT_MEANS:
-            return _TILT_MEANS[measure.family](*measure._map, self.c, lams)
+        if isinstance(measure, _ClosedForm) and measure.family == "cauchy":
+            return _cauchy_tilt_means(measure._origin, measure._width, self.c, lams)
         reach = _TILT_REACH / float(lams.min())
         kernel = functools.partial(self._kernel, lams)
         if measure.is_atomic:
@@ -781,41 +780,6 @@ def _cauchy_tilt_means(loc: float, scale: float, c: float, lams: np.ndarray) -> 
     k = math.pi * c * lams
     return (-(pos.imag + (1.0 + k * loc) * neg.imag) / (math.pi * lams)
             - c * scale * neg.real)
-
-
-def _gaussian_tilt_means(mu: float, sigma: float, c: float, lams: np.ndarray) -> np.ndarray:
-    """E(weight_lam(X) X) for X ~ N(mu, sigma^2) and an array of lam.
-
-    Completing the square on each half-line: with m = mu0 - lam sigma^2,
-    t = m / sigma and E = -lam mu0 + (lam sigma)^2 / 2, the moments
-    int_0^inf e^(-lam x) x^j N(x; mu0, sigma^2) dx are
-    P1 = m A + sigma B and P2 = (m^2 + sigma^2) A + m sigma B with
-    A = e^E Phi(t), B = e^E phi(t) = phi(mu0 / sigma).  The mean is
-    P1(mu) - P1(-mu) + pi c lam P2(-mu).  For t < 0, e^E can overflow
-    against an underflowing Phi(t), so A is taken as
-    erfcx(-t / sqrt 2) / 2 * e^(-mu0^2 / (2 sigma^2)) there.
-    """
-    from scipy.special import erfcx, ndtr
-
-    def moments(mu0: float) -> tuple[np.ndarray, np.ndarray]:
-        m = mu0 - lams * sigma ** 2
-        t = m / sigma
-        gauss = math.exp(-0.5 * (mu0 / sigma) ** 2)
-        A = np.empty_like(t)
-        low = t < 0
-        A[low] = 0.5 * erfcx(-t[low] / math.sqrt(2.0)) * gauss
-        A[~low] = (np.exp(-lams[~low] * mu0 + 0.5 * (lams[~low] * sigma) ** 2)
-                   * ndtr(t[~low]))
-        B = gauss / math.sqrt(2.0 * math.pi)
-        return m * A + sigma * B, (m * m + sigma ** 2) * A + m * sigma * B
-
-    p1, _ = moments(mu)
-    q1, q2 = moments(-mu)
-    return p1 - q1 + math.pi * c * lams * q2
-
-
-# closed forms of E(weight_lam(X) X) by location-scale family
-_TILT_MEANS = {"cauchy": _cauchy_tilt_means, "gaussian": _gaussian_tilt_means}
 
 
 @dataclass

@@ -174,20 +174,23 @@ _MASS_GAP = 1e-5
 _MAX_SPLITS = 60
 
 # The node rules of ``_split_rule``.  An outer piece, from a kink k out to the
-# reach, takes the trapezoid rule in u = log|x - k| at u_j = _LOG_LOW + j h,
-# h = _LOG_STEP.  On an integrand analytic in the strip |Im u| < d its error is
-# about exp(-2 pi d / h) (Trefethen & Weideman, "The exponentially convergent
-# trapezoidal rule", SIAM Review 56, 2014).  The poles of power_tail(a, b)'s
-# pdf sit at Im u = +-pi / max(a, b), so its mass is resolved to about
-# exp(-2 pi^2 / (h max(a, b))), below 1e-85 at h = 0.05; the exp-tilt damping
-# e^(-lam e^u) narrows the strip of the means to d < pi / 2, which still
+# reach, takes the trapezoid rule in u = log(|x - k| / w) at u_j = _LOG_LOW + j h,
+# h = _LOG_STEP, with w the law's width (``Measure._width``) held between e^-700
+# and e^20 times the piece's length, so that each node is finite and each piece
+# keeps 401 nodes or more.  On an integrand analytic in the strip |Im u| < d its
+# error is about exp(-2 pi d / h) (Trefethen & Weideman, "The exponentially
+# convergent trapezoidal rule", SIAM Review 56, 2014).  The poles of
+# power_tail(a, b)'s pdf sit at Im u = +-pi / max(a, b), so its mass is resolved
+# to about exp(-2 pi^2 / (h max(a, b))), below 1e-85 at h = 0.05; the exp-tilt
+# damping e^(-lam e^u) narrows the strip of the means to d < pi / 2, which still
 # leaves about exp(-pi^2 / h).  A bump of width w at distance x0 from k leaves
 # d of order w / x0: N(5, 1) passes the checks from k = 0, and N(10, 1) fails
 # them, so that piece is bisected.  Below u = -40 an integrand x^k pdf(x),
-# k >= 0, carries at most e^-40 times the largest pdf value.  A finite piece
-# takes the tanh-sinh rule x = tanh(pi/2 sinh t) on (-1, 1) at t = j h,
-# |j| <= _SINH_NODES, whose nodes crowd double-exponentially at both ends
-# (Takahasi & Mori 1974); past |t| = 5.3 they would lie within e^-314 of them.
+# k >= 0, carries at most e^-40 w times the largest pdf value, about e^-40 of
+# the mass of a law of width w, whatever w is.  A finite piece takes the
+# tanh-sinh rule x = tanh(pi/2 sinh t) on (-1, 1) at t = j h, |j| <= _SINH_NODES,
+# whose nodes crowd double-exponentially at both ends (Takahasi & Mori 1974);
+# past |t| = 5.3 they would lie within e^-314 of them.
 _LOG_STEP = 0.05
 _LOG_LOW = -40.0
 _SINH_NODES = 106
@@ -213,20 +216,22 @@ def _sinh_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t < 0.0, 2.0 / (np.exp(2.0 * np.abs(s)) + 1.0), np.stack([w, 2.0 * w * even])
 
 
-def _piece_nodes(piece: tuple) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
-    """Nodes of a piece ``(k, end, outer, depth)``, their dx weights at steps h
-    and 2h, and its window.  An outer piece takes k +- e^(u_j) up to |end - k|,
-    a finite one tanh-sinh nodes placed from the nearer end, where they crowd."""
+def _piece_nodes(piece: tuple, width: float) -> tuple:
+    """Nodes of a piece ``(k, end, outer, depth)`` as anchors and offsets, their
+    dx weights at steps h and 2h, and its window.  An outer piece takes k +- w
+    e^(u_j) up to |end - k|, w the law's width clipped to e^-700..e^20 times
+    |end - k|; a finite one tanh-sinh nodes placed from the nearer end."""
     k, end, outer, _ = piece
     if outer:
-        x, weights = _log_nodes(math.ceil((math.log(abs(end - k)) - _LOG_LOW)
-                                          / (2.0 * _LOG_STEP)))
-        y = k + x if end > k else k - x
-        return y, weights, (min(k, y[-1]), max(k, y[-1]))
+        length = abs(end - k)
+        unit = min(max(width, math.exp(-700.0) * length), math.exp(20.0) * length)
+        x, weights = _log_nodes(math.ceil((math.log(length / unit) - _LOG_LOW) / (2.0 * _LOG_STEP)))
+        offset = unit * x if end > k else -unit * x
+        return k, offset, unit * weights, tuple(sorted((k, k + offset[-1])))
     left, gap, weights = _sinh_nodes()
     half = 0.5 * (end - k)
-    return (np.where(left, k + half * gap, end - half * gap), abs(half) * weights,
-            (min(k, end), max(k, end)))
+    return (np.where(left, k, end), np.where(left, half * gap, -half * gap),
+            abs(half) * weights, (min(k, end), max(k, end)))
 
 
 def _bisect(piece: tuple) -> tuple[tuple, tuple]:
@@ -243,11 +248,16 @@ def _split_rule(measure: Measure, reach: float, kernel: Callable) -> np.ndarray:
 
     The line is split at the kinks 0, ``measure._origin`` and the support ends
     (one within 2 reach, past the last trapezoid node, ends the range instead
-    of +-reach).  A piece is kept when its nodes' mass matches its window's to
-    _MASS_GAP and its integrals at steps h and 2h agree to 1e-10 plus 1e-12
-    relative in every column; else it is bisected, for up to _MAX_SPLITS
-    levels, _QUAD_LIMIT failing pieces at once and down to 1e-9 of its
-    distance from 0, past which QuadratureError names it."""
+    of +-reach).  Each node is a piece end plus an offset: the kernel reads
+    their sum, and the law its pdf at the node's offset from the law's origin,
+    in its own frame (``Measure._pdf_at``), where a law narrow against its
+    distance from 0 keeps the digits that the sum rounds away.  The outer
+    nodes are placed in units of the law's width.  A piece is kept when its
+    nodes' mass matches its window's to _MASS_GAP and its integrals at steps
+    h and 2h agree to 1e-10 plus 1e-12 relative in every column; else it is
+    bisected, for up to _MAX_SPLITS levels, _QUAD_LIMIT failing pieces at once
+    and down to 1e-9 of its distance from the law's origin, past which
+    QuadratureError names it."""
     lo, hi = measure.support
     a, b = (lo if lo > -2.0 * reach else -reach), (hi if hi < 2.0 * reach else reach)
     if not a < b:  # the support lies past the reach: no nodes, zero integrals
@@ -256,10 +266,10 @@ def _split_rule(measure: Measure, reach: float, kernel: Callable) -> np.ndarray:
     # a piece out to +-reach is outer, anchored at its kink
     pieces = [(q, p, True, 0) if p == -reach else (p, q, q == reach, 0)
               for p, q in zip(ends[:-1], ends[1:])]
-    total = 0.0
+    total, origin, width = 0.0, measure._origin, measure._width
     while pieces:
-        parts = [(y, w * np.fromiter(map(measure.pdf, y.tolist()), float, y.size), span)
-                 for y, w, span in map(_piece_nodes, pieces)]
+        parts = [(anchor + offset, w * measure._pdf_at((anchor - origin) + offset), span)
+                 for anchor, offset, w, span in (_piece_nodes(p, width) for p in pieces)]
         seen = np.array([masses[0].sum() for _, masses, _ in parts])
         window = measure.window_stats(*zip(*(part[2] for part in parts)))[0]
         # The i-th pieces left and right of 0 share a kernel call (rows h, 2h),
@@ -282,7 +292,7 @@ def _split_rule(measure: Measure, reach: float, kernel: Callable) -> np.ndarray:
         for p in failed:
             k, end, _, depth = pieces[p]
             if (depth == _MAX_SPLITS or len(failed) > _QUAD_LIMIT
-                    or abs(end - k) < 1e-9 * max(abs(k), abs(end))):
+                    or abs(end - k) < 1e-9 * max(abs(k - origin), abs(end - origin))):
                 raise QuadratureError(
                     f"{measure.family}: nodes on [{min(k, end):.17g}, {max(k, end):.17g}] see "
                     f"mass {seen[p]:.6g} of {window[p]:.6g}, steps h and 2h {gap[:, p].max():.3g} "
@@ -305,6 +315,14 @@ class Measure:
     pdf: Optional[Callable[[float], float]] = None
     support = (-math.inf, math.inf)
     _origin = 0.0  # where the law's standard member has its kinks, if it has any
+    _width = 1.0  # the scale its standard member is stretched by
+
+    def _pdf_at(self, offset: np.ndarray) -> np.ndarray:
+        """``pdf`` at ``_origin`` + offset over an array of offsets.  A law with
+        a frame of its own reads the offsets there: one below the float spacing
+        at the origin still counts, and all map alike through nested frames,
+        where points mapped one by one round apart."""
+        return np.fromiter(map(self.pdf, (self._origin + offset).tolist()), float, offset.size)
 
     def window_stats(self, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """(masses, moments) over the closed windows [lo, hi], elementwise
@@ -797,28 +815,31 @@ class _ClosedForm(DensityMeasure):
                  tails: Callable[[np.ndarray, np.ndarray], np.ndarray], unit: float = 1.0,
                  loc_scale: Optional[tuple[float, float]] = None,
                  quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        self.family = family
-        loc, scale = self._map = loc_scale or (0.0, 1.0)
-        self._origin = loc
+        self.family, self._pdf_z = family, pdf
+        loc, scale = self._origin, self._width = loc_scale or (0.0, 1.0)
         self.pdf = pdf if loc_scale is None else lambda x: pdf((x - loc) / scale) / scale
         self._primitives, self._tails = primitives, tails
         self._unit, self._quantile = unit, quantile
 
     def _stats_between(self, lo, hi):
-        loc, scale = self._map
+        loc, scale = self._origin, self._width
         F, H = self._primitives((np.concatenate([lo, hi]) - loc) / scale)
         n = len(lo)
         mass = F[n:] - F[:n]
         return mass, loc * mass + (scale / self._unit) * (H[n:] - H[:n])
 
     def _outside(self, lo, hi):
-        loc, scale = self._map
+        loc, scale = self._origin, self._width
         return self._tails((hi - loc) / scale, (loc - lo) / scale)
+
+    def _pdf_at(self, offset):  # in Z, whose origin is 0
+        z = offset / self._width
+        return np.fromiter(map(self._pdf_z, z.tolist()), float, z.size) / self._width
 
     def sampler(self):
         if self._quantile is None:
             return super().sampler()
-        (loc, scale), quantile = self._map, self._quantile
+        loc, scale, quantile = self._origin, self._width, self._quantile
         return (lambda u: loc + scale * quantile(u)), 0.0
 
 
@@ -889,9 +910,10 @@ def power_tail(a: float, b: float) -> DensityMeasure:
     C, D = _power_tail_constant(a), _power_tail_constant(b)
 
     def pdf(x: float) -> float:
-        if x >= 0:
-            return 1.0 / (1.0 + C * x ** a)
-        return 1.0 / (1.0 + D * (-x) ** b)
+        try:
+            return 1.0 / (1.0 + (C * x ** a if x >= 0 else D * (-x) ** b))
+        except OverflowError:  # |x|^e past float range: the density is 0.0 there
+            return 0.0
 
     def _halves(coef: float, e: float, X: np.ndarray,
                 moment: bool = True) -> tuple[np.ndarray, ...]:
@@ -922,10 +944,20 @@ def power_tail(a: float, b: float) -> DensityMeasure:
         neg1, neg2 = _halves(D, b, np.maximum(-x, 0.0))
         return pos1 - neg1, pos2 + neg2
 
+    def upper(coef: float, e: float, X: np.ndarray, h1: np.ndarray) -> np.ndarray:
+        # int_X^inf dx / (1 + coef x^e) = 1/2 - h1 cancels far out, so below 1e-8 it is
+        # X^(1-e) / (coef (e-1)) 2F1(1, (e-1)/e; (2e-1)/e; -1/(coef X^e)), in logs
+        q = 0.5 - h1
+        if (far := q < 1e-8).any():
+            log_c, log_x = math.log(coef), np.log(X[far])
+            q[far] = (np.exp((1.0 - e) * log_x - log_c) / (e - 1.0) * hyp2f1(
+                1.0, (e - 1.0) / e, (2.0 * e - 1.0) / e, -np.exp(-log_c - e * log_x)))
+        return q
+
     def tails(u, v):  # P(Z > u) + P(Z < -v); past 0 a side adds the other half out to -u (-v)
         right = _halves(C, a, np.concatenate([u, -v]), moment=False)[0].reshape(2, -1)
         left = _halves(D, b, np.concatenate([v, -u]), moment=False)[0].reshape(2, -1)
-        return (0.5 - right[0] + left[1]) + (0.5 - left[0] + right[1])
+        return (upper(C, a, u, right[0]) + left[1]) + (upper(D, b, v, left[0]) + right[1])
 
     return _ClosedForm("power_tail", pdf, primitives, tails)
 
@@ -980,7 +1012,7 @@ class Affine(Measure):
             raise MeasureError("scale factor must be nonzero")
         self.inner, self.a, self.s = inner, a, s
         self.is_atomic = inner.is_atomic
-        self._origin = s * inner._origin + a
+        self._origin, self._width = s * inner._origin + a, abs(s) * inner._width
         self.family = f"affine({inner.family}, a={a:g}, s={s:g})"
         if inner.pdf is not None:
             self.pdf = lambda x: inner.pdf((x - a) / s) / abs(s)
@@ -994,6 +1026,9 @@ class Affine(Measure):
     def _window_stats(self, lo, hi):
         masses, moments = self.inner._window_stats(*self._inverse(lo, hi))
         return masses, self.s * moments + self.a * masses
+
+    def _pdf_at(self, offset):  # the inner law's origin maps to this one's
+        return self.inner._pdf_at(offset / self.s) / abs(self.s)
 
     def _outside(self, lo, hi):
         with np.errstate(over="ignore"):  # an end past float range maps to +-inf

@@ -97,7 +97,8 @@ def test_coincidence_needs_a_whole_positive_trial_count(value):
 
 def test_good_values_pass_the_checker_unchanged():
     # ints are numbers, and numpy scalars are too
-    assert ml.gaussian(mu=np.float64(2.0), sigma=3)._map == (2.0, 3.0)
+    law = ml.gaussian(mu=np.float64(2.0), sigma=3)
+    assert (law._origin, law._width) == (2.0, 3.0)
     assert ml.ExpTiltMultiplier(np.int64(2)).c == 2.0
     assert ml.TruncationSchedule(m0=2, ratio=2, count=np.int64(3)).horizon == 8.0
 

@@ -491,9 +491,10 @@ def test_arithmetic_error_exits_1_with_error_json(tmp_path, monkeypatch):
 
 
 def test_unresolved_exp_tilt_quadrature_exits_1_with_error_json(tmp_path):
-    # a power-tail bump of width 1e-6 at 3e4, below what quadrature resolves
-    measure = {"family": "shift", "a": 3e4,
-               "inner": {"family": "scale", "factor": 1e-6,
+    # a power-tail bump of width 1e-15 at 1e5, narrower than the float spacing
+    # there (1.5e-11), below what the node rule resolves
+    measure = {"family": "shift", "a": 1e5,
+               "inner": {"family": "scale", "factor": 1e-15,
                          "inner": {"family": "power_tail", "a": 1.5, "b": 1.7}}}
     doc = _write(tmp_path, "m.json", {"measure": measure,
                                       "multiplier": {"kind": "exp_tilt", "c": 0.0}})

@@ -5,14 +5,15 @@ evaluated by mpmath at 40 digits.  The Cauchy oracle evaluates
 Im[z e^(-lam z) E1(-lam z) - z (1 + k z) e^(lam z) E1(lam z)] / pi
 + c scale (z = loc + i scale, k = pi c lam) with mpmath's own E1; the
 Gaussian oracle evaluates the completed-square half-line moments with
-mpmath's normal cdf and pdf.  Only a plain ``cauchy(loc, scale)`` or
-``gaussian(mu, sigma)`` takes the library's closed form, which evaluates
-neither expression: it uses a series or continued fraction for
-w e^w E1(w) - 1 and erfcx.  Every other density, affine images of a Cauchy
-or a Gaussian included, goes through ``measures._split_rule``: the line split
-at 0, at the law's origin and at its support ends, trapezoid nodes in
-log|x - kink| on the outer half-lines and tanh-sinh nodes on finite pieces,
-and a piece that fails its mass or step-halving check bisected.
+mpmath's normal cdf and pdf.  Only a plain ``cauchy(loc, scale)`` takes the
+library's closed form, which evaluates neither expression: it uses a series
+or continued fraction for w e^w E1(w) - 1.  Every other density, every
+Gaussian and every affine image of a Cauchy included, goes through
+``measures._split_rule``: the line split at 0, at the law's origin and at its
+support ends, trapezoid nodes in log(|x - kink| / width) on the outer
+half-lines and tanh-sinh nodes on finite pieces, each node an anchor plus an
+offset that the law reads in its own frame, and a piece that fails its mass
+or step-halving check bisected.
 "Quadrature" below means that rule; it makes no ``scipy.integrate.quad``
 call on a closed-form law or an affine image of one.  The power_tail means,
 plain and under affine maps, are checked against 30-digit mpmath quadrature.
@@ -20,6 +21,7 @@ plain and under affine maps, are checked against 30-digit mpmath quadrature.
 
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -28,7 +30,7 @@ from scipy import integrate, special
 
 import meanlab as ml
 from meanlab import measures
-from meanlab.genmean import _TILT_REACH, _cauchy_tilt_means, _gaussian_tilt_means
+from meanlab.genmean import _TILT_REACH, _cauchy_tilt_means
 
 LAMS = (1e-2, 1e-3, 1e-4)
 
@@ -69,8 +71,9 @@ def _counting_quad(monkeypatch):
     return calls
 
 
-# Each row is the law and the (loc, scale) of its oracle.  Plain laws take the
-# closed forms, and affine images, here and in GAUSSIAN_CASES, the node rule.
+# Each row is the law and the (loc, scale) of its oracle.  Plain Cauchy laws
+# take the closed form, and affine images, like every row of GAUSSIAN_CASES,
+# the node rule.
 CAUCHY_CASES = [
     (lambda: ml.cauchy(0.0, 1.0), (0.0, 1.0), 2.5),
     (lambda: ml.cauchy(2.0, 1.0), (2.0, 1.0), 0.0),
@@ -102,8 +105,9 @@ GAUSSIAN_CASES = [
     (lambda: ml.gaussian(1e4, 1e-2), (1e4, 1e-2)),
     (lambda: ml.gaussian(0.0, 1.0).shift(1.0), (1.0, 1.0)),
     (lambda: ml.gaussian(0.5, 2.0).shift(1.0).scale(-0.5), (-0.75, 1.0)),
-    # narrow far out: the node rule refuses the same law as an affine image
+    # narrow far out: the node rule once refused it as an affine image
     (lambda: ml.gaussian(-3e4, 1e-3), (-3e4, 1e-3)),
+    (lambda: ml.gaussian().scale(1e-3).shift(-3e4), (-3e4, 1e-3)),
 ]
 
 
@@ -152,11 +156,11 @@ def test_quadrature_finds_a_bump_it_never_samples():
     # support (-1e7, 1e7) lies past twice the reach, so it is cut there too
     fam = ml.ExpTiltMultiplier(0.5)
     lams = fam.default_lambdas(ml.TruncationSchedule())
-    closed = _gaussian_tilt_means(1.0, 2.0, 0.5, lams)
+    want = [_gaussian_oracle(1.0, 2.0, 0.5, lam) for lam in lams.tolist()]
     bump = ml.gaussian(1.0, 2.0)
     for support in ((-math.inf, math.inf), (-1e7, 1e7)):
         quadrature = fam.regularized_means(_Plain(bump, support), lams)
-        np.testing.assert_allclose(quadrature, closed, rtol=1e-9, atol=1e-10)
+        np.testing.assert_allclose(quadrature, want, rtol=1e-9, atol=1e-10)
 
 
 @pytest.mark.parametrize("t", [0.0, 3.0])
@@ -207,24 +211,107 @@ def test_far_narrow_power_tail_is_not_missed():
 
 
 def test_unresolvable_bump_raises_instead_of_answering():
-    # width 1e-6 at 3e4 is about 3e5 float spacings: the nodes round onto the
-    # float grid there, and the pieces at the bump never pass their checks
-    m = ml.power_tail(1.5, 1.7).scale(1e-6).shift(3e4)
+    # width 1e-6 at 3e4 is about 3e5 float spacings.  A user density is read at
+    # absolute positions, which round onto the float grid there, so the pieces
+    # at the bump never pass their checks
+    m = _Plain(ml.power_tail(1.5, 1.7).scale(1e-6).shift(3e4))
     with pytest.raises(ml.QuadratureError, match="after .* splits"):
         ml.ExpTiltMultiplier(0.0).regularized_means(m, np.array([1e-4]))
 
 
+def test_narrow_far_power_tail_is_read_in_its_own_frame():
+    # the same bump as an affine image: each node is an anchor plus an offset
+    # of the law's own width, read by the inner law
+    m = ml.power_tail(1.5, 1.7).scale(1e-6).shift(3e4)
+    got = ml.ExpTiltMultiplier(0.0).regularized_means(m, np.array([1e-4]))[0]
+    want = _power_tail_oracle(1.5, 1.7, 0.0, 1e-4, 1e-6, 3e4)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_narrow_far_laws_on_the_default_schedule():
-    # a plain law of width 1e-6 at 3e4 takes its closed form; the same law as
-    # an affine image of the standard one takes the node rule, which refuses it
+    # a law of width 1e-6 at 3e4, written plainly or as an affine image of the
+    # standard one; only the plain Cauchy takes a closed form
     fam = ml.ExpTiltMultiplier(2.5)
     lams = fam.default_lambdas(ml.TruncationSchedule())
     for law, oracle in ((ml.gaussian, _gaussian_oracle), (ml.cauchy, _cauchy_oracle)):
-        got = fam.regularized_means(law(3e4, 1e-6), lams)
         want = [oracle(3e4, 1e-6, 2.5, lam) for lam in lams.tolist()]
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        with pytest.raises(ml.QuadratureError, match="after .* splits"):
-            fam.regularized_means(law().scale(1e-6).shift(3e4), lams)
+        for m in (law(3e4, 1e-6), law().scale(1e-6).shift(3e4)):
+            np.testing.assert_allclose(fam.regularized_means(m, lams), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("loc", [1e2, -1e4, 3e4, -1e5])
+@pytest.mark.parametrize("law,oracle", [(ml.gaussian, _gaussian_oracle),
+                                        (ml.cauchy, _cauchy_oracle)], ids=["gaussian", "cauchy"])
+def test_narrow_far_affine_images_match_mpmath(law, oracle, loc):
+    # each node is read at its offset from the law's origin, in the inner law's
+    # frame; reading them at absolute positions, the rule refused 46 of these 96
+    for s in (1e-7, 1e-6, 1e-3, 1e-1):
+        for c in (-5.0, 0.0, 2.5):
+            got = ml.ExpTiltMultiplier(c).regularized_means(law().scale(s).shift(loc), LAMS)
+            for value, lam in zip(got.tolist(), LAMS):
+                want = oracle(loc, s, c, lam)
+                assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), (s, c, lam)
+
+
+@pytest.mark.parametrize("m,s", [(1.0, 2.0), (-50.0, 3.0), (1e2, 1e-3), (-7.5, 0.25),
+                                 (3e4, 1e-6), (-1e5, 1e-7)])
+def test_one_law_written_three_ways_has_one_mean(m, s):
+    # the node rule reads every Gaussian from its origin, however it is built;
+    # affine images of a Cauchy agree with its closed form
+    lams = np.geomspace(1e-2, 1e-4, 25)
+    for c in (-5.0, 0.0, 2.5):
+        fam = ml.ExpTiltMultiplier(c)
+        want = fam.regularized_means(ml.gaussian(m, s), lams)
+        for other in (ml.gaussian().scale(s).shift(m), ml.gaussian().shift(m / s).scale(s)):
+            np.testing.assert_allclose(fam.regularized_means(other, lams), want,
+                                       rtol=1e-14, atol=0)
+        if s >= 1e-3:  # the closed form loses relative digits on the tiny means of a far narrow law
+            want = fam.regularized_means(ml.cauchy(m, s), lams)
+            for other in (ml.cauchy().scale(s).shift(m), ml.cauchy().shift(m / s).scale(s),
+                          ml.cauchy(-m, s).negate()):
+                np.testing.assert_allclose(fam.regularized_means(other, lams), want,
+                                           rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("width", [1e300, 1e-300])
+def test_extreme_widths_are_answered_or_refused(width):
+    # outer nodes start at e^-40 of the law's width, held to at most e^20 times
+    # the piece's length; a law 1e300 wide is flat over the reach, where the mean is
+    # 2 pi c pdf(0) / lam^2.  One far narrower than the float spacing at its
+    # origin is refused.
+    fam = ml.ExpTiltMultiplier(2.5)
+    flat = {ml.gaussian(0.0, width): 1.0 / math.sqrt(2.0 * math.pi),
+            ml.gaussian().scale(width): 1.0 / math.sqrt(2.0 * math.pi),
+            ml.cauchy().scale(width): 1.0 / math.pi,
+            ml.cauchy().scale(width).shift(3.0): None,
+            ml.power_tail(1.5, 1.7).scale(width).shift(-2.0): None}
+    for m, pdf0 in flat.items():
+        try:
+            got = fam.regularized_means(m, LAMS)
+        except ml.MeasureError:
+            assert width < 1.0 and pdf0 is None
+            continue
+        assert np.all(np.isfinite(got))
+        if width > 1.0 and pdf0 is not None:
+            want = [2.0 * math.pi * 2.5 * pdf0 / width / lam ** 2 for lam in LAMS]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_widths_below_float_range_are_answered_or_refused():
+    # a width that underflows to 0 (a product of scales) or is subnormal still
+    # bounds the outer nodes, to e^-700 of their piece at least: node counts
+    # and nodes stay finite, so the law is answered or refused, never crashed
+    fam = ml.ExpTiltMultiplier(2.5)
+    for m in (ml.gaussian().scale(1e-200).scale(1e-200), ml.gaussian(0.0, 5e-324),
+              ml.power_tail(1.5, 1.7).scale(5e-324).shift(1.0)):
+        with warnings.catch_warnings():
+            # offsets and window ends divided by such a width leave float range
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                got = fam.regularized_means(m, LAMS)
+            except ml.MeasureError:
+                continue
+        assert np.all(np.isfinite(got))
 
 
 def _power_tail_oracle(a, b, c, lam, s=1.0, t=0.0):
@@ -277,15 +364,17 @@ def test_pinned_power_tail_means(params):
 # ExpTiltMultiplier(0.0) at lam = 1e-2, 1e-3, 1e-4 on power_tail(1.5, 1.7)
 # scaled by s and shifted by t.  Nodes around 0 alone are too coarse where
 # the density's kink sits far from 0 relative to its width, so the rule adds
-# the kink at t; these used to take a per-lam adaptive quad, and were
-# re-recorded from the split rule (within 4.4e-13 of the old values).
+# the kink at t; these used to take a per-lam adaptive quad.  Re-recorded
+# when the nodes became anchors plus offsets read in the law's own frame:
+# against 30-digit mpmath, shift went 2.9e-16 -> 4.6e-16, far_shift
+# 9.6e-14 -> 1.2e-16 and far_narrow 4.4e-13 -> 3.1e-16 (over max(1, |v|)).
 FALLBACK_MEANS = {
     "shift": ((1.0, 50.0), [
-        29.51733256311268, 49.719791904131434, 61.45396291123265]),
+        29.51733256311269, 49.719791904131455, 61.453962911232665]),
     "far_shift": ((1.0, 1e4), [
-        1.0952176785380442e-05, 0.46466999954939947, 3671.098293201514]),
+        1.0952176785380442e-05, 0.4646699995494431, 3671.0982932018674]),
     "far_narrow": ((1e-3, 1e3), [
-        0.04541521750775602, 367.8119077738235, 905.18010003299]),
+        0.04541521750777602, 367.8119077739856, 905.180100033389]),
 }
 
 
@@ -360,7 +449,8 @@ def test_step_halving_sends_an_under_resolved_bump_to_quadrature(monkeypatch):
     lams = fam.default_lambdas(ml.TruncationSchedule())
     got = fam.regularized_means(_Plain(ml.gaussian(10.0, 1.0)), lams)
     assert (0.0, 6e5, True, 0) in split
-    np.testing.assert_allclose(got, _gaussian_tilt_means(10.0, 1.0, 0.5, lams), rtol=1e-9)
+    want = [_gaussian_oracle(10.0, 1.0, 0.5, lam) for lam in lams.tolist()]
+    np.testing.assert_allclose(got, want, rtol=1e-9)
 
 
 def test_mass_check_sends_a_bump_between_the_nodes_to_quadrature(monkeypatch):
@@ -370,8 +460,8 @@ def test_mass_check_sends_a_bump_between_the_nodes_to_quadrature(monkeypatch):
     got = ml.ExpTiltMultiplier(0.5).regularized_means(_Plain(ml.gaussian(1e4, 1.0)),
                                                       np.array(LAMS))
     assert (0.0, 6e5, True, 0) in split
-    np.testing.assert_allclose(got, _gaussian_tilt_means(1e4, 1.0, 0.5, np.array(LAMS)),
-                               rtol=1e-9, atol=1e-10)
+    want = [_gaussian_oracle(1e4, 1.0, 0.5, lam) for lam in LAMS]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-10)
 
 
 def _kernel_calls(monkeypatch):
@@ -476,22 +566,24 @@ def test_integer_power_comb_fails_fast_at_the_atom_cap():
     assert peak < 100_000
 
 
-# ExpTiltMultiplier(2.5) at lam = 1e-2, 1e-3, 1e-4.  The plain laws take the
-# closed forms, and their values are as recorded before those were looked up
-# by family.  The two affine images take the node rule, and were re-recorded
-# from it when an affine image stopped taking the closed form of its inner
-# law (within 4.5e-16 relative of that form's values).
+# ExpTiltMultiplier(2.5) at lam = 1e-2, 1e-3, 1e-4.  The plain Cauchy laws
+# take the closed form, and their values are as recorded before it was looked
+# up by family.  The other three take the node rule, and were re-recorded
+# when its nodes became anchors plus offsets read in the law's own frame:
+# against 40-digit mpmath, gaussian_mu_sigma (once the closed form) and
+# gaussian_scale_shift stayed at 2.2e-16 and 4.4e-16, and cauchy_3_levels
+# went 1.5e-16 -> 2.9e-16 (over max(1, |v|)).
 PINNED_TILT_MEANS = {
     "cauchy": (lambda: ml.cauchy(), [
         2.461989019517544, 2.4960913374921416, 2.4996075417483823]),
     "cauchy_far": (lambda: ml.cauchy(1e4, 1.0), [
         0.0004742409218737864, 0.4885406122210168, 3678.942178367769]),
     "gaussian_mu_sigma": (lambda: ml.gaussian(1.0, 2.0), [
-        1.0314748003399838, 1.0032513766017863, 1.0003261948896418]),
+        1.031474800339984, 1.0032513766017859, 1.0003261948896416]),
     "gaussian_scale_shift": (lambda: ml.gaussian(0.5, 2.0).scale(-3.0).shift(1.0), [
-        1.0077766012664142, -0.3356303971409105, -0.48341929108537274]),
+        1.007776601266415, -0.3356303971409105, -0.4834192910853723]),
     "cauchy_3_levels": (lambda: ml.cauchy(0.3, 1.5).negate().scale(2.0).shift(-1.0), [
-        6.478640689046234, 6.024977481276219, 5.919406207347435]),
+        6.478640689046234, 6.02497748127622, 5.919406207347435]),
 }
 
 

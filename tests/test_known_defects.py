@@ -160,15 +160,10 @@ def test_integer_power_comb_can_be_sampled():
     assert np.all(draws >= 1) and np.array_equal(draws, np.round(draws))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 14: power_tail's tail is 0.5 minus a half-line "
-                          "mass, which cancels once that mass is within ulps of 0.5, "
-                          "where an accurate tail is needed; item 3's horizon capture "
-                          "reads M * P(|X| > M)")
 def test_power_tail_tail_probability_is_accurate_far_out():
-    # P(X > t) = t^(1-e) / (coef (e - 1)) + O(t^(1-2e)) on each side;
-    # today 0.0 at t = 1e60, the clipped value of -3.8e-15 (abs=0: pytest's
-    # default abs=1e-12 would accept 0.0 for a want near 1e-30)
+    # P(X > t) = t^(1-e) / (coef (e - 1)) + O(t^(1-2e)) on each side; 1/2 minus
+    # the half-line mass read 0.0 at t = 1e60, the clipped value of -3.8e-15
+    # (abs=0: pytest's default abs=1e-12 would accept 0.0 for a want near 1e-30)
     a, b = 1.5, 1.8
     m = ml.power_tail(a, b)
     t = 10.0 ** np.arange(1.0, 309.0)

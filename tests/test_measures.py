@@ -94,6 +94,21 @@ def test_power_tail_halves_carry_equal_mass():
     assert m.window_stats(0, 1e300)[0] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_power_tail_pdf_reads_zero_past_float_range():
+    # C |x|^e raised OverflowError past float range, where gaussian and cauchy read 0.0
+    m = ml.power_tail(1.5, 1.7)
+    assert m.pdf(1e250) == m.pdf(-1e250) == m.pdf(1e300) == 0.0
+    assert 0.0 < m.pdf(1e200) < 1e-299 and 0.0 < m.pdf(-1e180) < 1e-305
+
+
+def test_power_tail_tails_are_nonnegative_out_to_float_range():
+    # 1/2 minus a half-line mass cancelled below 0 for about half of these laws,
+    # from t = 1e15; the unclipped tail is asked, since tail_probability clips
+    t = 10.0 ** np.arange(1.0, 309.0)
+    for a, b in np.random.default_rng(61).uniform(1.01, 1.99, (300, 2)).tolist():
+        assert np.all(ml.power_tail(a, b)._outside(-t, t) >= 0.0), (a, b)
+
+
 def test_power_tail_tail_curve_skips_the_moment_primitive(monkeypatch):
     import scipy.special
     hyp2f1, calls = scipy.special.hyp2f1, []
