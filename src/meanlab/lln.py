@@ -63,12 +63,16 @@ class Sampler:
         """``rows`` rows of n iid draws from the one generator keyed by
         (seed, *stream), in blocks of at most _BLOCK doubles (one row when n
         is larger).  The uniforms come in row order, so the block size never
-        changes a draw."""
+        changes a draw.  Each block's uniforms are drawn into one buffer per
+        call, which ``draw`` may transform in place: a block is valid until
+        the next one is drawn."""
         rng = np.random.default_rng([int(self.master_seed), *map(int, stream)])
         per_block = max(1, _BLOCK // n)
+        buffer = np.empty(min(per_block, rows) * n)
         for start in range(0, rows, per_block):
             k = min(per_block, rows - start)
-            u = np.clip(rng.random(k * n), 1e-300, 1.0 - 1e-16)  # keep inverse transforms finite
+            u = rng.random(out=buffer[:k * n])
+            np.clip(u, 1e-300, 1.0 - 1e-16, out=u)  # keep inverse transforms finite
             yield self._inverse(u).reshape(k, n)
 
     def _row_means(self, stream: Sequence[int], rows: int, n: int) -> np.ndarray:

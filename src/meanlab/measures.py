@@ -172,6 +172,7 @@ def _checked_quad(f: Callable[[float], float], a: float, b: float,
 
 _MASS_GAP = 1e-5
 _MAX_SPLITS = 60
+_MAX_FAILED_PIECES = 1_024  # more failing pieces in one round are refused, not bisected
 
 # The node rules of ``_split_rule``.  An outer piece, from a kink k out to the
 # reach, takes the trapezoid rule in u = log(|x - k| / w) at u_j = _LOG_LOW + j h,
@@ -255,7 +256,7 @@ def _split_rule(measure: Measure, reach: float, kernel: Callable) -> np.ndarray:
     nodes are placed in units of the law's width.  A piece is kept when its
     nodes' mass matches its window's to _MASS_GAP and its integrals at steps
     h and 2h agree to 1e-10 plus 1e-12 relative in every column; else it is
-    bisected, for up to _MAX_SPLITS levels, _QUAD_LIMIT failing pieces at once
+    bisected, for up to _MAX_SPLITS levels, _MAX_FAILED_PIECES failing pieces at once
     and down to 1e-9 of its distance from the law's origin, past which
     QuadratureError names it."""
     lo, hi = measure.support
@@ -291,7 +292,7 @@ def _split_rule(measure: Measure, reach: float, kernel: Callable) -> np.ndarray:
         failed = np.flatnonzero(~kept).tolist()
         for p in failed:
             k, end, _, depth = pieces[p]
-            if (depth == _MAX_SPLITS or len(failed) > _QUAD_LIMIT
+            if (depth == _MAX_SPLITS or len(failed) > _MAX_FAILED_PIECES
                     or abs(end - k) < 1e-9 * max(abs(k - origin), abs(end - origin))):
                 raise QuadratureError(
                     f"{measure.family}: nodes on [{min(k, end):.17g}, {max(k, end):.17g}] see "
@@ -375,9 +376,11 @@ class Measure:
         return np.empty(0), np.empty(0)
 
     def sampler(self) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-        """(draw, truncation_bias): ``draw`` maps uniforms in (0, 1) to draws
-        from this measure; ``truncation_bias`` bounds the mass the draws
-        leave out (combs draw from their leading atoms, renormalized)."""
+        """(draw, truncation_bias): ``draw`` maps an array of uniforms in
+        (0, 1) to draws from this measure, and may overwrite the uniforms it
+        is given (a closed-form law returns them, transformed in place);
+        ``truncation_bias`` bounds the mass the draws leave out (combs draw
+        from their leading atoms, renormalized)."""
         raise MeasureError(f"no sampler for measure family {self.family!r}")
 
     # Affine combinators (precomposition with the inverse map).
@@ -805,7 +808,8 @@ class _ClosedForm(DensityMeasure):
     over an array z: F a primitive of Z's pdf and H / ``unit`` one of
     z * pdf(z).  ``tails(u, v)`` is P(Z > u) + P(Z < -v) for any real u, v,
     asked at u = (hi - loc) / scale and v = (loc - lo) / scale, so that it is
-    P(X < lo) + P(X > hi).  ``quantile`` is Z's inverse CDF, if any.
+    P(X < lo) + P(X > hi).  ``quantile`` is Z's inverse CDF, if any, and may
+    write over its uniforms.
     ``loc_scale`` is None for a law that is no member of a location-scale
     family: then loc = 0 and scale = 1.
     """
@@ -840,7 +844,14 @@ class _ClosedForm(DensityMeasure):
         if self._quantile is None:
             return super().sampler()
         loc, scale, quantile = self._origin, self._width, self._quantile
-        return (lambda u: loc + scale * quantile(u)), 0.0
+        return (lambda u: _scaled(quantile(u), scale, loc)), 0.0
+
+
+def _scaled(x: np.ndarray, s: float, a: float) -> np.ndarray:
+    """a + s * x, written over x."""
+    x *= s
+    x += a
+    return x
 
 
 def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
@@ -857,7 +868,7 @@ def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
         return ndtr(z), np.exp(-0.5 * z2) / math.sqrt(2 * math.pi)
 
     return _ClosedForm("gaussian", pdf, primitives, lambda u, v: ndtr(-u) + ndtr(-v),
-                       unit=-1.0, loc_scale=(mu, sigma), quantile=ndtri)
+                       unit=-1.0, loc_scale=(mu, sigma), quantile=lambda u: ndtri(u, out=u))
 
 
 def _log1p_sq(u: np.ndarray) -> np.ndarray:
@@ -885,7 +896,8 @@ def cauchy(loc: float = 0.0, scale: float = 1.0) -> DensityMeasure:
     return _ClosedForm(
         "cauchy", pdf, lambda z: (0.5 + np.arctan(z) / math.pi, _log1p_sq(z)),
         lambda u, v: _cauchy_upper(u) + _cauchy_upper(v), unit=2 * math.pi,
-        loc_scale=(loc, scale), quantile=lambda u: np.tan(np.pi * (u - 0.5)))
+        loc_scale=(loc, scale),  # tan(pi * (u - 1/2)), written over u
+        quantile=lambda u: np.tan(np.multiply(np.subtract(u, 0.5, out=u), np.pi, out=u), out=u))
 
 
 def _power_tail_constant(exponent: float) -> float:
@@ -1051,7 +1063,7 @@ class Affine(Measure):
         # Composed level by level: a negative s must map each draw, not
         # mirror the uniforms.
         draw, bias = self.inner.sampler()
-        return (lambda u: self.s * draw(u) + self.a), bias
+        return (lambda u: _scaled(draw(u), self.s, self.a)), bias
 
 
 # ---------------------------------------------------------------------------

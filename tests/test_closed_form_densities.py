@@ -80,7 +80,7 @@ def _gate_digest() -> str:
         put(m.tail_probability(np.array([math.inf, 0.0])), [m.tail_probability(math.inf)])
         try:
             draw, bias = m.sampler()
-            put(draw(u), [bias])
+            put(draw(u.copy()), [bias])  # a draw may write over its uniforms
         except ml.MeasureError as exc:
             h.update(str(exc).encode())
     return h.hexdigest()

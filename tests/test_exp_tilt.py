@@ -219,6 +219,37 @@ def test_unresolvable_bump_raises_instead_of_answering():
         ml.ExpTiltMultiplier(0.0).regularized_means(m, np.array([1e-4]))
 
 
+class _Ripple(ml.DensityMeasure):
+    """pdf (1 + sin(w x)) / 2 on [0, 2], w = 1e7, with closed-form windows;
+    ``calls`` counts its pdf calls."""
+
+    def __init__(self):
+        self.family, self.support, self.calls, w = "ripple", (0.0, 2.0), 0, 1e7
+
+        def pdf(x):
+            self.calls += 1
+            return 0.5 + 0.5 * math.sin(w * x)
+
+        def primitives(x):  # of pdf and of x * pdf
+            return (0.5 * x - 0.5 * np.cos(w * x) / w,
+                    0.25 * x * x + 0.5 * (np.sin(w * x) / w - x * np.cos(w * x)) / w)
+        self.pdf, self._primitives = pdf, primitives
+
+    def _stats_between(self, lo, hi):
+        (f_lo, h_lo), (f_hi, h_hi) = self._primitives(lo), self._primitives(hi)
+        return f_hi - f_lo, h_hi - h_lo
+
+
+def test_a_density_failing_everywhere_is_refused_after_few_rounds():
+    # every piece fails its checks, so each round bisects twice as many; the
+    # round in which more than 1,024 fail is refused, after about 2 x 2,048
+    # pieces of 213 tanh-sinh nodes each (a cap of 10,000 would pass 7e6 calls)
+    m = _Ripple()
+    with pytest.raises(ml.QuadratureError, match="after 11 splits"):
+        ml.ExpTiltMultiplier(0.0).regularized_means(m, np.array([1e-2]))
+    assert m.calls < 1_000_000
+
+
 def test_narrow_far_power_tail_is_read_in_its_own_frame():
     # the same bump as an affine image: each node is an anchor plus an offset
     # of the law's own width, read by the inner law

@@ -167,6 +167,25 @@ def test_wlln_memory_is_bounded_by_the_block():
     assert peak < 4_000_000  # the whole 1000 x 10,000 cell would be 80 MB
 
 
+@pytest.mark.parametrize("run", [
+    lambda s: ml.wlln_experiment(s, m=1.0, epsilon=1.0, n_values=[300], replications=1000),
+    lambda s: ml.cauchy_stability_demo(s, n=110, replications=1000),
+], ids=["wlln", "stability"])
+def test_draws_are_transformed_in_the_block_buffer(run):
+    # one buffer of 65,000 doubles (520,000 bytes) per call, transformed in
+    # place through the quantile and both affine levels; a temporary per
+    # step would hold several such blocks at once
+    s = ml.build_sampler(ml.cauchy().scale(2.0).shift(1.0), seed=0)
+    run(s)  # the modules a first call imports are no part of its draws
+    tracemalloc.start()
+    try:
+        run(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600_000
+
+
 @pytest.mark.parametrize("bad", [
     {"m": math.inf}, {"m": math.nan}, {"epsilon": -1.0}, {"epsilon": 0.0},
     {"epsilon": math.nan}, {"epsilon": math.inf}, {"n_values": []},

@@ -10,8 +10,11 @@ on each side, untimed, before the first round, and that pass compares the
 two sides' results: the sha256 of each operation's ``repr``, or of its
 exception's type and message.  Prints, per operation family
 (``workloads.family_key``) and over all operations, the median over rounds
-of the mean ms per operation on each side, the speed-up (parent time over
-change time) and in how many rounds the change was faster; then
+of the mean ms per operation on each side, the median over rounds of the
+mean minor page faults per operation on each side (``ru_minflt`` of
+``getrusage``, read before and after each operation: each array the
+allocator maps afresh is faulted in page by page), the speed-up (parent
+time over change time) and in how many rounds the change was faster; then
 ``results: K of N operations differ`` and the family of each operation
 whose result differs, so a refactor shows at once whether its traffic is
 bitwise unchanged.
@@ -33,6 +36,7 @@ import argparse
 import hashlib
 import importlib.util
 import os
+import resource
 import statistics
 import sys
 import time
@@ -52,17 +56,18 @@ def load_meanlab(checkout: str, name: str):
     return module
 
 
-def run_round(workloads, ml, specs, families) -> dict[str, list[float]]:
-    """Seconds of each operation of ``specs``, by family."""
-    times: dict[str, list[float]] = {family: [] for family in families}
+def run_round(workloads, ml, specs, families) -> dict[str, list[tuple[float, int]]]:
+    """(seconds, minor page faults) of each operation of ``specs``, by family."""
+    costs: dict[str, list[tuple[float, int]]] = {family: [] for family in families}
     for spec, family in zip(specs, families):
-        t0 = time.perf_counter()
+        f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
         try:
             workloads.run_op(ml, spec)
         except Exception:  # a failing operation is timed like any other
             pass
-        times[family].append(time.perf_counter() - t0)
-    return times
+        t1, f1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        costs[family].append((t1 - t0, f1 - f0))
+    return costs
 
 
 def digests(workloads, ml, specs) -> list[str]:
@@ -98,26 +103,30 @@ def main(argv=None) -> int:
     warnings.simplefilter("ignore")  # known defects warn on every run
     results = {side: digests(workloads, libs[side], specs) for side in SIDES}
 
-    # per side: {family: [mean ms per operation in each round]}
+    # per side: {family: [mean ms per operation in each round]}, and faults likewise
     ms: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
+    faults: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
     for k in range(1, args.rounds + 1):
         for side in SIDES if k % 2 else SIDES[::-1]:
-            times = run_round(workloads, libs[side], specs, families)
-            times["all"] = [t for ts in times.values() for t in ts]
-            for family, ts in times.items():
-                ms[side].setdefault(family, []).append(1e3 * sum(ts) / len(ts))
+            costs = run_round(workloads, libs[side], specs, families)
+            costs["all"] = [c for cs in costs.values() for c in cs]
+            for family, cs in costs.items():
+                ms[side].setdefault(family, []).append(1e3 * sum(t for t, _ in cs) / len(cs))
+                faults[side].setdefault(family, []).append(sum(f for _, f in cs) / len(cs))
 
     print(f"{args.workload} seed {args.seed}: {len(specs)} operations, "
-          f"{args.rounds} alternating rounds, median ms/op")
-    print(f"{'family':36s} {'ops':>4s} {'parent':>9s} {'change':>9s} {'speed-up':>9s}")
+          f"{args.rounds} alternating rounds, median ms/op and minor faults/op")
+    print(f"{'family':36s} {'ops':>4s} {'parent':>9s} {'change':>9s} "
+          f"{'par-flt':>8s} {'chg-flt':>8s} {'speed-up':>9s}")
     counts = {family: families.count(family) for family in families}
     counts["all"] = len(specs)
     for family in sorted(counts, key=lambda f: (f == "all", f)):
         par, chg = ms["parent"][family], ms["change"][family]
         wins = sum(c < p for p, c in zip(par, chg))
         mp, mc = statistics.median(par), statistics.median(chg)
-        print(f"{family:36s} {counts[family]:4d} {mp:9.3f} {mc:9.3f} {mp / mc:8.2f}x  "
-              f"change faster in {wins} of {args.rounds}")
+        fp, fc = (statistics.median(faults[side][family]) for side in SIDES)
+        print(f"{family:36s} {counts[family]:4d} {mp:9.3f} {mc:9.3f} {fp:8.1f} {fc:8.1f} "
+              f"{mp / mc:8.2f}x  change faster in {wins} of {args.rounds}")
     differ = [family for family, par, chg in zip(families, results["parent"], results["change"])
               if par != chg]
     print(f"results: {len(differ)} of {len(specs)} operations differ")
