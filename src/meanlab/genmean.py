@@ -37,8 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import (Measure, MeasureError, _ClosedForm, _median, _middle, _number,
-                       _split_rule)
+from .measures import Measure, MeasureError, _median, _middle, _number, _split_rule
 
 __all__ = [
     "TruncationSchedule",
@@ -660,20 +659,16 @@ class ExpTiltMultiplier:
     and the limit is c whatever c is.
 
     ``regularized_means`` takes the whole damping schedule in one pass, by
-    one of two branches:
-
-    * closed form: a plain ``cauchy(loc, scale)``, read from the law's own
-      loc and scale (``_cauchy_tilt_means``);
-    * one discrete rule: magnitudes x >= 0 carrying masses at -x and +x,
-      summed for every lam as one (lam x nodes) product (``_kernel``), over
-      the atoms of an atomic measure, enumerated once at the widest reach,
-      or over the nodes of a density's pieces between its kinks: 0, where
-      the weight has its kink, the law's origin and its support ends
-      (``measures._split_rule``, which bisects a piece its nodes do not
-      resolve, up to a QuadratureError).  Every other density, each
-      Gaussian and each affine image included, takes this rule, and reads
-      its pdf at each node's offset from its origin, in its own frame, so a
-      law narrow against its distance from 0 keeps its digits.
+    one discrete rule: magnitudes x >= 0 carrying masses at -x and +x,
+    summed for every lam as one (lam x nodes) product (``_kernel``), over
+    the atoms of an atomic measure, enumerated once at the widest reach,
+    or over the nodes of a density's pieces between its kinks: 0, where
+    the weight has its kink, the law's origin and its support ends
+    (``measures._split_rule``, which bisects a piece its nodes do not
+    resolve, up to a QuadratureError).  Every density, the standard Cauchy
+    above included, takes this rule, and reads its pdf at each node's
+    offset from its origin, in its own frame, so a law narrow against its
+    distance from 0 keeps its digits.
     """
 
     kind = "exp_tilt"
@@ -694,8 +689,6 @@ class ExpTiltMultiplier:
             raise ValueError(
                 "damping rate must be positive; lam <= 0 leaves both tails "
                 "of weight(x) * x unregularized")
-        if isinstance(measure, _ClosedForm) and measure.family == "cauchy":
-            return _cauchy_tilt_means(measure._origin, measure._width, self.c, lams)
         reach = _TILT_REACH / float(lams.min())
         kernel = functools.partial(self._kernel, lams)
         if measure.is_atomic:
@@ -721,65 +714,6 @@ class ExpTiltMultiplier:
         # so the settling tolerance is scaled to the schedule depth rather
         # than the truncation default.
         return replace(policy, conv_scale=max(policy.conv_scale, 1e-3))
-
-
-_EULER_GAMMA = 0.5772156649015329
-
-
-def _psi(w: np.ndarray) -> np.ndarray:
-    """w e^w E1(w) - 1 over a complex array, accurate in each component.
-
-    The Cauchy closed form needs imaginary parts many orders of magnitude
-    below the modulus when the location dwarfs the scale, which a product
-    of e^w and scipy's complex E1 does not deliver (the means lost up to
-    4e-8 relative near |lam loc| = 40).  Close to the negative real axis,
-    and for small |w|, the power series
-    E1(w) = -gamma - log w - sum_{n>=1} (-w)^n / (n n!) is used, whose terms
-    there share one sign; elsewhere the continued fraction
-    w e^w E1(w) = w / (w + 1 - 1/(w + 3 - 4/(w + 5 - 9/(w + 7 - ...))))
-    converges within 60 levels.  Checked against mpmath on a grid of the
-    plane: at worst about 1e-12 relative per component.
-    """
-    out = np.empty_like(w)
-    near = (w.real > -60.0) & (w.real < 2.0) & (np.abs(w.imag) < 5.0)
-    if near.any():
-        v = w[near]
-        term, total = np.ones_like(v), np.zeros_like(v)
-        for n in range(1, 400):
-            term = term * -v / n
-            total += term / n
-            if np.all(np.abs(term) <= 1e-17 * n * np.abs(total)):
-                break
-        out[near] = v * np.exp(v) * (-_EULER_GAMMA - np.log(v) - total) - 1.0
-    if not near.all():
-        v = w[~near]
-        t = v + 121.0
-        for n in range(59, 0, -1):
-            t = v + (2 * n + 1) - (n + 1) ** 2 / t
-        r = 1.0 / t
-        out[~near] = -(1.0 - r) / (v + 1.0 - r)
-    return out
-
-
-def _cauchy_tilt_means(loc: float, scale: float, c: float, lams: np.ndarray) -> np.ndarray:
-    """E(weight_lam(X) X) for X ~ Cauchy(loc, scale) and an array of lam.
-
-    With z = loc + i scale the density is Im[1 / (x - z)] / pi, and
-    int_0^inf e^(-lam x) / (x - z) dx = e^(-lam z) E1(-lam z), so the two
-    half-lines give, with Psi(w) = w e^w E1(w) - 1 and k = pi c lam,
-
-        mean = -(Im Psi(-lam z) + (1 + k loc) Im Psi(lam z)) / (pi lam)
-               - c scale Re Psi(lam z).
-
-    For cauchy(0, 1) this is c (1 - lam f(lam)).  Against mpmath: within
-    1e-12 relative for |loc| up to 1e4 at lam <= 1e-2, and about 3e-11 at
-    worst for |loc| up to 1e6 and lam up to 0.1.
-    """
-    z = complex(loc, scale)
-    pos, neg = _psi(-lams * z), _psi(lams * z)
-    k = math.pi * c * lams
-    return (-(pos.imag + (1.0 + k * loc) * neg.imag) / (math.pi * lams)
-            - c * scale * neg.real)
 
 
 @dataclass

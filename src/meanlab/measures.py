@@ -269,9 +269,15 @@ def _split_rule(measure: Measure, reach: float, kernel: Callable) -> np.ndarray:
               for p, q in zip(ends[:-1], ends[1:])]
     total, origin, width = 0.0, measure._origin, measure._width
     while pieces:
-        parts = [(anchor + offset, w * measure._pdf_at((anchor - origin) + offset), span)
-                 for anchor, offset, w, span in (_piece_nodes(p, width) for p in pieces)]
+        nodes = [_piece_nodes(p, width) for p in pieces]
+        # an offset past float range in the law's frame reads +-inf, where its pdf
+        # is 0; a density past float range reads inf, and is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = [(anchor + offset, w * measure._pdf_at((anchor - origin) + offset), span)
+                     for anchor, offset, w, span in nodes]
         seen = np.array([masses[0].sum() for _, masses, _ in parts])
+        if np.isinf(seen).any():
+            raise MeasureError(f"{measure.family}: density past float range")
         window = measure.window_stats(*zip(*(part[2] for part in parts)))[0]
         # The i-th pieces left and right of 0 share a kernel call (rows h, 2h),
         # and their columns when their nodes mirror each other, as at a kink at 0.
@@ -826,15 +832,23 @@ class _ClosedForm(DensityMeasure):
         self._unit, self._quantile = unit, quantile
 
     def _stats_between(self, lo, hi):
-        loc, scale = self._origin, self._width
-        F, H = self._primitives((np.concatenate([lo, hi]) - loc) / scale)
+        loc, scale, ends = self._origin, self._width, np.concatenate([lo, hi])
+        with np.errstate(over="ignore"):  # an end past float range in Z reads +-inf
+            z = (ends - loc) / scale
+        F, H = self._primitives(z)
+        if not np.isfinite(H).all():  # Z's moment diverges there: refused at a finite end
+            if (far := np.isinf(z) & np.isfinite(ends) & ~np.isfinite(H)).any():
+                raise MeasureError(f"{self.family}: window end {ends[far][0]:.17g} lies past "
+                                   "float range in the law's own frame")
         n = len(lo)
         mass = F[n:] - F[:n]
         return mass, loc * mass + (scale / self._unit) * (H[n:] - H[:n])
 
     def _outside(self, lo, hi):
         loc, scale = self._origin, self._width
-        return self._tails((hi - loc) / scale, (loc - lo) / scale)
+        with np.errstate(over="ignore"):  # an end past float range in Z reads +-inf
+            u, v = (hi - loc) / scale, (loc - lo) / scale
+        return self._tails(u, v)
 
     def _pdf_at(self, offset):  # in Z, whose origin is 0
         z = offset / self._width
@@ -1036,7 +1050,13 @@ class Affine(Measure):
         return (hi, lo) if self.s < 0 else (lo, hi)
 
     def _window_stats(self, lo, hi):
-        masses, moments = self.inner._window_stats(*self._inverse(lo, hi))
+        try:  # a finite end mapped to +-inf would ask the inner law a wider window
+            with np.errstate(over="raise"):
+                inner = self._inverse(lo, hi)
+        except FloatingPointError:
+            raise MeasureError(f"{self.family}: a window end maps past float range in the "
+                               "inner law's frame") from None
+        masses, moments = self.inner._window_stats(*inner)
         return masses, self.s * moments + self.a * masses
 
     def _pdf_at(self, offset):  # the inner law's origin maps to this one's

@@ -1,16 +1,16 @@
-"""The exponential-tilt multiplier: closed forms, the split node rule and atoms.
+"""The exponential-tilt multiplier: the split node rule and atoms, against closed forms.
 
 The means of Cauchy and Gaussian laws are checked against closed forms
 evaluated by mpmath at 40 digits.  The Cauchy oracle evaluates
 Im[z e^(-lam z) E1(-lam z) - z (1 + k z) e^(lam z) E1(lam z)] / pi
 + c scale (z = loc + i scale, k = pi c lam) with mpmath's own E1; the
 Gaussian oracle evaluates the completed-square half-line moments with
-mpmath's normal cdf and pdf.  Only a plain ``cauchy(loc, scale)`` takes the
-library's closed form, which evaluates neither expression: it uses a series
-or continued fraction for w e^w E1(w) - 1.  Every other density, every
-Gaussian and every affine image of a Cauchy included, goes through
-``measures._split_rule``: the line split at 0, at the law's origin and at its
-support ends, trapezoid nodes in log(|x - kink| / width) on the outer
+mpmath's normal cdf and pdf; the standard Cauchy is also checked against the
+Abramowitz-Stegun form c (1 - lam f(lam)) with scipy's sici.  The library
+evaluates neither closed form: every density, each plain ``cauchy(loc,
+scale)`` and ``gaussian(mu, sigma)`` and each affine image included, goes
+through ``measures._split_rule``: the line split at 0, at the law's origin and
+at its support ends, trapezoid nodes in log(|x - kink| / width) on the outer
 half-lines and tanh-sinh nodes on finite pieces, each node an anchor plus an
 offset that the law reads in its own frame, and a piece that fails its mass
 or step-halving check bisected.
@@ -30,7 +30,7 @@ from scipy import integrate, special
 
 import meanlab as ml
 from meanlab import measures
-from meanlab.genmean import _TILT_REACH, _cauchy_tilt_means
+from meanlab.genmean import _TILT_REACH
 
 LAMS = (1e-2, 1e-3, 1e-4)
 
@@ -71,9 +71,20 @@ def _counting_quad(monkeypatch):
     return calls
 
 
-# Each row is the law and the (loc, scale) of its oracle.  Plain Cauchy laws
-# take the closed form, and affine images, like every row of GAUSSIAN_CASES,
-# the node rule.
+class _Plain(ml.DensityMeasure):
+    """The same law with no closed form: its pdf and window kernel only."""
+
+    def __init__(self, measure, support=(-math.inf, math.inf)):
+        # the law's own windows need no check that the density integrates to 1
+        self.family, self.pdf, self.support, self._law = "plain", measure.pdf, support, measure
+
+    def _stats_between(self, lo, hi):
+        return self._law.window_stats(lo, hi)
+
+
+# Each row is the law and the (loc, scale) of its oracle.  Every row, like
+# every row of GAUSSIAN_CASES, takes the node rule; the last two read the
+# standard Cauchy as a user density, at absolute positions.
 CAUCHY_CASES = [
     (lambda: ml.cauchy(0.0, 1.0), (0.0, 1.0), 2.5),
     (lambda: ml.cauchy(2.0, 1.0), (2.0, 1.0), 0.0),
@@ -86,6 +97,8 @@ CAUCHY_CASES = [
     (lambda: ml.cauchy(100.0, 1e-3), (100.0, 1e-3), 0.0),
     # law of -0.5 (X + 1) for X ~ Cauchy(0.5, 2): Cauchy(-0.75, 1)
     (lambda: ml.cauchy(0.5, 2.0).shift(1.0).scale(-0.5), (-0.75, 1.0), 2.5),
+    (lambda: _Plain(ml.cauchy()), (0.0, 1.0), -2.0),
+    (lambda: _Plain(ml.cauchy()), (0.0, 1.0), 3.0),
 ]
 
 
@@ -127,28 +140,8 @@ def test_standard_cauchy_is_the_abramowitz_stegun_form():
     si, ci = special.sici(lams)
     f = ci * np.sin(lams) - (si - math.pi / 2) * np.cos(lams)
     for c in (-2.0, 3.0):
-        got = _cauchy_tilt_means(0.0, 1.0, c, lams)
+        got = ml.ExpTiltMultiplier(c).regularized_means(ml.cauchy(), lams)
         np.testing.assert_allclose(got, c * (1.0 - lams * f), rtol=1e-13)
-
-
-class _Plain(ml.DensityMeasure):
-    """The same law with no closed form: its pdf and window kernel only."""
-
-    def __init__(self, measure, support=(-math.inf, math.inf)):
-        # the law's own windows need no check that the density integrates to 1
-        self.family, self.pdf, self.support, self._law = "plain", measure.pdf, support, measure
-
-    def _stats_between(self, lo, hi):
-        return self._law.window_stats(lo, hi)
-
-
-@pytest.mark.parametrize("c", [-2.0, 3.0])
-def test_cauchy_closed_form_agrees_with_quadrature(c):
-    fam = ml.ExpTiltMultiplier(c)
-    lams = fam.default_lambdas(ml.TruncationSchedule())
-    closed = fam.regularized_means(ml.cauchy(), lams)
-    quadrature = fam.regularized_means(_Plain(ml.cauchy()), lams)
-    np.testing.assert_allclose(closed, quadrature, rtol=1e-12)
 
 
 def test_quadrature_finds_a_bump_it_never_samples():
@@ -261,7 +254,7 @@ def test_narrow_far_power_tail_is_read_in_its_own_frame():
 
 def test_narrow_far_laws_on_the_default_schedule():
     # a law of width 1e-6 at 3e4, written plainly or as an affine image of the
-    # standard one; only the plain Cauchy takes a closed form
+    # standard one
     fam = ml.ExpTiltMultiplier(2.5)
     lams = fam.default_lambdas(ml.TruncationSchedule())
     for law, oracle in ((ml.gaussian, _gaussian_oracle), (ml.cauchy, _cauchy_oracle)):
@@ -275,20 +268,22 @@ def test_narrow_far_laws_on_the_default_schedule():
                                         (ml.cauchy, _cauchy_oracle)], ids=["gaussian", "cauchy"])
 def test_narrow_far_affine_images_match_mpmath(law, oracle, loc):
     # each node is read at its offset from the law's origin, in the inner law's
-    # frame; reading them at absolute positions, the rule refused 46 of these 96
+    # frame; reading them at absolute positions, the rule refused 46 of these 96.
+    # The plain law is read in its own frame the same way
     for s in (1e-7, 1e-6, 1e-3, 1e-1):
         for c in (-5.0, 0.0, 2.5):
-            got = ml.ExpTiltMultiplier(c).regularized_means(law().scale(s).shift(loc), LAMS)
-            for value, lam in zip(got.tolist(), LAMS):
-                want = oracle(loc, s, c, lam)
-                assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), (s, c, lam)
+            for m in (law(loc, s), law().scale(s).shift(loc)):
+                got = ml.ExpTiltMultiplier(c).regularized_means(m, LAMS)
+                for value, lam in zip(got.tolist(), LAMS):
+                    want = oracle(loc, s, c, lam)
+                    assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), (m.family, s, c, lam)
 
 
 @pytest.mark.parametrize("m,s", [(1.0, 2.0), (-50.0, 3.0), (1e2, 1e-3), (-7.5, 0.25),
                                  (3e4, 1e-6), (-1e5, 1e-7)])
 def test_one_law_written_three_ways_has_one_mean(m, s):
-    # the node rule reads every Gaussian from its origin, however it is built;
-    # affine images of a Cauchy agree with its closed form
+    # the node rule reads every Gaussian and every Cauchy from its origin,
+    # however it is built
     lams = np.geomspace(1e-2, 1e-4, 25)
     for c in (-5.0, 0.0, 2.5):
         fam = ml.ExpTiltMultiplier(c)
@@ -296,12 +291,11 @@ def test_one_law_written_three_ways_has_one_mean(m, s):
         for other in (ml.gaussian().scale(s).shift(m), ml.gaussian().shift(m / s).scale(s)):
             np.testing.assert_allclose(fam.regularized_means(other, lams), want,
                                        rtol=1e-14, atol=0)
-        if s >= 1e-3:  # the closed form loses relative digits on the tiny means of a far narrow law
-            want = fam.regularized_means(ml.cauchy(m, s), lams)
-            for other in (ml.cauchy().scale(s).shift(m), ml.cauchy().shift(m / s).scale(s),
-                          ml.cauchy(-m, s).negate()):
-                np.testing.assert_allclose(fam.regularized_means(other, lams), want,
-                                           rtol=1e-14, atol=0)
+        want = fam.regularized_means(ml.cauchy(m, s), lams)
+        for other in (ml.cauchy().scale(s).shift(m), ml.cauchy().shift(m / s).scale(s),
+                      ml.cauchy(-m, s).negate()):
+            np.testing.assert_allclose(fam.regularized_means(other, lams), want,
+                                       rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("width", [1e300, 1e-300])
@@ -331,18 +325,27 @@ def test_extreme_widths_are_answered_or_refused(width):
 def test_widths_below_float_range_are_answered_or_refused():
     # a width that underflows to 0 (a product of scales) or is subnormal still
     # bounds the outer nodes, to e^-700 of their piece at least: node counts
-    # and nodes stay finite, so the law is answered or refused, never crashed
+    # and nodes stay finite.  An offset or a window end past float range in a
+    # law's own frame reads +-inf, where a Gaussian's pdf and moment vanish; a
+    # window that an affine map sends past float range, and a density past it,
+    # are refused.  No case warns: the ini makes a RuntimeWarning an error
     fam = ml.ExpTiltMultiplier(2.5)
-    for m in (ml.gaussian().scale(1e-200).scale(1e-200), ml.gaussian(0.0, 5e-324),
-              ml.power_tail(1.5, 1.7).scale(5e-324).shift(1.0)):
-        with warnings.catch_warnings():
-            # offsets and window ends divided by such a width leave float range
-            warnings.simplefilter("ignore", RuntimeWarning)
-            try:
-                got = fam.regularized_means(m, LAMS)
-            except ml.MeasureError:
-                continue
-        assert np.all(np.isfinite(got))
+    cases = [
+        (ml.gaussian(0.0, 1e-305), [_gaussian_oracle(0.0, 1e-305, 2.5, lam) for lam in LAMS]),
+        (ml.gaussian(0.0, 5e-324), [_gaussian_oracle(0.0, 5e-324, 2.5, lam) for lam in LAMS]),
+        # the product of the scales is 0: a point mass at 0
+        (ml.gaussian().scale(1e-200).scale(1e-200), [0.0] * len(LAMS)),
+        # a mass of about 1e-154 lies farther than 1e-16 from 1
+        (ml.power_tail(1.5, 1.7).scale(5e-324).shift(1.0), [math.exp(-lam) for lam in LAMS]),
+    ]
+    for i, (m, want) in enumerate(cases):
+        try:
+            got = fam.regularized_means(m, LAMS)
+        except ml.MeasureError:
+            assert i > 0, "a Gaussian 1e-305 wide is read in its own frame"
+            continue
+        for value, w in zip(got.tolist(), want):
+            assert abs(value - w) <= 1e-13 * max(1.0, abs(w)), (m.family, value, w)
 
 
 def _power_tail_oracle(a, b, c, lam, s=1.0, t=0.0):
@@ -597,18 +600,18 @@ def test_integer_power_comb_fails_fast_at_the_atom_cap():
     assert peak < 100_000
 
 
-# ExpTiltMultiplier(2.5) at lam = 1e-2, 1e-3, 1e-4.  The plain Cauchy laws
-# take the closed form, and their values are as recorded before it was looked
-# up by family.  The other three take the node rule, and were re-recorded
-# when its nodes became anchors plus offsets read in the law's own frame:
-# against 40-digit mpmath, gaussian_mu_sigma (once the closed form) and
-# gaussian_scale_shift stayed at 2.2e-16 and 4.4e-16, and cauchy_3_levels
-# went 1.5e-16 -> 2.9e-16 (over max(1, |v|)).
+# ExpTiltMultiplier(2.5) at lam = 1e-2, 1e-3, 1e-4, all by the node rule.
+# The last three were re-recorded when its nodes became anchors plus offsets
+# read in the law's own frame: against 40-digit mpmath, gaussian_mu_sigma
+# (once a closed form) and gaussian_scale_shift stayed at 2.2e-16 and 4.4e-16,
+# and cauchy_3_levels went 1.5e-16 -> 2.9e-16 (over max(1, |v|)).  The plain
+# Cauchy laws were re-recorded when their closed form went: cauchy came out
+# bitwise the same (1.8e-16), and cauchy_far went 3.3e-16 -> 1.2e-16.
 PINNED_TILT_MEANS = {
     "cauchy": (lambda: ml.cauchy(), [
         2.461989019517544, 2.4960913374921416, 2.4996075417483823]),
     "cauchy_far": (lambda: ml.cauchy(1e4, 1.0), [
-        0.0004742409218737864, 0.4885406122210168, 3678.942178367769]),
+        0.0004742409218737868, 0.4885406122210165, 3678.9421783677685]),
     "gaussian_mu_sigma": (lambda: ml.gaussian(1.0, 2.0), [
         1.031474800339984, 1.0032513766017859, 1.0003261948896416]),
     "gaussian_scale_shift": (lambda: ml.gaussian(0.5, 2.0).scale(-3.0).shift(1.0), [

@@ -487,6 +487,22 @@ def test_a_scale_that_overflows_t_reads_zero():
         assert law.scale(1e-3).shift(1.0).tail_probability(1e307) == 0.0
 
 
+def test_a_window_past_float_range_in_the_laws_frame_is_answered_or_refused():
+    # (x - loc) / scale overflows.  A Gaussian reads that end as +-inf, where its
+    # mass and moment are exact; a Cauchy's moment diverges out there, and an
+    # affine map would hand its inner law a wider window, so those refuse.
+    # None warns: the ini makes a RuntimeWarning an error
+    narrow = ml.gaussian(1.0, 1e-3)
+    assert narrow.window_stats(-1e307, 1e307) == (1.0, 1.0)
+    assert narrow.window_stats(1e307, 1.5e307) == (0.0, 0.0)
+    for m in (ml.cauchy(1.0, 1e-3), ml.cauchy().scale(1e-3).shift(1.0),
+              ml.gaussian().scale(1e-3).shift(1.0), ml.power_tail(1.5, 1.8).scale(1e-3)):
+        with pytest.raises(ml.MeasureError, match="past float range"):
+            m.window_stats(-1e307, 1e307)
+    # ends that are infinite to begin with are read as before
+    assert ml.cauchy(1.0, 1e-3).window_stats(0.0, math.inf)[1] == math.inf
+
+
 # ---------------------------------------------------------------------------
 # One-sided tails: the mass outside (-inf, t] and outside [-t, inf)
 # ---------------------------------------------------------------------------

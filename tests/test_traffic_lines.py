@@ -28,13 +28,15 @@ def test_cli_examples_leave_the_quadrature_fallback_unrun(cli_lines):
     assert "measures.py" in modules and "cli.py" in modules
     assert "  _bisect: never called" in "\n".join(lines)
     # the examples classify gaussian and cauchy laws through the closed forms
-    assert not any(line.startswith("  _ClosedForm._stats_between") for line in lines)
+    # (only its refusal of a window end past float range stays unrun)
+    assert not any(line.startswith("  _ClosedForm._stats_between: never called")
+                   for line in lines)
 
 
-def test_cli_examples_run_the_cauchy_tilt_closed_form(cli_lines):
-    # the Cauchy exp-tilt closed form runs for multiplier_exp_tilt_cauchy.json
-    assert not any(line.startswith(("  _cauchy_tilt_means: never called", "  _psi: never called"))
-                   for line in cli_lines)
+def test_cli_examples_run_the_exp_tilt_node_rule(cli_lines):
+    # multiplier_exp_tilt_cauchy.json takes the node rule: two outer pieces,
+    # both kept in the first round, so nothing is bisected
+    assert not any(line.startswith("  _split_rule: never called") for line in cli_lines)
 
 
 def test_finds_its_own_checkout_without_pythonpath(tmp_path):
