@@ -659,10 +659,10 @@ class ExpTiltMultiplier:
     and the limit is c whatever c is.
 
     ``regularized_means`` takes the whole damping schedule in one pass, by
-    one discrete rule: magnitudes x >= 0 carrying masses at -x and +x,
-    summed for every lam as one (lam x nodes) product (``_kernel``), over
-    the atoms of an atomic measure, enumerated once at the widest reach,
-    or over the nodes of a density's pieces between its kinks: 0, where
+    one discrete rule: the (lam x nodes) kernel weight(y) y at signed nodes
+    y (``_kernel``) times the nodes' masses, over the atoms of an atomic
+    measure, enumerated once at the widest reach, or, one product per
+    piece, over the nodes of a density's pieces between its kinks: 0, where
     the weight has its kink, the law's origin and its support ends
     (``measures._split_rule``, which bisects a piece its nodes do not
     resolve, up to a QuadratureError).  Every density, the standard Cauchy
@@ -693,18 +693,17 @@ class ExpTiltMultiplier:
         kernel = functools.partial(self._kernel, lams)
         if measure.is_atomic:
             locs, weights = measure.atom_arrays(reach)
-            return np.add(*kernel(np.abs(locs), np.where(locs < 0.0, weights, 0.0)[None],
-                                  np.where(locs > 0.0, weights, 0.0)[None]))[:, 0]
+            return kernel(locs) @ weights
         if measure.pdf is None:
             raise MeasureError("exp_tilt needs an atomic or density measure")
         return _split_rule(measure, reach, kernel)
 
-    def _kernel(self, lams: np.ndarray, x: np.ndarray, neg: np.ndarray, pos: np.ndarray):
-        """Per lam and row of masses: the sums of weight(y) y over the masses
-        at y = -x (``neg``) and over those at y = x (``pos``)."""
-        damp = np.exp(-lams[:, None] * x) * x
-        tilted = damp * (1.0 - math.pi * self.c * lams[:, None] * x) if self.c else damp
-        return -(tilted @ neg.T), damp @ pos.T
+    def _kernel(self, lams: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """weight(y) y per lam (rows) and signed node y (columns)."""
+        damp = np.exp(-lams[:, None] * np.abs(y)) * y
+        if not self.c:
+            return damp
+        return damp * (1.0 + math.pi * self.c * lams[:, None] * np.minimum(y, 0.0))
 
     def default_lambdas(self, schedule: TruncationSchedule) -> np.ndarray:
         return np.geomspace(1e-2, 1e-4, 25)

@@ -53,7 +53,6 @@ request made alone.  Any other shape is one row.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import sys
@@ -244,8 +243,8 @@ def _bisect(piece: tuple) -> tuple[tuple, tuple]:
 
 
 def _split_rule(measure: Measure, reach: float, kernel: Callable) -> np.ndarray:
-    """int g pdf over [-reach, reach] per column g of ``kernel(x, neg, pos)``:
-    the sums of g(-x) over the masses ``neg`` at -x and of g(x) over ``pos`` at x.
+    """int g pdf over [-reach, reach] for each row g of ``kernel(y)``, an
+    array (functions x nodes) over signed nodes y.
 
     The line is split at the kinks 0, ``measure._origin`` and the support ends
     (one within 2 reach, past the last trapezoid node, ends the range instead
@@ -253,16 +252,17 @@ def _split_rule(measure: Measure, reach: float, kernel: Callable) -> np.ndarray:
     their sum, and the law its pdf at the node's offset from the law's origin,
     in its own frame (``Measure._pdf_at``), where a law narrow against its
     distance from 0 keeps the digits that the sum rounds away.  The outer
-    nodes are placed in units of the law's width.  A piece is kept when its
-    nodes' mass matches its window's to _MASS_GAP and its integrals at steps
-    h and 2h agree to 1e-10 plus 1e-12 relative in every column; else it is
-    bisected, for up to _MAX_SPLITS levels, _MAX_FAILED_PIECES failing pieces at once
-    and down to 1e-9 of its distance from the law's origin, past which
-    QuadratureError names it."""
+    nodes are placed in units of the law's width.  A piece's integrals at
+    steps h and 2h are one product of its kernel with its node masses.  It
+    is kept when its nodes' mass matches its window's to _MASS_GAP and those
+    integrals agree to 1e-10 plus 1e-12 relative in every row; else it is
+    bisected, for up to _MAX_SPLITS levels, _MAX_FAILED_PIECES failing pieces
+    at once and down to 1e-9 of its distance from the law's origin, past
+    which QuadratureError names it."""
     lo, hi = measure.support
     a, b = (lo if lo > -2.0 * reach else -reach), (hi if hi < 2.0 * reach else reach)
     if not a < b:  # the support lies past the reach: no nodes, zero integrals
-        return np.add(*kernel(np.zeros(0), np.zeros((1, 0)), np.zeros((1, 0))))[:, 0]
+        return kernel(np.zeros(0)) @ np.zeros(0)
     ends = sorted({a, b, *(k for k in (0.0, measure._origin, lo, hi) if a < k < b)})
     # a piece out to +-reach is outer, anchored at its kink
     pieces = [(q, p, True, 0) if p == -reach else (p, q, q == reach, 0)
@@ -279,18 +279,8 @@ def _split_rule(measure: Measure, reach: float, kernel: Callable) -> np.ndarray:
         if np.isinf(seen).any():
             raise MeasureError(f"{measure.family}: density past float range")
         window = measure.window_stats(*zip(*(part[2] for part in parts)))[0]
-        # The i-th pieces left and right of 0 share a kernel call (rows h, 2h),
-        # and their columns when their nodes mirror each other, as at a kink at 0.
-        sums = {}
-        for pair in itertools.zip_longest(*([p for p, (_, _, span) in enumerate(parts)
-                                             if (sum(span) > 0.0) == right] for right in (0, 1))):
-            (yl, ml), (yr, mr) = (parts[p][:2] if p is not None
-                                  else (np.zeros(0), np.zeros((2, 0))) for p in pair)
-            x = yr if np.array_equal(yr, -yl) else np.concatenate([-yl, yr])
-            neg, pos = np.zeros((2, 2, x.size))
-            neg[:, :yl.size], pos[:, x.size - yr.size:] = ml, mr
-            sums.update(zip(pair, kernel(x, neg, pos)))
-        means, coarse = np.stack([sums[p].T for p in range(len(parts))], axis=-1)
+        # steps h and 2h, each (functions x pieces)
+        means, coarse = np.stack([kernel(y) @ masses.T for y, masses, _ in parts]).T
         gap = np.abs(means - coarse)
         kept = ((np.abs(seen - window) <= _MASS_GAP)
                 & np.all(gap <= _QUAD_ABS_TOL + 1e-12 * np.abs(means), axis=0))
@@ -810,7 +800,8 @@ class DensityMeasure(Measure):
 class _ClosedForm(DensityMeasure):
     """The law of loc + scale * Z on the whole line, from closed forms of Z.
 
-    ``pdf`` is Z's scalar density.  ``primitives(z)`` returns arrays (F, H)
+    ``pdf`` is Z's density over an array (a float in gives a float out),
+    and warns nothing.  ``primitives(z)`` returns arrays (F, H)
     over an array z: F a primitive of Z's pdf and H / ``unit`` one of
     z * pdf(z).  ``tails(u, v)`` is P(Z > u) + P(Z < -v) for any real u, v,
     asked at u = (hi - loc) / scale and v = (loc - lo) / scale, so that it is
@@ -820,7 +811,7 @@ class _ClosedForm(DensityMeasure):
     family: then loc = 0 and scale = 1.
     """
 
-    def __init__(self, family: str, pdf: Callable[[float], float],
+    def __init__(self, family: str, pdf: Callable[[np.ndarray], np.ndarray],
                  primitives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                  tails: Callable[[np.ndarray, np.ndarray], np.ndarray], unit: float = 1.0,
                  loc_scale: Optional[tuple[float, float]] = None,
@@ -836,11 +827,14 @@ class _ClosedForm(DensityMeasure):
         with np.errstate(over="ignore"):  # an end past float range in Z reads +-inf
             z = (ends - loc) / scale
         F, H = self._primitives(z)
+        n = len(lo)
         if not np.isfinite(H).all():  # Z's moment diverges there: refused at a finite end
             if (far := np.isinf(z) & np.isfinite(ends) & ~np.isfinite(H)).any():
                 raise MeasureError(f"{self.family}: window end {ends[far][0]:.17g} lies past "
                                    "float range in the law's own frame")
-        n = len(lo)
+            if (both := np.isinf(H[:n]) & (H[:n] == H[n:])).any():  # inf - inf
+                raise MeasureError(f"{self.family}: the first moment diverges at both ends of "
+                                   f"[{lo[both][0]:g}, {hi[both][0]:g}]")
         mass = F[n:] - F[:n]
         return mass, loc * mass + (scale / self._unit) * (H[n:] - H[:n])
 
@@ -851,8 +845,7 @@ class _ClosedForm(DensityMeasure):
         return self._tails(u, v)
 
     def _pdf_at(self, offset):  # in Z, whose origin is 0
-        z = offset / self._width
-        return np.fromiter(map(self._pdf_z, z.tolist()), float, z.size) / self._width
+        return self._pdf_z(offset / self._width) / self._width
 
     def sampler(self):
         if self._quantile is None:
@@ -874,14 +867,12 @@ def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
     sigma = _number("gaussian sigma", sigma, gt=0, error=MeasureError)
     from scipy.special import ndtr, ndtri
 
-    def pdf(z: float) -> float:
-        return math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-
-    def primitives(z):
+    def pdf(z):
         z2 = np.clip(z, -40.0, 40.0) ** 2  # z * z can overflow; phi is 0.0 past |z| ~ 38.6
-        return ndtr(z), np.exp(-0.5 * z2) / math.sqrt(2 * math.pi)
+        return np.exp(-0.5 * z2) / math.sqrt(2 * math.pi)
 
-    return _ClosedForm("gaussian", pdf, primitives, lambda u, v: ndtr(-u) + ndtr(-v),
+    return _ClosedForm("gaussian", pdf, lambda z: (ndtr(z), pdf(z)),
+                       lambda u, v: ndtr(-u) + ndtr(-v),
                        unit=-1.0, loc_scale=(mu, sigma), quantile=lambda u: ndtri(u, out=u))
 
 
@@ -904,8 +895,9 @@ def cauchy(loc: float = 0.0, scale: float = 1.0) -> DensityMeasure:
     loc = _number("cauchy loc", loc, error=MeasureError)
     scale = _number("cauchy scale", scale, gt=0, error=MeasureError)
 
-    def pdf(z: float) -> float:
-        return 1.0 / (math.pi * (1.0 + z * z))
+    def pdf(z):
+        with np.errstate(over="ignore"):  # z * z past float range: the density is 0.0 there
+            return 1.0 / (math.pi * (1.0 + z * z))
 
     return _ClosedForm(
         "cauchy", pdf, lambda z: (0.5 + np.arctan(z) / math.pi, _log1p_sq(z)),
@@ -935,11 +927,10 @@ def power_tail(a: float, b: float) -> DensityMeasure:
     from scipy.special import hyp2f1
     C, D = _power_tail_constant(a), _power_tail_constant(b)
 
-    def pdf(x: float) -> float:
-        try:
-            return 1.0 / (1.0 + (C * x ** a if x >= 0 else D * (-x) ** b))
-        except OverflowError:  # |x|^e past float range: the density is 0.0 there
-            return 0.0
+    def pdf(x):
+        right = x >= 0
+        with np.errstate(over="ignore"):  # |x|^e past float range: the density is 0.0 there
+            return 1.0 / (1.0 + np.where(right, C, D) * np.abs(x) ** np.where(right, a, b))
 
     def _halves(coef: float, e: float, X: np.ndarray,
                 moment: bool = True) -> tuple[np.ndarray, ...]:

@@ -1,13 +1,24 @@
-"""Smoke test of tools/ab_inprocess.py, the in-process A/B of library calls."""
+"""tools/ab_inprocess.py, the in-process A/B of library calls: a smoke run, and how it
+tells two results apart."""
 
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab_inprocess", ROOT / "tools" / "ab_inprocess.py")
+ab_inprocess = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_inprocess)
+
+# one operation's result on the parent, as a workload runner returns it
+_PARENT = {"verdict": {"kind": "converged", "value": 0.7, "spread": 1.0,
+                       "values": np.array([0.5, 0.6, 0.7])},
+           "rows": [(1, 2.0), (3, -0.0)]}
 
 
 def test_one_round_of_a_checkout_against_itself():
@@ -35,3 +46,20 @@ def test_one_round_of_a_checkout_against_itself():
         assert faults["all"][side] == pytest.approx(want, abs=0.1 + 1e-9)
     assert ops.pop("all") == sum(ops.values()) == 84
     assert ops["integer_power_comb+p<2.7"] == 9
+
+
+def test_a_result_differing_in_floats_only_reads_its_largest_relative_gap():
+    # the spread is 4 ulps (of 1) apart, a value in the array 1 ulp, and -0.0 reads 0.0
+    change = {"verdict": {"kind": "converged", "value": 0.7, "spread": 1.0 + 2.0 ** -50,
+                          "values": np.array([0.5, np.nextafter(0.6, 1.0), 0.7])},
+              "rows": [(1, 2.0), (3, 0.0)]}
+    assert ab_inprocess.how_differ(_PARENT, change) == "floats only, max rel 8.88e-16"
+
+
+def test_a_changed_string_is_named_by_its_field():
+    change = {"verdict": dict(_PARENT["verdict"], kind="oscillates_bounded", value=0.8),
+              "rows": _PARENT["rows"]}
+    assert ab_inprocess.how_differ(_PARENT, change) == (
+        "result['verdict']['kind']: 'converged' != 'oscillates_bounded'")
+    assert ab_inprocess.how_differ(_PARENT, "QuadratureError: did not converge").startswith(
+        "result: {'verdict': ")

@@ -502,9 +502,9 @@ def _kernel_calls(monkeypatch):
     calls = []
     original = ml.ExpTiltMultiplier._kernel
 
-    def recorded(self, lams, x, neg, pos):
-        out = original(self, lams, x, neg, pos)
-        calls.append((self, lams, x, neg, pos, out))
+    def recorded(self, lams, y):
+        out = original(self, lams, y)
+        calls.append((self, lams, y, out))
         return out
 
     monkeypatch.setattr(ml.ExpTiltMultiplier, "_kernel", recorded)
@@ -512,8 +512,8 @@ def _kernel_calls(monkeypatch):
 
 
 def test_centred_power_tail_takes_one_window_call_and_one_kernel_product(monkeypatch):
-    # the half-lines either side of the kink at 0 mirror each other, so they
-    # share the kernel call and one column per node pair
+    # one kernel product per piece: the half-lines either side of the kink at 0,
+    # whose nodes mirror each other
     calls = _kernel_calls(monkeypatch)
     measure = ml.power_tail(1.5, 1.8)
     windows = []
@@ -525,9 +525,9 @@ def test_centred_power_tail_takes_one_window_call_and_one_kernel_product(monkeyp
 
     monkeypatch.setattr(measure, "window_stats", counted)
     ml.ExpTiltMultiplier(0.0).regularized_means(measure, np.geomspace(1e-2, 1e-4, 25))
-    assert len(windows) == 1 and len(calls) == 1
-    _, _, x, neg, pos, _ = calls[0]
-    assert np.all(np.diff(x) > 0) and np.all(neg[0] > 0) and np.all(pos[0] > 0)
+    assert len(windows) == 1 and len(calls) == 2
+    (*_, left, _), (*_, right, _) = calls
+    assert np.all(np.diff(right) > 0) and right[0] > 0 and np.array_equal(left, -right)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.5, 4.0])
@@ -537,18 +537,17 @@ def test_centred_power_tail_takes_one_window_call_and_one_kernel_product(monkeyp
     lambda: ml.power_tail(1.5, 1.7).shift(50.0),
 ], ids=["finite_comb", "power_tail_shift_50"])
 def test_kernel_sums_the_weight_over_the_rules_nodes(monkeypatch, build, c):
-    # the tilt weight is stated once: every kernel product equals the sum, over
-    # the rule's own nodes, of mass * weight(x, lam) * x
+    # the tilt weight is stated once: every kernel entry equals weight(y, lam) * y
+    # at the rule's own signed nodes y
     calls = _kernel_calls(monkeypatch)
     ml.ExpTiltMultiplier(c).regularized_means(build(), np.geomspace(1e-1, 1e-5, 9))
     assert calls
-    for fam, lams, x, neg, pos, (left, right) in calls:
+    for fam, lams, y, out in calls:
+        assert out.shape == (lams.size, y.size)
         for i, lam in enumerate(lams.tolist()):
-            for sign, masses, got in ((-1.0, neg, left[i]), (1.0, pos, right[i])):
-                terms = masses * fam.weight(sign * x, lam) * (sign * x)
-                want = [math.fsum(row) for row in terms]
-                np.testing.assert_allclose(got, want, rtol=1e-12,
-                                           atol=1e-14 * np.abs(terms).sum())
+            want = fam.weight(y, lam) * y
+            np.testing.assert_allclose(out[i], want, rtol=1e-12,
+                                       atol=1e-14 * np.abs(want).sum())
 
 
 def _atom_loop(fam, measure, lam):

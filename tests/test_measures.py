@@ -1,6 +1,8 @@
 """Window arithmetic of the measure representations."""
 
 import math
+import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -99,6 +101,69 @@ def test_power_tail_pdf_reads_zero_past_float_range():
     m = ml.power_tail(1.5, 1.7)
     assert m.pdf(1e250) == m.pdf(-1e250) == m.pdf(1e300) == 0.0
     assert 0.0 < m.pdf(1e200) < 1e-299 and 0.0 < m.pdf(-1e180) < 1e-305
+
+
+def _scalar_pdf(family, a=0.0, b=0.0):
+    """The closed forms' pdfs as scalar Python arithmetic, with its own zeros."""
+    if family == "gaussian":
+        return lambda x: math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+    if family == "cauchy":
+        return lambda x: 1.0 / (math.pi * (1.0 + x * x))
+    C, D = measures._power_tail_constant(a), measures._power_tail_constant(b)
+
+    def pdf(x):
+        try:
+            return 1.0 / (1.0 + (C * x ** a if x >= 0 else D * (-x) ** b))
+        except OverflowError:
+            return 0.0
+    return pdf
+
+
+def _mp_pdf(family, x, a=0.0, b=0.0):
+    x = mp.mpf(x)
+    if family == "gaussian":
+        return mp.exp(-x * x / 2) / mp.sqrt(2 * mp.pi)
+    if family == "cauchy":
+        return 1 / (mp.pi * (1 + x * x))
+    e = a if x >= 0 else b
+    return 1 / (1 + mp.mpf(measures._power_tail_constant(e)) * abs(x) ** e)
+
+
+_PDF_POINTS = [s * v for v in (0.0, 5e-324, 1e-300, 0.3, 1.0, 7.5, 39.0, 1e3, 1e20, 1e154,
+                               1e200, 1e300, 1.7e308, math.inf) for s in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("family, a, b", [("gaussian", 0.0, 0.0), ("cauchy", 0.0, 0.0),
+                                          ("power_tail", 1.5, 1.7), ("power_tail", 1.3, 1.8)])
+def test_closed_form_pdf_reads_an_array(family, a, b):
+    # one numpy expression over the whole array, warning nothing; a float in
+    # gives a float out (not bitwise the array's: scalar and array ** may differ)
+    m = ml.make_measure(family, **({"a": a, "b": b} if family == "power_tail" else {}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = m.pdf(np.array(_PDF_POINTS))
+        one = m.pdf(0.3)
+    assert isinstance(one, float) and one == pytest.approx(got[_PDF_POINTS.index(0.3)], rel=4e-16)
+    scalar = _scalar_pdf(family, a, b)
+    with mp.workdps(40):
+        for x, value in zip(_PDF_POINTS, got.tolist()):
+            want = mp.mpf(0) if math.isinf(x) else _mp_pdf(family, x, a, b)
+            if want >= sys.float_info.min:
+                assert abs(value - want) <= 4e-16 * want, x
+            if scalar(x) == 0.0:
+                assert value == 0.0, x
+
+
+def test_a_whole_line_window_of_a_heavy_tailed_law_is_refused():
+    # its moment is inf - inf; half-lines read +-inf, and a gaussian answers
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (ml.cauchy(), ml.power_tail(1.5, 1.7), ml.cauchy().shift(2.0)):
+            with pytest.raises(ml.MeasureError, match="first moment diverges"):
+                m.window_stats(-math.inf, math.inf)
+            assert m.window_stats(0.0, math.inf)[1] == math.inf
+            assert m.window_stats(-math.inf, 0.0)[1] == -math.inf
+        assert [float(v) for v in ml.gaussian().window_stats(-math.inf, math.inf)] == [1.0, 0.0]
 
 
 def test_power_tail_tails_are_nonnegative_out_to_float_range():

@@ -16,8 +16,11 @@ mean minor page faults per operation on each side (``ru_minflt`` of
 allocator maps afresh is faulted in page by page), the speed-up (parent
 time over change time) and in how many rounds the change was faster; then
 ``results: K of N operations differ`` and the family of each operation
-whose result differs, so a refactor shows at once whether its traffic is
-bitwise unchanged.
+whose result differs, with how it differs: ``floats only, max rel <x>``
+when the two results differ in float fields alone, else the first other
+field that differs.  So a refactor shows at once whether its traffic is
+bitwise unchanged, and an ulp-level change reads apart from a changed
+verdict.
 
     python tools/ab_inprocess.py --parent ../parent --change . \\
         --workload verdicts --seed 7 --rounds 30
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import math
 import os
 import resource
 import statistics
@@ -70,16 +74,53 @@ def run_round(workloads, ml, specs, families) -> dict[str, list[tuple[float, int
     return costs
 
 
-def digests(workloads, ml, specs) -> list[str]:
-    """sha256 of each operation's result, or of its exception's type and message."""
+def outcomes(workloads, ml, specs) -> list:
+    """Each operation's result, or its exception's type and message."""
     out = []
     for spec in specs:
         try:
-            text = repr(workloads.run_op(ml, spec))
+            out.append(workloads.run_op(ml, spec))
         except Exception as exc:  # a failing operation is compared like any other
-            text = f"{type(exc).__name__}: {exc}"
-        out.append(hashlib.sha256(text.encode()).hexdigest())
+            out.append(f"{type(exc).__name__}: {exc}")
     return out
+
+
+def digest(result) -> str:
+    return hashlib.sha256(repr(result).encode()).hexdigest()
+
+
+class _Differ(Exception):
+    """A field that differs in more than its floats."""
+
+
+def _max_rel(a, b, path: str) -> float:
+    """Largest relative difference between the floats of ``a`` and ``b``,
+    walked through dicts, lists, tuples and ndarrays; raises _Differ at the
+    first other field that differs."""
+    a, b = (x.tolist() if hasattr(x, "tolist") else x for x in (a, b))  # numpy to Python
+    if isinstance(a, float) and isinstance(b, float):
+        if a == b or (a != a and b != b):
+            return 0.0
+        rel = abs(a - b) / max(abs(a), abs(b))
+        return rel if rel == rel else math.inf  # inf or NaN against a number
+    if type(a) is not type(b):
+        raise _Differ(f"{path}: {a!r:.60} != {b!r:.60}")
+    if isinstance(a, dict) and a.keys() == b.keys():
+        return max((_max_rel(a[k], b[k], f"{path}[{k!r}]") for k in a), default=0.0)
+    if isinstance(a, (list, tuple)) and len(a) == len(b):
+        return max((_max_rel(x, y, f"{path}[{i}]") for i, (x, y) in enumerate(zip(a, b))),
+                   default=0.0)
+    if a != b:
+        raise _Differ(f"{path}: {a!r:.60} != {b!r:.60}")
+    return 0.0
+
+
+def how_differ(parent, change) -> str:
+    """``floats only, max rel <x>``, or the first other field that differs."""
+    try:
+        return f"floats only, max rel {_max_rel(parent, change, 'result'):.3g}"
+    except _Differ as field:
+        return str(field)
 
 
 def main(argv=None) -> int:
@@ -101,7 +142,7 @@ def main(argv=None) -> int:
              for spec in workloads.ROUNDS[args.workload](args.seed, r)]
     families = [workloads.family_key(spec) for spec in specs]
     warnings.simplefilter("ignore")  # known defects warn on every run
-    results = {side: digests(workloads, libs[side], specs) for side in SIDES}
+    results = {side: outcomes(workloads, libs[side], specs) for side in SIDES}
 
     # per side: {family: [mean ms per operation in each round]}, and faults likewise
     ms: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
@@ -127,11 +168,12 @@ def main(argv=None) -> int:
         fp, fc = (statistics.median(faults[side][family]) for side in SIDES)
         print(f"{family:36s} {counts[family]:4d} {mp:9.3f} {mc:9.3f} {fp:8.1f} {fc:8.1f} "
               f"{mp / mc:8.2f}x  change faster in {wins} of {args.rounds}")
-    differ = [family for family, par, chg in zip(families, results["parent"], results["change"])
-              if par != chg]
+    differ = [(family, how_differ(par, chg))
+              for family, par, chg in zip(families, results["parent"], results["change"])
+              if digest(par) != digest(chg)]
     print(f"results: {len(differ)} of {len(specs)} operations differ")
-    for family in differ:
-        print(f"  differs: {family}")
+    for family, how in differ:
+        print(f"  differs: {family}: {how}")
     return 0
 
 
