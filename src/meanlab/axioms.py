@@ -54,10 +54,11 @@ class SampleStatistic:
             raise ValueError(f"{self.name}: statistic of an empty tuple")
         return self.fn(xs)
 
-    def _rows(self, xs: np.ndarray) -> np.ndarray:
-        """The exact row form: ``fn`` of each row of ``xs`` as a tuple of
-        floats.  Every reported residual and witness value comes from it."""
-        return np.array([self.fn(tuple(row)) for row in xs.tolist()])
+    def _rows(self, xs: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """The exact row form: ``fn`` of the first ``n[i]`` entries of each
+        row ``xs[i]``, as a tuple of floats.  Every reported residual and
+        witness value comes from it."""
+        return np.array([self.fn(tuple(row[:k])) for row, k in zip(xs.tolist(), n.tolist())])
 
     _screen_rows = _rows  # the form that screens trials
 
@@ -81,34 +82,40 @@ def _midrange(xs: tuple[float, ...]) -> float:
 
 @dataclass(frozen=True)
 class _RowwiseStatistic(SampleStatistic):
-    """A built-in statistic with a numpy row form: ``rows`` maps an (r, n)
-    array to the r statistics of its rows.  The harness uses it only to
-    screen trials."""
+    """A built-in statistic with a numpy row form: ``rows`` maps a padded
+    (r, k) array and the r row sizes ``n`` to the r statistics of the rows'
+    first ``n[i]`` entries.  The harness uses it only to screen trials."""
 
-    rows: Callable[[np.ndarray], np.ndarray]
+    rows: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def _screen_rows(self, xs: np.ndarray) -> np.ndarray:
-        return self.rows(xs)
-
-
-def _mean_rows(xs: np.ndarray) -> np.ndarray:
-    return xs.sum(axis=1) / xs.shape[1]
+    def _screen_rows(self, xs: np.ndarray, n: np.ndarray) -> np.ndarray:
+        return self.rows(xs, n)
 
 
-def _median_rows(xs: np.ndarray) -> np.ndarray:
-    s = np.sort(xs, axis=1)
-    mid = xs.shape[1] // 2
-    if xs.shape[1] % 2:
-        return s[:, mid]
-    return 0.5 * (s[:, mid - 1] + s[:, mid])
+def _padded(xs: np.ndarray, n: np.ndarray, fill: float) -> np.ndarray:
+    """``xs`` with every entry past its row's size replaced by ``fill``."""
+    return np.where(np.arange(xs.shape[1]) < n[:, None], xs, fill)
+
+
+def _mean_rows(xs: np.ndarray, n: np.ndarray) -> np.ndarray:
+    return _padded(xs, n, 0.0).sum(axis=1) / n
+
+
+def _median_rows(xs: np.ndarray, n: np.ndarray) -> np.ndarray:
+    s = np.sort(_padded(xs, n, np.inf), axis=1)  # the padding sorts last
+    r = np.arange(len(s))
+    return 0.5 * (s[r, (n - 1) // 2] + s[r, n // 2])  # 0.5 * (x + x) is x
 
 
 mean_statistic = _RowwiseStatistic("mean", _mean, _mean_rows)
 median_statistic = _RowwiseStatistic("median", _median, _median_rows)
+min_statistic = _RowwiseStatistic("min", lambda xs: min(xs),
+                                  lambda xs, n: _padded(xs, n, np.inf).min(axis=1))
+max_statistic = _RowwiseStatistic("max", lambda xs: max(xs),
+                                  lambda xs, n: _padded(xs, n, -np.inf).max(axis=1))
 midrange_statistic = _RowwiseStatistic(
-    "midrange", _midrange, lambda xs: 0.5 * (xs.min(axis=1) + xs.max(axis=1)))
-min_statistic = _RowwiseStatistic("min", lambda xs: min(xs), lambda xs: xs.min(axis=1))
-max_statistic = _RowwiseStatistic("max", lambda xs: max(xs), lambda xs: xs.max(axis=1))
+    "midrange", _midrange, lambda xs, n: 0.5 * (min_statistic.rows(xs, n)
+                                                + max_statistic.rows(xs, n)))
 
 
 def convex_combination(t: float) -> SampleStatistic:
@@ -118,7 +125,7 @@ def convex_combination(t: float) -> SampleStatistic:
         raise ValueError(f"convex weight must be <= 1, got {t!r}")
     return _RowwiseStatistic(
         f"convex({t:g})", lambda xs: t * _mean(xs) + (1.0 - t) * _median(xs),
-        lambda xs: t * _mean_rows(xs) + (1.0 - t) * _median_rows(xs))
+        lambda xs, n: t * _mean_rows(xs, n) + (1.0 - t) * _median_rows(xs, n))
 
 
 BUILTIN_STATISTICS = {
@@ -185,7 +192,7 @@ _BLOCK_ROWS = (64, 512, 2048)
 # Drawn entries, scale factors and shifts are at most 30 in size, so a
 # row-wise mean over at most 8 of them differs from the ``math.fsum`` mean
 # by less than 1e-13; the other built-ins are computed by the same float
-# operations in both forms.
+# operations in both forms.  tests/test_axioms.py checks both claims.
 _SCREEN_BAND = 1e-12
 
 
@@ -233,54 +240,51 @@ def _witness(block: dict[str, np.ndarray], i: int) -> dict:
             for key, col in block.items() if key != "n"}
 
 
-def _cut(block: dict[str, np.ndarray], idx, n: int) -> dict[str, np.ndarray]:
-    """The witness columns of rows ``idx``, all of size ``n``: tuples cut to
-    (r, n), scalars as (r, 1)."""
-    return {key: col[idx, :n] if col.ndim == 2 else col[idx, None]
-            for key, col in block.items() if key != "n"}
-
-
-def _judge(rows: Callable[[np.ndarray], np.ndarray], axiom: AxiomId, cols: dict,
-           band: float) -> tuple[np.ndarray, np.ndarray, Callable[[int], dict]]:
-    """Judge ``axiom`` on r instances of one tuple size with the row form
-    ``rows`` (an (r, n) array in, r statistics out); ``cols`` holds their
-    columns as ``_cut`` gives them, and a condensation witness may fix its
-    split ``m``.  Returns the residuals, whether each violates AXIOM_TOL or
-    comes within ``band`` of it (positivity: a margin not above the
-    tolerance), and ``keep``: keep(i) is the dict of values the witness of
-    instance i keeps, the first worst split ``m`` and its ``substat`` for
-    COND and the ``margin`` for P and SP."""
+def _judge(rows: Callable[[np.ndarray, np.ndarray], np.ndarray], axiom: AxiomId,
+           cols: dict, n: np.ndarray, band: float
+           ) -> tuple[np.ndarray, np.ndarray, Callable[[int], dict]]:
+    """Judge ``axiom`` on r instances of any tuple sizes with the row form
+    ``rows`` (a padded (r, k) array and the r row sizes in, r statistics
+    out); ``cols`` holds their columns as ``_draw_block`` gives them, ``n``
+    their sizes, and a condensation witness may fix its split ``m``.
+    Returns the residuals, whether each violates AXIOM_TOL or comes within
+    ``band`` of it (positivity: a margin not above the tolerance), and
+    ``keep``: keep(i) is the dict of values the witness of instance i keeps,
+    the first worst split ``m`` and its ``substat`` for COND and the
+    ``margin`` for P and SP."""
     xs = cols["xs"]
     keep = lambda i: {}
     if axiom in (AxiomId.H, AxiomId.PH):
         lam = cols["lam"]
-        resid = np.abs(rows(lam * xs) - lam[:, 0] * rows(xs))
+        resid = np.abs(rows(lam[:, None] * xs, n) - lam * rows(xs, n))
     elif axiom is AxiomId.S:
-        resid = np.abs(rows(np.take_along_axis(xs, cols["perm"], axis=1)) - rows(xs))
+        resid = np.abs(rows(np.take_along_axis(xs, cols["perm"], axis=1), n) - rows(xs, n))
     elif axiom is AxiomId.T:
         c = cols["c"]
-        resid = np.abs(rows(xs + c) - (rows(xs) + c[:, 0]))
+        resid = np.abs(rows(xs + c[:, None], n) - (rows(xs, n) + c))
     elif axiom is AxiomId.ADD:
         ys = cols["ys"]
-        resid = np.abs(rows(xs + ys) - (rows(xs) + rows(ys)))
+        resid = np.abs(rows(xs + ys, n) - (rows(xs, n) + rows(ys, n)))
     elif axiom is AxiomId.COND:
-        whole = rows(xs)
-        splits = [cols["m"]] if "m" in cols else range(2, xs.shape[1])
-        subs, gaps, resid = [], [], np.zeros(len(xs))  # vacuous below n = 3
-        for m in splits:
-            subs.append(rows(xs[:, :m]))
-            condensed = np.concatenate([np.repeat(subs[-1][:, None], m, axis=1),
-                                        xs[:, m:]], axis=1)
-            gaps.append(np.abs(rows(condensed) - whole))
-            resid = np.fmax(resid, gaps[-1])  # a NaN gap is no violation
+        # every split m < n of every instance, all in one pass
+        splits = np.atleast_1d(cols["m"]) if "m" in cols else np.arange(2, xs.shape[1])
+        valid = splits[:, None] < n
+        j, i = np.nonzero(valid)
+        sub = rows(xs[i], splits[j])
+        condensed = np.where(np.arange(xs.shape[1]) < splits[j, None], sub[:, None], xs[i])
+        subs, gaps = np.full(valid.shape, np.nan), np.full(valid.shape, np.nan)
+        subs[valid] = sub
+        gaps[valid] = np.abs(rows(condensed, n[i]) - rows(xs, n)[i])
+        # a NaN gap is no violation, and the check is vacuous below n = 3
+        resid = np.fmax(0.0, np.fmax.reduce(gaps, axis=0))
 
         def keep(i):
-            j = next(j for j, gap in enumerate(gaps) if gap[i] == resid[i])
-            return {"m": int(splits[j]), "substat": subs[j][i].item()}
+            j = np.flatnonzero(gaps[:, i] == resid[i])[0]
+            return {"m": int(splits[j]), "substat": subs[j, i].item()}
     elif axiom is AxiomId.NN:
-        resid = np.maximum(0.0, rows(xs) - rows(cols["ys"]))
+        resid = np.maximum(0.0, rows(xs, n) - rows(cols["ys"], n))
     else:  # P, SP: the increase must be clearly positive
-        margin = rows(cols["ys"]) - rows(xs)
+        margin = rows(cols["ys"], n) - rows(xs, n)
         resid = (np.maximum(0.0, AXIOM_TOL - margin)
                  + np.where(margin <= AXIOM_TOL, AXIOM_TOL, 0.0))
         return resid, margin <= AXIOM_TOL + band, lambda i: {"margin": margin[i].item()}
@@ -290,9 +294,9 @@ def _judge(rows: Callable[[np.ndarray], np.ndarray], axiom: AxiomId, cols: dict,
 def recheck(stat: SampleStatistic, axiom: AxiomId, counterexample: dict) -> float:
     """Re-evaluate a stored counterexample (condensation at its stored
     split ``m``); returns its residual."""
-    cols = {key: value if key == "m" else np.atleast_2d(value)
+    cols = {key: value if key == "m" else np.array([value])
             for key, value in counterexample.items()}
-    return _judge(stat._rows, axiom, cols, 0.0)[0][0].item()
+    return _judge(stat._rows, axiom, cols, np.array([len(cols["xs"][0])]), 0.0)[0][0].item()
 
 
 def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
@@ -305,8 +309,8 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
     ``np.random.default_rng(seed)``, draws the trials in blocks of a fixed
     schedule, so the first t trials do not depend on ``trials``; a block is
     drawn only when the trials before it pass.  ``_judge`` screens each
-    block tuple size by tuple size, once per size, with a built-in's numpy
-    row form or else the exact form, and judges the flagged rows again in
+    block once, all tuple sizes together, with a built-in's numpy row form
+    or else the exact form, and judges the flagged rows again one by one in
     trial order with the exact form (``fn`` of each tuple).  The first
     violation of AXIOM_TOL is reported, with its residual from the exact
     form, which ``recheck`` reproduces exactly.
@@ -320,14 +324,10 @@ def check_axiom(stat: SampleStatistic, axiom: AxiomId, trials: int = 1000,
         block = _draw_block(rng, axiom, start, size, min_n)
         block = {key: col[:trials - start] for key, col in block.items()}
         sizes = block["n"]
-        flagged = np.zeros(len(sizes), dtype=bool)
-        for n in sorted(set(sizes[sizes >= min_n].tolist())):  # short edge tuples skip
-            idx = np.flatnonzero(sizes == n)
-            flagged[idx] = _judge(stat._screen_rows, axiom, _cut(block, idx, n),
-                                  _SCREEN_BAND)[1]
-        for i in np.flatnonzero(flagged):
-            resid, violated, keep = _judge(stat._rows, axiom,
-                                           _cut(block, slice(i, i + 1), sizes[i]), 0.0)
+        flagged = _judge(stat._screen_rows, axiom, block, sizes, _SCREEN_BAND)[1]
+        for i in np.flatnonzero(flagged & (sizes >= min_n)):  # short edge tuples skip
+            row = {key: col[i:i + 1] for key, col in block.items()}
+            resid, violated, keep = _judge(stat._rows, axiom, row, sizes[i:i + 1], 0.0)
             if violated[0]:
                 return AxiomReport(statistic=stat.name, axiom=axiom, passed=False,
                                    trials=start + int(i) + 1, seed=seed,

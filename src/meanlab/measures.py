@@ -818,7 +818,7 @@ class _ClosedForm(DensityMeasure):
                  quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.family, self._pdf_z = family, pdf
         loc, scale = self._origin, self._width = loc_scale or (0.0, 1.0)
-        self.pdf = pdf if loc_scale is None else lambda x: pdf((x - loc) / scale) / scale
+        self.pdf = pdf if loc_scale is None else _rescaled_pdf(pdf, loc, scale)
         self._primitives, self._tails = primitives, tails
         self._unit, self._quantile = unit, quantile
 
@@ -852,6 +852,17 @@ class _ClosedForm(DensityMeasure):
             return super().sampler()
         loc, scale, quantile = self._origin, self._width, self._quantile
         return (lambda u: _scaled(quantile(u), scale, loc)), 0.0
+
+
+def _rescaled_pdf(pdf: Callable, a: float, s: float) -> Callable:
+    """The density x -> pdf((x - a) / s) / |s| of s * X + a, where ``pdf`` is
+    X's.  An x past float range in X's frame reads pdf(+-inf) without a
+    warning, over an array as over a float."""
+    def at(x):
+        with np.errstate(over="ignore"):
+            z = (x - a) / s
+        return pdf(z) / abs(s)
+    return at
 
 
 def _scaled(x: np.ndarray, s: float, a: float) -> np.ndarray:
@@ -1032,7 +1043,7 @@ class Affine(Measure):
         self._origin, self._width = s * inner._origin + a, abs(s) * inner._width
         self.family = f"affine({inner.family}, a={a:g}, s={s:g})"
         if inner.pdf is not None:
-            self.pdf = lambda x: inner.pdf((x - a) / s) / abs(s)
+            self.pdf = _rescaled_pdf(inner.pdf, a, s)
             ends = [s * v + a for v in inner.support]
             self.support = (min(ends), max(ends))
 

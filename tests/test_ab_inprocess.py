@@ -33,9 +33,15 @@ def test_one_round_of_a_checkout_against_itself():
                                 "speed-up"]
     # one source tree on both sides gives bitwise the same results
     assert lines[-1] == "results: 0 of 84 operations differ"
+    # the latency percentiles over operations, each operation once, on each side
+    pcts = re.fullmatch(r"per-operation median ms, parent -> change: "
+                        r"p50 ([\d.]+) -> ([\d.]+), p80 ([\d.]+) -> ([\d.]+)", lines[-2])
+    assert pcts, lines[-2]
+    p50, p80 = [float(v) for v in pcts.groups()[:2]], [float(v) for v in pcts.groups()[2:]]
+    assert all(0.0 < a <= b for a, b in zip(p50, p80))
     # ms per operation, then minor page faults per operation, on each side
     rows = [re.fullmatch(r"(\S+) +(\d+) +[\d.]+ +[\d.]+ +(\d+\.\d) +(\d+\.\d) +[\d.]+x  "
-                         r"change faster in [01] of 1", line) for line in lines[2:-1]]
+                         r"change faster in [01] of 1", line) for line in lines[2:-2]]
     assert all(rows), lines
     ops = {row[1]: int(row[2]) for row in rows}
     faults = {row[1]: (float(row[3]), float(row[4])) for row in rows}
@@ -46,6 +52,14 @@ def test_one_round_of_a_checkout_against_itself():
         assert faults["all"][side] == pytest.approx(want, abs=0.1 + 1e-9)
     assert ops.pop("all") == sum(ops.values()) == 84
     assert ops["integer_power_comb+p<2.7"] == 9
+
+
+def test_percentiles_interpolate_between_order_statistics():
+    # as perfbench/run.py reads latency_p50_ms and latency_p80_ms
+    assert ab_inprocess.percentile([4.0, 1.0, 3.0, 2.0], 50) == 2.5
+    assert ab_inprocess.percentile(range(1, 12), 80) == 9.0
+    assert ab_inprocess.percentile([1.0, 2.0], 80) == pytest.approx(1.8)
+    assert ab_inprocess.percentile([7.0], 50) == 7.0
 
 
 def test_a_result_differing_in_floats_only_reads_its_largest_relative_gap():

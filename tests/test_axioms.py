@@ -1,5 +1,6 @@
 """Sample statistics and the axiom harness."""
 
+import hashlib
 import json
 import math
 import statistics
@@ -133,15 +134,28 @@ def test_screen_flags_exactly_the_violating_rows(name):
     for ax in ml.AxiomId:
         min_n = 3 if ax in (ml.AxiomId.COND, ml.AxiomId.ADD) else 1
         block = axioms._draw_block(np.random.default_rng(5), ax, 0, 256, min_n)
-        flagged = np.zeros(256, dtype=bool)
-        for n in np.unique(block["n"]):
-            idx = np.flatnonzero(block["n"] == n)
-            flagged[idx] = axioms._judge(stat._screen_rows, ax, axioms._cut(block, idx, n),
-                                         axioms._SCREEN_BAND)[1]
-        violated = [bool(axioms._judge(stat._rows, ax, axioms._cut(block, [i], block["n"][i]),
-                                       0.0)[1][0])
+        flagged = axioms._judge(stat._screen_rows, ax, block, block["n"],
+                                axioms._SCREEN_BAND)[1]
+        violated = [bool(axioms._judge(stat._rows, ax,
+                                       {key: col[i:i + 1] for key, col in block.items()},
+                                       block["n"][i:i + 1], 0.0)[1][0])
                     for i in range(256)]
         assert flagged.tolist() == violated, ax
+
+
+@pytest.mark.parametrize("name", _BUILTINS)
+def test_screen_residuals_are_within_a_tenth_of_the_band(name):
+    # the claim beside _SCREEN_BAND: on drawn rows of every size, the numpy
+    # row form's residual is within 1e-13 of the exact form's
+    stat = ml.builtin_statistic(name)
+    for ax in ml.AxiomId:
+        min_n = 3 if ax in (ml.AxiomId.COND, ml.AxiomId.ADD) else 1
+        for seed in (0, 1, 2):
+            block = axioms._draw_block(np.random.default_rng(seed), ax, 0, 2048, min_n)
+            screen = axioms._judge(stat._screen_rows, ax, block, block["n"],
+                                   axioms._SCREEN_BAND)[0]
+            exact = axioms._judge(stat._rows, ax, block, block["n"], 0.0)[0]
+            assert np.abs(screen - exact).max() <= 1e-13, (ax, seed)
 
 
 def test_screen_flags_a_margin_equal_to_the_tolerance():
@@ -149,10 +163,10 @@ def test_screen_flags_a_margin_equal_to_the_tolerance():
     # violates the axiom and the screen must pass the row on to the exact form
     xs, ys = np.zeros((1, 8)), np.zeros((1, 8))
     ys[0, 0] = AXIOM_TOL
-    cols = axioms._cut({"n": np.array([1]), "xs": xs, "ys": ys}, [0], 1)
+    cols, n = {"xs": xs, "ys": ys}, np.array([1])
     for ax in (ml.AxiomId.P, ml.AxiomId.SP):
-        assert axioms._judge(ml.mean_statistic._rows, ax, cols, 0.0)[1].tolist() == [True]
-        assert axioms._judge(ml.mean_statistic._screen_rows, ax, cols,
+        assert axioms._judge(ml.mean_statistic._rows, ax, cols, n, 0.0)[1].tolist() == [True]
+        assert axioms._judge(ml.mean_statistic._screen_rows, ax, cols, n,
                              axioms._SCREEN_BAND)[1].tolist() == [True]
 
 
@@ -193,6 +207,17 @@ HAND_WITNESSES = [
 def test_recheck_gives_the_hand_computed_residual(stat, axiom, witness, residual):
     assert recheck(stat, ml.AxiomId[axiom], witness) == residual
 
+
+
+def test_condensation_keeps_the_first_worst_valid_split():
+    # the sum condenses (2, 0, -1, 5) with gap (m - 1) * |x_1 + .. + x_m|:
+    # 2 at m = 2 and at m = 3; the splits m >= 4 cut into the padding
+    total = ml.SampleStatistic("sum", math.fsum)
+    xs = np.array([[2.0, 0.0, -1.0, 5.0, 1e3, -1e3, 7e3, 9e3]])
+    resid, violated, keep = axioms._judge(total._rows, ml.AxiomId.COND, {"xs": xs},
+                                          np.array([4]), 0.0)
+    assert resid.tolist() == [2.0] and violated.tolist() == [True]
+    assert keep(0) == {"m": 2, "substat": 2.0}
 
 def test_edge_tuples_below_the_minimum_size_are_skipped():
     # f(0) = 1 breaks additivity on every tuple; the one-point edge tuple is
@@ -282,6 +307,31 @@ def test_recheck_reproduces_every_golden_residual_exactly():
     for name, ax, entry in failing:
         again = recheck(ml.builtin_statistic(name), ml.AxiomId[ax], entry["counterexample"])
         assert again == entry["residual"], (name, ax)
+
+
+# sha256 over the newline-joined lines below, recorded from the harness that
+# screened each block once per tuple size: screening a block once for all
+# sizes changes no report and no rechecked residual.
+REPORTS_SHA256 = "bd7b20adaa0edb3089a093f216929d839db8a10decf4b3835fb27c1282c88023"
+
+
+def test_reports_are_bitwise_unchanged():
+    median = ml.median_statistic
+    stats = [*map(ml.builtin_statistic, ("mean", "median", "midrange", "min", "max",
+                                         "convex:0.3")),
+             ml.SampleStatistic("user median", median.fn)]
+    lines = []
+    for stat in stats:
+        for ax in ml.AxiomId:
+            for seed in range(12):
+                for trials in (1, 6, 7, 64, 65, 300, 2000):  # block edges and the schedule
+                    report = ml.check_axiom(stat, ax, trials=trials, seed=seed)
+                    lines.append(repr(report))
+                    if report.counterexample is not None:
+                        lines.append(repr(recheck(stat, ax, report.counterexample)))
+    assert len(lines) == 6498
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORTS_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,23 @@ def test_closed_form_pdf_reads_an_array(family, a, b):
                 assert value == 0.0, x
 
 
+
+_SCALED_LAWS = {"cauchy(0, 1e-3)": lambda: ml.cauchy(0.0, 1e-3),
+                "gaussian(0, 1e-3)": lambda: ml.gaussian(0.0, 1e-3),
+                "power_tail.scale(1e-3)": lambda: ml.power_tail(1.5, 1.7).scale(1e-3),
+                "cauchy().scale(1e-3)": lambda: ml.cauchy().scale(1e-3)}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", _SCALED_LAWS)
+def test_a_scaled_pdf_past_float_range_reads_zero(name):
+    # x / 1e-3 passes float range in the law's own frame: an array reads 0.0
+    # there without a warning, as a Python float does
+    law = _SCALED_LAWS[name]()
+    got = law.pdf(np.array([1.7e308, -1.7e308, 0.0]))
+    assert got[:2].tolist() == [law.pdf(1.7e308), law.pdf(-1.7e308)] == [0.0, 0.0]
+    assert got[2] == pytest.approx(law.pdf(0.0), rel=4e-16) and got[2] > 100.0
+
 def test_a_whole_line_window_of_a_heavy_tailed_law_is_refused():
     # its moment is inf - inf; half-lines read +-inf, and a gaussian answers
     with warnings.catch_warnings():

@@ -15,6 +15,10 @@ mean minor page faults per operation on each side (``ru_minflt`` of
 ``getrusage``, read before and after each operation: each array the
 allocator maps afresh is faulted in page by page), the speed-up (parent
 time over change time) and in how many rounds the change was faster; then
+the p50 and p80 of each side's per-operation median ms (the median over
+rounds of each operation's time, every operation of the cycle counted once,
+as the benchmark's latency percentiles count them), so a change aimed at a
+latency percentile shows here too; then
 ``results: K of N operations differ`` and the family of each operation
 whose result differs, with how it differs: ``floats only, max rel <x>``
 when the two results differ in float fields alone, else the first other
@@ -60,18 +64,28 @@ def load_meanlab(checkout: str, name: str):
     return module
 
 
-def run_round(workloads, ml, specs, families) -> dict[str, list[tuple[float, int]]]:
-    """(seconds, minor page faults) of each operation of ``specs``, by family."""
-    costs: dict[str, list[tuple[float, int]]] = {family: [] for family in families}
-    for spec, family in zip(specs, families):
+def run_round(workloads, ml, specs) -> list[tuple[float, int]]:
+    """(seconds, minor page faults) of each operation of ``specs``."""
+    costs = []
+    for spec in specs:
         f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
         try:
             workloads.run_op(ml, spec)
         except Exception:  # a failing operation is timed like any other
             pass
         t1, f1 = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        costs[family].append((t1 - t0, f1 - f0))
+        costs.append((t1 - t0, f1 - f0))
     return costs
+
+
+def percentile(values, q: float) -> float:
+    """The q-th percentile of ``values``, interpolated linearly between the
+    order statistics as ``perfbench/run.py`` does."""
+    xs = sorted(values)
+    k = (len(xs) - 1) * q / 100.0
+    lo = int(k)
+    hi = min(lo + 1, len(xs) - 1)
+    return xs[lo] + (xs[hi] - xs[lo]) * (k - lo)
 
 
 def outcomes(workloads, ml, specs) -> list:
@@ -144,12 +158,18 @@ def main(argv=None) -> int:
     warnings.simplefilter("ignore")  # known defects warn on every run
     results = {side: outcomes(workloads, libs[side], specs) for side in SIDES}
 
-    # per side: {family: [mean ms per operation in each round]}, and faults likewise
+    # per side: {family: [mean ms per operation in each round]}, and faults
+    # likewise; op_ms[side][j] holds operation j's ms in each round
     ms: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
     faults: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
+    op_ms: dict[str, list[list[float]]] = {side: [[] for _ in specs] for side in SIDES}
     for k in range(1, args.rounds + 1):
         for side in SIDES if k % 2 else SIDES[::-1]:
-            costs = run_round(workloads, libs[side], specs, families)
+            ops = run_round(workloads, libs[side], specs)
+            costs = {family: [] for family in families}
+            for family, ms_of_op, cost in zip(families, op_ms[side], ops):
+                costs[family].append(cost)
+                ms_of_op.append(1e3 * cost[0])
             costs["all"] = [c for cs in costs.values() for c in cs]
             for family, cs in costs.items():
                 ms[side].setdefault(family, []).append(1e3 * sum(t for t, _ in cs) / len(cs))
@@ -168,6 +188,10 @@ def main(argv=None) -> int:
         fp, fc = (statistics.median(faults[side][family]) for side in SIDES)
         print(f"{family:36s} {counts[family]:4d} {mp:9.3f} {mc:9.3f} {fp:8.1f} {fc:8.1f} "
               f"{mp / mc:8.2f}x  change faster in {wins} of {args.rounds}")
+    medians = {side: [statistics.median(t) for t in op_ms[side]] for side in SIDES}
+    print("per-operation median ms, parent -> change: "
+          + ", ".join(f"p{q} {percentile(medians['parent'], q):.3f} -> "
+                      f"{percentile(medians['change'], q):.3f}" for q in (50, 80)))
     differ = [(family, how_differ(par, chg))
               for family, par, chg in zip(families, results["parent"], results["change"])
               if digest(par) != digest(chg)]
