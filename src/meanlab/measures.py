@@ -23,14 +23,15 @@ Representations:
   are too many.
 * ``DensityMeasure``: an absolutely continuous measure from a user density,
   integrated by adaptive quadrature one window at a time.
-* ``_ClosedForm``: the law of loc + scale * Z for the closed-form families
-  (gaussian, cauchy, power_tail).  Each states only its standard member Z:
-  a primitive of its pdf and of z * pdf(z), its mass outside a window, and
-  optionally its quantile; the class maps every window and complement to Z.
+* ``_ClosedForm``: the standard member Z of a closed-form family (gaussian,
+  cauchy, power_tail), stated only as a primitive of its pdf and of
+  z * pdf(z), its mass outside a window, and optionally its quantile.
+  power_tail is Z itself; gaussian and cauchy are ``Affine`` images of theirs.
 * ``EmpiricalMeasure``: equal-weight point masses on a finite sample.
-* ``Affine``: the law of s * X + a for any of the above.  Windows, and the
-  complements a tail asks for, map back through the inverse map (a negative
-  s swaps the endpoints), so wrapped measures keep the wrapped one's accuracy.
+* ``Affine``: the law of s * X + a for any of the above.  Windows, tail
+  complements, pdf offsets and draws map through it (a negative s swaps the
+  endpoints), so wrapped measures keep the wrapped one's accuracy; it alone
+  rules on a window end past float range in the inner law's frame.
 
 Each class also defines its own draws (``sampler``); one table builds every
 family.
@@ -798,60 +799,41 @@ class DensityMeasure(Measure):
 
 
 class _ClosedForm(DensityMeasure):
-    """The law of loc + scale * Z on the whole line, from closed forms of Z.
+    """A standard law Z on the whole line, from closed forms; ``gaussian`` and
+    ``cauchy`` are its ``Affine`` images, which map every window, tail, pdf
+    offset and draw to it.
 
     ``pdf`` is Z's density over an array (a float in gives a float out),
     and warns nothing.  ``primitives(z)`` returns arrays (F, H)
     over an array z: F a primitive of Z's pdf and H / ``unit`` one of
-    z * pdf(z).  ``tails(u, v)`` is P(Z > u) + P(Z < -v) for any real u, v,
-    asked at u = (hi - loc) / scale and v = (loc - lo) / scale, so that it is
-    P(X < lo) + P(X > hi).  ``quantile`` is Z's inverse CDF, if any, and may
-    write over its uniforms.
-    ``loc_scale`` is None for a law that is no member of a location-scale
-    family: then loc = 0 and scale = 1.
+    z * pdf(z).  ``tails(u, v)`` is P(Z > u) + P(Z < -v) for any real u, v.
+    ``quantile`` is Z's inverse CDF, if any, and may write over its uniforms.
     """
 
     def __init__(self, family: str, pdf: Callable[[np.ndarray], np.ndarray],
                  primitives: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
                  tails: Callable[[np.ndarray, np.ndarray], np.ndarray], unit: float = 1.0,
-                 loc_scale: Optional[tuple[float, float]] = None,
                  quantile: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        self.family, self._pdf_z = family, pdf
-        loc, scale = self._origin, self._width = loc_scale or (0.0, 1.0)
-        self.pdf = pdf if loc_scale is None else _rescaled_pdf(pdf, loc, scale)
+        self.family, self.pdf = family, pdf
         self._primitives, self._tails = primitives, tails
         self._unit, self._quantile = unit, quantile
 
     def _stats_between(self, lo, hi):
-        loc, scale, ends = self._origin, self._width, np.concatenate([lo, hi])
-        with np.errstate(over="ignore"):  # an end past float range in Z reads +-inf
-            z = (ends - loc) / scale
-        F, H = self._primitives(z)
+        F, H = self._primitives(np.concatenate([lo, hi]))
         n = len(lo)
-        if not np.isfinite(H).all():  # Z's moment diverges there: refused at a finite end
-            if (far := np.isinf(z) & np.isfinite(ends) & ~np.isfinite(H)).any():
-                raise MeasureError(f"{self.family}: window end {ends[far][0]:.17g} lies past "
-                                   "float range in the law's own frame")
-            if (both := np.isinf(H[:n]) & (H[:n] == H[n:])).any():  # inf - inf
-                raise MeasureError(f"{self.family}: the first moment diverges at both ends of "
-                                   f"[{lo[both][0]:g}, {hi[both][0]:g}]")
-        mass = F[n:] - F[:n]
-        return mass, loc * mass + (scale / self._unit) * (H[n:] - H[:n])
+        if not np.isfinite(H).all() and (both := np.isinf(H[:n]) & (H[:n] == H[n:])).any():
+            raise MeasureError(f"{self.family}: the first moment diverges at both ends of "
+                               f"[{lo[both][0]:g}, {hi[both][0]:g}]")  # inf - inf
+        return F[n:] - F[:n], (1.0 / self._unit) * (H[n:] - H[:n])
 
     def _outside(self, lo, hi):
-        loc, scale = self._origin, self._width
-        with np.errstate(over="ignore"):  # an end past float range in Z reads +-inf
-            u, v = (hi - loc) / scale, (loc - lo) / scale
-        return self._tails(u, v)
+        return self._tails(hi, -lo)
 
-    def _pdf_at(self, offset):  # in Z, whose origin is 0
-        return self._pdf_z(offset / self._width) / self._width
+    def _pdf_at(self, offset):  # Z's origin is 0
+        return self.pdf(offset)
 
     def sampler(self):
-        if self._quantile is None:
-            return super().sampler()
-        loc, scale, quantile = self._origin, self._width, self._quantile
-        return (lambda u: _scaled(quantile(u), scale, loc)), 0.0
+        return super().sampler() if self._quantile is None else (self._quantile, 0.0)
 
 
 def _rescaled_pdf(pdf: Callable, a: float, s: float) -> Callable:
@@ -865,15 +847,9 @@ def _rescaled_pdf(pdf: Callable, a: float, s: float) -> Callable:
     return at
 
 
-def _scaled(x: np.ndarray, s: float, a: float) -> np.ndarray:
-    """a + s * x, written over x."""
-    x *= s
-    x += a
-    return x
-
-
-def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
-    """Normal distribution: Z's CDF ndtr and z * pdf(z) = -phi'(z)."""
+def gaussian(mu: float = 0.0, sigma: float = 1.0) -> Measure:
+    """Normal distribution, the law of mu + sigma * Z: Z's CDF ndtr and
+    z * pdf(z) = -phi'(z)."""
     mu = _number("gaussian mu", mu, error=MeasureError)
     sigma = _number("gaussian sigma", sigma, gt=0, error=MeasureError)
     from scipy.special import ndtr, ndtri
@@ -882,9 +858,9 @@ def gaussian(mu: float = 0.0, sigma: float = 1.0) -> DensityMeasure:
         z2 = np.clip(z, -40.0, 40.0) ** 2  # z * z can overflow; phi is 0.0 past |z| ~ 38.6
         return np.exp(-0.5 * z2) / math.sqrt(2 * math.pi)
 
-    return _ClosedForm("gaussian", pdf, lambda z: (ndtr(z), pdf(z)),
-                       lambda u, v: ndtr(-u) + ndtr(-v),
-                       unit=-1.0, loc_scale=(mu, sigma), quantile=lambda u: ndtri(u, out=u))
+    return Affine(_ClosedForm("gaussian", pdf, lambda z: (ndtr(z), pdf(z)),
+                              lambda u, v: ndtr(-u) + ndtr(-v),
+                              unit=-1.0, quantile=lambda u: ndtri(u, out=u)), mu, sigma)
 
 
 def _log1p_sq(u: np.ndarray) -> np.ndarray:
@@ -900,9 +876,9 @@ def _cauchy_upper(u: np.ndarray) -> np.ndarray:
                     np.arctan(1.0 / np.maximum(u, 1.0)) / math.pi)
 
 
-def cauchy(loc: float = 0.0, scale: float = 1.0) -> DensityMeasure:
-    """Cauchy distribution: Z's CDF 1/2 + atan(z)/pi and z * pdf(z) the
-    derivative of log(1 + z^2) / (2 pi)."""
+def cauchy(loc: float = 0.0, scale: float = 1.0) -> Measure:
+    """Cauchy distribution, the law of loc + scale * Z: Z's CDF
+    1/2 + atan(z)/pi and z * pdf(z) the derivative of log(1 + z^2) / (2 pi)."""
     loc = _number("cauchy loc", loc, error=MeasureError)
     scale = _number("cauchy scale", scale, gt=0, error=MeasureError)
 
@@ -910,11 +886,12 @@ def cauchy(loc: float = 0.0, scale: float = 1.0) -> DensityMeasure:
         with np.errstate(over="ignore"):  # z * z past float range: the density is 0.0 there
             return 1.0 / (math.pi * (1.0 + z * z))
 
-    return _ClosedForm(
+    return Affine(_ClosedForm(
         "cauchy", pdf, lambda z: (0.5 + np.arctan(z) / math.pi, _log1p_sq(z)),
         lambda u, v: _cauchy_upper(u) + _cauchy_upper(v), unit=2 * math.pi,
-        loc_scale=(loc, scale),  # tan(pi * (u - 1/2)), written over u
-        quantile=lambda u: np.tan(np.multiply(np.subtract(u, 0.5, out=u), np.pi, out=u), out=u))
+        # tan(pi * (u - 1/2)), written over u
+        quantile=lambda u: np.tan(np.multiply(np.subtract(u, 0.5, out=u), np.pi, out=u), out=u)),
+        loc, scale)
 
 
 def _power_tail_constant(exponent: float) -> float:
@@ -1030,7 +1007,8 @@ class Affine(Measure):
     """Law of s * X + a when ``inner`` is the law of X (s finite and nonzero).
 
     Windows map back through the inverse map x = (y - a) / s; a negative s
-    swaps the endpoints.
+    swaps the endpoints.  A finite end mapped past float range reads +-inf,
+    and its window stands only where the inner law answers a finite moment.
     """
 
     def __init__(self, inner: Measure, a: float = 0.0, s: float = 1.0):
@@ -1052,13 +1030,21 @@ class Affine(Measure):
         return (hi, lo) if self.s < 0 else (lo, hi)
 
     def _window_stats(self, lo, hi):
-        try:  # a finite end mapped to +-inf would ask the inner law a wider window
-            with np.errstate(over="raise"):
-                inner = self._inverse(lo, hi)
-        except FloatingPointError:
-            raise MeasureError(f"{self.family}: a window end maps past float range in the "
-                               "inner law's frame") from None
-        masses, moments = self.inner._window_stats(*inner)
+        with np.errstate(over="ignore"):  # an end past float range maps to +-inf
+            inner = self._inverse(lo, hi)
+        refusal = None
+        try:
+            masses, moments = self.inner._window_stats(*inner)
+        except MeasureError as exc:  # a refused request reads moments NaN
+            refusal, moments = exc, np.full(lo.size, math.nan)
+        if not np.isfinite(moments).all():
+            far = np.isinf(inner).sum(axis=0) > np.isinf((lo, hi)).sum(axis=0)
+            if (far := far.ravel() & ~np.isfinite(moments).ravel()).any():
+                i = np.flatnonzero(far)[0]
+                raise MeasureError(f"{self.family}: window [{lo.flat[i]:.17g}, {hi.flat[i]:.17g}] "
+                                   "maps past float range in the inner law's frame")
+            if refusal is not None:
+                raise refusal
         return masses, self.s * moments + self.a * masses
 
     def _pdf_at(self, offset):  # the inner law's origin maps to this one's
@@ -1075,7 +1061,9 @@ class Affine(Measure):
         return out
 
     def atom_arrays(self, max_abs, max_atoms=_MAX_ATOMS):
-        x, w = self.inner.atom_arrays((max_abs + abs(self.a)) / abs(self.s), max_atoms)
+        with np.errstate(over="ignore"):  # a radius past float range reads inf
+            radius = (max_abs + abs(self.a)) / abs(self.s)
+        x, w = self.inner.atom_arrays(radius, max_atoms)
         y = self.s * x + self.a
         keep = np.abs(y) <= max_abs
         y, w = y[keep], w[keep]
@@ -1084,8 +1072,14 @@ class Affine(Measure):
     def sampler(self):
         # Composed level by level: a negative s must map each draw, not
         # mirror the uniforms.
-        draw, bias = self.inner.sampler()
-        return (lambda u: _scaled(draw(u), self.s, self.a)), bias
+        (draw, bias), s, a = self.inner.sampler(), self.s, self.a
+
+        def scaled(u: np.ndarray) -> np.ndarray:  # a + s * x, written over the draws x
+            x = draw(u)
+            x *= s
+            x += a
+            return x
+        return scaled, bias
 
 
 # ---------------------------------------------------------------------------

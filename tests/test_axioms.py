@@ -170,6 +170,24 @@ def test_screen_flags_a_margin_equal_to_the_tolerance():
                              axioms._SCREEN_BAND)[1].tolist() == [True]
 
 
+def test_check_axiom_confirms_a_row_the_screen_puts_inside_the_band(monkeypatch):
+    # a mean bumped at the tuple (0,), the first trial: the exact form's bump
+    # breaks translation invariance by 2 AXIOM_TOL, while the row form's sits
+    # half a screen band below the tolerance, so only the band passes the row
+    # on to the exact form
+    near = AXIOM_TOL - 5e-13  # half the screen band of 1e-12
+    bump = lambda xs, n: np.where((n == 1) & (xs[:, 0] == 0.0), near, 0.0)
+    stat = axioms._RowwiseStatistic(
+        "bumped", lambda xs: axioms._mean(xs) + (2.0 * AXIOM_TOL if xs == (0.0,) else 0.0),
+        lambda xs, n: axioms._mean_rows(xs, n) + bump(xs, n))
+    report = ml.check_axiom(stat, ml.AxiomId.T, trials=64, seed=0)
+    assert not report.passed and report.trials == 1
+    assert report.residual > AXIOM_TOL
+    assert recheck(stat, ml.AxiomId.T, report.counterexample) == report.residual
+    monkeypatch.setattr(axioms, "_SCREEN_BAND", 0.0)
+    assert ml.check_axiom(stat, ml.AxiomId.T, trials=64, seed=0).passed
+
+
 _FIRST = ml.SampleStatistic("first", lambda xs: xs[0])
 
 # One witness per axiom with its residual worked out by hand; every value is

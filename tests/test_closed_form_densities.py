@@ -97,8 +97,13 @@ def _gate_digest() -> str:
 # left out gives this digest too.  Re-recorded once more when a whole-line
 # window of a heavy-tailed law was refused instead of reading moment NaN:
 # each of the 114 refusals read (mass, NaN) before, and every other request,
-# whole-line ones included, hashes as before.
-CLOSED_FORM_SHA256 = "1417a33a5f74b2d6a1049396f4e580e6bd44b24083e25cc053143bb637d70a81"
+# whole-line ones included, hashes as before.  Re-recorded when gaussian and
+# cauchy became Affine images of their standard member: a Cauchy moment is
+# s * ((1 / (2 pi)) * dH) + loc * mass instead of loc * mass + (s / (2 pi)) * dH,
+# and 142 Cauchy window requests moved by at most 2.2 eps max(|loc| mass,
+# |moment|); every mass, tail, draw and refusal, and every other moment, hashes
+# as before.
+CLOSED_FORM_SHA256 = "b7c30f361a2771ce6150009cb534db4d0f1b7319900d1b4158d90a94b7497594"
 
 
 def test_closed_form_densities_are_bitwise_unchanged():

@@ -9,6 +9,11 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "example_digest.py"
 
+# The total over every example run, recorded before gaussian and cauchy became
+# Affine images of their standard member; a change meant to leave the CLI's
+# output alone keeps it.
+TOTAL = "2f8d1ef5348f54fabab1149632c720a168d2dd655e4af10e56d079ab252dc5cd"
+
 
 def _load_tool():
     spec = importlib.util.spec_from_file_location("example_digest", TOOL)
@@ -23,7 +28,7 @@ def test_digest_has_one_line_per_example_run_and_repeats():
     assert len(lines) == 27
     runs, total = lines[:-1], lines[-1]
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+\.json [a-z]+", line) for line in runs)
-    assert re.fullmatch(r"[0-9a-f]{64}  total", total)
+    assert total == f"{TOTAL}  total"
     assert sum(line.endswith((" classify", " weakmean")) for line in runs) == 16
     assert tool.digest_lines() == lines
 

@@ -326,9 +326,10 @@ def test_widths_below_float_range_are_answered_or_refused():
     # a width that underflows to 0 (a product of scales) or is subnormal still
     # bounds the outer nodes, to e^-700 of their piece at least: node counts
     # and nodes stay finite.  An offset or a window end past float range in a
-    # law's own frame reads +-inf, where a Gaussian's pdf and moment vanish; a
-    # window that an affine map sends past float range, and a density past it,
-    # are refused.  No case warns: the ini makes a RuntimeWarning an error
+    # law's own frame reads +-inf, where a Gaussian's pdf and moment vanish,
+    # however the law is spelled; a density past float range, and nodes that
+    # miss a window's mass, are refused.  No case warns: the ini makes a
+    # RuntimeWarning an error
     fam = ml.ExpTiltMultiplier(2.5)
     cases = [
         (ml.gaussian(0.0, 1e-305), [_gaussian_oracle(0.0, 1e-305, 2.5, lam) for lam in LAMS]),

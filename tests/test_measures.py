@@ -570,19 +570,95 @@ def test_a_scale_that_overflows_t_reads_zero():
 
 
 def test_a_window_past_float_range_in_the_laws_frame_is_answered_or_refused():
-    # (x - loc) / scale overflows.  A Gaussian reads that end as +-inf, where its
-    # mass and moment are exact; a Cauchy's moment diverges out there, and an
-    # affine map would hand its inner law a wider window, so those refuse.
+    # (x - loc) / scale overflows and reads +-inf.  A Gaussian answers there,
+    # however it is spelled: its mass and moment are exact out there.  A
+    # Cauchy's or a power tail's moment diverges out there, so those refuse.
     # None warns: the ini makes a RuntimeWarning an error
-    narrow = ml.gaussian(1.0, 1e-3)
-    assert narrow.window_stats(-1e307, 1e307) == (1.0, 1.0)
-    assert narrow.window_stats(1e307, 1.5e307) == (0.0, 0.0)
+    for narrow in (ml.gaussian(1.0, 1e-3), ml.gaussian().scale(1e-3).shift(1.0)):
+        assert narrow.window_stats(-1e307, 1e307) == (1.0, 1.0)
+        assert narrow.window_stats(1e307, 1.5e307) == (0.0, 0.0)
     for m in (ml.cauchy(1.0, 1e-3), ml.cauchy().scale(1e-3).shift(1.0),
-              ml.gaussian().scale(1e-3).shift(1.0), ml.power_tail(1.5, 1.8).scale(1e-3)):
+              ml.power_tail(1.5, 1.8).scale(1e-3)):
         with pytest.raises(ml.MeasureError, match="past float range"):
             m.window_stats(-1e307, 1e307)
     # ends that are infinite to begin with are read as before
     assert ml.cauchy(1.0, 1e-3).window_stats(0.0, math.inf)[1] == math.inf
+
+
+def _spelling_requests(m, s):
+    """Window requests around location m at scale s: a 9 x 60 scan stack,
+    windows past float range in the standard law's frame, [0, inf], the
+    whole line and point windows."""
+    centers = m + s * np.linspace(-4.0, 4.0, 9)[:, None]
+    radii = s * np.geomspace(1e-3, 1e15, 60)[None]
+    yield centers - radii, centers + radii
+    for lo, hi in ((-1e307, 1e307), (1e307, 1.5e307), (-math.inf, 1e307), (-1.7e308, -1e308),
+                   (0.0, math.inf), (-math.inf, math.inf), (m, m), (0.0, 0.0)):
+        yield lo, hi
+
+
+def _answer(call):
+    """call()'s arrays as a tuple, or MeasureError where it refuses."""
+    try:
+        out = call()
+    except ml.MeasureError:
+        return ml.MeasureError
+    return tuple(np.atleast_1d(v) for v in (out if isinstance(out, tuple) else (out,)))
+
+
+def test_a_law_and_its_affine_spelling_answer_alike():
+    # gaussian(m, s) and gaussian().scale(s).shift(m) are one law: each
+    # request reads equal values (NaN equal to NaN), or both refuse
+    rng = np.random.default_rng(40)
+    u = np.random.default_rng(41).random(64)
+    cases = [(float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 13.0)),
+              float(10.0 ** rng.uniform(-305.0, 3.0))) for _ in range(8)]
+    cases += [(1.0, 1e-3), (0.0, 1e-300), (1e13, 1e-305), (-1e13, 1e3), (0.5, 1.0)]
+    for law in (ml.gaussian, ml.cauchy):
+        for m, s in cases:
+            plain, spelled = law(m, s), law().scale(s).shift(m)
+            z = np.concatenate([[0.0, -0.0], rng.standard_normal(20) * 10.0 ** rng.uniform(-3, 30, 20)])
+            ts = np.concatenate([[0.0, 1e300], abs(m) + s * np.geomspace(1e-3, 1e6, 20)])
+            asks = [lambda x, lo=lo, hi=hi: x.window_stats(lo, hi)
+                    for lo, hi in _spelling_requests(m, s)]
+            asks += [lambda x: x.tail_probability(ts), lambda x: x.sampler()[0](u.copy()),
+                     lambda x: x._pdf_at(s * z)]
+            for k, ask in enumerate(asks):
+                a, b = _answer(lambda: ask(plain)), _answer(lambda: ask(spelled))
+                assert (a is b is ml.MeasureError) or (
+                    ml.MeasureError not in (a, b)
+                    and all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b))), (
+                    law.__name__, m, s, k, a, b)
+
+
+@pytest.mark.parametrize("inner", [
+    pytest.param(lambda: ml.finite_comb([ml.Atom(-1.0, 0.25), ml.Atom(2.0, 0.75)]), id="finite"),
+    pytest.param(lambda: ml.EmpiricalMeasure([1.0, -2.0, 3.5]), id="empirical")])
+def test_a_finite_atomic_law_under_a_tiny_scale_answers(inner):
+    # a window end maps past float range, where the inner law answers with a
+    # finite moment: the answer stands
+    x, m = inner(), inner().scale(1e-300)
+    for lo, hi in _spelling_requests(0.0, 1e-300):
+        masses, moments = m.window_stats(lo, hi)
+        assert np.all((masses >= 0.0) & (masses <= 1.0) & np.isfinite(moments))
+    mass, moment = x.window_stats(-math.inf, math.inf)
+    assert m.window_stats(-1e10, 1e10) == (mass, 1e-300 * moment)
+    assert m.tail_probability(1e-10) == 0.0
+    assert set(m.sampler()[0](np.linspace(0.01, 0.99, 9)).tolist()) <= set(
+        (1e-300 * x.atom_arrays(10.0)[0]).tolist())
+    assert genmean.mean_ladder(m).ordinary_kind == "finite"
+
+
+def test_the_atom_radius_of_a_tiny_scale_reads_inf_without_a_warning():
+    # (max_abs + |a|) / |s| overflows: the inner law is asked for the atoms
+    # within an infinite radius, which a finite comb answers and an infinite
+    # one refuses; none warns (the ini makes a RuntimeWarning an error)
+    finite = ml.finite_comb([ml.Atom(-1.0, 0.25), ml.Atom(2.0, 0.75)]).scale(1e-300)
+    assert finite.atom_arrays(np.float64(1e10))[0].tolist() == [-1e-300, 2e-300]
+    with pytest.raises(ml.MeasureError, match="overflows before covering radius inf"):
+        ml.comb_ex2().scale(1e-300).atom_arrays(np.float64(1e10))
+    with pytest.raises(ml.MeasureError):
+        genmean.mean_ladder(ml.comb_ex2().scale(1e-300))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ def test_cli_examples_leave_the_quadrature_fallback_unrun(cli_lines):
     assert "measures.py" in modules and "cli.py" in modules
     assert "  _bisect: never called" in "\n".join(lines)
     # the examples classify gaussian and cauchy laws through the closed forms
-    # (only its refusal of a window end past float range stays unrun)
+    # (only their refusal of a whole-line window stays unrun)
     assert not any(line.startswith("  _ClosedForm._stats_between: never called")
                    for line in lines)
 
